@@ -22,7 +22,7 @@ from .errors import (
     ProtocolError,
     RunAbortedError,
 )
-from .gateway import ChatExchange
+from .gateway import ChatCall, ChatExchange
 from .roles import (
     DEFAULT_ROLE_PARAMS,
     DEFAULT_SEED,
@@ -302,12 +302,16 @@ def check_transition(state: EngineState, config: EngineConfig) -> str:
 
 
 class Engine:
-    """Sequential state machine driving one optimization run.
+    """State machine driving one optimization run.
 
-    The engine talks to the backend only through :meth:`_chat` (which counts
-    calls per role so a resumed run can fast-forward scripted queues) and to
-    the scorer only through ``evaluator.score``. Every state change is
-    recorded in the event log before the run proceeds.
+    The engine talks to the backend only through :meth:`_chat` and
+    :meth:`_chat_many` (which count calls per role so a resumed run can
+    fast-forward scripted queues) and to the scorer only through
+    ``evaluator.score``. Independent calls (a prompt's actor samples, a
+    round's per-sample feedback) go out as one ``chat_many`` batch, which the
+    HTTP backend runs concurrently; scoring, routing and every event happen
+    on the calling thread after the batch returns, in sample-index order.
+    Every state change is recorded in the event log before the run proceeds.
     """
 
     def __init__(self, gateway, evaluator, config: EngineConfig, log: runstore.EventLog, task_prompt: str) -> None:
@@ -330,7 +334,8 @@ class Engine:
 
     # ------------------------------------------------------------------ chat
 
-    def _chat(self, role: ModelRole, user_message: str) -> str:
+    def _call(self, role: ModelRole, user_message: str) -> ChatCall:
+        """Build one chat request and count it against its role."""
         messages = tuple(self.config.example_messages.get(role, ())) + (("user", user_message),)
         exchange = ChatExchange(
             role=role,
@@ -338,7 +343,15 @@ class Engine:
             messages=messages,
         )
         self.chat_calls[role.value] += 1
-        return self.gateway.chat(exchange, self.config.role_params[role])
+        return exchange, self.config.role_params[role]
+
+    def _chat(self, role: ModelRole, user_message: str) -> str:
+        return self.gateway.chat(*self._call(role, user_message))
+
+    def _chat_many(self, requests: list[tuple[ModelRole, str]]) -> list[str]:
+        """Send independent requests as one batch; every request is counted,
+        even when the batch fails, because the backend issues all of them."""
+        return self.gateway.chat_many([self._call(role, message) for role, message in requests])
 
     # ------------------------------------------------------------- round ops
 
@@ -353,16 +366,38 @@ class Engine:
         )
         return self._chat(ModelRole.PROMPTING, request)
 
-    def collect_feedback(self, sample: ScoredSample, prompt: PromptCandidate) -> str:
-        role = (
-            ModelRole.DIAGNOSTIC_FEEDBACK
-            if sample.route == "diagnostic"
-            else ModelRole.GENERAL_FEEDBACK
-        )
-        request = templates.compose_feedback_request(
-            prompt.step_plan, sample.output_text, sample.score
-        )
-        return self._chat(role, request)
+    def draw_samples(self, candidate_id: str, step_plan: str) -> list[ScoredSample]:
+        """Send the actor calls for one prompt as a batch, then score and log
+        the samples in index order."""
+        outputs = self._chat_many([(ModelRole.ACTOR, step_plan)] * self.config.samples_per_round)
+        samples: list[ScoredSample] = []
+        for index, output in enumerate(outputs):
+            self.log.emit(
+                "SampleGenerated",
+                {"candidate_id": candidate_id, "sample_index": index, "text": output},
+            )
+            score = self.evaluator.score(output)
+            self.log.emit(
+                "SampleScored",
+                {"candidate_id": candidate_id, "sample_index": index, "score": score},
+            )
+            samples.append(ScoredSample(candidate_id, index, output, score))
+        return samples
+
+    def collect_feedback(self, samples: list[ScoredSample], prompt: PromptCandidate) -> list[str]:
+        """One feedback call per routed sample, sent as a batch."""
+        requests = []
+        for sample in samples:
+            role = (
+                ModelRole.DIAGNOSTIC_FEEDBACK
+                if sample.route == "diagnostic"
+                else ModelRole.GENERAL_FEEDBACK
+            )
+            request = templates.compose_feedback_request(
+                prompt.step_plan, sample.output_text, sample.score
+            )
+            requests.append((role, request))
+        return self._chat_many(requests)
 
     def summarize_round(self, feedbacks: list[str]) -> str:
         return self._chat(ModelRole.SUMMARIZER, templates.compose_summary_request(feedbacks))
@@ -402,20 +437,7 @@ class Engine:
             },
         )
 
-        samples: list[ScoredSample] = []
-        for index in range(self.config.samples_per_round):
-            output = self._chat(ModelRole.ACTOR, candidate.step_plan)
-            self.log.emit(
-                "SampleGenerated",
-                {"candidate_id": candidate.id, "sample_index": index, "text": output},
-            )
-            score = self.evaluator.score(output)
-            self.log.emit(
-                "SampleScored",
-                {"candidate_id": candidate.id, "sample_index": index, "score": score},
-            )
-            samples.append(ScoredSample(candidate.id, index, output, score))
-
+        samples = self.draw_samples(candidate.id, candidate.step_plan)
         mean = round_mean([s.score for s in samples])
         threshold_before = state.threshold
 
@@ -428,7 +450,9 @@ class Engine:
 
         for sample in samples:
             sample.route = route_feedback(sample.score, state.threshold)
-            sample.feedback_text = self.collect_feedback(sample, candidate)
+        feedbacks = self.collect_feedback(samples, candidate)
+        for sample, feedback in zip(samples, feedbacks):
+            sample.feedback_text = feedback
             self.log.emit(
                 "FeedbackIssued",
                 {

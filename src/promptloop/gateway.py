@@ -2,8 +2,14 @@
 
 Two backends implement it: an HTTP client for any Ollama-compatible REST
 endpoint, and a fully offline scripted mock whose outputs are a pure function
-of its scripts and inputs. Both expose ``chat``, ``embed``, ``health_check``
-and the resume hook ``advance``.
+of its scripts and inputs. Both expose ``chat``, ``chat_many``, ``embed``,
+``health_check`` and the resume hook ``advance``.
+
+``chat_many`` sends a batch of independent calls: concurrently over HTTP, in
+index order on the mock. Either way every call of the batch is issued, the
+replies come back in input order, and the first failure in index order is
+raised only once the whole batch is done, so a failed batch consumes exactly
+as many scripted replies as it has calls.
 """
 
 from __future__ import annotations
@@ -11,6 +17,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -21,12 +28,23 @@ from .errors import (
     BackendUnavailableError,
     ConfigError,
     EmptyResponseError,
+    PromptloopError,
     ProtocolError,
 )
 from .roles import ModelRole, SamplingParams
 
 #: Scripted queue item that makes the mock raise a backend failure when popped.
 FAILURE_MARKER = "<<BACKEND-FAILURE>>"
+
+#: Client errors worth another attempt: request timeout and rate limiting.
+_RETRYABLE_4XX = (408, 429)
+
+#: Most chat requests an HTTP batch keeps in flight. Ollama serves at most
+#: ``OLLAMA_NUM_PARALLEL`` requests per model at once, by default 4 or 1
+#: depending on available memory (Ollama FAQ); more would only queue on the
+#: server, where the wait counts against each request's ``timeout``. It also
+#: stays below the 10 connections of the default ``requests`` adapter pool.
+MAX_CHAT_WORKERS = 4
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -66,6 +84,10 @@ class ChatExchange:
     @property
     def last_user_text(self) -> str:
         return self.messages[-1][1]
+
+
+#: One chat request of a batch.
+ChatCall = tuple[ChatExchange, SamplingParams]
 
 
 @dataclass(frozen=True)
@@ -125,7 +147,7 @@ class MockBackend:
     Chat pops per-role FIFO script queues; an empty queue falls back to
     "ECHO: " plus the last user message, so unscripted runs stay fully
     deterministic. A popped :data:`FAILURE_MARKER` raises a backend failure,
-    a popped empty string raises an empty-response error.
+    a popped empty or whitespace-only string raises an empty-response error.
 
     Embeddings count the UTF-8 byte bigrams of the text, bucket each bigram
     at ``fnv1a64(bigram) % dim``, and L2-normalize the counts unless the raw
@@ -155,9 +177,22 @@ class MockBackend:
             text = queue.popleft() if queue else "ECHO: " + exchange.last_user_text
         if text == FAILURE_MARKER:
             raise BackendUnavailableError(f"scripted failure for role {exchange.role.value}")
-        if text == "":
+        if not text.strip():
             raise EmptyResponseError(f"empty completion for role {exchange.role.value}")
         return text
+
+    def chat_many(self, calls: Sequence[ChatCall]) -> list[str]:
+        """Run the calls one after another in index order, through :meth:`chat`."""
+        replies: list[str] = []
+        failures: list[PromptloopError] = []
+        for exchange, params in calls:
+            try:
+                replies.append(self.chat(exchange, params))
+            except PromptloopError as exc:
+                failures.append(exc)
+        if failures:
+            raise failures[0]
+        return replies
 
     def embed(self, texts: Sequence[str]) -> list[np.ndarray]:
         if not texts:
@@ -203,9 +238,10 @@ class HttpBackend:
     """Client for an Ollama-compatible REST endpoint.
 
     Chat posts to ``/api/chat`` (non-streaming) with per-request sampling
-    options; embeddings post to ``/api/embed``. Transport failures are retried
-    up to ``max_retries`` times with exponential backoff, so each call makes
-    at most ``max_retries + 1`` attempts.
+    options; embeddings post to ``/api/embed``. Transport failures, HTTP 5xx,
+    408 and 429 are retried up to ``max_retries`` times with exponential
+    backoff, so each call makes at most ``max_retries + 1`` attempts; any
+    other 4xx is final after one attempt.
     """
 
     def __init__(self, descriptor: BackendDescriptor, session: requests.Session | None = None):
@@ -228,9 +264,26 @@ class HttpBackend:
         content = data.get("message", {}).get("content")
         if not isinstance(content, str):
             raise ProtocolError(f"chat response missing message.content: {data!r}")
-        if content == "":
+        if not content.strip():
             raise EmptyResponseError(f"empty completion for role {exchange.role.value}")
         return content
+
+    def chat_many(self, calls: Sequence[ChatCall]) -> list[str]:
+        """Run the calls concurrently through :meth:`chat`, at most
+        :data:`MAX_CHAT_WORKERS` at a time, all sharing this backend's session."""
+        if not calls:
+            return []
+        pool = ThreadPoolExecutor(
+            max_workers=min(len(calls), MAX_CHAT_WORKERS), thread_name_prefix="promptloop-chat"
+        )
+        try:
+            futures = [pool.submit(self.chat, exchange, params) for exchange, params in calls]
+            wait(futures)
+        finally:
+            # On an interrupt, drop the calls not yet started; the ones in
+            # flight still finish before the interpreter exits.
+            pool.shutdown(wait=False, cancel_futures=True)
+        return [future.result() for future in futures]
 
     def embed(self, texts: Sequence[str]) -> list[np.ndarray]:
         if not texts:
@@ -255,6 +308,9 @@ class HttpBackend:
         for attempt in range(attempts):
             try:
                 response = self.session.post(url, json=payload, timeout=self.descriptor.timeout)
+                status = response.status_code
+                if 400 <= status < 500 and status not in _RETRYABLE_4XX:
+                    raise BackendUnavailableError(f"{url} answered HTTP {status}; not retried")
                 response.raise_for_status()
             except requests.RequestException as exc:
                 last_error = exc

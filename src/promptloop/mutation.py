@@ -138,7 +138,7 @@ def run_mutation_phase(engine: "Engine") -> None:
     and replace the archive minimum when strictly beaten. Backend failures
     skip the step; the phase itself never aborts the run.
     """
-    from .engine import BACKEND_ERRORS, ArchiveEntry, ModelRole, round_mean
+    from .engine import BACKEND_ERRORS, ArchiveEntry, round_mean
 
     state = engine.state
     config = engine.config
@@ -191,19 +191,7 @@ def run_mutation_phase(engine: "Engine") -> None:
             source_candidate, segmentation, sentence_index, rewritten, mutant_id
         )
         try:
-            scores = []
-            for index in range(config.samples_per_round):
-                output = engine._chat(ModelRole.ACTOR, outcome.mutant.step_plan)
-                engine.log.emit(
-                    "SampleGenerated",
-                    {"candidate_id": mutant_id, "sample_index": index, "text": output},
-                )
-                score = engine.evaluator.score(output)
-                engine.log.emit(
-                    "SampleScored",
-                    {"candidate_id": mutant_id, "sample_index": index, "score": score},
-                )
-                scores.append(score)
+            samples = engine.draw_samples(mutant_id, outcome.mutant.step_plan)
         except BACKEND_ERRORS as exc:
             engine.log.emit(
                 "BackendFailure", {"phase": "mutation", "step": step, "message": str(exc)}
@@ -211,7 +199,7 @@ def run_mutation_phase(engine: "Engine") -> None:
             reject("backend-failure")
             continue
 
-        mutant_score = round_mean(scores)
+        mutant_score = round_mean([sample.score for sample in samples])
         entry = ArchiveEntry(
             candidate_id=mutant_id,
             step_plan=outcome.mutant.step_plan,

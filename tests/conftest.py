@@ -3,6 +3,7 @@ import os
 from dataclasses import dataclass
 
 import pytest
+import requests
 
 from promptloop.config import (
     CliConfig,
@@ -142,6 +143,23 @@ class FakeEvaluator:
         value = self.scores.pop(0) if len(self.scores) > 1 else self.scores[0]
         self.served.append((text, value))
         return value
+
+
+class FakeResponse:
+    """Stand-in for a ``requests`` response with a JSON payload and a status."""
+
+    def __init__(self, payload, status=200):
+        self._payload = payload
+        self.status_code = status
+
+    def raise_for_status(self):
+        if self.status_code >= 400:
+            raise requests.HTTPError(f"status {self.status_code}")
+
+    def json(self):
+        if isinstance(self._payload, Exception):
+            raise self._payload
+        return self._payload
 
 
 def events_by_kind(events, kind):

@@ -124,6 +124,22 @@ class TestOptimize:
         last_line = open(os.path.join(runs_dir, logs[0])).read().splitlines()[-1]
         assert json.loads(last_line)["kind"] == "BackendFailure"
 
+    def test_whitespace_only_plan_aborts_resumably(self, runner, tmp_path):
+        # a one-slot best archive sends the whitespace plan straight into the
+        # mutation phase, where it used to crash sentence segmentation
+        config = small_config(
+            tmp_path,
+            engine={"samples_per_round": 1, "best_capacity": 1, "worst_capacity": 1,
+                    "max_rounds": 2, "mutation_budget": 1, "seed": 42},
+            scripts={"prompting": ["   "]},
+        )
+        result = runner.invoke(main, ["optimize", config, "--prompt", "Aufgabe"])
+        assert result.exit_code == 4, result.output + str(result.exception)
+        runs_dir = os.path.join(tmp_path, "runs")
+        log = next(n for n in os.listdir(runs_dir) if n.endswith(".jsonl"))
+        last_line = open(os.path.join(runs_dir, log)).read().splitlines()[-1]
+        assert json.loads(last_line)["kind"] == "BackendFailure"
+
     def test_resume_with_mismatching_prompt_rejected(self, runner, tmp_path):
         config = small_config(tmp_path, scripts={"actor": ["<<BACKEND-FAILURE>>"]})
         result = runner.invoke(main, ["optimize", config, "--prompt", "Aufgabe"])

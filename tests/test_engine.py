@@ -1,11 +1,16 @@
+import hashlib
+import json
+import threading
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FakeEvaluator, events_by_kind, make_harness, scripted_plans
+from conftest import FakeEvaluator, FakeResponse, events_by_kind, make_harness, scripted_plans
 from oracle import bottom_k_ref, top_k_ref
 from promptloop.engine import (
     ArchiveEntry,
+    Engine,
     EngineConfig,
     EngineState,
     PromptArchive,
@@ -16,8 +21,9 @@ from promptloop.engine import (
     update_archives,
 )
 from promptloop.errors import RunAbortedError
-from promptloop.gateway import FAILURE_MARKER
-from promptloop.roles import ModelRole
+from promptloop.gateway import FAILURE_MARKER, BackendDescriptor, HttpBackend
+from promptloop.roles import DEFAULT_SYSTEM_PROMPTS, ModelRole
+from promptloop.runstore import EventLog
 
 
 def candidate(cid="cand-0001", plan="Schritt eins. Schritt zwei.", score=None, round=1):
@@ -335,7 +341,7 @@ class TestRunRound:
         from promptloop.engine import ScoredSample
 
         scored = ScoredSample("cand-0001", 0, "Ausgabe", 0.2, route="diagnostic")
-        assert h.engine.collect_feedback(scored, sample) == "too generic"
+        assert h.engine.collect_feedback([scored], sample) == ["too generic"]
 
 
 class TestAtomicRounds:
@@ -505,3 +511,92 @@ class TestRunOptimization:
         assert final_counts["actor"] == 6  # 3 rounds x 2 samples at the last regeneration
         assert final_counts["prompting"] == 4  # initial + one per round
         assert final_counts["summarizer"] == 3
+
+
+class InFlightSession:
+    """Thread-safe fake Ollama endpoint for a whole engine run.
+
+    A chat reply is a digest of the request body, so it does not depend on
+    the order in which requests arrive. Actor requests wait at a barrier of
+    ``batch`` parties, which only a batch sent concurrently passes. The
+    session records the most requests in flight at once, overall and as seen
+    by actor requests.
+    """
+
+    def __init__(self, batch):
+        self.barrier = threading.Barrier(batch, timeout=5)
+        self.lock = threading.Lock()
+        self.in_flight = 0
+        self.peak = 0
+        self.actor_peak = 0
+        self.actor_requests = 0
+
+    def get(self, url, timeout=None):
+        return FakeResponse({"models": []})
+
+    def post(self, url, json=None, timeout=None):
+        is_actor = json["messages"][0]["content"] == DEFAULT_SYSTEM_PROMPTS[ModelRole.ACTOR]
+        with self.lock:
+            self.in_flight += 1
+            self.peak = max(self.peak, self.in_flight)
+            if is_actor:
+                self.actor_requests += 1
+                self.actor_peak = max(self.actor_peak, self.in_flight)
+        try:
+            if is_actor:
+                self.barrier.wait()
+            digest = hashlib.sha256(_json_bytes(json)).hexdigest()
+            reply = f"Antwort {digest[:8]} folgt. Zweiter Satz {digest[8:16]}."
+            return FakeResponse({"message": {"role": "assistant", "content": reply}})
+        finally:
+            with self.lock:
+                self.in_flight -= 1
+
+
+def _json_bytes(payload):
+    return json.dumps(payload, sort_keys=True).encode("utf-8")
+
+
+class TestConcurrentBatches:
+    SAMPLES = 3
+
+    def run_over_http(self, tmp_path, name):
+        h = make_harness(
+            tmp_path,
+            engine={
+                "samples_per_round": self.SAMPLES,
+                "best_capacity": 2,
+                "worst_capacity": 2,
+                "max_rounds": 4,
+                "mutation_budget": 2,
+            },
+            name=name,
+            evaluator=FakeEvaluator([0.4, 0.6, 0.5, 0.7, 0.3, 0.8, 0.55]),
+        )
+        session = InFlightSession(self.SAMPLES)
+        backend = HttpBackend(
+            BackendDescriptor(kind="http", base_url="http://stub", retry_backoff=0.0), session
+        )
+        engine = Engine(backend, h.evaluator, h.config.engine, EventLog(h.log_path), h.task)
+        engine.run(h.manifest())
+        engine.log.close()
+        return h, session
+
+    def test_actor_batches_run_concurrently_and_log_is_deterministic(self, tmp_path):
+        first, session = self.run_over_http(tmp_path, "first")
+        second, _ = self.run_over_http(tmp_path, "second")
+        events = first.events()
+        steps = len(events_by_kind(events, "MutationApplied")) + len(
+            events_by_kind(events, "MutationRejected")
+        )
+        assert steps == 2
+        rounds = len(events_by_kind(events, "RoundStarted"))
+        assert session.actor_requests == self.SAMPLES * (rounds + steps)
+        assert session.actor_peak == self.SAMPLES
+        assert session.peak == self.SAMPLES
+        assert _lines(first.log_path) == _lines(second.log_path)
+
+
+def _lines(path):
+    with open(path, encoding="utf-8") as handle:
+        return handle.read().splitlines()

@@ -1,9 +1,13 @@
+import threading
+import time
+
 import numpy as np
 import pytest
 import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import FakeResponse
 from oracle import embed_ref, fnv1a64_ref
 from promptloop.engine import EngineConfig
 from promptloop.errors import (
@@ -12,8 +16,10 @@ from promptloop.errors import (
     EmptyResponseError,
     ProtocolError,
 )
+from promptloop import gateway
 from promptloop.gateway import (
     FAILURE_MARKER,
+    MAX_CHAT_WORKERS,
     BackendDescriptor,
     ChatExchange,
     HttpBackend,
@@ -72,6 +78,27 @@ class TestMockChat:
         backend = MockBackend(BackendDescriptor(), {ModelRole.ACTOR: [""]})
         with pytest.raises(EmptyResponseError):
             backend.chat(exchange(), PARAMS)
+
+    def test_whitespace_only_completion_raises(self):
+        backend = MockBackend(BackendDescriptor(), {ModelRole.ACTOR: [" \n\t "]})
+        with pytest.raises(EmptyResponseError):
+            backend.chat(exchange(), PARAMS)
+
+    def test_chat_many_runs_in_index_order(self):
+        backend = MockBackend(BackendDescriptor(), {ModelRole.ACTOR: ["a", "b"]})
+        calls = [(exchange(text=f"call {i}"), PARAMS) for i in range(3)]
+        assert backend.chat_many(calls) == ["a", "b", "ECHO: call 2"]
+
+    def test_failed_batch_consumes_every_call(self):
+        # a resumed run skips a failed batch's replies by its call count, so
+        # the batch must pop one reply per call even after the first failure
+        backend = MockBackend(
+            BackendDescriptor(), {ModelRole.ACTOR: ["a", FAILURE_MARKER, "", "d", "e"]}
+        )
+        with pytest.raises(BackendUnavailableError):
+            backend.chat_many([(exchange(), PARAMS)] * 4)
+        assert len(backend.calls) == 4
+        assert backend.remaining(ModelRole.ACTOR) == 1
 
     def test_repeat_calls_deterministic(self):
         first = MockBackend(BackendDescriptor(), {ModelRole.ACTOR: ["a", "b"]})
@@ -139,21 +166,6 @@ class TestMockEmbedding:
         raw_is_zero = len(text.encode("utf-8")) < 2
         if not raw_is_zero:
             assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
-
-
-class FakeResponse:
-    def __init__(self, payload, status=200):
-        self._payload = payload
-        self.status_code = status
-
-    def raise_for_status(self):
-        if self.status_code >= 400:
-            raise requests.HTTPError(f"status {self.status_code}")
-
-    def json(self):
-        if isinstance(self._payload, Exception):
-            raise self._payload
-        return self._payload
 
 
 class FakeSession:
@@ -227,6 +239,133 @@ class TestHttpChat:
         backend = HttpBackend(http_descriptor(max_retries=1), session)
         assert backend.chat(exchange(), PARAMS) == "ok"
         assert len(session.requests) == 2
+
+    def test_whitespace_only_completion_raises(self):
+        session = FakeSession([FakeResponse({"message": {"content": "  \n"}})])
+        backend = HttpBackend(http_descriptor(), session)
+        with pytest.raises(EmptyResponseError):
+            backend.chat(exchange(), PARAMS)
+
+    def test_client_error_is_not_retried(self):
+        session = FakeSession([FakeResponse({"error": "model not found"}, status=404)] * 3)
+        backend = HttpBackend(http_descriptor(max_retries=2), session)
+        with pytest.raises(BackendUnavailableError, match="404"):
+            backend.chat(exchange(), PARAMS)
+        assert len(session.requests) == 1
+
+    def test_server_error_is_retried(self):
+        session = FakeSession([FakeResponse({}, status=503)] * 3)
+        backend = HttpBackend(http_descriptor(max_retries=2), session)
+        with pytest.raises(BackendUnavailableError):
+            backend.chat(exchange(), PARAMS)
+        assert len(session.requests) == 3
+
+    def test_rate_limit_is_retried(self):
+        session = FakeSession(
+            [FakeResponse({}, status=429), FakeResponse({"message": {"content": "ok"}})]
+        )
+        backend = HttpBackend(http_descriptor(max_retries=1), session)
+        assert backend.chat(exchange(), PARAMS) == "ok"
+        assert len(session.requests) == 2
+
+
+class ReverseOrderSession:
+    """Thread-safe fake for a batch of chat calls whose user messages end in
+    their index. Call i replies only after call i+1 has replied, the order a
+    per-request delay falling with the index gives, so replies complete in
+    reverse order. A call left waiting 5 s means the batch is not concurrent."""
+
+    def __init__(self, size, statuses=None):
+        self.replied = [threading.Event() for _ in range(size)]
+        self.statuses = statuses or {}
+        self.lock = threading.Lock()
+        self.completed = []
+
+    def post(self, url, json=None, timeout=None):
+        index = int(json["messages"][-1]["content"].split()[-1])
+        if index + 1 < len(self.replied) and not self.replied[index + 1].wait(5):
+            raise AssertionError(f"call {index} waited for call {index + 1}: batch ran in sequence")
+        with self.lock:
+            self.completed.append(index)
+        self.replied[index].set()
+        return FakeResponse({"message": {"content": f"reply {index}"}}, self.statuses.get(index, 200))
+
+
+class PooledSession:
+    """Thread-safe fake that holds every request for a moment, long enough
+    for a pool wider than the cap to have more than the cap in flight. It
+    records the most requests in flight at once."""
+
+    HOLD_S = 0.05
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.requests = 0
+        self.in_flight = 0
+        self.peak = 0
+
+    def post(self, url, json=None, timeout=None):
+        with self.lock:
+            self.requests += 1
+            self.in_flight += 1
+            self.peak = max(self.peak, self.in_flight)
+        try:
+            time.sleep(self.HOLD_S)
+            index = json["messages"][-1]["content"].split()[-1]
+            return FakeResponse({"message": {"content": f"reply {index}"}})
+        finally:
+            with self.lock:
+                self.in_flight -= 1
+
+
+class TestHttpChatMany:
+    def test_replies_come_back_in_input_order(self):
+        session = ReverseOrderSession(4)
+        backend = HttpBackend(http_descriptor(), session)
+        calls = [(exchange(text=f"call {i}"), PARAMS) for i in range(4)]
+        assert backend.chat_many(calls) == [f"reply {i}" for i in range(4)]
+        assert session.completed == [3, 2, 1, 0]
+
+    def test_failed_batch_issues_every_call_and_raises_first_failure(self):
+        session = ReverseOrderSession(4, statuses={1: 404, 3: 400})
+        backend = HttpBackend(http_descriptor(), session)
+        calls = [(exchange(text=f"call {i}"), PARAMS) for i in range(4)]
+        with pytest.raises(BackendUnavailableError, match="404"):
+            backend.chat_many(calls)
+        assert session.completed == [3, 2, 1, 0]
+
+    def test_batch_wider_than_the_pool_keeps_input_order(self):
+        session = PooledSession()
+        backend = HttpBackend(http_descriptor(), session)
+        size = 3 * MAX_CHAT_WORKERS
+        calls = [(exchange(text=f"call {i}"), PARAMS) for i in range(size)]
+        assert backend.chat_many(calls) == [f"reply {i}" for i in range(size)]
+        assert session.requests == size
+        assert session.peak <= MAX_CHAT_WORKERS
+
+    def test_interrupt_drops_calls_not_yet_started(self, monkeypatch):
+        release = threading.Event()
+        started = []
+
+        class BlockingSession:
+            def post(self, url, json=None, timeout=None):
+                started.append(json["messages"][-1]["content"])
+                release.wait(5)
+                return FakeResponse({"message": {"content": "late"}})
+
+        def interrupted_wait(futures):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(gateway, "wait", interrupted_wait)
+        backend = HttpBackend(http_descriptor(), BlockingSession())
+        calls = [(exchange(text=f"call {i}"), PARAMS) for i in range(3 * MAX_CHAT_WORKERS)]
+        with pytest.raises(KeyboardInterrupt):
+            backend.chat_many(calls)
+        release.set()
+        for thread in threading.enumerate():
+            if thread.name.startswith("promptloop-chat"):
+                thread.join(5)
+        assert len(started) <= MAX_CHAT_WORKERS
 
 
 class TestHttpEmbed:

@@ -6,6 +6,7 @@ import pytest
 from conftest import FIXED_CREATED_AT, events_by_kind, make_harness, scripted_plans
 from promptloop.engine import Engine
 from promptloop.errors import DigestMismatchError, LogError
+from promptloop.gateway import FAILURE_MARKER
 from promptloop.roles import ModelRole
 from promptloop.runstore import (
     EventLog,
@@ -234,6 +235,50 @@ class TestResume:
         resumed.resume()
         resumed.log.close()
         assert open(partial).read() == open(h.log_path).read()
+
+    def test_resume_after_failed_actor_batch_in_mutation(self, tmp_path):
+        # actor sample 0 of the first mutation step fails; the batch still
+        # consumes both scripted replies, so a resume from the step's
+        # MutationRejected continues with the replies the live run used
+        def harness(name):
+            scripts = {
+                ModelRole.PROMPTING: scripted_plans(5),
+                ModelRole.ACTOR: [f"Ausgabe {i}: Der Patient ist stabil." for i in range(6)]
+                + [FAILURE_MARKER]
+                + [f"Ausgabe {i}: Die Medikation bleibt." for i in range(7, 12)],
+                ModelRole.MUTATOR: [f"Neuer Satz {i}." for i in range(3)],
+            }
+            return make_harness(
+                tmp_path,
+                engine={"samples_per_round": 2, "best_capacity": 3, "worst_capacity": 3,
+                        "max_rounds": 5, "mutation_budget": 3},
+                scripts=scripts,
+                name=name,
+            )
+
+        h = harness("full")
+        h.run()
+        events = h.events()
+        failure = events_by_kind(events, "BackendFailure")
+        assert [e.payload.get("step") for e in failure] == [1]
+        rejected = events_by_kind(events, "MutationRejected")[0]
+        assert rejected.payload["step"] == 1
+        assert rejected.payload["reason"] == "backend-failure"
+
+        with open(h.log_path, encoding="utf-8") as handle:
+            lines = handle.read().splitlines()
+        truncated = os.path.join(tmp_path, "cut.jsonl")
+        with open(truncated, "w", encoding="utf-8") as handle:
+            handle.write("\n".join(lines[: rejected.seq + 1]) + "\n")
+        fresh = harness("fresh")
+        resumed = Engine.resumed(
+            fresh.backend, fresh.evaluator, fresh.config.engine,
+            truncated, h.config_digest, h.corpus_digest,
+        )
+        resumed.resume()
+        resumed.log.close()
+        with open(truncated, encoding="utf-8") as handle:
+            assert handle.read().splitlines()[1:] == lines[1:]
 
     def test_replay_matches_live_final_state(self, tmp_path):
         h, result = finished_run(tmp_path, name="live")
