@@ -2,19 +2,12 @@
 embedding-similarity scoring, and guided sentence-level mutation."""
 
 from .engine import (
-    ArchiveEntry,
     Engine,
     EngineConfig,
-    EngineState,
     OptimizationResult,
-    PromptArchive,
-    PromptCandidate,
-    RoundRecord,
     ScoredSample,
-    SplitMix64,
     check_transition,
     route_feedback,
-    update_archives,
 )
 from .errors import (
     BackendUnavailableError,
@@ -40,12 +33,7 @@ from .gateway import (
     build_backend,
     fnv1a64,
 )
-from .mutation import (
-    SentenceSegmentation,
-    mutate_once,
-    run_mutation_phase,
-    segment_sentences,
-)
+from .mutation import SentenceSegmentation, run_mutation_phase, segment_sentences
 from .pipeline import Runtime, build_runtime, resume_optimization, run_optimization
 from .roles import (
     DEFAULT_ROLE_PARAMS,
@@ -62,6 +50,14 @@ from .scoring import (
     corpus_score,
     cosine,
     load_corpus,
+)
+from .state import (
+    ArchiveEntry,
+    EngineState,
+    PromptArchive,
+    PromptCandidate,
+    SplitMix64,
+    update_archives,
 )
 
 __version__ = "0.1.0"

@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 invalid config or input, 3 backend unavailable,
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import sys
@@ -14,7 +15,7 @@ import tempfile
 import click
 
 from . import demo as demo_mod
-from .config import build_backend_from_config, load_config, normalize_config
+from .config import load_config, normalize_config
 from .engine import OptimizationResult
 from .errors import (
     BackendUnavailableError,
@@ -26,9 +27,8 @@ from .errors import (
     PromptloopError,
     RunAbortedError,
 )
-from .pipeline import resume_optimization, run_optimization
+from .pipeline import build_runtime, resume_optimization, run_optimization
 from .runstore import emit_report
-from .scoring import CorpusEvaluator, EmbeddingCache, load_corpus
 
 EXIT_CONFIG = 2
 EXIT_BACKEND = 3
@@ -128,15 +128,9 @@ def cmd_score(config_path, text, corpus_path) -> None:
     """Score one text against the reference corpus and print the value."""
     try:
         config = load_config(config_path)
-        if corpus_path is None:
-            corpus_path = config.corpus_path
-        if not os.path.isfile(corpus_path):
-            raise ConfigError(f"corpus file does not exist: {corpus_path}")
-        backend = build_backend_from_config(config)
-        cache = EmbeddingCache(backend)
-        corpus = load_corpus(corpus_path, cache, config.max_documents)
-        evaluator = CorpusEvaluator(corpus, cache)
-        click.echo(repr(evaluator.score(text)))
+        if corpus_path is not None:
+            config = dataclasses.replace(config, corpus_path=corpus_path)
+        click.echo(repr(build_runtime(config).evaluator.score(text)))
     except _CONFIG_ERRORS as exc:
         _fail(EXIT_CONFIG, str(exc))
     except BackendUnavailableError as exc:

@@ -33,17 +33,9 @@ _BACKEND_KEYS = {
     "retry_backoff",
     "mock_embedding_dim",
 }
-_ENGINE_KEYS = {
-    "samples_per_round",
-    "best_capacity",
-    "worst_capacity",
-    "max_rounds",
-    "score_target",
-    "mutation_trigger",
-    "mutation_budget",
-    "seed",
-    "role_params",
-}
+#: Engine fields set from the config's ``prompts`` section, not ``engine``.
+_PROMPT_FIELDS = {"system_prompts", "example_messages"}
+_ENGINE_KEYS = {f.name for f in dataclass_fields(EngineConfig)} - _PROMPT_FIELDS
 _TOP_KEYS = {
     "version",
     "backend",
@@ -229,18 +221,9 @@ def normalize_config(config: CliConfig) -> dict:
     backend = {
         f.name: getattr(config.backend, f.name) for f in dataclass_fields(BackendDescriptor)
     }
-    engine = {
-        "samples_per_round": config.engine.samples_per_round,
-        "best_capacity": config.engine.best_capacity,
-        "worst_capacity": config.engine.worst_capacity,
-        "max_rounds": config.engine.max_rounds,
-        "score_target": config.engine.score_target,
-        "mutation_trigger": config.engine.mutation_trigger,
-        "mutation_budget": config.engine.mutation_budget,
-        "seed": config.engine.seed,
-        "role_params": {
-            role.value: config.engine.role_params[role].as_options() for role in ModelRole
-        },
+    engine = {name: getattr(config.engine, name) for name in _ENGINE_KEYS}
+    engine["role_params"] = {
+        role.value: config.engine.role_params[role].as_options() for role in ModelRole
     }
     prompts = {
         "system": {role.value: config.engine.system_prompts[role] for role in ModelRole},

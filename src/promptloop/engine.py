@@ -9,19 +9,10 @@ Once the best archive is full the run switches to the guided mutation phase.
 
 from __future__ import annotations
 
-import statistics
 from dataclasses import dataclass, field, replace
 
-from . import runstore, templates
-from .errors import (
-    BackendUnavailableError,
-    ConfigError,
-    DegenerateInputError,
-    EmptyResponseError,
-    LogError,
-    ProtocolError,
-    RunAbortedError,
-)
+from . import mutation, runstore, templates
+from .errors import BACKEND_ERRORS, BackendUnavailableError, ConfigError, LogError, RunAbortedError
 from .gateway import ChatCall, ChatExchange
 from .roles import (
     DEFAULT_ROLE_PARAMS,
@@ -30,54 +21,16 @@ from .roles import (
     ModelRole,
     SamplingParams,
 )
-
-_MASK64 = (1 << 64) - 1
-
-#: Backend-side failures that abort a round atomically.
-BACKEND_ERRORS = (BackendUnavailableError, EmptyResponseError, ProtocolError, DegenerateInputError)
-
-
-class SplitMix64:
-    """Portable deterministic generator with a single 64-bit word of state.
-
-    All stochastic choices of the engine (archive pick, sentence pick, in that
-    order per mutation step) draw from one instance seeded from the config.
-    """
-
-    def __init__(self, seed: int) -> None:
-        self.state = seed & _MASK64
-
-    def next_u64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK64
-        z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
-
-    def below(self, n: int) -> int:
-        """Uniform integer in [0, n), bias-free via rejection sampling."""
-        if n <= 0:
-            raise ValueError("below() needs n >= 1")
-        limit = (1 << 64) - ((1 << 64) % n)
-        while True:
-            r = self.next_u64()
-            if r < limit:
-                return r % n
-
-
-def round_mean(scores) -> float:
-    """Exact arithmetic mean of the given scores."""
-    return statistics.mean(scores)
-
-
-@dataclass
-class PromptCandidate:
-    id: str
-    task_prompt: str
-    step_plan: str
-    origin: str  # "initial" | "refined" | "mutated"
-    round: int
-    score: float | None = None
+from .state import (  # noqa: F401  (the state types are importable from here too)
+    ArchiveEntry,
+    EngineState,
+    Fold,
+    PromptArchive,
+    PromptCandidate,
+    SplitMix64,
+    round_mean,
+    update_archives,
+)
 
 
 @dataclass
@@ -87,87 +40,6 @@ class ScoredSample:
     output_text: str
     score: float
     route: str | None = None  # "diagnostic" | "general"
-    feedback_text: str | None = None
-
-
-@dataclass(frozen=True)
-class ArchiveEntry:
-    candidate_id: str
-    step_plan: str
-    score: float
-    arrival: int
-
-
-class PromptArchive:
-    """Bounded archive of the highest- (keep="best") or lowest- (keep="worst")
-    scoring candidates seen so far.
-
-    A full archive replaces its boundary entry only on strict improvement;
-    on score ties the incumbent is retained. Among tied boundary scores the
-    latest arrival is the one evicted, so the archive always equals the
-    brute-force top-k (or bottom-k) of the arrival stream.
-    """
-
-    def __init__(self, capacity: int, keep: str = "best") -> None:
-        if capacity < 1:
-            raise ValueError("archive capacity must be >= 1")
-        if keep not in ("best", "worst"):
-            raise ValueError(f"keep must be 'best' or 'worst', got {keep!r}")
-        self.capacity = capacity
-        self.keep = keep
-        self.entries: list[ArchiveEntry] = []
-
-    def _rank_key(self, entry: ArchiveEntry):
-        # Lower key = better rank. Earlier arrivals outrank ties.
-        if self.keep == "best":
-            return (-entry.score, entry.arrival)
-        return (entry.score, entry.arrival)
-
-    def ranked(self) -> list[ArchiveEntry]:
-        return sorted(self.entries, key=self._rank_key)
-
-    @property
-    def is_full(self) -> bool:
-        return len(self.entries) >= self.capacity
-
-    def boundary_score(self) -> float | None:
-        """Worst retained score: the minimum for a best archive, the maximum
-        for a worst archive; None while empty."""
-        if not self.entries:
-            return None
-        return self.ranked()[-1].score
-
-    def top_score(self) -> float | None:
-        if not self.entries:
-            return None
-        return self.ranked()[0].score
-
-    def offer(self, entry: ArchiveEntry) -> tuple[bool, ArchiveEntry | None]:
-        """Insert the entry if it belongs; returns (inserted, evicted)."""
-        if len(self.entries) < self.capacity:
-            self.entries.append(entry)
-            return True, None
-        weakest = self.ranked()[-1]
-        improves = entry.score > weakest.score if self.keep == "best" else entry.score < weakest.score
-        if not improves:
-            return False, None
-        self.entries.remove(weakest)
-        self.entries.append(entry)
-        return True, weakest
-
-    def snapshot(self) -> list[dict]:
-        return [
-            {"candidate_id": e.candidate_id, "score": e.score, "arrival": e.arrival}
-            for e in self.ranked()
-        ]
-
-    def clone(self) -> "PromptArchive":
-        copy = PromptArchive(self.capacity, self.keep)
-        copy.entries = list(self.entries)
-        return copy
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
 
 @dataclass
@@ -220,41 +92,6 @@ class EngineConfig:
 
 
 @dataclass
-class EngineState:
-    best: PromptArchive
-    worst: PromptArchive
-    rng_state: int
-    round: int = 0
-    threshold: float | None = None
-    current: PromptCandidate | None = None
-    phase: str = "feedback_loop"  # "feedback_loop" | "mutation" | "finished"
-    arrival_counter: int = 0
-    mutation_step: int = 0
-    mutations_applied: int = 0
-    mutations_rejected: int = 0
-
-    def clone(self) -> "EngineState":
-        copy = replace(self)
-        copy.best = self.best.clone()
-        copy.worst = self.worst.clone()
-        if self.current is not None:
-            copy.current = replace(self.current)
-        return copy
-
-
-@dataclass
-class RoundRecord:
-    round: int
-    candidate: PromptCandidate
-    samples: list[ScoredSample]
-    mean_score: float
-    threshold_before: float | None
-    threshold_after: float
-    summary: str
-    next_candidate: PromptCandidate
-
-
-@dataclass
 class OptimizationResult:
     best: ArchiveEntry
     rounds_completed: int
@@ -267,23 +104,6 @@ class OptimizationResult:
 def route_feedback(score: float, threshold: float) -> str:
     """Diagnostic strictly below the threshold; general at or above it."""
     return "diagnostic" if score < threshold else "general"
-
-
-def update_archives(
-    best: PromptArchive, worst: PromptArchive, candidate: PromptCandidate, arrival: int
-) -> tuple[PromptArchive, PromptArchive]:
-    """Offer a scored candidate to both archives."""
-    if candidate.score is None:
-        raise ValueError("candidate must be scored before archiving")
-    entry = ArchiveEntry(
-        candidate_id=candidate.id,
-        step_plan=candidate.step_plan,
-        score=candidate.score,
-        arrival=arrival,
-    )
-    best.offer(entry)
-    worst.offer(entry)
-    return best, worst
 
 
 def check_transition(state: EngineState, config: EngineConfig) -> str:
@@ -311,7 +131,8 @@ class Engine:
     round's per-sample feedback) go out as one ``chat_many`` batch, which the
     HTTP backend runs concurrently; scoring, routing and every event happen
     on the calling thread after the batch returns, in sample-index order.
-    Every state change is recorded in the event log before the run proceeds.
+    The engine changes the run state only by logging an event and applying
+    it (:meth:`record`), through the same function replay folds a log with.
     """
 
     def __init__(self, gateway, evaluator, config: EngineConfig, log: runstore.EventLog, task_prompt: str) -> None:
@@ -323,14 +144,16 @@ class Engine:
         self.config = config
         self.log = log
         self.task_prompt = task_prompt
-        self.rng = SplitMix64(config.seed)
-        self.state = EngineState(
-            best=PromptArchive(config.best_capacity, keep="best"),
-            worst=PromptArchive(config.worst_capacity, keep="worst"),
-            rng_state=self.rng.state,
-        )
+        self.fold = Fold(EngineState.initial(config))
         self.chat_calls: dict[str, int] = {role.value: 0 for role in ModelRole}
-        self.rounds: list[RoundRecord] = []
+
+    @property
+    def state(self) -> EngineState:
+        return self.fold.state
+
+    def record(self, kind: str, payload: dict, picks=None) -> None:
+        """Log one event, then apply it to the run state."""
+        self.fold.apply(self.log.emit(kind, payload), picks)
 
     # ------------------------------------------------------------------ chat
 
@@ -372,12 +195,12 @@ class Engine:
         outputs = self._chat_many([(ModelRole.ACTOR, step_plan)] * self.config.samples_per_round)
         samples: list[ScoredSample] = []
         for index, output in enumerate(outputs):
-            self.log.emit(
+            self.record(
                 "SampleGenerated",
                 {"candidate_id": candidate_id, "sample_index": index, "text": output},
             )
             score = self.evaluator.score(output)
-            self.log.emit(
+            self.record(
                 "SampleScored",
                 {"candidate_id": candidate_id, "sample_index": index, "score": score},
             )
@@ -402,32 +225,30 @@ class Engine:
     def summarize_round(self, feedbacks: list[str]) -> str:
         return self._chat(ModelRole.SUMMARIZER, templates.compose_summary_request(feedbacks))
 
-    def run_round(self) -> RoundRecord:
+    def run_round(self) -> None:
         """Execute one feedback round atomically.
 
-        Any backend failure restores the pre-round state, logs a
-        BackendFailure event, and aborts the run (the log stays resumable).
+        Any backend failure rolls the state back to the round's start (the
+        latest commit event), logs a BackendFailure event, and aborts the run
+        (the log stays resumable).
         """
         if self.state.phase != "feedback_loop":
             raise RunAbortedError(f"cannot run a round in phase {self.state.phase!r}")
-        snapshot = self.state.clone()
-        rng_snapshot = self.rng.state
         round_no = self.state.round + 1
         try:
-            return self._run_round_inner(round_no)
+            self._run_round_inner(round_no)
         except BACKEND_ERRORS as exc:
-            self.state = snapshot
-            self.rng.state = rng_snapshot
-            self.log.emit(
+            self.fold.rollback()
+            self.record(
                 "BackendFailure",
                 {"phase": "feedback_loop", "round": round_no, "message": str(exc)},
             )
             raise RunAbortedError(f"round {round_no} aborted: {exc}") from exc
 
-    def _run_round_inner(self, round_no: int) -> RoundRecord:
+    def _run_round_inner(self, round_no: int) -> None:
         state = self.state
         candidate = state.current
-        self.log.emit(
+        self.record(
             "RoundStarted",
             {
                 "round": round_no,
@@ -439,94 +260,68 @@ class Engine:
 
         samples = self.draw_samples(candidate.id, candidate.step_plan)
         mean = round_mean([s.score for s in samples])
-        threshold_before = state.threshold
 
         # Round 1 defines the threshold before any routing happens.
         if state.threshold is None:
-            state.threshold = mean
-            self.log.emit(
-                "ThresholdUpdated", {"round": round_no, "previous": None, "value": mean}
-            )
+            self.record("ThresholdUpdated", {"round": round_no, "previous": None, "value": mean})
 
         for sample in samples:
             sample.route = route_feedback(sample.score, state.threshold)
         feedbacks = self.collect_feedback(samples, candidate)
         for sample, feedback in zip(samples, feedbacks):
-            sample.feedback_text = feedback
-            self.log.emit(
+            self.record(
                 "FeedbackIssued",
                 {
                     "round": round_no,
                     "candidate_id": candidate.id,
                     "sample_index": sample.sample_index,
                     "route": sample.route,
-                    "text": sample.feedback_text,
+                    "text": feedback,
                 },
             )
 
-        summary = self.summarize_round([s.feedback_text for s in samples])
-        self.log.emit(
+        summary = self.summarize_round(feedbacks)
+        self.record(
             "RoundSummarized",
             {"round": round_no, "candidate_id": candidate.id, "text": summary},
         )
 
         # Later rounds raise the threshold only if the new mean beats it.
-        if threshold_before is not None and mean > state.threshold:
-            self.log.emit(
+        if mean > state.threshold:
+            self.record(
                 "ThresholdUpdated",
                 {"round": round_no, "previous": state.threshold, "value": mean},
             )
-            state.threshold = mean
 
-        candidate.score = mean
-        state.arrival_counter += 1
-        update_archives(state.best, state.worst, candidate, state.arrival_counter)
-        self.log.emit(
+        scored = replace(candidate, score=mean)
+        arrival = state.arrival_counter + 1
+        best, worst = update_archives(state.best.clone(), state.worst.clone(), scored, arrival)
+        self.record(
             "ArchivesUpdated",
             {
                 "round": round_no,
                 "candidate_id": candidate.id,
                 "score": mean,
-                "best": state.best.snapshot(),
-                "worst": state.worst.snapshot(),
+                "best": best.snapshot(),
+                "worst": worst.snapshot(),
             },
         )
-
         next_plan = self.generate_step_plan(summary, state.best, state.worst)
-        next_candidate = PromptCandidate(
-            id=f"cand-{round_no + 1:04d}",
-            task_prompt=self.task_prompt,
-            step_plan=next_plan,
-            origin="refined",
-            round=round_no + 1,
-        )
-        state.round = round_no
-        state.current = next_candidate
-        state.rng_state = self.rng.state
-        self.log.emit(
+        self._publish_plan(round_no, "refined", next_plan)
+
+    def _publish_plan(self, round_no: int, origin: str, plan: str) -> None:
+        """Log the prompt the next round runs; this commits the round."""
+        self.record(
             "PromptRegenerated",
             {
                 "round": round_no,
-                "candidate_id": next_candidate.id,
-                "origin": "refined",
-                "step_plan": next_plan,
+                "candidate_id": f"cand-{round_no + 1:04d}",
+                "origin": origin,
+                "step_plan": plan,
                 "for_round": round_no + 1,
                 "chat_calls": dict(self.chat_calls),
             },
         )
-
-        record = RoundRecord(
-            round=round_no,
-            candidate=candidate,
-            samples=samples,
-            mean_score=mean,
-            threshold_before=threshold_before,
-            threshold_after=state.threshold,
-            summary=summary,
-            next_candidate=next_candidate,
-        )
-        self.rounds.append(record)
-        return record
 
     # ------------------------------------------------------------ run driver
 
@@ -534,52 +329,30 @@ class Engine:
         try:
             plan = self.generate_step_plan(None, self.state.best, self.state.worst)
         except BACKEND_ERRORS as exc:
-            self.log.emit(
+            self.record(
                 "BackendFailure",
                 {"phase": "feedback_loop", "round": 1, "message": str(exc)},
             )
             raise RunAbortedError(f"initial plan generation failed: {exc}") from exc
-        candidate = PromptCandidate(
-            id="cand-0001",
-            task_prompt=self.task_prompt,
-            step_plan=plan,
-            origin="initial",
-            round=1,
-        )
-        self.state.current = candidate
-        self.state.rng_state = self.rng.state
-        self.log.emit(
-            "PromptRegenerated",
-            {
-                "round": 0,
-                "candidate_id": candidate.id,
-                "origin": "initial",
-                "step_plan": plan,
-                "for_round": 1,
-                "chat_calls": dict(self.chat_calls),
-            },
-        )
+        self._publish_plan(0, "initial", plan)
 
     def _drive(self) -> OptimizationResult:
-        from .mutation import run_mutation_phase
-
-        state = self.state
-        if state.current is None and state.phase == "feedback_loop":
+        if self.state.current is None and self.state.phase == "feedback_loop":
             self._generate_initial_plan()
-        while state.phase == "feedback_loop":
-            next_phase = check_transition(state, self.config)
-            if next_phase != state.phase:
-                self.log.emit(
+        while self.state.phase == "feedback_loop":
+            next_phase = check_transition(self.state, self.config)
+            if next_phase != self.state.phase:
+                self.record(
                     "PhaseTransition",
-                    {"round": state.round, "from": state.phase, "to": next_phase},
+                    {"round": self.state.round, "from": self.state.phase, "to": next_phase},
                 )
-                state.phase = next_phase
                 break
             self.run_round()
-        if state.phase == "mutation":
-            run_mutation_phase(self)
+        if self.state.phase == "mutation":
+            mutation.run_mutation_phase(self)
+        state = self.state
         best_entry = state.best.ranked()[0] if state.best.entries else None
-        self.log.emit(
+        self.record(
             "RunFinished",
             {
                 "best_candidate_id": best_entry.candidate_id if best_entry else None,
@@ -590,7 +363,6 @@ class Engine:
                 "mutations_rejected": state.mutations_rejected,
             },
         )
-        state.phase = "finished"
         return OptimizationResult(
             best=best_entry,
             rounds_completed=state.round,
@@ -608,7 +380,7 @@ class Engine:
         if report.status != "ok":
             raise BackendUnavailableError(f"backend unavailable: {report.cause}")
         self.log.start(manifest)
-        self.log.emit(
+        self.record(
             "RunStarted",
             {
                 "run_id": manifest["run_id"],
@@ -636,7 +408,7 @@ class Engine:
         corpus_digest: str,
     ) -> "Engine":
         """Rebuild an engine from a log: verify digests, replay to the last
-        commit point, truncate any uncommitted tail, and fast-forward the
+        commit point, cut off any uncommitted tail, and fast-forward the
         scripted mock's queues to the live position."""
         result = runstore.replay_log(log_path, config)
         runstore.check_digests(result.manifest, config_digest, corpus_digest)
@@ -647,15 +419,14 @@ class Engine:
             evaluator,
             config,
             runstore.EventLog(log_path),
-            result.task_prompt,
+            result.state.task_prompt,
         )
-        engine.state = result.state
-        engine.rng.state = result.state.rng_state
+        engine.fold = Fold(result.state)
         for role in ModelRole:
-            consumed = result.chat_calls.get(role.value, 0)
+            consumed = result.state.chat_calls.get(role.value, 0)
             engine.chat_calls[role.value] = consumed
             gateway.advance(role, consumed)
-        engine.log.resume_at(result.manifest, result.events, result.committed_seq)
+        engine.log.resume_at(result.committed_seq)
         return engine
 
     def resume(self) -> OptimizationResult:

@@ -47,3 +47,8 @@ class DigestMismatchError(LogError):
 
 class RunAbortedError(PromptloopError):
     """A backend failure aborted the run mid-flight; the log remains resumable."""
+
+
+#: Backend-side failures: they abort a feedback round atomically and skip a
+#: mutation step.
+BACKEND_ERRORS = (BackendUnavailableError, EmptyResponseError, ProtocolError, DegenerateInputError)

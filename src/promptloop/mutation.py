@@ -8,20 +8,15 @@ split — a documented limitation accepted for reproducibility.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from dataclasses import dataclass, replace
+from typing import Callable
 
 from . import templates
-from .errors import DegenerateInputError, EmptyResponseError, MutationRejectedError
+from .errors import BACKEND_ERRORS, DegenerateInputError, EmptyResponseError, MutationRejectedError
 from .roles import ModelRole
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .engine import Engine, PromptCandidate, SplitMix64
+from .state import ArchiveEntry, Picks, SplitMix64, round_mean
 
 _TERMINATORS = ".!?"
-
-#: Chat callable signature used by the mutation operations.
-ChatFn = Callable[[ModelRole, str], str]
 
 
 @dataclass(frozen=True)
@@ -64,16 +59,7 @@ def segment_sentences(text: str) -> SentenceSegmentation:
     return SentenceSegmentation(sentences=tuple(sentences))
 
 
-@dataclass
-class MutationOutcome:
-    mutant: "PromptCandidate"
-    sentence_index: int
-    original_sentence: str
-    rewritten_sentence: str
-    sentences: tuple[str, ...]
-
-
-def rewrite_sentence(chat: ChatFn, step_plan: str, sentence: str) -> str:
+def rewrite_sentence(chat: Callable[[ModelRole, str], str], step_plan: str, sentence: str) -> str:
     """Ask the mutator role for a meaning-preserving rewrite; empty or
     whitespace-only rewrites raise MutationRejectedError."""
     try:
@@ -86,51 +72,33 @@ def rewrite_sentence(chat: ChatFn, step_plan: str, sentence: str) -> str:
 
 
 def apply_rewrite(
-    candidate: "PromptCandidate",
-    segmentation: SentenceSegmentation,
-    sentence_index: int,
-    rewritten: str,
-    mutant_id: str,
-    round_no: int | None = None,
-) -> MutationOutcome:
+    segmentation: SentenceSegmentation, sentence_index: int, rewritten: str
+) -> SentenceSegmentation:
     """Replace exactly one sentence slot; if the rewrite contains several
     sentences the full text still occupies the single slot."""
-    from .engine import PromptCandidate
-
     sentences = list(segmentation.sentences)
-    original = sentences[sentence_index]
     sentences[sentence_index] = rewritten
-    mutant = PromptCandidate(
-        id=mutant_id,
-        task_prompt=candidate.task_prompt,
-        step_plan=segmentation.joiner.join(sentences),
-        origin="mutated",
-        round=candidate.round if round_no is None else round_no,
-    )
-    return MutationOutcome(
-        mutant=mutant,
-        sentence_index=sentence_index,
-        original_sentence=original,
-        rewritten_sentence=rewritten,
-        sentences=tuple(sentences),
-    )
+    return replace(segmentation, sentences=tuple(sentences))
 
 
-def mutate_once(
-    candidate: "PromptCandidate",
-    rng: "SplitMix64",
-    chat: ChatFn,
-    mutant_id: str = "mut-0001",
-    round_no: int | None = None,
-) -> MutationOutcome:
-    """Mutate one uniformly chosen sentence of the candidate's step plan."""
-    segmentation = segment_sentences(candidate.step_plan)
-    index = rng.below(len(segmentation.sentences))
-    rewritten = rewrite_sentence(chat, candidate.step_plan, segmentation.sentences[index])
-    return apply_rewrite(candidate, segmentation, index, rewritten, mutant_id, round_no)
+def draw_picks(state) -> tuple[Picks, SentenceSegmentation]:
+    """Draw the next mutation step's archive pick, then its sentence pick.
+
+    The draws run on a copy of the run's generator: the state moves on only
+    when the step's outcome event is applied. Returns the picks and the
+    segmentation of the picked prompt.
+    """
+    rng = SplitMix64(state.rng.state)
+    ranked = state.best.ranked()
+    archive_index = rng.below(len(ranked))
+    source = ranked[archive_index]
+    segmentation = segment_sentences(source.step_plan)
+    sentence_index = rng.below(len(segmentation.sentences))
+    picks = Picks(state.mutation_step + 1, source, archive_index, sentence_index, rng.state)
+    return picks, segmentation
 
 
-def run_mutation_phase(engine: "Engine") -> None:
+def run_mutation_phase(engine) -> None:
     """Drive the whole mutation phase on the engine.
 
     Each step: pick an archive prompt and a sentence (two RNG draws, in that
@@ -138,8 +106,6 @@ def run_mutation_phase(engine: "Engine") -> None:
     and replace the archive minimum when strictly beaten. Backend failures
     skip the step; the phase itself never aborts the run.
     """
-    from .engine import BACKEND_ERRORS, ArchiveEntry, round_mean
-
     state = engine.state
     config = engine.config
     if state.phase != "mutation":
@@ -148,103 +114,51 @@ def run_mutation_phase(engine: "Engine") -> None:
         top = state.best.top_score()
         if config.score_target is not None and top is not None and top >= config.score_target:
             break
-        step = state.mutation_step + 1
-        ranked = state.best.ranked()
-        archive_index = engine.rng.below(len(ranked))
-        source = ranked[archive_index]
-        segmentation = segment_sentences(source.step_plan)
-        sentence_index = engine.rng.below(len(segmentation.sentences))
-        picks = {
-            "step": step,
-            "source_candidate_id": source.candidate_id,
-            "archive_index": archive_index,
-            "sentence_index": sentence_index,
-        }
-        mutant_id = f"mut-{step:04d}"
+        picks, segmentation = draw_picks(state)
+        original = segmentation.sentences[picks.sentence_index]
+        mutant_id = f"mut-{picks.step:04d}"
 
-        def reject(reason: str, extra: dict | None = None) -> None:
-            state.mutation_step = step
-            state.mutations_rejected += 1
-            state.rng_state = engine.rng.state
-            payload = dict(picks)
-            payload.update(extra or {})
-            payload["reason"] = reason
-            payload["chat_calls"] = dict(engine.chat_calls)
-            engine.log.emit("MutationRejected", payload)
+        def finish(kind: str, fields: dict) -> None:
+            payload = {**picks.payload(), **fields, "chat_calls": dict(engine.chat_calls)}
+            engine.record(kind, payload, picks)
 
         try:
-            rewritten = rewrite_sentence(
-                engine._chat, source.step_plan, segmentation.sentences[sentence_index]
-            )
+            rewritten = rewrite_sentence(engine._chat, picks.source.step_plan, original)
+            step_plan = apply_rewrite(segmentation, picks.sentence_index, rewritten).join()
+            samples = engine.draw_samples(mutant_id, step_plan)
         except MutationRejectedError:
-            reject("empty-rewrite")
+            finish("MutationRejected", {"reason": "empty-rewrite"})
             continue
         except BACKEND_ERRORS as exc:
-            engine.log.emit(
-                "BackendFailure", {"phase": "mutation", "step": step, "message": str(exc)}
+            engine.record(
+                "BackendFailure", {"phase": "mutation", "step": picks.step, "message": str(exc)}
             )
-            reject("backend-failure")
+            finish("MutationRejected", {"reason": "backend-failure"})
             continue
 
-        source_candidate = _entry_as_candidate(source, engine.task_prompt, state.round)
-        outcome = apply_rewrite(
-            source_candidate, segmentation, sentence_index, rewritten, mutant_id
+        score = round_mean([sample.score for sample in samples])
+        best = state.best.clone()
+        inserted, evicted = best.offer(
+            ArchiveEntry(mutant_id, step_plan, score, state.arrival_counter + 1)
         )
-        try:
-            samples = engine.draw_samples(mutant_id, outcome.mutant.step_plan)
-        except BACKEND_ERRORS as exc:
-            engine.log.emit(
-                "BackendFailure", {"phase": "mutation", "step": step, "message": str(exc)}
-            )
-            reject("backend-failure")
-            continue
-
-        mutant_score = round_mean([sample.score for sample in samples])
-        entry = ArchiveEntry(
-            candidate_id=mutant_id,
-            step_plan=outcome.mutant.step_plan,
-            score=mutant_score,
-            arrival=state.arrival_counter + 1,
-        )
-        inserted, evicted = state.best.offer(entry)
         if inserted:
-            state.arrival_counter += 1
-            state.mutation_step = step
-            state.mutations_applied += 1
-            state.rng_state = engine.rng.state
-            payload = dict(picks)
-            payload.update(
+            finish(
+                "MutationApplied",
                 {
-                    "original_sentence": outcome.original_sentence,
-                    "rewritten_sentence": outcome.rewritten_sentence,
+                    "original_sentence": original,
+                    "rewritten_sentence": rewritten,
                     "candidate_id": mutant_id,
-                    "step_plan": outcome.mutant.step_plan,
-                    "score": mutant_score,
+                    "step_plan": step_plan,
+                    "score": score,
                     "evicted_candidate_id": evicted.candidate_id if evicted else None,
-                    "best": state.best.snapshot(),
-                    "chat_calls": dict(engine.chat_calls),
-                }
+                    "best": best.snapshot(),
+                },
             )
-            engine.log.emit("MutationApplied", payload)
         else:
-            reject(
-                "below-archive-minimum",
-                {"candidate_id": mutant_id, "score": mutant_score},
+            finish(
+                "MutationRejected",
+                {"reason": "below-archive-minimum", "candidate_id": mutant_id, "score": score},
             )
-    engine.log.emit(
+    engine.record(
         "PhaseTransition", {"round": state.round, "from": "mutation", "to": "finished"}
-    )
-    state.phase = "finished"
-
-
-def _entry_as_candidate(entry, task_prompt: str, round_no: int):
-    from .engine import PromptCandidate
-
-    return PromptCandidate(
-        id=entry.candidate_id,
-        task_prompt=task_prompt,
-        step_plan=entry.step_plan,
-        origin="refined",
-        round=round_no,
-        score=entry.score,
     )

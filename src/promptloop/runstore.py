@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 
 from .errors import DigestMismatchError, LogError
+from .mutation import draw_picks
+from .state import MUTATION_KINDS, EngineState, Fold
 
 ARTIFACT_VERSION = "0.1.0"
 
@@ -33,19 +35,6 @@ EVENT_KINDS = frozenset(
         "MutationApplied",
         "MutationRejected",
         "BackendFailure",
-        "RunFinished",
-    }
-)
-
-#: Event kinds at which the engine state is durably consistent; replay only
-#: restores state as of the latest one of these.
-COMMIT_KINDS = frozenset(
-    {
-        "RunStarted",
-        "PromptRegenerated",
-        "PhaseTransition",
-        "MutationApplied",
-        "MutationRejected",
         "RunFinished",
     }
 )
@@ -125,21 +114,28 @@ class EventLog:
         self._handle.write(canonical_json(manifest) + "\n")
         self._handle.flush()
 
-    def resume_at(self, manifest: dict, events: list[RunEvent], keep_seq: int) -> None:
-        """Reopen the log keeping the manifest and the events up to
-        ``keep_seq``; any later (uncommitted) lines are dropped so appended
-        events continue a contiguous sequence."""
+    def resume_at(self, keep_seq: int) -> None:
+        """Reopen the log for appending after event ``keep_seq``.
+
+        Any later (uncommitted) lines are cut off in place with a truncate;
+        the kept lines are never rewritten, so a crash here cannot lose them.
+        A kept last line without its newline gets one.
+        """
         if self._handle is not None:
             raise LogError("log already open")
-        kept = [event for event in events if event.seq <= keep_seq]
-        self._handle = open(self.path, "w", encoding="utf-8", newline="\n")
-        self._handle.write(canonical_json(manifest) + "\n")
-        for event in kept:
-            self._handle.write(event.to_line() + "\n")
-        self._handle.flush()
+        with open(self.path, "rb") as handle:
+            for _ in range(keep_seq + 1):  # the manifest, then the kept events
+                line = handle.readline()
+            end = handle.tell()
+        os.truncate(self.path, end)
+        self._handle = open(self.path, "a", encoding="utf-8", newline="\n")
+        if not line.endswith(b"\n"):
+            self._handle.write("\n")
+            self._handle.flush()
         self._last_seq = keep_seq
-        self._started = bool(kept)
-        self._finished = bool(kept) and kept[-1].kind == "RunFinished"
+        self._started = keep_seq > 0
+        last = RunEvent.from_line(line.decode("utf-8")) if self._started else None
+        self._finished = last is not None and last.kind == "RunFinished"
 
     def append(self, event: RunEvent) -> None:
         if self._handle is None:
@@ -223,159 +219,38 @@ def read_log(path) -> tuple[dict, list[RunEvent]]:
 
 @dataclass
 class ReplayResult:
-    """Committed engine state reconstructed from a log prefix."""
+    """Engine state as of the last commit event of a log."""
 
     manifest: dict
-    events: list[RunEvent]
-    task_prompt: str
-    state: object  # engine.EngineState
-    chat_calls: dict[str, int]
+    state: EngineState
     committed_seq: int
     finished: bool
 
 
 def replay_log(path, engine_config) -> ReplayResult:
-    """Fold a log into the engine state at its last commit point.
+    """Fold a log through the engine's own transition function
+    (:func:`promptloop.state.apply`) into the state at its last commit point.
 
-    The fold re-applies the engine's own pure update rules (means, threshold,
-    archives, RNG draws) to the recorded values and cross-checks them against
-    the logged payloads, so a tampered or corrupt log is rejected rather than
-    replayed.
+    Each mutation step's RNG picks are drawn again and must equal the logged
+    ones; ``apply`` checks every other value the log repeats, so a tampered
+    or corrupt log is rejected rather than replayed.
     """
-    from . import mutation as mutation_mod
-    from .engine import (
-        ArchiveEntry,
-        EngineState,
-        PromptArchive,
-        PromptCandidate,
-        SplitMix64,
-        round_mean,
-        update_archives,
-    )
-
     manifest, events = read_log(path)
     if not events:
         raise LogError(f"log {path} has a manifest but no events")
-
-    state = EngineState(
-        best=PromptArchive(engine_config.best_capacity, keep="best"),
-        worst=PromptArchive(engine_config.worst_capacity, keep="worst"),
-        rng_state=SplitMix64(engine_config.seed).state,
-    )
-    rng = SplitMix64(engine_config.seed)
-    rng.state = state.rng_state
-    plans: dict[str, str] = {}
-    task_prompt = ""
-    chat_calls: dict[str, int] = {}
-    pending_scores: list[float] = []
-    pending_candidate: PromptCandidate | None = None
-
-    committed = state.clone()
-    committed_calls: dict[str, int] = {}
-    committed_seq = 0
-    finished = False
-
-    def commit(seq: int) -> None:
-        nonlocal committed, committed_calls, committed_seq
-        state.rng_state = rng.state
-        committed = state.clone()
-        committed_calls = dict(chat_calls)
-        committed_seq = seq
-
+    fold = Fold(EngineState.initial(engine_config))
     for event in events:
-        kind, payload = event.kind, event.payload
-        if kind == "RunStarted":
-            task_prompt = payload["task_prompt"]
-            commit(event.seq)
-        elif kind == "RoundStarted":
-            pending_scores = []
-            pending_candidate = PromptCandidate(
-                id=payload["candidate_id"],
-                task_prompt=task_prompt,
-                step_plan=payload["step_plan"],
-                origin=payload["origin"],
-                round=payload["round"],
-            )
-            plans[payload["candidate_id"]] = payload["step_plan"]
-        elif kind == "SampleScored":
-            pending_scores.append(payload["score"])
-        elif kind == "ThresholdUpdated":
-            value = payload["value"]
-            expected = round_mean(pending_scores) if pending_scores else None
-            if expected is not None and value != expected:
-                raise LogError(
-                    f"event {event.seq}: threshold {value!r} does not match round mean {expected!r}"
-                )
-            if state.threshold is not None and value < state.threshold:
-                raise LogError(f"event {event.seq}: threshold decreased")
-            state.threshold = value
-        elif kind == "ArchivesUpdated":
-            if pending_candidate is None:
-                raise LogError(f"event {event.seq}: ArchivesUpdated outside a round")
-            pending_candidate.score = payload["score"]
-            state.arrival_counter += 1
-            update_archives(state.best, state.worst, pending_candidate, state.arrival_counter)
-            if state.best.snapshot() != payload["best"] or state.worst.snapshot() != payload["worst"]:
-                raise LogError(f"event {event.seq}: archive snapshot mismatch")
-        elif kind == "PromptRegenerated":
-            candidate = PromptCandidate(
-                id=payload["candidate_id"],
-                task_prompt=task_prompt,
-                step_plan=payload["step_plan"],
-                origin=payload["origin"],
-                round=payload["for_round"],
-            )
-            plans[candidate.id] = candidate.step_plan
-            state.current = candidate
-            state.round = payload["round"]
-            chat_calls = dict(payload["chat_calls"])
-            commit(event.seq)
-        elif kind == "PhaseTransition":
-            state.phase = payload["to"]
-            commit(event.seq)
-        elif kind in ("MutationApplied", "MutationRejected"):
-            source_plan = plans.get(payload["source_candidate_id"])
-            if source_plan is None:
-                raise LogError(
-                    f"event {event.seq}: unknown source candidate {payload['source_candidate_id']}"
-                )
-            archive_index = rng.below(len(state.best.entries))
-            sentence_count = len(mutation_mod.segment_sentences(source_plan).sentences)
-            sentence_index = rng.below(sentence_count)
-            if archive_index != payload["archive_index"] or sentence_index != payload["sentence_index"]:
-                raise LogError(f"event {event.seq}: RNG draws do not match the recorded picks")
-            if kind == "MutationApplied":
-                state.arrival_counter += 1
-                entry = ArchiveEntry(
-                    candidate_id=payload["candidate_id"],
-                    step_plan=payload["step_plan"],
-                    score=payload["score"],
-                    arrival=state.arrival_counter,
-                )
-                plans[entry.candidate_id] = entry.step_plan
-                inserted, _ = state.best.offer(entry)
-                if not inserted or state.best.snapshot() != payload["best"]:
-                    raise LogError(f"event {event.seq}: mutation archive mismatch")
-                state.mutations_applied += 1
-            else:
-                state.mutations_rejected += 1
-            state.mutation_step = payload["step"]
-            chat_calls = dict(payload["chat_calls"])
-            commit(event.seq)
-        elif kind == "RunFinished":
-            finished = True
-            commit(event.seq)
-        # SampleGenerated, FeedbackIssued, RoundSummarized, BackendFailure:
-        # informational; they carry no state beyond what the commit events hold.
-
+        picks = None
+        if event.kind in MUTATION_KINDS:
+            if not fold.state.best.entries:
+                raise LogError(f"event {event.seq}: mutation step before any archived prompt")
+            picks = draw_picks(fold.state)[0]
+        fold.apply(event, picks)
     return ReplayResult(
         manifest=manifest,
-        events=events,
-        task_prompt=task_prompt,
-        state=committed,
-        chat_calls=committed_calls,
-        committed_seq=committed_seq,
-        finished=finished,
+        state=fold.committed,
+        committed_seq=fold.committed_seq,
+        finished=events[-1].kind == "RunFinished",
     )
 
 

@@ -17,7 +17,7 @@ from conftest import events_by_kind, make_harness, scripted_plans
 from oracle import corpus_score_ref, cosine_ref
 from promptloop.demo import DEMO_CORPUS, run_demo
 from promptloop.engine import Engine, PromptArchive, SplitMix64, update_archives, PromptCandidate
-from promptloop.mutation import mutate_once, segment_sentences
+from promptloop.mutation import apply_rewrite, segment_sentences
 from promptloop.roles import ModelRole
 from promptloop.runstore import read_log, summarize_log
 from promptloop.scoring import cosine
@@ -235,14 +235,12 @@ class TestCriterion6MutationLocality:
             base = segment_sentences(plan).sentences
             rewrite = random_text(rng, 2, 5) + "."
             candidate = PromptCandidate("cand-0001", "t", plan, "refined", 1)
-            outcome = mutate_once(
-                candidate,
-                SplitMix64(rng.randint(0, 2**62)),
-                lambda role, message: rewrite,
-            )
+            segmentation = segment_sentences(candidate.step_plan)
+            sentence_index = SplitMix64(rng.randint(0, 2**62)).below(len(segmentation.sentences))
+            outcome = apply_rewrite(segmentation, sentence_index, rewrite)
             assert len(outcome.sentences) == len(base)
             for i in range(len(base)):
-                if i == outcome.sentence_index:
+                if i == sentence_index:
                     assert outcome.sentences[i] == rewrite
                 else:
                     assert outcome.sentences[i] == base[i]

@@ -136,7 +136,7 @@ class TestCheckTransition:
         return EngineState(
             best=best,
             worst=PromptArchive(best_cap, keep="worst"),
-            rng_state=0,
+            rng=SplitMix64(0),
             round=round,
         )
 
@@ -212,21 +212,36 @@ def run_single_round(tmp_path, scores, threshold_after_expected=None, **engine_o
     return h
 
 
+def logged_round(h, round_no):
+    """The mean a round archived and the threshold events it logged."""
+    events = h.events()
+    archived = next(
+        e for e in events_by_kind(events, "ArchivesUpdated") if e.payload["round"] == round_no
+    )
+    thresholds = [
+        e.payload for e in events_by_kind(events, "ThresholdUpdated") if e.payload["round"] == round_no
+    ]
+    return archived.payload["score"], thresholds
+
+
 class TestRunRound:
     def test_round_one_mean_sets_threshold(self, tmp_path):
         h = run_single_round(tmp_path, [0.2, 0.4, 0.6])
-        record = h.engine.run_round()
-        assert record.mean_score == pytest.approx(0.4, abs=1e-15)
-        assert record.candidate.score == record.mean_score
-        assert h.engine.state.threshold == record.mean_score
-        assert record.threshold_before is None
+        h.engine.run_round()
+        mean, thresholds = logged_round(h, 1)
+        assert mean == pytest.approx(0.4, abs=1e-15)
+        archived = next(e for e in h.engine.state.best.entries if e.candidate_id == "cand-0001")
+        assert archived.score == mean
+        assert h.engine.state.threshold == mean
+        assert thresholds[0]["previous"] is None
 
     def test_threshold_keeps_higher_value(self, tmp_path):
         h = run_single_round(tmp_path, [0.2, 0.4, 0.6])
         h.engine.run_round()
         h.engine.evaluator.scores = [0.35, 0.35, 0.35]
-        record = h.engine.run_round()
-        assert record.mean_score == pytest.approx(0.35)
+        h.engine.run_round()
+        mean, _ = logged_round(h, 2)
+        assert mean == pytest.approx(0.35)
         assert h.engine.state.threshold == pytest.approx(0.4, abs=1e-15)
 
     def test_threshold_raised_by_better_round(self, tmp_path):
@@ -372,7 +387,7 @@ class TestAtomicRounds:
         assert after.current.id == before.current.id
         assert after.current.score == before.current.score is None
         assert [e.candidate_id for e in after.best.entries] == []
-        assert after.rng_state == before.rng_state
+        assert after.rng.state == before.rng.state
         assert h.events()[-1].kind == "BackendFailure"
 
 

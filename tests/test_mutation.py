@@ -5,11 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FakeEvaluator, events_by_kind, make_harness, scripted_plans
-from promptloop.engine import ArchiveEntry, PromptCandidate, SplitMix64
+from promptloop.engine import ArchiveEntry, EngineConfig, EngineState
 from promptloop.errors import DegenerateInputError, MutationRejectedError
 from promptloop.gateway import FAILURE_MARKER
 from promptloop.mutation import (
-    mutate_once,
+    apply_rewrite,
+    draw_picks,
+    rewrite_sentence,
     run_mutation_phase,
     segment_sentences,
 )
@@ -101,48 +103,44 @@ def chat_with_script(rewrites):
     return chat
 
 
-def make_candidate(plan, round=3):
-    return PromptCandidate(
-        id="cand-0003", task_prompt="Aufgabe", step_plan=plan, origin="refined", round=round
-    )
+def mutate(plan, seed, rewrites):
+    """One mutation step on a one-entry archive holding ``plan``: the picks,
+    rewrite and splice of run_mutation_phase, with a scripted mutator."""
+    state = EngineState.initial(EngineConfig(best_capacity=1, seed=seed))
+    state.best.offer(ArchiveEntry("cand-0003", plan, 0.5, 1))
+    picks, segmentation = draw_picks(state)
+    sentence = segmentation.sentences[picks.sentence_index]
+    rewritten = rewrite_sentence(chat_with_script(rewrites), plan, sentence)
+    return picks, apply_rewrite(segmentation, picks.sentence_index, rewritten)
 
 
 class TestMutateOnce:
     def test_single_sentence_always_index_zero(self):
-        outcome = mutate_once(
-            make_candidate("Nur ein Satz ohne Ende"),
-            SplitMix64(42),
-            chat_with_script(["Ein anderer Satz ohne Ende"]),
-        )
-        assert outcome.sentence_index == 0
-        assert outcome.mutant.step_plan == "Ein anderer Satz ohne Ende"
-        assert outcome.mutant.origin == "mutated"
-        assert outcome.mutant.round == 3
+        picks, outcome = mutate("Nur ein Satz ohne Ende", 42, ["Ein anderer Satz ohne Ende"])
+        assert picks.sentence_index == 0
+        assert outcome.join() == "Ein anderer Satz ohne Ende"
+        assert picks.source.candidate_id == "cand-0003"
 
     def test_locality_on_three_sentences(self):
         plan = "Erster Satz hier. Zweiter Satz dort. Dritter Satz folgt."
-        outcome = mutate_once(
-            make_candidate(plan), SplitMix64(42), chat_with_script(["Schreibe praezise Befunde."])
-        )
+        picks, outcome = mutate(plan, 42, ["Schreibe praezise Befunde."])
         original = segment_sentences(plan).sentences
         assert len(outcome.sentences) == 3
         for i, (before, after) in enumerate(zip(original, outcome.sentences)):
-            if i == outcome.sentence_index:
+            if i == picks.sentence_index:
                 assert after == "Schreibe praezise Befunde."
             else:
                 assert after == before
 
     def test_multi_sentence_rewrite_occupies_one_slot(self):
         plan = "Eins hier. Zwei dort."
-        outcome = mutate_once(
-            make_candidate(plan), SplitMix64(1), chat_with_script(["Neu. Und noch neuer."])
-        )
+        _, outcome = mutate(plan, 1, ["Neu. Und noch neuer."])
         assert len(outcome.sentences) == 2
         assert "Neu. Und noch neuer." in outcome.sentences
 
     def test_empty_rewrite_rejected(self):
         with pytest.raises(MutationRejectedError):
-            mutate_once(make_candidate("Satz eins. Satz zwei."), SplitMix64(1), chat_with_script(["   "]))
+            mutate("Satz eins. Satz zwei.", 1, ["   "])
 
     @settings(max_examples=500, deadline=None)
     @given(
@@ -159,18 +157,16 @@ class TestMutateOnce:
     def test_locality_fuzz(self, sentences, seed):
         plan = " ".join(sentences)
         base = segment_sentences(plan).sentences
-        outcome = mutate_once(
-            make_candidate(plan), SplitMix64(seed), chat_with_script(["Ersatzsatz hier."])
-        )
+        picks, outcome = mutate(plan, seed, ["Ersatzsatz hier."])
         assert len(outcome.sentences) == len(base)
         differing = [
             i for i, (a, b) in enumerate(zip(base, outcome.sentences)) if a != b
         ]
-        assert differing == [outcome.sentence_index] or (
-            base[outcome.sentence_index] == "Ersatzsatz hier." and differing == []
+        assert differing == [picks.sentence_index] or (
+            base[picks.sentence_index] == "Ersatzsatz hier." and differing == []
         )
         for i in range(len(base)):
-            if i != outcome.sentence_index:
+            if i != picks.sentence_index:
                 assert outcome.sentences[i] == base[i]
 
 

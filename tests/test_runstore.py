@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from conftest import FIXED_CREATED_AT, events_by_kind, make_harness, scripted_plans
+from conftest import FIXED_CREATED_AT, FakeEvaluator, events_by_kind, make_harness, scripted_plans
 from promptloop.engine import Engine
 from promptloop.errors import DigestMismatchError, LogError
 from promptloop.gateway import FAILURE_MARKER
@@ -174,6 +174,28 @@ def cut_after_round(log_path, round_no):
     raise AssertionError(f"round {round_no} not found")
 
 
+def _kind(kind):
+    return lambda event: event["kind"] == kind
+
+
+def _bump(key, by=0.01):
+    return lambda payload: payload.update({key: payload[key] + by})
+
+
+#: name -> (the first event it changes, the change)
+TAMPERS = {
+    "threshold-value": (_kind("ThresholdUpdated"), _bump("value")),
+    "best-snapshot-score": (_kind("ArchivesUpdated"), lambda p: p["best"][0].update(score=0.99)),
+    "archived-score": (_kind("ArchivesUpdated"), _bump("score")),
+    "rejected-sentence-index": (_kind("MutationRejected"), _bump("sentence_index", 1)),
+    "applied-score": (_kind("MutationApplied"), _bump("score")),
+    "sample-in-round-keeping-threshold": (
+        lambda e: e["kind"] == "SampleScored" and e["payload"]["candidate_id"] == "cand-0002",
+        lambda p: p.update(score=0.9),
+    ),
+}
+
+
 class TestResume:
     def test_finished_run_refuses_resume(self, tmp_path):
         h, _ = finished_run(tmp_path)
@@ -291,19 +313,66 @@ class TestResume:
         assert replay.state.worst.snapshot() == live.worst.snapshot()
         assert replay.state.mutation_step == live.mutation_step
         assert replay.state.mutations_applied == live.mutations_applied
-        assert replay.state.rng_state == live.rng_state
+        assert replay.state.rng.state == live.rng.state
 
-    def test_tampered_score_detected(self, tmp_path):
-        h, _ = finished_run(tmp_path, name="tamper")
+    @pytest.mark.parametrize("tamper", sorted(TAMPERS))
+    def test_tampered_score_detected(self, tmp_path, tamper):
+        h = make_harness(
+            tmp_path,
+            engine={"samples_per_round": 2, "best_capacity": 3, "worst_capacity": 3,
+                    "max_rounds": 5, "mutation_budget": 2},
+            scripts={ModelRole.PROMPTING: scripted_plans(5)},
+            # rounds 0.6, 0.2, 0.3 (only round 1 sets the threshold), then a
+            # mutant that enters the archive and one that does not
+            evaluator=FakeEvaluator([0.6, 0.6, 0.2, 0.2, 0.3, 0.3, 0.5, 0.5, 0.1, 0.1]),
+            name="tamper",
+        )
+        h.run()
+        replay_log(h.log_path, h.config.engine)
+        picked, change = TAMPERS[tamper]
         lines = open(h.log_path).read().splitlines()
-        for i, line in enumerate(lines[1:], start=1):
-            event = json.loads(line)
-            if event["kind"] == "ThresholdUpdated":
-                event["payload"]["value"] += 0.01
-                lines[i] = json.dumps(event, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
-                break
+        index = next(i for i, line in enumerate(lines[1:], start=1) if picked(json.loads(line)))
+        event = json.loads(lines[index])
+        change(event["payload"])
+        lines[index] = json.dumps(event, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
         open(h.log_path, "w").write("\n".join(lines) + "\n")
         with pytest.raises(LogError):
+            replay_log(h.log_path, h.config.engine)
+
+
+    def _rewritten(self, tmp_path, edit):
+        """A finished run whose event lines ``edit`` rewrites, renumbered."""
+        h = make_harness(
+            tmp_path,
+            engine={"samples_per_round": 2, "best_capacity": 3, "worst_capacity": 3,
+                    "max_rounds": 5, "mutation_budget": 2},
+            scripts={ModelRole.PROMPTING: scripted_plans(5)},
+            evaluator=FakeEvaluator([0.2, 0.2, 0.6, 0.6, 0.3, 0.3, 0.5, 0.5, 0.1, 0.1]),
+            name="rewritten",
+        )
+        h.run()
+        lines = open(h.log_path).read().splitlines()
+        events = edit([json.loads(line) for line in lines[1:]])
+        for seq, event in enumerate(events, start=1):
+            event["seq"] = event["ts"] = seq
+        body = [json.dumps(e, sort_keys=True, ensure_ascii=False, separators=(",", ":")) for e in events]
+        open(h.log_path, "w").write("\n".join([lines[0]] + body) + "\n")
+        return h
+
+    def test_dropped_threshold_raise_detected(self, tmp_path):
+        # round 2 (mean 0.6) raises the threshold set by round 1 (mean 0.2)
+        h = self._rewritten(tmp_path, lambda events: [
+            e for e in events
+            if not (e["kind"] == "ThresholdUpdated" and e["payload"]["round"] == 2)
+        ])
+        with pytest.raises(LogError, match="threshold update is missing"):
+            replay_log(h.log_path, h.config.engine)
+
+    def test_mutation_step_before_any_archived_prompt_detected(self, tmp_path):
+        h = self._rewritten(tmp_path, lambda events: [
+            events[0], next(e for e in events if e["kind"] == "MutationRejected")
+        ])
+        with pytest.raises(LogError, match="before any archived prompt"):
             replay_log(h.log_path, h.config.engine)
 
 
@@ -361,3 +430,67 @@ class TestReport:
         h, _ = finished_run(tmp_path, name="thr")
         trajectory = summarize_log(h.log_path)["threshold_trajectory"]
         assert trajectory == sorted(trajectory)
+
+
+def demo_cut_points(log_text):
+    """Every crash point of a log: after each event line, after each event
+    line with its newline missing, and halfway through the following line.
+    Yields (label, prefix text, whether the prefix holds a written RunFinished)."""
+    lines = log_text.split("\n")[:-1]
+    for k in range(2, len(lines) + 1):
+        head = "\n".join(lines[:k])
+        finished = json.loads(lines[k - 1])["kind"] == "RunFinished"
+        yield f"after line {k}", head + "\n", finished
+        yield f"line {k} without newline", head, finished
+        if k < len(lines):
+            half = lines[k][: len(lines[k]) // 2]
+            yield f"halfway through line {k + 1}", head + "\n" + half, False
+
+
+class TestResumeFromEveryCut:
+    def test_demo_resumes_to_the_same_events_from_every_cut(self, tmp_path):
+        from promptloop.config import resolve_config
+        from promptloop.demo import DEMO_CONFIG_DOC, DEMO_CORPUS, run_demo
+        from promptloop.pipeline import resume_optimization
+
+        _, full_path = run_demo(tmp_path / "full")
+        with open(full_path, encoding="utf-8") as handle:
+            full = handle.read()
+        doc = dict(DEMO_CONFIG_DOC, output_dir=os.fspath(tmp_path / "unused"))
+        config = resolve_config(doc, env={})
+        cut_path = tmp_path / "cut.jsonl"
+        resumed = refused = 0
+        for label, prefix, finished in demo_cut_points(full):
+            cut_path.write_text(prefix, encoding="utf-8")
+            if finished:
+                with pytest.raises(LogError, match="already finished"):
+                    resume_optimization(config, cut_path, corpus_texts=DEMO_CORPUS)
+                refused += 1
+                continue
+            resume_optimization(config, cut_path, corpus_texts=DEMO_CORPUS)
+            assert cut_path.read_text(encoding="utf-8") == full, label
+            resumed += 1
+        events = full.count("\n") - 1
+        assert refused == 2
+        assert resumed == 3 * events - 1 - refused
+
+
+class TestResumeInPlace:
+    def test_committed_prefix_keeps_its_bytes(self, tmp_path):
+        h, _ = finished_run(tmp_path, name="spaced", max_rounds=5, budget=2, caps=(6, 6))
+        lines, cut = cut_after_round(h.log_path, 3)
+        # the same events, written with non-canonical spacing
+        respaced = [json.dumps(json.loads(line), ensure_ascii=False) for line in lines[: cut + 1]]
+        prefix = "\n".join(respaced) + "\n"
+        partial = tmp_path / "partial.jsonl"
+        partial.write_text(prefix + lines[cut + 1] + "\n" + lines[cut + 2][:10], encoding="utf-8")
+        fresh, _ = finished_run(tmp_path, name="driver3", max_rounds=5, budget=2, caps=(6, 6))
+        resumed = Engine.resumed(
+            make_fresh_backend(tmp_path), fresh.evaluator, fresh.config.engine,
+            partial, h.config_digest, h.corpus_digest,
+        )
+        resumed.resume()
+        resumed.log.close()
+        text = partial.read_text(encoding="utf-8")
+        assert text.startswith(prefix)
+        assert text[len(prefix):].split("\n") == lines[cut + 1:] + [""]
