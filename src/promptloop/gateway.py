@@ -14,6 +14,7 @@ as many scripted replies as it has calls.
 
 from __future__ import annotations
 
+import functools
 import threading
 import time
 from collections import deque
@@ -58,6 +59,22 @@ def fnv1a64(data: bytes) -> int:
         h ^= byte
         h = (h * _FNV_PRIME) & _MASK64
     return h
+
+
+@functools.lru_cache(maxsize=None)
+def _bigram_buckets(dim: int) -> np.ndarray:
+    """Bucket of every byte bigram ``(a, b)`` at index ``a * 256 + b``: the
+    table form of ``fnv1a64(bytes((a, b))) % dim``, in the smallest unsigned
+    dtype that holds ``dim - 1``. uint64 arithmetic wraps mod 2**64 as
+    :func:`fnv1a64` does."""
+    byte = np.arange(256, dtype=np.uint64)
+    prime, modulus = np.uint64(_FNV_PRIME), np.uint64(dim)
+    first = (np.uint64(_FNV_OFFSET) ^ byte) * prime
+    table = np.empty(256 * 256, dtype=np.min_scalar_type(dim - 1))
+    for a in range(256):  # row by row, so no 65,536-entry uint64 temporary
+        table[a * 256 : (a + 1) * 256] = ((first[a] ^ byte) * prime) % modulus
+    table.flags.writeable = False
+    return table
 
 
 @dataclass(frozen=True)
@@ -161,6 +178,7 @@ class MockBackend:
     ) -> None:
         self.descriptor = descriptor
         self.dim = descriptor.mock_embedding_dim
+        self._buckets = _bigram_buckets(self.dim)
         scripts = scripts or {}
         self._queues: dict[ModelRole, deque[str]] = {
             role: deque(scripts.get(role, ())) for role in ModelRole
@@ -200,10 +218,9 @@ class MockBackend:
         return [self._embed_one(t) for t in texts]
 
     def _embed_one(self, text: str) -> np.ndarray:
-        raw = text.encode("utf-8")
-        vec = np.zeros(self.dim, dtype=np.float64)
-        for i in range(len(raw) - 1):
-            vec[fnv1a64(raw[i : i + 2]) % self.dim] += 1.0
+        raw = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
+        bigrams = (raw[:-1].astype(np.uint16) << 8) | raw[1:]
+        vec = np.bincount(self._buckets[bigrams], minlength=self.dim).astype(np.float64)
         norm = float(np.linalg.norm(vec))
         if norm > 0.0:
             vec /= norm
@@ -326,27 +343,39 @@ class HttpBackend:
         ) from last_error
 
     def health_check(self) -> HealthReport:
+        """Ok only if ``/api/tags`` answers and lists both configured models."""
         url = self.descriptor.base_url.rstrip("/") + "/api/tags"
         try:
             response = self.session.get(url, timeout=self.descriptor.timeout)
             response.raise_for_status()
+            served = {_tagged(model["name"]) for model in response.json()["models"]}
         except requests.RequestException as exc:
-            return HealthReport(
-                status="unavailable",
-                kind="http",
-                model_name=self.descriptor.model_name,
-                embedding_model_name=self.descriptor.embedding_model_name,
-                cause=str(exc),
-            )
+            return self._health(cause=str(exc))
+        except (ValueError, KeyError, TypeError) as exc:
+            return self._health(cause=f"malformed reply from {url}: {exc!r}")
+        names = (self.descriptor.model_name, self.descriptor.embedding_model_name)
+        missing = [name for name in names if _tagged(name) not in served]
+        if missing:
+            return self._health(cause=f"{url} does not list model {', '.join(missing)}")
+        return self._health()
+
+    def _health(self, cause: str | None = None) -> HealthReport:
         return HealthReport(
-            status="ok",
+            status="ok" if cause is None else "unavailable",
             kind="http",
             model_name=self.descriptor.model_name,
             embedding_model_name=self.descriptor.embedding_model_name,
+            cause=cause,
         )
 
     def advance(self, role: ModelRole, count: int) -> None:
         """No queue state to fast-forward on a live backend."""
+
+
+def _tagged(name: str) -> str:
+    """A model name with its tag; Ollama lists a bare ``llama3.1`` as
+    ``llama3.1:latest``."""
+    return name if ":" in name.rsplit("/", 1)[-1] else name + ":latest"
 
 
 def build_backend(

@@ -20,7 +20,7 @@ from .engine import Engine, OptimizationResult
 from .errors import ConfigError
 from .gateway import HttpBackend, MockBackend
 from .runstore import EventLog, build_manifest
-from .scoring import CorpusEvaluator, EmbeddingCache, ReferenceCorpus, load_corpus
+from .scoring import CorpusEvaluator, EmbeddingCache, ReferenceCorpus, embed_corpus, load_corpus
 
 
 @dataclass
@@ -47,10 +47,7 @@ def build_runtime(config: CliConfig, corpus_texts=None) -> Runtime:
     if corpus_texts is None:
         corpus = load_corpus(config.corpus_path, cache, config.max_documents)
     else:
-        corpus = ReferenceCorpus(
-            documents=list(corpus_texts),
-            embeddings=[cache.embed_one(text) for text in corpus_texts],
-        )
+        corpus = embed_corpus(list(corpus_texts), cache)
     return Runtime(
         config=config,
         backend=backend,

@@ -93,7 +93,8 @@ def build_manifest(
 class EventLog:
     """Single-appender event log bound to one file path.
 
-    ``start`` creates the file with the manifest line; ``emit`` appends the
+    ``start`` creates the file with the manifest line, replacing an earlier
+    log only if that run finished; ``emit`` appends the
     next event and flushes before returning, so the engine never advances past
     an unwritten event. Appends are validated: sequence numbers must be
     contiguous from 1, the first event must be RunStarted, and nothing may
@@ -110,6 +111,11 @@ class EventLog:
     def start(self, manifest: dict) -> None:
         if self._handle is not None:
             raise LogError("log already open")
+        if os.path.exists(self.path) and not _finished(self.path):
+            raise LogError(
+                f"{self.path} holds an unfinished run; continue it with --resume,"
+                " or remove the file to start over"
+            )
         self._handle = open(self.path, "w", encoding="utf-8", newline="\n")
         self._handle.write(canonical_json(manifest) + "\n")
         self._handle.flush()
@@ -173,6 +179,24 @@ class EventLog:
         if self._handle is not None:
             self._handle.close()
             self._handle = None
+
+
+def _finished(path) -> bool:
+    """Whether the log's last line is a RunFinished event. Only the tail of
+    the file is read, backwards from its end."""
+    with open(path, "rb") as handle:
+        pos = handle.seek(0, os.SEEK_END)
+        tail = b""
+        while pos > 0 and b"\n" not in tail.rstrip(b"\n"):
+            step = min(pos, 1 << 16)
+            pos -= step
+            handle.seek(pos)
+            tail = handle.read(step) + tail
+    last = tail.rstrip(b"\n").rsplit(b"\n", 1)[-1]
+    try:
+        return RunEvent.from_line(last.decode("utf-8")).kind == "RunFinished"
+    except (LogError, UnicodeDecodeError):
+        return False
 
 
 def read_log(path) -> tuple[dict, list[RunEvent]]:

@@ -230,6 +230,15 @@ class EngineState:
         )
 
 
+#: The phase an event of each kind may occur in. A PhaseTransition must start
+#: from the current phase.
+_PHASE_OF = {
+    "RoundStarted": "feedback_loop",
+    "MutationApplied": "mutation",
+    "MutationRejected": "mutation",
+}
+
+
 def _check_mean(event, scores: list[float], value: float) -> None:
     if not scores or value != round_mean(scores):
         raise LogError(
@@ -246,6 +255,9 @@ def apply(state: EngineState, event, picks: Picks | None = None) -> None:
     leave the state as it is.
     """
     kind, payload = event.kind, event.payload
+    expected = payload.get("from") if kind == "PhaseTransition" else _PHASE_OF.get(kind, state.phase)
+    if expected != state.phase:
+        raise LogError(f"event {event.seq}: {kind} in phase {state.phase!r}, expected {expected!r}")
     if kind == "RunStarted":
         state.task_prompt = payload["task_prompt"]
     elif kind == "RoundStarted":

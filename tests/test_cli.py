@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -123,6 +124,18 @@ class TestOptimize:
         assert len(logs) == 1
         last_line = open(os.path.join(runs_dir, logs[0])).read().splitlines()[-1]
         assert json.loads(last_line)["kind"] == "BackendFailure"
+
+    def test_rerun_after_abort_keeps_the_log(self, runner, tmp_path):
+        config = small_config(tmp_path, scripts={"actor": ["<<BACKEND-FAILURE>>"]})
+        command = ["optimize", config, "--prompt", "Aufgabe"]
+        assert runner.invoke(main, command).exit_code == 4
+        runs_dir = os.path.join(tmp_path, "runs")
+        [log] = [os.path.join(runs_dir, n) for n in os.listdir(runs_dir) if n.endswith(".jsonl")]
+        before = Path(log).read_bytes()
+        result = runner.invoke(main, command)
+        assert result.exit_code == 2
+        assert "--resume" in result.stderr
+        assert Path(log).read_bytes() == before
 
     def test_whitespace_only_plan_aborts_resumably(self, runner, tmp_path):
         # a one-slot best archive sends the whitespace plan straight into the

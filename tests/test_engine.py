@@ -547,7 +547,8 @@ class InFlightSession:
         self.actor_requests = 0
 
     def get(self, url, timeout=None):
-        return FakeResponse({"models": []})
+        return FakeResponse({"models": [{"name": "llama3.1:latest"},
+                                        {"name": "jina-embeddings-v2-base-de:latest"}]})
 
     def post(self, url, json=None, timeout=None):
         is_actor = json["messages"][0]["content"] == DEFAULT_SYSTEM_PROMPTS[ModelRole.ACTOR]

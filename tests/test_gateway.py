@@ -167,6 +167,14 @@ class TestMockEmbedding:
         if not raw_is_zero:
             assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("dim", [8, 64, 768])
+    def test_embedding_equals_oracle_bit_for_bit(self, dim):
+        backend = MockBackend(BackendDescriptor(mock_embedding_dim=dim))
+        texts = ["", "a", "Herzinsuffizienz – Grüße, 心臓 😀", "Der Befund ist stabil. " * 89]
+        assert len(texts[-1].encode("utf-8")) > 2000
+        for text, vec in zip(texts, backend.embed(texts)):
+            assert vec.tolist() == embed_ref(text, dim)
+
 
 class FakeSession:
     """Records requests and serves queued responses or exceptions."""
@@ -188,6 +196,11 @@ class FakeSession:
         if isinstance(item, Exception):
             raise item
         return item
+
+
+def tags(*names):
+    """An ``/api/tags`` reply listing the given model names."""
+    return {"models": [{"name": name} for name in names]}
 
 
 def http_descriptor(**overrides):
@@ -405,11 +418,42 @@ class TestHealthCheck:
         assert "refused" in report.cause
 
     def test_http_reachable_echoes_model_name(self):
-        session = FakeSession([FakeResponse({"models": []})])
+        session = FakeSession([FakeResponse(tags("llama3.1", "jina-embeddings-v2-base-de"))])
         backend = HttpBackend(http_descriptor(model_name="llama3.1"), session)
         report = backend.health_check()
         assert report.status == "ok"
         assert report.model_name == "llama3.1"
+
+    @pytest.mark.parametrize("listed", [
+        ("llama3.1:latest", "jina-embeddings-v2-base-de:latest", "mistral:7b"),
+        ("llama3.1", "jina-embeddings-v2-base-de"),
+    ])
+    def test_http_both_models_listed_is_ok(self, listed):
+        session = FakeSession([FakeResponse(tags(*listed))])
+        backend = HttpBackend(http_descriptor(), session)
+        report = backend.health_check()
+        assert report.status == "ok" and report.cause is None
+        assert session.requests[0]["url"] == "http://localhost:11434/api/tags"
+
+    def test_http_missing_model_is_named(self):
+        session = FakeSession([FakeResponse(tags("llama3.1:latest", "llama3.1:8b"))])
+        backend = HttpBackend(http_descriptor(), session)
+        report = backend.health_check()
+        assert report.status == "unavailable"
+        assert "jina-embeddings-v2-base-de" in report.cause
+        assert "llama3.1" not in report.cause
+
+    def test_http_tag_must_match(self):
+        session = FakeSession([FakeResponse(tags("llama3.1:8b", "jina-embeddings-v2-base-de"))])
+        backend = HttpBackend(http_descriptor(), session)
+        report = backend.health_check()
+        assert report.status == "unavailable"
+        assert "llama3.1" in report.cause
+
+    def test_http_malformed_tags_reply_is_unavailable(self):
+        session = FakeSession([FakeResponse({"tags": []})])
+        backend = HttpBackend(http_descriptor(), session)
+        assert backend.health_check().status == "unavailable"
 
 
 class TestDescriptor:

@@ -171,7 +171,7 @@ class TestMutateOnce:
 
 
 def mutation_harness(tmp_path, archive_scores, mutant_scores, budget=1, mutator_scripts=None,
-                     actor_scripts=None, samples=2):
+                     actor_scripts=None, samples=2, name="run"):
     """Engine parked in the mutation phase with a preloaded best archive."""
     scripts = {ModelRole.PROMPTING: scripted_plans(2)}
     if mutator_scripts is not None:
@@ -193,6 +193,7 @@ def mutation_harness(tmp_path, archive_scores, mutant_scores, budget=1, mutator_
         },
         scripts=scripts,
         evaluator=FakeEvaluator(served or [0.0]),
+        name=name,
     )
     h.engine.log.start(h.manifest())
     h.engine.log.emit("RunStarted", {"run_id": "t", "task_prompt": h.task, "seed": 42,
@@ -319,9 +320,8 @@ class TestMutationPhase:
         runs = []
         for name in ("a", "b"):
             h = mutation_harness(
-                tmp_path, [0.70, 0.75, 0.80], [0.72, 0.73, 0.74], budget=3,
+                tmp_path, [0.70, 0.75, 0.80], [0.72, 0.73, 0.74], budget=3, name=name,
             )
-            h.log_path = h.log_path  # distinct tmp files come from mutation_harness names
             run_mutation_phase(h.engine)
             picks = [
                 (e.payload["archive_index"], e.payload["sentence_index"])

@@ -2,10 +2,11 @@ import json
 import os
 
 import pytest
+import requests
 
-from conftest import write_config_file, write_corpus_file
+from conftest import FakeResponse, write_config_file, write_corpus_file
 from promptloop.config import load_config
-from promptloop.errors import ConfigError
+from promptloop.errors import ConfigError, ProtocolError
 from promptloop.pipeline import build_runtime, resume_optimization, run_optimization
 from promptloop.runstore import read_log
 
@@ -117,7 +118,31 @@ class TestResumeOptimization:
             resume_optimization(config, log)
 
 
+HTTP_BACKEND = {"kind": "http", "base_url": "http://stub", "retry_backoff": 0.0}
+
+
 class TestBuildRuntime:
+    def test_short_embed_batch_is_protocol_error(self, tmp_path, monkeypatch):
+        def one_row(session, url, json=None, timeout=None):
+            return FakeResponse({"embeddings": [[1.0, 0.0]]})
+
+        monkeypatch.setattr(requests.Session, "post", one_row)
+        with pytest.raises(ProtocolError, match="expected 2 embeddings, got 1"):
+            build_runtime(library_config(tmp_path, backend=HTTP_BACKEND))
+
+    def test_in_memory_corpus_is_embedded_in_batches(self, tmp_path, monkeypatch):
+        sizes = []
+
+        def embed(session, url, json=None, timeout=None):
+            sizes.append(len(json["input"]))
+            return FakeResponse({"embeddings": [[1.0, float(len(t))] for t in json["input"]]})
+
+        monkeypatch.setattr(requests.Session, "post", embed)
+        texts = [f"Text {i}." for i in range(70)]
+        runtime = build_runtime(library_config(tmp_path, backend=HTTP_BACKEND), corpus_texts=texts)
+        assert sizes == [64, 6]
+        assert runtime.corpus.documents == texts
+
     def test_runtime_pieces_are_consistent(self, tmp_path):
         config = library_config(tmp_path)
         runtime = build_runtime(config)

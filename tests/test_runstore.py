@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -66,6 +67,36 @@ class TestAppendRules:
         log.emit("RunStarted", {})
         with pytest.raises(LogError):
             log.emit("RunStarted", {})
+
+
+class TestStart:
+    def test_unfinished_log_is_kept(self, tmp_path):
+        log = started_log(tmp_path)
+        log.emit("RunStarted", {"task_prompt": "t"})
+        log.close()
+        before = Path(log.path).read_bytes()
+        with pytest.raises(LogError, match="--resume"):
+            EventLog(log.path).start(manifest())
+        assert Path(log.path).read_bytes() == before
+
+    def test_log_with_a_partial_last_line_is_kept(self, tmp_path):
+        log = started_log(tmp_path)
+        log.emit("RunStarted", {"task_prompt": "t"})
+        log.close()
+        with open(log.path, "a", encoding="utf-8") as handle:
+            handle.write('{"kind":"RunFinished","payload":{')
+        with pytest.raises(LogError, match="unfinished"):
+            EventLog(log.path).start(manifest())
+
+    def test_finished_log_is_replaced(self, tmp_path):
+        log = started_log(tmp_path)
+        log.emit("RunStarted", {"task_prompt": "t"})
+        log.emit("RunFinished", {"plan": "x" * 100_000})  # a last line longer than one read
+        log.close()
+        again = EventLog(log.path)
+        again.start(manifest())
+        again.close()
+        assert Path(log.path).read_bytes().count(b"\n") == 1
 
 
 class TestCanonicalSerialization:
@@ -182,17 +213,31 @@ def _bump(key, by=0.01):
     return lambda payload: payload.update({key: payload[key] + by})
 
 
-#: name -> (the first event it changes, the change)
+def _edit_first(picked, change):
+    """Change the payload of the first event ``picked`` selects."""
+    def edit(events):
+        change(next(e for e in events if picked(e))["payload"])
+        return events
+    return edit
+
+
+#: name -> an edit of a finished log's events; the test renumbers them after
 TAMPERS = {
-    "threshold-value": (_kind("ThresholdUpdated"), _bump("value")),
-    "best-snapshot-score": (_kind("ArchivesUpdated"), lambda p: p["best"][0].update(score=0.99)),
-    "archived-score": (_kind("ArchivesUpdated"), _bump("score")),
-    "rejected-sentence-index": (_kind("MutationRejected"), _bump("sentence_index", 1)),
-    "applied-score": (_kind("MutationApplied"), _bump("score")),
-    "sample-in-round-keeping-threshold": (
+    "threshold-value": _edit_first(_kind("ThresholdUpdated"), _bump("value")),
+    "best-snapshot-score": _edit_first(
+        _kind("ArchivesUpdated"), lambda p: p["best"][0].update(score=0.99)
+    ),
+    "archived-score": _edit_first(_kind("ArchivesUpdated"), _bump("score")),
+    "rejected-sentence-index": _edit_first(_kind("MutationRejected"), _bump("sentence_index", 1)),
+    "applied-score": _edit_first(_kind("MutationApplied"), _bump("score")),
+    "sample-in-round-keeping-threshold": _edit_first(
         lambda e: e["kind"] == "SampleScored" and e["payload"]["candidate_id"] == "cand-0002",
         lambda p: p.update(score=0.9),
     ),
+    "dropped-mutation-transition": lambda events: [
+        e for e in events
+        if not (e["kind"] == "PhaseTransition" and e["payload"]["to"] == "mutation")
+    ],
 }
 
 
@@ -329,13 +374,12 @@ class TestResume:
         )
         h.run()
         replay_log(h.log_path, h.config.engine)
-        picked, change = TAMPERS[tamper]
         lines = open(h.log_path).read().splitlines()
-        index = next(i for i, line in enumerate(lines[1:], start=1) if picked(json.loads(line)))
-        event = json.loads(lines[index])
-        change(event["payload"])
-        lines[index] = json.dumps(event, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
-        open(h.log_path, "w").write("\n".join(lines) + "\n")
+        events = TAMPERS[tamper]([json.loads(line) for line in lines[1:]])
+        for seq, event in enumerate(events, start=1):
+            event["seq"] = event["ts"] = seq
+        body = [json.dumps(e, sort_keys=True, ensure_ascii=False, separators=(",", ":")) for e in events]
+        open(h.log_path, "w").write("\n".join([lines[0]] + body) + "\n")
         with pytest.raises(LogError):
             replay_log(h.log_path, h.config.engine)
 

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_corpus, write_corpus_file
-from oracle import corpus_score_ref
+from conftest import FakeResponse, make_corpus, write_corpus_file
+from oracle import corpus_score_ref, embed_ref
 from promptloop.errors import CorpusError, DegenerateInputError, DimensionMismatchError
-from promptloop.gateway import BackendDescriptor, MockBackend
+from promptloop.gateway import BackendDescriptor, HttpBackend, MockBackend
 from promptloop.scoring import (
+    EMBED_BATCH,
     CorpusEvaluator,
     EmbeddingCache,
     ReferenceCorpus,
@@ -209,6 +210,73 @@ class TestLoadCorpus:
         corpus = load_corpus(path, cache)
         assert len(cache) == 1
         assert np.array_equal(corpus.embeddings[0], corpus.embeddings[1])
+
+
+class EmbedSession:
+    """Stub Ollama endpoint answering ``/api/embed`` with the oracle's
+    bigram embedding of each input, and recording every request body."""
+
+    def __init__(self, dim=64):
+        self.dim = dim
+        self.inputs = []
+
+    def post(self, url, json=None, timeout=None):
+        assert url.endswith("/api/embed")
+        self.inputs.append(json["input"])
+        return FakeResponse({"embeddings": [embed_ref(text, self.dim) for text in json["input"]]})
+
+
+class CountingBackend(MockBackend):
+    def __init__(self):
+        super().__init__(BackendDescriptor())
+        self.batches = []
+
+    def embed(self, texts):
+        self.batches.append(list(texts))
+        return super().embed(texts)
+
+
+class TestBatchedEmbedding:
+    def test_corpus_goes_out_in_file_order_chunks(self, tmp_path):
+        documents = [f"Dokument {i}: Der Befund ist stabil." for i in range(129)]
+        documents.insert(100, documents[5])
+        session = EmbedSession()
+        backend = HttpBackend(BackendDescriptor(kind="http", base_url="http://stub"), session)
+        corpus = load_corpus(write_corpus_file(tmp_path, documents), EmbeddingCache(backend))
+        assert EMBED_BATCH == 64 and len(documents) == 130
+        assert session.inputs == [
+            documents[:64],
+            documents[64:100] + documents[101:128],
+            documents[128:],
+        ]
+        assert sum(batch.count(documents[5]) for batch in session.inputs) == 1
+        assert [v.tolist() for v in corpus.embeddings] == [embed_ref(d, 64) for d in documents]
+
+    def test_batched_vectors_equal_single_embeds(self, tmp_path):
+        documents = [f"Satz {i} über die Medikation." for i in range(EMBED_BATCH + 3)]
+        backend = MockBackend(BackendDescriptor())
+        corpus = load_corpus(write_corpus_file(tmp_path, documents), EmbeddingCache(backend))
+        single = EmbeddingCache(backend)
+        for document, vector in zip(documents, corpus.embeddings):
+            assert np.array_equal(vector, single.embed_one(document))
+
+    def test_misses_sent_once_in_first_seen_order(self):
+        backend = CountingBackend()
+        cache = EmbeddingCache(backend)
+        cache.embed_one("b")
+        vectors = cache.embed_many(["c", "b", "a", "c"])
+        assert backend.batches == [["b"], ["c", "a"]]
+        assert np.array_equal(vectors[0], vectors[3])
+        assert np.array_equal(vectors[1], cache.embed_one("b"))
+
+    def test_warm_cache_makes_no_backend_call(self):
+        backend = CountingBackend()
+        cache = EmbeddingCache(backend)
+        first = cache.embed_many(["Eins zwei.", "Drei vier."])
+        again = cache.embed_many(["Drei vier.", "Eins zwei.", "Drei vier."])
+        assert backend.batches == [["Eins zwei.", "Drei vier."]]
+        assert [v is w for v, w in zip(again, [first[1], first[0], first[1]])] == [True] * 3
+        assert cache.embed_many([]) == [] and len(backend.batches) == 1
 
 
 class TestEvaluator:
