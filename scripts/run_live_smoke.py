@@ -13,15 +13,10 @@ import os
 import sys
 import tempfile
 
-from promptloop.config import (
-    build_backend_from_config,
-    config_digest,
-    corpus_digest,
-    resolve_config,
-    run_id_for,
-)
+from promptloop.config import config_digest, corpus_digest, resolve_config, run_id_for
 from promptloop.demo import DEMO_CORPUS
 from promptloop.engine import Engine
+from promptloop.gateway import build_backend
 from promptloop.runstore import EventLog, build_manifest, summarize_log
 from promptloop.scoring import CorpusEvaluator, EmbeddingCache, ReferenceCorpus
 
@@ -39,7 +34,7 @@ def main() -> int:
         },
         env={},
     )
-    backend = build_backend_from_config(config)
+    backend = build_backend(config.backend, config.scripts or None)
     health = backend.health_check()
     if health.status != "ok":
         print(f"endpoint {base_url} unavailable: {health.cause}", file=sys.stderr)

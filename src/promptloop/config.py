@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, fields as dataclass_fields
 
 from .engine import EngineConfig
 from .errors import ConfigError
-from .gateway import BackendDescriptor, HttpBackend, MockBackend, build_backend
+from .gateway import BackendDescriptor
 from .roles import DEFAULT_ROLE_PARAMS, DEFAULT_SYSTEM_PROMPTS, ModelRole, SamplingParams
 from .runstore import canonical_json
 
@@ -23,30 +23,10 @@ CONFIG_VERSION = 1
 
 ENV_BASE_URL = "PROMPTLOOP_BASE_URL"
 
-_BACKEND_KEYS = {
-    "kind",
-    "base_url",
-    "model_name",
-    "embedding_model_name",
-    "timeout",
-    "max_retries",
-    "retry_backoff",
-    "mock_embedding_dim",
-}
+_BACKEND_KEYS = {f.name for f in dataclass_fields(BackendDescriptor)}
 #: Engine fields set from the config's ``prompts`` section, not ``engine``.
 _PROMPT_FIELDS = {"system_prompts", "example_messages"}
 _ENGINE_KEYS = {f.name for f in dataclass_fields(EngineConfig)} - _PROMPT_FIELDS
-_TOP_KEYS = {
-    "version",
-    "backend",
-    "engine",
-    "prompts",
-    "scripts",
-    "corpus_path",
-    "max_documents",
-    "output_dir",
-    "log_level",
-}
 _LOG_LEVELS = {"debug", "info", "warning", "error"}
 
 
@@ -59,6 +39,9 @@ class CliConfig:
     max_documents: int | None = None
     output_dir: str = "runs"
     log_level: str = "info"
+
+
+_TOP_KEYS = {f.name for f in dataclass_fields(CliConfig)} | {"version", "prompts"}
 
 
 def _role_from_key(key: str, where: str) -> ModelRole:
@@ -266,7 +249,3 @@ def corpus_digest(documents: list[str]) -> str:
 
 def run_id_for(config_dig: str, corpus_dig: str, task_prompt: str) -> str:
     return _sha256(canonical_json([config_dig, corpus_dig, task_prompt]))[:16]
-
-
-def build_backend_from_config(config: CliConfig) -> MockBackend | HttpBackend:
-    return build_backend(config.backend, config.scripts or None)

@@ -125,9 +125,9 @@ class Engine:
     """State machine driving one optimization run.
 
     The engine talks to the backend only through :meth:`_chat` and
-    :meth:`_chat_many` (which count calls per role so a resumed run can
-    fast-forward scripted queues) and to the scorer only through
-    ``evaluator.score``. Independent calls (a prompt's actor samples, a
+    :meth:`_chat_many`, which number each call by its role's call count (so a
+    resumed run issues the calls the uninterrupted run would have), and to
+    the scorer only through ``evaluator.score``. Independent calls (a prompt's actor samples, a
     round's per-sample feedback) go out as one ``chat_many`` batch, which the
     HTTP backend runs concurrently; scoring, routing and every event happen
     on the calling thread after the batch returns, in sample-index order.
@@ -162,6 +162,7 @@ class Engine:
         messages = tuple(self.config.example_messages.get(role, ())) + (("user", user_message),)
         exchange = ChatExchange(
             role=role,
+            index=self.chat_calls[role.value],
             system_prompt=self.config.system_prompts[role],
             messages=messages,
         )
@@ -172,8 +173,8 @@ class Engine:
         return self.gateway.chat(*self._call(role, user_message))
 
     def _chat_many(self, requests: list[tuple[ModelRole, str]]) -> list[str]:
-        """Send independent requests as one batch; every request is counted,
-        even when the batch fails, because the backend issues all of them."""
+        """Send independent requests as one batch. Every request is counted
+        when the batch is built, so the indices stay aligned after a failure."""
         return self.gateway.chat_many([self._call(role, message) for role, message in requests])
 
     # ------------------------------------------------------------- round ops
@@ -408,8 +409,8 @@ class Engine:
         corpus_digest: str,
     ) -> "Engine":
         """Rebuild an engine from a log: verify digests, replay to the last
-        commit point, cut off any uncommitted tail, and fast-forward the
-        scripted mock's queues to the live position."""
+        commit point, cut off any uncommitted tail, and continue each role's
+        call count from the commit."""
         result = runstore.replay_log(log_path, config)
         runstore.check_digests(result.manifest, config_digest, corpus_digest)
         if result.finished:
@@ -422,10 +423,7 @@ class Engine:
             result.state.task_prompt,
         )
         engine.fold = Fold(result.state)
-        for role in ModelRole:
-            consumed = result.state.chat_calls.get(role.value, 0)
-            engine.chat_calls[role.value] = consumed
-            gateway.advance(role, consumed)
+        engine.chat_calls.update(result.state.chat_calls)
         engine.log.resume_at(result.committed_seq)
         return engine
 

@@ -2,22 +2,24 @@
 
 Two backends implement it: an HTTP client for any Ollama-compatible REST
 endpoint, and a fully offline scripted mock whose outputs are a pure function
-of its scripts and inputs. Both expose ``chat``, ``chat_many``, ``embed``,
-``health_check`` and the resume hook ``advance``.
+of its scripts and inputs. Both expose ``chat``, ``chat_many``, ``embed`` and
+``health_check``.
 
-``chat_many`` sends a batch of independent calls: concurrently over HTTP, in
-index order on the mock. Either way every call of the batch is issued, the
-replies come back in input order, and the first failure in index order is
-raised only once the whole batch is done, so a failed batch consumes exactly
-as many scripted replies as it has calls.
+Every chat call carries its identity: its role and the role's call index.
+The mock looks its reply up by that index, and the HTTP backend derives the
+request's sampling seed from it, so a resumed run repeats exactly the calls
+of the uninterrupted one.
+
+``chat_many`` sends a batch of independent calls and returns the replies in
+input order. Over HTTP the calls run concurrently, every one is issued, and
+the first failure in index order is raised once the whole batch is done; the
+mock runs them in index order and raises at the first failure.
 """
 
 from __future__ import annotations
 
 import functools
-import threading
 import time
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Sequence
@@ -29,12 +31,12 @@ from .errors import (
     BackendUnavailableError,
     ConfigError,
     EmptyResponseError,
-    PromptloopError,
     ProtocolError,
 )
 from .roles import ModelRole, SamplingParams
+from .state import SplitMix64
 
-#: Scripted queue item that makes the mock raise a backend failure when popped.
+#: Scripted reply that makes the mock raise a backend failure.
 FAILURE_MARKER = "<<BACKEND-FAILURE>>"
 
 #: Client errors worth another attempt: request timeout and rate limiting.
@@ -77,15 +79,26 @@ def _bigram_buckets(dim: int) -> np.ndarray:
     return table
 
 
+def call_seed(base: int, role: ModelRole, index: int) -> int:
+    """Sampling seed of a role's ``index``-th call, in 0..2**31-1: a SplitMix64
+    draw keyed by the configured seed, the role and the index, so the calls
+    of a run get distinct seeds that every process derives alike."""
+    key = fnv1a64(f"{base}:{role.value}:{index}".encode("utf-8"))
+    return SplitMix64(key).next_u64() >> 33
+
+
 @dataclass(frozen=True)
 class ChatExchange:
-    """One chat request: a role, its system prompt, and the message history.
+    """One chat request: a role, the role's call index, its system prompt,
+    and the message history.
 
-    ``messages`` is an ordered tuple of (speaker, text) pairs with speakers
-    "user" or "assistant"; the last message must come from the user.
+    ``index`` counts the role's earlier calls in the run, from 0. ``messages``
+    is an ordered tuple of (speaker, text) pairs with speakers "user" or
+    "assistant"; the last message must come from the user.
     """
 
     role: ModelRole
+    index: int
     system_prompt: str
     messages: tuple[tuple[str, str], ...]
 
@@ -161,10 +174,11 @@ class RecordedCall:
 class MockBackend:
     """Deterministic offline backend.
 
-    Chat pops per-role FIFO script queues; an empty queue falls back to
-    "ECHO: " plus the last user message, so unscripted runs stay fully
-    deterministic. A popped :data:`FAILURE_MARKER` raises a backend failure,
-    a popped empty or whitespace-only string raises an empty-response error.
+    The reply to a call is its role's script item at the call's index; an
+    index past the end of the script falls back to "ECHO: " plus the last
+    user message, so unscripted runs stay fully deterministic. A
+    :data:`FAILURE_MARKER` item raises a backend failure, an empty or
+    whitespace-only item raises an empty-response error. Seeds are ignored.
 
     Embeddings count the UTF-8 byte bigrams of the text, bucket each bigram
     at ``fnv1a64(bigram) % dim``, and L2-normalize the counts unless the raw
@@ -179,20 +193,18 @@ class MockBackend:
         self.descriptor = descriptor
         self.dim = descriptor.mock_embedding_dim
         self._buckets = _bigram_buckets(self.dim)
-        scripts = scripts or {}
-        self._queues: dict[ModelRole, deque[str]] = {
-            role: deque(scripts.get(role, ())) for role in ModelRole
-        }
-        self._lock = threading.Lock()
+        self._scripts = {role: tuple(items) for role, items in (scripts or {}).items()}
         self.calls: list[RecordedCall] = []
 
     def chat(self, exchange: ChatExchange, params: SamplingParams) -> str:
-        with self._lock:
-            self.calls.append(
-                RecordedCall(exchange.role, params, exchange.system_prompt, exchange.messages)
-            )
-            queue = self._queues[exchange.role]
-            text = queue.popleft() if queue else "ECHO: " + exchange.last_user_text
+        self.calls.append(
+            RecordedCall(exchange.role, params, exchange.system_prompt, exchange.messages)
+        )
+        script = self._scripts.get(exchange.role, ())
+        if exchange.index < len(script):
+            text = script[exchange.index]
+        else:
+            text = "ECHO: " + exchange.last_user_text
         if text == FAILURE_MARKER:
             raise BackendUnavailableError(f"scripted failure for role {exchange.role.value}")
         if not text.strip():
@@ -200,17 +212,9 @@ class MockBackend:
         return text
 
     def chat_many(self, calls: Sequence[ChatCall]) -> list[str]:
-        """Run the calls one after another in index order, through :meth:`chat`."""
-        replies: list[str] = []
-        failures: list[PromptloopError] = []
-        for exchange, params in calls:
-            try:
-                replies.append(self.chat(exchange, params))
-            except PromptloopError as exc:
-                failures.append(exc)
-        if failures:
-            raise failures[0]
-        return replies
+        """Run the calls one after another in index order, through :meth:`chat`;
+        the first failure ends the batch."""
+        return [self.chat(exchange, params) for exchange, params in calls]
 
     def embed(self, texts: Sequence[str]) -> list[np.ndarray]:
         if not texts:
@@ -234,31 +238,16 @@ class MockBackend:
             embedding_model_name=self.descriptor.embedding_model_name,
         )
 
-    def advance(self, role: ModelRole, count: int) -> None:
-        """Discard ``count`` queued items, as a resumed run fast-forwards past
-        completions an earlier process already consumed. Pops past the end of
-        a queue are no-ops, matching the fallback path which consumes nothing.
-        """
-        with self._lock:
-            queue = self._queues[role]
-            for _ in range(count):
-                if not queue:
-                    break
-                queue.popleft()
-
-    def remaining(self, role: ModelRole) -> int:
-        with self._lock:
-            return len(self._queues[role])
-
 
 class HttpBackend:
     """Client for an Ollama-compatible REST endpoint.
 
-    Chat posts to ``/api/chat`` (non-streaming) with per-request sampling
-    options; embeddings post to ``/api/embed``. Transport failures, HTTP 5xx,
-    408 and 429 are retried up to ``max_retries`` times with exponential
-    backoff, so each call makes at most ``max_retries + 1`` attempts; any
-    other 4xx is final after one attempt.
+    Chat posts to ``/api/chat`` (non-streaming) with the role's sampling
+    options, its seed replaced by :func:`call_seed`; embeddings post to
+    ``/api/embed``. Transport failures, HTTP 5xx, 408 and 429 are retried
+    up to ``max_retries`` times with exponential backoff, so each call makes
+    at most ``max_retries + 1`` attempts; any other 4xx is final after one
+    attempt.
     """
 
     def __init__(self, descriptor: BackendDescriptor, session: requests.Session | None = None):
@@ -275,7 +264,10 @@ class HttpBackend:
             "model": self.descriptor.model_name,
             "messages": messages,
             "stream": False,
-            "options": params.as_options(),
+            "options": {
+                **params.as_options(),
+                "seed": call_seed(params.seed, exchange.role, exchange.index),
+            },
         }
         data = self._post("/api/chat", payload)
         content = data.get("message", {}).get("content")
@@ -367,9 +359,6 @@ class HttpBackend:
             embedding_model_name=self.descriptor.embedding_model_name,
             cause=cause,
         )
-
-    def advance(self, role: ModelRole, count: int) -> None:
-        """No queue state to fast-forward on a live backend."""
 
 
 def _tagged(name: str) -> str:

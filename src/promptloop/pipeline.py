@@ -9,16 +9,10 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from .config import (
-    CliConfig,
-    build_backend_from_config,
-    config_digest,
-    corpus_digest,
-    run_id_for,
-)
+from .config import CliConfig, config_digest, corpus_digest, run_id_for
 from .engine import Engine, OptimizationResult
 from .errors import ConfigError
-from .gateway import HttpBackend, MockBackend
+from .gateway import HttpBackend, MockBackend, build_backend
 from .runstore import EventLog, build_manifest
 from .scoring import CorpusEvaluator, EmbeddingCache, ReferenceCorpus, embed_corpus, load_corpus
 
@@ -42,7 +36,7 @@ def build_runtime(config: CliConfig, corpus_texts=None) -> Runtime:
     """
     if corpus_texts is None and not os.path.isfile(config.corpus_path):
         raise ConfigError(f"corpus_path does not exist: {config.corpus_path}")
-    backend = build_backend_from_config(config)
+    backend = build_backend(config.backend, config.scripts or None)
     cache = EmbeddingCache(backend)
     if corpus_texts is None:
         corpus = load_corpus(config.corpus_path, cache, config.max_documents)

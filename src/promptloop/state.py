@@ -72,10 +72,8 @@ def round_mean(scores) -> float:
 @dataclass(frozen=True)
 class PromptCandidate:
     id: str
-    task_prompt: str
     step_plan: str
     origin: str  # "initial" | "refined"
-    round: int
     score: float | None = None
 
 
@@ -286,11 +284,7 @@ def apply(state: EngineState, event, picks: Picks | None = None) -> None:
             raise LogError(f"event {event.seq}: archive snapshot mismatch")
     elif kind == "PromptRegenerated":
         state.current = PromptCandidate(
-            id=payload["candidate_id"],
-            task_prompt=state.task_prompt,
-            step_plan=payload["step_plan"],
-            origin=payload["origin"],
-            round=payload["for_round"],
+            id=payload["candidate_id"], step_plan=payload["step_plan"], origin=payload["origin"]
         )
         state.round = payload["round"]
     elif kind == "PhaseTransition":

@@ -13,6 +13,7 @@ from promptloop.config import (
     run_id_for,
 )
 from promptloop.engine import Engine
+from promptloop.errors import BackendUnavailableError, PromptloopError
 from promptloop.gateway import BackendDescriptor, MockBackend
 from promptloop.runstore import EventLog, build_manifest, read_log
 from promptloop.scoring import CorpusEvaluator, EmbeddingCache, ReferenceCorpus
@@ -143,6 +144,53 @@ class FakeEvaluator:
         value = self.scores.pop(0) if len(self.scores) > 1 else self.scores[0]
         self.served.append((text, value))
         return value
+
+
+class OneShotFault:
+    """Backend proxy that fails once: the ``at``-th call (1-based) of kind
+    ``op`` ("chat" or "embed") reaches the wrapped backend, like a request
+    that fails after the server answered, and then raises ``error``.
+    ``at=None`` only counts calls.
+
+    A batch issues every call and raises its first failure afterwards, the
+    way the HTTP backend does.
+    """
+
+    def __init__(self, backend, op="chat", at=None, error=BackendUnavailableError):
+        self.backend = backend
+        self.op = op
+        self.at = at
+        self.error = error
+        self.counts = {"chat": 0, "embed": 0}
+
+    def __getattr__(self, name):
+        return getattr(self.backend, name)
+
+    def _count(self, op):
+        self.counts[op] += 1
+        if op == self.op and self.counts[op] == self.at:
+            raise self.error(f"injected fault at {op} call {self.at}")
+
+    def chat(self, exchange, params):
+        reply = self.backend.chat(exchange, params)
+        self._count("chat")
+        return reply
+
+    def chat_many(self, calls):
+        replies, failures = [], []
+        for exchange, params in calls:
+            try:
+                replies.append(self.chat(exchange, params))
+            except PromptloopError as exc:
+                failures.append(exc)
+        if failures:
+            raise failures[0]
+        return replies
+
+    def embed(self, texts):
+        vectors = self.backend.embed(texts)
+        self._count("embed")
+        return vectors
 
 
 class FakeResponse:

@@ -146,7 +146,7 @@ class TestCriterion3ArchiveOracle:
             for arrival in range(1, length + 1):
                 score = rng.randint(0, 25) / 25  # coarse grid provokes ties
                 cid = f"c{arrival}"
-                candidate = PromptCandidate(cid, "t", "p", "refined", arrival, score=score)
+                candidate = PromptCandidate(cid, "p", "refined", score=score)
                 update_archives(best, worst, candidate, arrival)
                 oracle.add(score, arrival, cid)
                 assert {e.candidate_id for e in best.entries} == oracle.top_ids(best_cap)
@@ -234,7 +234,7 @@ class TestCriterion6MutationLocality:
             plan = " ".join(sentence_pool)
             base = segment_sentences(plan).sentences
             rewrite = random_text(rng, 2, 5) + "."
-            candidate = PromptCandidate("cand-0001", "t", plan, "refined", 1)
+            candidate = PromptCandidate("cand-0001", plan, "refined")
             segmentation = segment_sentences(candidate.step_plan)
             sentence_index = SplitMix64(rng.randint(0, 2**62)).below(len(segmentation.sentences))
             outcome = apply_rewrite(segmentation, sentence_index, rewrite)
@@ -424,7 +424,7 @@ class TestCriterion9GoldenDefaultConfig:
 class TestCriterion10LiveSmoke:
     def test_one_round_against_live_endpoint(self, tmp_path):
         from promptloop.config import resolve_config, config_digest, corpus_digest, run_id_for
-        from promptloop.config import build_backend_from_config
+        from promptloop.gateway import build_backend
         from promptloop.runstore import EventLog, build_manifest
         from promptloop.scoring import CorpusEvaluator, EmbeddingCache, ReferenceCorpus
 
@@ -438,7 +438,7 @@ class TestCriterion10LiveSmoke:
             },
             env={},
         )
-        backend = build_backend_from_config(config)
+        backend = build_backend(config.backend, config.scripts or None)
         health = backend.health_check()
         if health.status != "ok":
             pytest.skip(f"no live endpoint at {base_url}: {health.cause}")

@@ -26,15 +26,8 @@ from promptloop.roles import DEFAULT_SYSTEM_PROMPTS, ModelRole
 from promptloop.runstore import EventLog
 
 
-def candidate(cid="cand-0001", plan="Schritt eins. Schritt zwei.", score=None, round=1):
-    return PromptCandidate(
-        id=cid,
-        task_prompt="Aufgabe",
-        step_plan=plan,
-        origin="initial",
-        round=round,
-        score=score,
-    )
+def candidate(cid="cand-0001", plan="Schritt eins. Schritt zwei.", score=None):
+    return PromptCandidate(id=cid, step_plan=plan, origin="initial", score=score)
 
 
 class TestSplitMix64:
@@ -352,7 +345,7 @@ class TestRunRound:
                                          "mutation_budget": 0, "score_target": None,
                                          "mutation_trigger": "best-archive-full"})
         h.engine._generate_initial_plan()
-        sample = PromptCandidate("cand-0001", h.task, "Plan.", "initial", 1)
+        sample = PromptCandidate("cand-0001", "Plan.", "initial")
         from promptloop.engine import ScoredSample
 
         scored = ScoredSample("cand-0001", 0, "Ausgabe", 0.2, route="diagnostic")
@@ -535,7 +528,7 @@ class InFlightSession:
     the order in which requests arrive. Actor requests wait at a barrier of
     ``batch`` parties, which only a batch sent concurrently passes. The
     session records the most requests in flight at once, overall and as seen
-    by actor requests.
+    by actor requests, and the seed of each request per role, in arrival order.
     """
 
     def __init__(self, batch):
@@ -545,14 +538,17 @@ class InFlightSession:
         self.peak = 0
         self.actor_peak = 0
         self.actor_requests = 0
+        self.seeds = {role: [] for role in ModelRole}
 
     def get(self, url, timeout=None):
         return FakeResponse({"models": [{"name": "llama3.1:latest"},
                                         {"name": "jina-embeddings-v2-base-de:latest"}]})
 
     def post(self, url, json=None, timeout=None):
-        is_actor = json["messages"][0]["content"] == DEFAULT_SYSTEM_PROMPTS[ModelRole.ACTOR]
+        role = ROLE_OF_SYSTEM_PROMPT[json["messages"][0]["content"]]
+        is_actor = role is ModelRole.ACTOR
         with self.lock:
+            self.seeds[role].append(json["options"]["seed"])
             self.in_flight += 1
             self.peak = max(self.peak, self.in_flight)
             if is_actor:
@@ -567,6 +563,9 @@ class InFlightSession:
         finally:
             with self.lock:
                 self.in_flight -= 1
+
+
+ROLE_OF_SYSTEM_PROMPT = {text: role for role, text in DEFAULT_SYSTEM_PROMPTS.items()}
 
 
 def _json_bytes(payload):
@@ -611,6 +610,68 @@ class TestConcurrentBatches:
         assert session.actor_peak == self.SAMPLES
         assert session.peak == self.SAMPLES
         assert _lines(first.log_path) == _lines(second.log_path)
+
+
+class TestPerCallSeeds:
+    """Each HTTP chat request carries a seed derived from its role and call
+    index. The stub's replies digest the request, seed included, so the
+    samples of a round differ and a resumed run must reproduce every seed."""
+
+    SAMPLES = 3
+    ENGINE = {"samples_per_round": SAMPLES, "best_capacity": 2, "worst_capacity": 2,
+              "max_rounds": 4, "mutation_budget": 2}
+
+    def run_over_http(self, h, log_path, resume=False):
+        session = InFlightSession(self.SAMPLES)
+        backend = HttpBackend(
+            BackendDescriptor(kind="http", base_url="http://stub", retry_backoff=0.0), session
+        )
+        if resume:
+            engine = Engine.resumed(backend, h.evaluator, h.config.engine, log_path,
+                                    h.config_digest, h.corpus_digest)
+            engine.resume()
+        else:
+            engine = Engine(backend, h.evaluator, h.config.engine, EventLog(log_path), h.task)
+            engine.run(h.manifest())
+        engine.log.close()
+        return session
+
+    def test_each_rounds_actor_samples_get_distinct_seeds(self, tmp_path):
+        h = make_harness(tmp_path, engine=self.ENGINE)
+        session = self.run_over_http(h, h.log_path)
+        actor = session.seeds[ModelRole.ACTOR]
+        assert len(actor) == len(events_by_kind(h.events(), "SampleScored"))
+        for start in range(0, len(actor), self.SAMPLES):
+            assert len(set(actor[start:start + self.SAMPLES])) == self.SAMPLES
+        texts = [e.payload["text"] for e in events_by_kind(h.events(), "SampleGenerated")]
+        assert len(set(texts[: self.SAMPLES])) == self.SAMPLES
+
+    def test_identical_runs_send_identical_seeds(self, tmp_path):
+        h = make_harness(tmp_path, engine=self.ENGINE)
+        first = self.run_over_http(h, h.log_path)
+        second = self.run_over_http(h, tmp_path / "second.jsonl")
+        for role in ModelRole:
+            assert sorted(first.seeds[role]) == sorted(second.seeds[role]), role
+        assert _lines(h.log_path)[1:] == _lines(tmp_path / "second.jsonl")[1:]
+
+    def test_resumed_run_sends_the_uninterrupted_seeds(self, tmp_path):
+        h = make_harness(tmp_path, engine=self.ENGINE)
+        full = self.run_over_http(h, h.log_path)
+        lines = _lines(h.log_path)
+        cut = next(
+            k for k, line in enumerate(lines)
+            if '"kind":"PromptRegenerated"' in line and json.loads(line)["payload"]["round"] == 1
+        )
+        cut_path = tmp_path / "cut.jsonl"
+        cut_path.write_text("\n".join(lines[: cut + 1]) + "\n", encoding="utf-8")
+        resumed = self.run_over_http(h, cut_path, resume=True)
+        assert resumed.seeds[ModelRole.ACTOR]
+        for role in ModelRole:
+            # batches go out one after another, so the calls after the cut are
+            # the last ones of each role in arrival order
+            tail = full.seeds[role][len(full.seeds[role]) - len(resumed.seeds[role]):]
+            assert sorted(resumed.seeds[role]) == sorted(tail), role
+        assert _lines(cut_path) == lines
 
 
 def _lines(path):

@@ -24,34 +24,41 @@ from promptloop.gateway import (
     ChatExchange,
     HttpBackend,
     MockBackend,
+    call_seed,
     fnv1a64,
 )
 from promptloop.roles import DEFAULT_ROLE_PARAMS, ModelRole, SamplingParams
 
 
-def exchange(role=ModelRole.ACTOR, text="Schreib einen Brief"):
-    return ChatExchange(role=role, system_prompt="sys", messages=(("user", text),))
+def exchange(role=ModelRole.ACTOR, text="Schreib einen Brief", index=0):
+    return ChatExchange(role=role, index=index, system_prompt="sys", messages=(("user", text),))
 
 
 PARAMS = DEFAULT_ROLE_PARAMS[ModelRole.ACTOR]
+
+#: Seeds of the first three prompting calls at base seed 42.
+GOLDEN_SEEDS = [292906096, 764168745, 1289699210]
 
 
 class TestChatExchange:
     def test_requires_messages(self):
         with pytest.raises(ValueError):
-            ChatExchange(role=ModelRole.ACTOR, system_prompt="", messages=())
+            ChatExchange(role=ModelRole.ACTOR, index=0, system_prompt="", messages=())
 
     def test_last_speaker_must_be_user(self):
         with pytest.raises(ValueError):
             ChatExchange(
                 role=ModelRole.ACTOR,
+                index=0,
                 system_prompt="",
                 messages=(("user", "a"), ("assistant", "b")),
             )
 
     def test_unknown_speaker_rejected(self):
         with pytest.raises(ValueError):
-            ChatExchange(role=ModelRole.ACTOR, system_prompt="", messages=(("system", "a"),))
+            ChatExchange(
+                role=ModelRole.ACTOR, index=0, system_prompt="", messages=(("system", "a"),)
+            )
 
 
 class TestMockChat:
@@ -72,7 +79,7 @@ class TestMockChat:
         backend = MockBackend(BackendDescriptor(), {ModelRole.ACTOR: [FAILURE_MARKER, "ok"]})
         with pytest.raises(BackendUnavailableError):
             backend.chat(exchange(), PARAMS)
-        assert backend.chat(exchange(), PARAMS) == "ok"
+        assert backend.chat(exchange(index=1), PARAMS) == "ok"
 
     def test_empty_completion_raises(self):
         backend = MockBackend(BackendDescriptor(), {ModelRole.ACTOR: [""]})
@@ -86,33 +93,48 @@ class TestMockChat:
 
     def test_chat_many_runs_in_index_order(self):
         backend = MockBackend(BackendDescriptor(), {ModelRole.ACTOR: ["a", "b"]})
-        calls = [(exchange(text=f"call {i}"), PARAMS) for i in range(3)]
+        calls = [(exchange(text=f"call {i}", index=i), PARAMS) for i in range(3)]
         assert backend.chat_many(calls) == ["a", "b", "ECHO: call 2"]
 
-    def test_failed_batch_consumes_every_call(self):
-        # a resumed run skips a failed batch's replies by its call count, so
-        # the batch must pop one reply per call even after the first failure
+    def test_reply_is_the_script_item_at_the_index(self):
+        # a resumed run starts at each role's logged call count, so the reply
+        # to index i must not depend on the calls before it, failed or not
         backend = MockBackend(
-            BackendDescriptor(), {ModelRole.ACTOR: ["a", FAILURE_MARKER, "", "d", "e"]}
+            BackendDescriptor(), {ModelRole.ACTOR: ["a", FAILURE_MARKER, "", "d"]}
         )
         with pytest.raises(BackendUnavailableError):
-            backend.chat_many([(exchange(), PARAMS)] * 4)
-        assert len(backend.calls) == 4
-        assert backend.remaining(ModelRole.ACTOR) == 1
+            backend.chat_many([(exchange(index=i), PARAMS) for i in range(4)])
+        assert len(backend.calls) == 2  # a mock batch stops at its first failure
+        assert backend.chat(exchange(index=3), PARAMS) == "d"
+        assert backend.chat(exchange(index=0), PARAMS) == "a"
+        assert backend.chat(exchange(index=4), PARAMS) == "ECHO: Schreib einen Brief"
+        fresh = MockBackend(BackendDescriptor(), {ModelRole.ACTOR: ["a", FAILURE_MARKER, "", "d"]})
+        assert fresh.chat(exchange(index=3), PARAMS) == "d"
+
+    def test_failed_batch_consumes_every_call(self):
+        # a resumed run goes on at the failed batch's end, so the call after
+        # it gets the reply at its index however far the batch got
+        script = ["a", FAILURE_MARKER, "", "d", "e"]
+        backend = MockBackend(BackendDescriptor(), {ModelRole.ACTOR: script})
+        with pytest.raises(BackendUnavailableError):
+            backend.chat_many([(exchange(index=i), PARAMS) for i in range(4)])
+        assert backend.chat(exchange(index=4), PARAMS) == "e"
+        fresh = MockBackend(BackendDescriptor(), {ModelRole.ACTOR: script})
+        assert fresh.chat(exchange(index=4), PARAMS) == "e"
+
+    def test_advance_skips_consumed_items(self):
+        # a call at index i skips the i script items before it
+        backend = MockBackend(BackendDescriptor(), {ModelRole.ACTOR: ["a", "b", "c"]})
+        assert backend.chat(exchange(index=2), PARAMS) == "c"
+        assert backend.chat(exchange(index=7), PARAMS).startswith("ECHO: ")  # past the end
 
     def test_repeat_calls_deterministic(self):
         first = MockBackend(BackendDescriptor(), {ModelRole.ACTOR: ["a", "b"]})
         second = MockBackend(BackendDescriptor(), {ModelRole.ACTOR: ["a", "b"]})
-        seq1 = [first.chat(exchange(), PARAMS) for _ in range(3)]
-        seq2 = [second.chat(exchange(), PARAMS) for _ in range(3)]
+        seq1 = [first.chat(exchange(index=i), PARAMS) for i in range(3)]
+        seq2 = [second.chat(exchange(index=i), PARAMS) for i in range(3)]
         assert seq1 == seq2 == ["a", "b", "ECHO: Schreib einen Brief"]
-
-    def test_advance_skips_consumed_items(self):
-        backend = MockBackend(BackendDescriptor(), {ModelRole.ACTOR: ["a", "b", "c"]})
-        backend.advance(ModelRole.ACTOR, 2)
-        assert backend.chat(exchange(), PARAMS) == "c"
-        backend.advance(ModelRole.ACTOR, 5)  # over-advance past the end is a no-op
-        assert backend.chat(exchange(), PARAMS).startswith("ECHO: ")
+        assert first.chat(exchange(index=1), PARAMS) == "b"
 
 
 class TestMockEmbedding:
@@ -209,17 +231,34 @@ def http_descriptor(**overrides):
     return BackendDescriptor(**defaults)
 
 
+class TestCallSeed:
+    def test_golden_values(self):
+        # fixed literals: the seed must not depend on the process (no hash())
+        assert [call_seed(42, ModelRole.PROMPTING, i) for i in range(3)] == GOLDEN_SEEDS
+
+    def test_seeds_are_31_bit_and_distinct_per_call(self):
+        seeds = {
+            call_seed(base, role, index)
+            for base in (0, 42, 2**40)
+            for role in ModelRole
+            for index in range(50)
+        }
+        assert len(seeds) == 3 * len(ModelRole) * 50
+        assert all(0 <= seed < 2**31 for seed in seeds)
+
+
 class TestHttpChat:
     def test_request_body_carries_role_options(self):
         session = FakeSession([FakeResponse({"message": {"content": "Plan"}})])
         backend = HttpBackend(http_descriptor(), session)
         params = DEFAULT_ROLE_PARAMS[ModelRole.PROMPTING]
-        out = backend.chat(exchange(role=ModelRole.PROMPTING, text="Aufgabe"), params)
+        out = backend.chat(exchange(role=ModelRole.PROMPTING, text="Aufgabe", index=3), params)
         assert out == "Plan"
         request = session.requests[0]
         assert request["url"].endswith("/api/chat")
         body = request["json"]
-        assert body["options"] == {"temperature": 0.5, "top_k": 40, "top_p": 0.85, "seed": 42}
+        seed = call_seed(42, ModelRole.PROMPTING, 3)
+        assert body["options"] == {"temperature": 0.5, "top_k": 40, "top_p": 0.85, "seed": seed}
         assert body["model"] == "llama3.1"
         assert body["stream"] is False
         assert body["messages"][0] == {"role": "system", "content": "sys"}

@@ -4,10 +4,26 @@ from pathlib import Path
 
 import pytest
 
-from conftest import FIXED_CREATED_AT, FakeEvaluator, events_by_kind, make_harness, scripted_plans
+from conftest import (
+    FIXED_CREATED_AT,
+    FakeEvaluator,
+    OneShotFault,
+    events_by_kind,
+    make_harness,
+    scripted_plans,
+)
+from promptloop.config import config_digest, corpus_digest, resolve_config, run_id_for
+from promptloop.demo import DEMO_CONFIG_DOC, DEMO_CORPUS, DEMO_TASK_PROMPT, run_demo
 from promptloop.engine import Engine
-from promptloop.errors import DigestMismatchError, LogError
-from promptloop.gateway import FAILURE_MARKER
+from promptloop.errors import (
+    BackendUnavailableError,
+    DigestMismatchError,
+    LogError,
+    ProtocolError,
+    RunAbortedError,
+)
+from promptloop.gateway import FAILURE_MARKER, MockBackend
+from promptloop.pipeline import resume_optimization
 from promptloop.roles import ModelRole
 from promptloop.runstore import (
     EventLog,
@@ -18,6 +34,7 @@ from promptloop.runstore import (
     replay_log,
     summarize_log,
 )
+from promptloop.scoring import CorpusEvaluator, EmbeddingCache, embed_corpus
 
 
 def manifest():
@@ -517,6 +534,76 @@ class TestResumeFromEveryCut:
         events = full.count("\n") - 1
         assert refused == 2
         assert resumed == 3 * events - 1 - refused
+
+
+def demo_config(tmp_path):
+    return resolve_config(dict(DEMO_CONFIG_DOC, output_dir=os.fspath(tmp_path / "unused")), env={})
+
+
+def demo_fault_run(config, log_path, op="chat", at=None, error=BackendUnavailableError):
+    """Run the demo scenario over a OneShotFault of its scripted mock, armed
+    once the corpus is embedded. Returns the fault proxy and whether the run
+    aborted."""
+    fault = OneShotFault(MockBackend(config.backend, config.scripts), op, None, error)
+    cache = EmbeddingCache(fault)
+    corpus = embed_corpus(list(DEMO_CORPUS), cache)
+    fault.counts["embed"] = 0
+    fault.at = at
+    config_dig, corpus_dig = config_digest(config), corpus_digest(corpus.documents)
+    manifest = build_manifest(
+        run_id_for(config_dig, corpus_dig, DEMO_TASK_PROMPT), config_dig, corpus_dig,
+        {"kind": "mock"}, created_at=FIXED_CREATED_AT,
+    )
+    engine = Engine(
+        fault, CorpusEvaluator(corpus, cache), config.engine, EventLog(log_path), DEMO_TASK_PROMPT
+    )
+    try:
+        engine.run(manifest)
+    except RunAbortedError:
+        return fault, True
+    finally:
+        engine.log.close()
+    return fault, False
+
+
+def event_lines(path):
+    with open(path, encoding="utf-8") as handle:
+        return handle.read().splitlines()[1:]
+
+
+class TestBackendFaultSweep:
+    """One backend fault after each backend call of the demo, in turn. A fault
+    in the feedback loop aborts the run, and resuming gives the uninterrupted
+    run's events; a fault in the mutation phase costs its step only."""
+
+    @pytest.mark.parametrize(
+        "op, error, calls, aborting",
+        [
+            ("chat", BackendUnavailableError, 25, 19),
+            ("chat", ProtocolError, 25, 19),
+            ("embed", BackendUnavailableError, 9, 6),
+        ],
+    )
+    def test_fault_after_every_call(self, tmp_path, op, error, calls, aborting):
+        _, full_path = run_demo(tmp_path / "full")
+        full = event_lines(full_path)
+        config = demo_config(tmp_path)
+        fault, aborted = demo_fault_run(config, tmp_path / "clean.jsonl")
+        assert not aborted and fault.counts[op] == calls
+        assert event_lines(tmp_path / "clean.jsonl") == full
+        for at in range(1, calls + 1):
+            path = tmp_path / f"{op}-{at}.jsonl"
+            _, aborted = demo_fault_run(config, path, op, at, error)
+            events = read_log(path)[1]
+            if at <= aborting:
+                assert aborted, at
+                assert events[-1].kind == "BackendFailure", at
+                resume_optimization(config, path, corpus_texts=DEMO_CORPUS)
+                assert event_lines(path) == full, at
+            else:
+                assert not aborted, at
+                assert len(events_by_kind(events, "BackendFailure")) == 1, at
+                assert events[-1].kind == "RunFinished", at
 
 
 class TestResumeInPlace:
