@@ -53,6 +53,18 @@ def main() -> None:
     """Data-free iterative prompt optimization against a reference corpus."""
 
 
+def _write_whole(path: str, document: str) -> None:
+    """Replace ``path`` with ``document`` via a temp file, so a failed write keeps the old file."""
+    temp_path = path + ".tmp"
+    try:
+        with open(temp_path, "w", encoding="utf-8") as handle:
+            handle.write(document)
+        os.replace(temp_path, path)
+    finally:
+        if os.path.exists(temp_path):
+            os.remove(temp_path)
+
+
 def _print_result(result: OptimizationResult, log_path: str, report_path: str) -> None:
     click.echo(f"log: {log_path}")
     click.echo(f"report: {report_path}")
@@ -103,8 +115,7 @@ def cmd_optimize(config_path, prompt_text, prompt_file, resume_path) -> None:
         else:
             result = run_optimization(config, prompt_text)
         report_path = os.path.splitext(result.log_path)[0] + ".report.json"
-        with open(report_path, "w", encoding="utf-8") as handle:
-            handle.write(emit_report(result.log_path, "json"))
+        _write_whole(report_path, emit_report(result.log_path, "json"))
         _print_result(result, result.log_path, report_path)
     except _CONFIG_ERRORS as exc:
         _fail(EXIT_CONFIG, str(exc))
@@ -167,8 +178,7 @@ def cmd_report(log_path, format_, output_path) -> None:
     if output_path is None:
         click.echo(document, nl=False)
     else:
-        with open(output_path, "w", encoding="utf-8") as handle:
-            handle.write(document)
+        _write_whole(output_path, document)
         click.echo(f"report written to {output_path}")
 
 

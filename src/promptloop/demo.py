@@ -95,14 +95,6 @@ DEMO_CONFIG_DOC = {
 }
 
 
-def write_demo_corpus(path) -> None:
-    import json
-
-    with open(path, "w", encoding="utf-8") as handle:
-        for text in DEMO_CORPUS:
-            handle.write(json.dumps({"text": text}, ensure_ascii=False) + "\n")
-
-
 def run_demo(output_dir) -> tuple[OptimizationResult, str]:
     """Run the bundled scenario into ``output_dir``; returns the result and
     the log path."""

@@ -2,15 +2,15 @@
 
 The corpus score of a candidate text is the arithmetic mean of the cosine
 similarities between the candidate's embedding and every corpus document's
-embedding. Means are computed exactly (statistics.mean averages rationals),
-so the score is independent of corpus document order down to the last bit.
+embedding. Since mean_i cos(c, d_i) = (c / |c|) . mean_i(d_i / |d_i|), the
+corpus keeps that mean unit vector (its centroid), built once, and a score is
+one dot product. Each centroid component sums its column in sorted order, so
+the score is independent of corpus document order down to the last bit.
 """
 
 from __future__ import annotations
 
 import json
-import statistics
-import threading
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -42,14 +42,13 @@ def cosine(u, v) -> float:
 class EmbeddingCache:
     """Memoizes backend embeddings by exact text.
 
-    Safe for concurrent readers; inserts are serialized. A hit returns the
-    same vector a fresh embed of the same text would.
+    Not thread-safe: embedding and scoring run on the engine thread only. A
+    hit returns the same vector a fresh embed of the same text would.
     """
 
     def __init__(self, backend) -> None:
         self._backend = backend
         self._vectors: dict[str, np.ndarray] = {}
-        self._lock = threading.Lock()
 
     def embed_one(self, text: str) -> np.ndarray:
         return self.embed_many([text])[0]
@@ -57,19 +56,13 @@ class EmbeddingCache:
     def embed_many(self, texts: Sequence[str]) -> list[np.ndarray]:
         """Vectors of ``texts``, in input order. The texts not cached yet go
         to the backend as one request, each text once, in first-seen order."""
-        with self._lock:
-            misses = list(dict.fromkeys(t for t in texts if t not in self._vectors))
+        misses = list(dict.fromkeys(t for t in texts if t not in self._vectors))
         if misses:
-            vectors = self._backend.embed(misses)
-            with self._lock:
-                for text, vector in zip(misses, vectors):
-                    self._vectors.setdefault(text, vector)
-        with self._lock:
-            return [self._vectors[t] for t in texts]
+            self._vectors.update(zip(misses, self._backend.embed(misses)))
+        return [self._vectors[t] for t in texts]
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._vectors)
+        return len(self._vectors)
 
 
 @dataclass
@@ -78,23 +71,25 @@ class ReferenceCorpus:
 
     documents: list[str]
     embeddings: list[np.ndarray] = field(repr=False)
+    #: Mean of the documents' unit vectors, one sorted column sum per component.
+    centroid: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.documents:
             raise CorpusError("corpus is empty")
         if len(self.documents) != len(self.embeddings):
-            raise CorpusError(
-                f"{len(self.documents)} documents but {len(self.embeddings)} embeddings"
-            )
+            raise CorpusError(f"{len(self.documents)} documents but {len(self.embeddings)} embeddings")
         dims = {e.shape for e in self.embeddings}
         if len(dims) != 1:
             raise DimensionMismatchError(f"corpus embeddings disagree on dimension: {sorted(dims)}")
-        for i, emb in enumerate(self.embeddings):
-            if float(np.linalg.norm(emb)) == 0.0:
-                raise DegenerateInputError(f"corpus document {i} embeds to the zero vector")
-
-    def __len__(self) -> int:
-        return len(self.documents)
+        vectors = np.array(self.embeddings, dtype=np.float64)
+        norms = np.linalg.norm(vectors, axis=1, keepdims=True)
+        if not norms.all():
+            raise DegenerateInputError(f"corpus document {np.argmin(norms)} embeds to the zero vector")
+        vectors /= norms
+        columns = vectors.T.copy()  # one contiguous row per component, so the sort is fast
+        columns.sort()
+        self.centroid = columns.sum(axis=1) / len(vectors)
 
 
 def load_corpus(path, cache: EmbeddingCache, max_documents: int | None = None) -> ReferenceCorpus:
@@ -141,13 +136,16 @@ def embed_corpus(documents: list[str], cache: EmbeddingCache) -> ReferenceCorpus
 
 
 def corpus_score(candidate_text: str, corpus: ReferenceCorpus, cache: EmbeddingCache) -> float:
-    """Mean cosine similarity between the candidate and every corpus document."""
+    """Mean cosine similarity to the corpus: the candidate's unit vector dot the centroid."""
     if not candidate_text:
         raise DegenerateInputError("candidate text is empty")
     candidate = cache.embed_one(candidate_text)
-    if float(np.linalg.norm(candidate)) == 0.0:
+    norm = float(np.linalg.norm(candidate))
+    if norm == 0.0:
         raise DegenerateInputError("candidate text embeds to the zero vector")
-    return statistics.mean(cosine(candidate, emb) for emb in corpus.embeddings)
+    if candidate.shape != corpus.centroid.shape:
+        raise DimensionMismatchError(f"candidate {candidate.shape} vs corpus {corpus.centroid.shape}")
+    return max(-1.0, min(1.0, float(np.dot(candidate, corpus.centroid)) / norm))
 
 
 class CorpusEvaluator:

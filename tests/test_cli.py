@@ -6,7 +6,10 @@ import pytest
 from click.testing import CliRunner
 
 from conftest import write_config_file, write_corpus_file
+from promptloop import cli
 from promptloop.cli import main
+from promptloop.errors import LogError
+from promptloop.runstore import emit_report
 
 CORPUS = [
     "Der Patient ist kardial stabil. Die Entlassung erfolgt morgen.",
@@ -49,6 +52,26 @@ class TestOptimize:
         assert any(name.endswith(".report.json") for name in runs)
         assert "best score:" in result.output
         assert "best prompt:" in result.output
+
+    def test_failed_report_keeps_the_previous_report(self, runner, tmp_path, monkeypatch):
+        config = small_config(tmp_path)
+        command = ["optimize", config, "--prompt", "Schreibe einen Arztbrief"]
+        assert runner.invoke(main, command).exit_code == 0
+        runs_dir = os.path.join(tmp_path, "runs")
+        [log] = [os.path.join(runs_dir, n) for n in os.listdir(runs_dir) if n.endswith(".jsonl")]
+        report = Path(log[: -len(".jsonl")] + ".report.json")
+        before = report.read_bytes()
+        assert before == emit_report(log, "json").encode("utf-8")
+
+        def tampered(*args, **kwargs):
+            raise LogError("log tampered")
+
+        monkeypatch.setattr(cli, "emit_report", tampered)
+        result = runner.invoke(main, command)
+        assert result.exit_code == 2
+        assert "log tampered" in result.stderr
+        assert report.read_bytes() == before
+        assert sorted(os.listdir(runs_dir)) == sorted([os.path.basename(log), report.name])
 
     def test_both_prompt_sources_is_usage_error(self, runner, tmp_path):
         config = small_config(tmp_path)

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -23,6 +24,18 @@ from promptloop.scoring import (
 # against the pure-"aa" candidate "aaa" (norms 5, 5, and 2).
 DOC_COS_08 = "aaaaabbaba"
 DOC_COS_06 = "aaaabcbcbaba"
+
+
+def generated_documents(count, seed):
+    """``count`` distinct short clinical sentences drawn from a fixed seed."""
+    rng = random.Random(seed)
+    words = ["Patient", "Befund", "stabil", "Entlassung", "Medikation", "morgen", "kardial",
+             "unverändert", "Kontrolle", "Labor", "Blutdruck", "Therapie", "Verlauf", "Aufnahme"]
+    return [f"Dokument {i}: " + " ".join(rng.choices(words, k=rng.randint(3, 9))) + "."
+            for i in range(count)]
+
+
+GENERATED_DOCUMENTS = generated_documents(120, seed=7)
 
 
 def component_vectors(dim):
@@ -125,6 +138,33 @@ class TestCorpusScore:
         base = corpus_score("Der Befund.", make_corpus(cache, texts), cache)
         permuted = corpus_score("Der Befund.", make_corpus(cache, [texts[i] for i in order]), cache)
         assert permuted == base
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.permutations(list(range(len(GENERATED_DOCUMENTS)))))
+    def test_permutation_invariance_large_corpus(self, order):
+        cache = EmbeddingCache(MockBackend(BackendDescriptor()))
+        texts = GENERATED_DOCUMENTS
+        assert len(texts) == 120 and len(set(texts)) == 120
+        base = make_corpus(cache, texts)
+        permuted = make_corpus(cache, [texts[i] for i in order])
+        for candidate in ("Der Befund.", "Die Medikation wird fortgeführt.", "zzzz"):
+            assert corpus_score(candidate, permuted, cache) == corpus_score(candidate, base, cache)
+
+    def test_large_corpus_matches_oracle(self):
+        cache = EmbeddingCache(MockBackend(BackendDescriptor(mock_embedding_dim=128)))
+        documents = generated_documents(200, seed=11)
+        corpus = make_corpus(cache, documents)
+        assert corpus.centroid.shape == (128,)
+        for candidate in ("Der Befund.", "Die Medikation wird fortgeführt.", "Entlassung morgen früh."):
+            expected = corpus_score_ref(candidate, documents, dim=128)
+            assert corpus_score(candidate, corpus, cache) == pytest.approx(expected, abs=1e-12)
+
+    def test_candidate_dimension_must_match_corpus(self):
+        corpus_cache = EmbeddingCache(MockBackend(BackendDescriptor(mock_embedding_dim=8)))
+        corpus = make_corpus(corpus_cache, ["Der Patient.", "Die Entlassung."])
+        candidate_cache = EmbeddingCache(MockBackend(BackendDescriptor(mock_embedding_dim=64)))
+        with pytest.raises(DimensionMismatchError):
+            corpus_score("Der Befund.", corpus, candidate_cache)
 
     def test_cache_transparency(self, mock_backend):
         texts = ["Der Patient.", "Die Entlassung."]
