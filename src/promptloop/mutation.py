@@ -8,6 +8,7 @@ split — a documented limitation accepted for reproducibility.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -16,7 +17,11 @@ from .errors import BACKEND_ERRORS, DegenerateInputError, EmptyResponseError, Mu
 from .roles import ModelRole
 from .state import ArchiveEntry, Picks, SplitMix64, round_mean
 
-_TERMINATORS = ".!?"
+#: A terminator and the whitespace after it. For str patterns ``\s`` is
+#: exactly ``str.isspace``; the test on the character that follows stays in
+#: Python, because ``\d`` and ``[A-Z]`` disagree with ``str.isdigit`` and
+#: ``str.isupper`` on characters such as "²", "Ⅷ" and "Ü".
+_BOUNDARY = re.compile(r"[.!?]\s+")
 
 
 @dataclass(frozen=True)
@@ -38,24 +43,14 @@ def segment_sentences(text: str) -> SentenceSegmentation:
     if not stripped:
         raise DegenerateInputError("cannot segment whitespace-only text")
     sentences: list[str] = []
-    buffer: list[str] = []
-    i = 0
-    n = len(stripped)
-    while i < n:
-        char = stripped[i]
-        buffer.append(char)
-        i += 1
-        if char in _TERMINATORS:
-            j = i
-            while j < n and stripped[j].isspace():
-                j += 1
-            if j > i and j < n and (stripped[j].isupper() or stripped[j].isdigit()):
-                sentences.append("".join(buffer).strip())
-                buffer = []
-                i = j
-    tail = "".join(buffer).strip()
-    if tail:
-        sentences.append(tail)
+    start = 0
+    for match in _BOUNDARY.finditer(stripped):
+        # The stripped text never ends in whitespace, so a character follows.
+        following = stripped[match.end()]
+        if following.isupper() or following.isdigit():
+            sentences.append(stripped[start : match.start() + 1])
+            start = match.end()
+    sentences.append(stripped[start:])
     return SentenceSegmentation(sentences=tuple(sentences))
 
 

@@ -12,12 +12,13 @@ rejected rather than replayed.
 from __future__ import annotations
 
 import bisect
-import statistics
+import sys
 from dataclasses import dataclass, field, replace
 
 from .errors import LogError
 
 _MASK64 = (1 << 64) - 1
+_FLOAT_MAX = sys.float_info.max
 
 #: Event kinds at which the state is durably consistent: replay restores the
 #: state as of the latest one, and an aborted round rolls back to it.
@@ -65,8 +66,21 @@ class SplitMix64:
 
 
 def round_mean(scores) -> float:
-    """Exact arithmetic mean of the given scores."""
-    return statistics.mean(scores)
+    """Exact arithmetic mean of finite int or float scores, rounded once.
+
+    Every ratio's denominator is a power of two, so the largest one is a
+    common denominator; the exact sum over it divided by the count in one
+    int / int true division (correctly rounded) gives the float
+    ``statistics.mean`` gives, without its Fractions.
+    """
+    ratios = [score.as_integer_ratio() for score in scores]
+    if not ratios:
+        raise ValueError("round_mean requires at least one score")
+    denominator = max([d for _, d in ratios])
+    total = 0
+    for numerator, d in ratios:
+        total += numerator * (denominator // d)
+    return total / (denominator * len(ratios))
 
 
 @dataclass(frozen=True)
@@ -266,7 +280,13 @@ def apply(state: EngineState, event, picks: Picks | None = None) -> None:
         ):
             raise LogError(f"event {event.seq}: the round does not run the current prompt")
     elif kind == "SampleScored":
-        state.scores.append(payload["score"])
+        score = payload["score"]
+        # A bool is an int, NaN fails the comparison, and an int is finite
+        # only within float range.
+        number = isinstance(score, (int, float)) and not isinstance(score, bool)
+        if not (number and abs(score) <= _FLOAT_MAX):
+            raise LogError(f"event {event.seq}: SampleScored score {score!r} is not a finite number")
+        state.scores.append(score)
     elif kind == "ThresholdUpdated":
         value = payload["value"]
         _check_mean(event, state.scores, value)

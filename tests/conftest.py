@@ -4,6 +4,7 @@ from dataclasses import dataclass
 
 import pytest
 import requests
+from hypothesis import settings
 
 from promptloop.config import (
     CliConfig,
@@ -26,6 +27,11 @@ CORPUS_TEXTS = [
 ]
 
 FIXED_CREATED_AT = "2026-01-01T00:00:00+00:00"
+
+#: Many more examples for the equivalence properties of the sentence splitter
+#: and the round mean (``--hypothesis-profile=kernels``); the default profile
+#: is unchanged.
+settings.register_profile("kernels", max_examples=20_000, deadline=None)
 
 
 @pytest.fixture

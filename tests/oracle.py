@@ -1,8 +1,8 @@
 """Independent reference implementations used as test oracles.
 
-Nothing here imports from promptloop: hashing, embedding, cosine, and archive
-selection are re-derived from their definitions so the tests check the
-package against genuinely separate code.
+Nothing here imports from promptloop: hashing, embedding, cosine, archive
+selection and sentence segmentation are re-derived from their definitions so
+the tests check the package against genuinely separate code.
 """
 
 import math
@@ -59,3 +59,37 @@ def bottom_k_ref(stream, k):
     indexed = list(enumerate(stream))
     ranked = sorted(indexed, key=lambda pair: (pair[1], pair[0]))
     return ranked[:k]
+
+
+_TERMINATORS = ".!?"
+
+
+def segment_ref(text: str) -> tuple[str, ...]:
+    """Sentence split, one character at a time: a sentence ends at '.', '!'
+    or '?' followed by whitespace and an uppercase letter or digit.
+
+    Raises ValueError on whitespace-only text.
+    """
+    stripped = text.strip()
+    if not stripped:
+        raise ValueError("cannot segment whitespace-only text")
+    sentences: list[str] = []
+    buffer: list[str] = []
+    i = 0
+    n = len(stripped)
+    while i < n:
+        char = stripped[i]
+        buffer.append(char)
+        i += 1
+        if char in _TERMINATORS:
+            j = i
+            while j < n and stripped[j].isspace():
+                j += 1
+            if j > i and j < n and (stripped[j].isupper() or stripped[j].isdigit()):
+                sentences.append("".join(buffer).strip())
+                buffer = []
+                i = j
+    tail = "".join(buffer).strip()
+    if tail:
+        sentences.append(tail)
+    return tuple(sentences)

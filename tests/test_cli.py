@@ -128,6 +128,24 @@ class TestOptimize:
         assert result.exit_code == 2
         assert "finished" in result.stderr
 
+    def test_resume_of_non_numeric_score_exits_two(self, runner, tmp_path):
+        config = small_config(tmp_path)
+        result = runner.invoke(main, ["optimize", config, "--prompt", "Aufgabe eins"])
+        assert result.exit_code == 0
+        runs_dir = os.path.join(tmp_path, "runs")
+        log = next(
+            os.path.join(runs_dir, n) for n in os.listdir(runs_dir) if n.endswith(".jsonl")
+        )
+        lines = Path(log).read_text(encoding="utf-8").splitlines()
+        scored = next(i for i, line in enumerate(lines) if '"SampleScored"' in line)
+        event = json.loads(lines[scored])
+        event["payload"]["score"] = "0.5x"
+        lines[scored] = json.dumps(event)
+        Path(log).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        result = runner.invoke(main, ["optimize", config, "--resume", log])
+        assert result.exit_code == 2, result.output + repr(result.exception)
+        assert f"event {event['seq']}: SampleScored score '0.5x'" in result.stderr
+
     def test_missing_corpus_file_is_config_error(self, runner, tmp_path):
         config = small_config(tmp_path, corpus_path=os.path.join(tmp_path, "nope.jsonl"))
         result = runner.invoke(main, ["optimize", config, "--prompt", "Aufgabe"])

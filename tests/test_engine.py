@@ -1,5 +1,7 @@
 import hashlib
 import json
+import math
+import statistics
 import threading
 
 import pytest
@@ -17,6 +19,7 @@ from promptloop.engine import (
     PromptCandidate,
     SplitMix64,
     check_transition,
+    round_mean,
     route_feedback,
     update_archives,
 )
@@ -52,6 +55,32 @@ class TestSplitMix64:
     def test_below_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             SplitMix64(1).below(0)
+
+
+#: Finite scores: any finite float, subnormals, signed zeros, magnitudes from
+#: about 1e-300 to 1, and ints.
+MEAN_INPUTS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.builds(math.ldexp, st.integers(-(2**52), 2**52), st.just(-1074)),
+    st.sampled_from([0.0, -0.0]),
+    st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-996, 0)),
+    st.integers(-(10**9), 10**9),
+)
+
+
+class TestRoundMean:
+    @given(st.lists(MEAN_INPUTS, min_size=1, max_size=64))
+    def test_matches_statistics_mean(self, scores):
+        # No @settings: CI runs this under the "kernels" profile, which a
+        # max_examples here would override.
+        expected = statistics.mean(scores)
+        mean = round_mean(scores)
+        assert mean == expected
+        assert math.copysign(1.0, mean) == math.copysign(1.0, expected)
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError):
+            round_mean([])
 
 
 class TestRouteFeedback:

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FakeEvaluator, events_by_kind, make_harness, scripted_plans
+from oracle import segment_ref
 from promptloop.engine import ArchiveEntry, EngineConfig, EngineState
 from promptloop.errors import DegenerateInputError, MutationRejectedError
 from promptloop.gateway import FAILURE_MARKER
@@ -20,6 +21,17 @@ from promptloop.roles import ModelRole
 
 def normalize_ws(text):
     return re.sub(r"\s+", " ", text).strip()
+
+
+#: Terminators; ASCII and Unicode whitespace; upper- and title-case letters;
+#: digit-likes that ``\d`` or ``str.isdigit`` disagree on; lower case.
+SEGMENT_ALPHABET = (
+    list(".!?")
+    + list(" \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u3000")
+    + list("AZÜǅ")
+    + list("7²٣Ⅷ")
+    + list("aü")
+)
 
 
 class TestSegmentation:
@@ -83,6 +95,18 @@ class TestSegmentation:
         seg = segment_sentences(text)
         assert all(s.strip() == s and s for s in seg.sentences)
         assert normalize_ws(seg.join()) == normalize_ws(text)
+
+    @given(st.text(alphabet=st.sampled_from(SEGMENT_ALPHABET), max_size=60))
+    def test_matches_reference(self, text):
+        # No @settings: CI runs this under the "kernels" profile, which a
+        # max_examples here would override.
+        if text.strip():
+            assert segment_sentences(text).sentences == segment_ref(text)
+        else:
+            with pytest.raises(ValueError):
+                segment_ref(text)
+            with pytest.raises(DegenerateInputError):
+                segment_sentences(text)
 
     def test_roundtrip_over_corpus_texts(self):
         from conftest import CORPUS_TEXTS

@@ -255,6 +255,19 @@ TAMPERS = {
         e for e in events
         if not (e["kind"] == "PhaseTransition" and e["payload"]["to"] == "mutation")
     ],
+    **{
+        f"sample-score-{name}": _edit_first(_kind("SampleScored"), lambda p, v=value: p.update(score=v))
+        for name, value in {
+            "string": "0.5x",
+            "null": None,
+            "list": [1],
+            "bool": True,
+            "nan": float("nan"),
+            "infinity": float("inf"),
+            "minus-infinity": float("-inf"),
+            "int-beyond-float-range": 10**400,
+        }.items()
+    },
 }
 
 
