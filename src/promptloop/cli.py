@@ -1,7 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 success, 2 invalid config or input, 3 backend unavailable,
-4 run aborted mid-flight (the event log is kept and resumable).
+Exit codes: 0 success, 2 invalid config or input, 3 backend unavailable or
+answering malformed replies, 4 run aborted mid-flight (the event log is kept
+and resumable).
 """
 
 from __future__ import annotations
@@ -20,11 +21,9 @@ from .engine import OptimizationResult
 from .errors import (
     BackendUnavailableError,
     ConfigError,
-    CorpusError,
-    DegenerateInputError,
-    DimensionMismatchError,
-    LogError,
+    EmptyResponseError,
     PromptloopError,
+    ProtocolError,
     RunAbortedError,
 )
 from .pipeline import build_runtime, resume_optimization, run_optimization
@@ -34,21 +33,26 @@ EXIT_CONFIG = 2
 EXIT_BACKEND = 3
 EXIT_ABORTED = 4
 
-_CONFIG_ERRORS = (
-    ConfigError,
-    CorpusError,
-    DegenerateInputError,
-    DimensionMismatchError,
-    LogError,
-)
+
+class _Commands(click.Group):
+    """Turns a PromptloopError from any command into its exit code: an
+    aborted run 4, a backend that is down or answers malformed replies 3,
+    and any other error (config, corpus, input, log) 2."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except RunAbortedError as exc:
+            code, message = EXIT_ABORTED, f"{exc} (log retained for --resume)"
+        except (BackendUnavailableError, ProtocolError, EmptyResponseError) as exc:
+            code, message = EXIT_BACKEND, str(exc)
+        except PromptloopError as exc:
+            code, message = EXIT_CONFIG, str(exc)
+        click.echo(f"error: {message}", err=True)
+        sys.exit(code)
 
 
-def _fail(code: int, message: str) -> None:
-    click.echo(f"error: {message}", err=True)
-    sys.exit(code)
-
-
-@click.group()
+@click.group(cls=_Commands)
 def main() -> None:
     """Data-free iterative prompt optimization against a reference corpus."""
 
@@ -104,25 +108,16 @@ def cmd_optimize(config_path, prompt_text, prompt_file, resume_path) -> None:
         with open(prompt_file, encoding="utf-8") as handle:
             prompt_text = handle.read().strip()
     if prompt_text is not None and not prompt_text.strip():
-        _fail(EXIT_CONFIG, "the task prompt is empty")
+        raise ConfigError("the task prompt is empty")
 
-    try:
-        config = load_config(config_path)
-        if resume_path is not None:
-            result = resume_optimization(
-                config, resume_path, expected_task_prompt=prompt_text
-            )
-        else:
-            result = run_optimization(config, prompt_text)
-        report_path = os.path.splitext(result.log_path)[0] + ".report.json"
-        _write_whole(report_path, emit_report(result.log_path, "json"))
-        _print_result(result, result.log_path, report_path)
-    except _CONFIG_ERRORS as exc:
-        _fail(EXIT_CONFIG, str(exc))
-    except BackendUnavailableError as exc:
-        _fail(EXIT_BACKEND, str(exc))
-    except RunAbortedError as exc:
-        _fail(EXIT_ABORTED, f"{exc} (log retained for --resume)")
+    config = load_config(config_path)
+    if resume_path is not None:
+        result = resume_optimization(config, resume_path, expected_task_prompt=prompt_text)
+    else:
+        result = run_optimization(config, prompt_text)
+    report_path = os.path.splitext(result.log_path)[0] + ".report.json"
+    _write_whole(report_path, emit_report(result.log_path, "json"))
+    _print_result(result, result.log_path, report_path)
 
 
 @main.command("score")
@@ -137,25 +132,17 @@ def cmd_optimize(config_path, prompt_text, prompt_file, resume_path) -> None:
 )
 def cmd_score(config_path, text, corpus_path) -> None:
     """Score one text against the reference corpus and print the value."""
-    try:
-        config = load_config(config_path)
-        if corpus_path is not None:
-            config = dataclasses.replace(config, corpus_path=corpus_path)
-        click.echo(repr(build_runtime(config).evaluator.score(text)))
-    except _CONFIG_ERRORS as exc:
-        _fail(EXIT_CONFIG, str(exc))
-    except BackendUnavailableError as exc:
-        _fail(EXIT_BACKEND, str(exc))
+    config = load_config(config_path)
+    if corpus_path is not None:
+        config = dataclasses.replace(config, corpus_path=corpus_path)
+    click.echo(repr(build_runtime(config).evaluator.score(text)))
 
 
 @main.command("validate-config")
 @click.argument("config_path", type=click.Path(exists=True, dir_okay=False))
 def cmd_validate_config(config_path) -> None:
     """Validate a config file and print its fully resolved form."""
-    try:
-        config = load_config(config_path)
-    except _CONFIG_ERRORS as exc:
-        _fail(EXIT_CONFIG, str(exc))
+    config = load_config(config_path)
     click.echo(json.dumps(normalize_config(config), indent=2, sort_keys=True, ensure_ascii=False))
 
 
@@ -171,10 +158,7 @@ def cmd_validate_config(config_path) -> None:
 @click.option("--output", "output_path", type=click.Path(dir_okay=False), default=None)
 def cmd_report(log_path, format_, output_path) -> None:
     """Render a score/threshold trajectory report from a run log."""
-    try:
-        document = emit_report(log_path, format_)
-    except PromptloopError as exc:
-        _fail(EXIT_CONFIG, str(exc))
+    document = emit_report(log_path, format_)
     if output_path is None:
         click.echo(document, nl=False)
     else:
@@ -194,10 +178,7 @@ def cmd_demo(output_dir) -> None:
     """Run the bundled offline scenario and print its score trajectory."""
     if output_dir is None:
         output_dir = tempfile.mkdtemp(prefix="promptloop-demo-")
-    try:
-        result, log_path = demo_mod.run_demo(output_dir)
-    except PromptloopError as exc:
-        _fail(EXIT_CONFIG, str(exc))
+    result, log_path = demo_mod.run_demo(output_dir)
     summary = json.loads(emit_report(log_path, "json"))
     click.echo("round  mean score           best so far")
     for row in summary["rounds"]:

@@ -24,10 +24,10 @@ from .roles import (
 from .state import (  # noqa: F401  (the state types are importable from here too)
     ArchiveEntry,
     EngineState,
-    Fold,
     PromptArchive,
     PromptCandidate,
     SplitMix64,
+    apply,
     round_mean,
     update_archives,
 )
@@ -144,16 +144,12 @@ class Engine:
         self.config = config
         self.log = log
         self.task_prompt = task_prompt
-        self.fold = Fold(EngineState.initial(config))
+        self.state = EngineState.initial(config.seed, config.best_capacity, config.worst_capacity)
         self.chat_calls: dict[str, int] = {role.value: 0 for role in ModelRole}
-
-    @property
-    def state(self) -> EngineState:
-        return self.fold.state
 
     def record(self, kind: str, payload: dict, picks=None) -> None:
         """Log one event, then apply it to the run state."""
-        self.fold.apply(self.log.emit(kind, payload), picks)
+        apply(self.state, self.log.emit(kind, payload), picks)
 
     # ------------------------------------------------------------------ chat
 
@@ -229,17 +225,18 @@ class Engine:
     def run_round(self) -> None:
         """Execute one feedback round atomically.
 
-        Any backend failure rolls the state back to the round's start (the
-        latest commit event), logs a BackendFailure event, and aborts the run
-        (the log stays resumable).
+        Any backend failure rolls the state back to the round's start (a
+        commit point), logs a BackendFailure event, and aborts the run (the
+        log stays resumable).
         """
         if self.state.phase != "feedback_loop":
             raise RunAbortedError(f"cannot run a round in phase {self.state.phase!r}")
         round_no = self.state.round + 1
+        committed = self.state.clone()
         try:
             self._run_round_inner(round_no)
         except BACKEND_ERRORS as exc:
-            self.fold.rollback()
+            self.state = committed
             self.record(
                 "BackendFailure",
                 {"phase": "feedback_loop", "round": round_no, "message": str(exc)},
@@ -381,22 +378,15 @@ class Engine:
         if report.status != "ok":
             raise BackendUnavailableError(f"backend unavailable: {report.cause}")
         self.log.start(manifest)
-        self.record(
-            "RunStarted",
-            {
-                "run_id": manifest["run_id"],
-                "task_prompt": self.task_prompt,
-                "seed": self.config.seed,
-                "samples_per_round": self.config.samples_per_round,
-                "max_rounds": self.config.max_rounds,
-                "best_capacity": self.config.best_capacity,
-                "worst_capacity": self.config.worst_capacity,
-                "mutation_budget": self.config.mutation_budget,
-                "score_target": self.config.score_target,
-                "mutation_trigger": self.config.mutation_trigger,
-            },
-        )
+        self.record("RunStarted", self._run_started(manifest["run_id"]))
         return self._drive()
+
+    def _run_started(self, run_id: str) -> dict:
+        """The RunStarted payload of this engine's config and task prompt."""
+        fields = ("seed", "samples_per_round", "max_rounds", "best_capacity", "worst_capacity",
+                  "mutation_budget", "score_target", "mutation_trigger")
+        payload = {name: getattr(self.config, name) for name in fields}
+        return {"run_id": run_id, "task_prompt": self.task_prompt, **payload}
 
     @classmethod
     def resumed(
@@ -408,13 +398,13 @@ class Engine:
         config_digest: str,
         corpus_digest: str,
     ) -> "Engine":
-        """Rebuild an engine from a log: verify digests, replay to the last
-        commit point, cut off any uncommitted tail, and continue each role's
+        """Rebuild an engine from a log: replay it to the last commit point,
+        verify the digests and that the log's RunStarted is the one this
+        config writes, cut off any uncommitted tail, and continue each role's
         call count from the commit."""
-        result = runstore.replay_log(log_path, config)
+        result = runstore.replay_log(log_path)
         runstore.check_digests(result.manifest, config_digest, corpus_digest)
-        if result.finished:
-            raise LogError(f"run {result.manifest['run_id']} is already finished")
+        run_id = result.manifest["run_id"]
         engine = cls(
             gateway,
             evaluator,
@@ -422,7 +412,11 @@ class Engine:
             runstore.EventLog(log_path),
             result.state.task_prompt,
         )
-        engine.fold = Fold(result.state)
+        if result.run_started != engine._run_started(run_id):
+            raise LogError(f"run {run_id}: the log's RunStarted differs from the one this config writes")
+        if result.finished:
+            raise LogError(f"run {run_id} is already finished")
+        engine.state = result.state
         engine.chat_calls.update(result.state.chat_calls)
         engine.log.resume_at(result.committed_seq)
         return engine

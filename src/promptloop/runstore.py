@@ -16,7 +16,7 @@ from datetime import datetime, timezone
 
 from .errors import DigestMismatchError, LogError
 from .mutation import draw_picks
-from .state import MUTATION_KINDS, EngineState, Fold
+from .state import COMMIT_KINDS, MUTATION_KINDS, EngineState, apply, check_payload
 
 ARTIFACT_VERSION = "0.1.0"
 
@@ -46,7 +46,7 @@ def canonical_json(value) -> str:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RunEvent:
     seq: int
     ts: int
@@ -66,9 +66,29 @@ class RunEvent:
             event = cls(seq=raw["seq"], ts=raw["ts"], kind=raw["kind"], payload=raw["payload"])
         except (KeyError, TypeError) as exc:
             raise LogError(f"event line missing fields: {line[:80]!r}") from exc
-        if event.kind not in EVENT_KINDS:
-            raise LogError(f"unknown event kind {event.kind!r}")
         return event
+
+
+def check_next(last: RunEvent | None, event: RunEvent) -> None:
+    """The log's order rule, for writer and reader alike: ``event`` may follow
+    ``last`` (None at the start) only if its seq is the next one and equals
+    its ts, RunStarted is first and only first, nothing follows RunFinished,
+    and its kind is known and its payload an object."""
+    if last is not None and last.kind == "RunFinished":
+        raise LogError(f"event {event.seq}: nothing may follow RunFinished")
+    expected = last.seq + 1 if last is not None else 1
+    if event.seq != expected:
+        raise LogError(f"sequence gap: expected {expected}, got {event.seq}")
+    if event.ts != event.seq:
+        raise LogError(f"event {event.seq}: ts {event.ts!r} must equal its sequence number")
+    if event.kind not in EVENT_KINDS:
+        raise LogError(f"event {event.seq}: unknown event kind {event.kind!r}")
+    if last is None and event.kind != "RunStarted":
+        raise LogError("first event must be RunStarted")
+    if last is not None and event.kind == "RunStarted":
+        raise LogError(f"event {event.seq}: duplicate RunStarted")
+    if type(event.payload) is not dict:
+        raise LogError(f"event {event.seq}: {event.kind} payload is not an object")
 
 
 def build_manifest(
@@ -96,17 +116,14 @@ class EventLog:
     ``start`` creates the file with the manifest line, replacing an earlier
     log only if that run finished; ``emit`` appends the
     next event and flushes before returning, so the engine never advances past
-    an unwritten event. Appends are validated: sequence numbers must be
-    contiguous from 1, the first event must be RunStarted, and nothing may
-    follow RunFinished.
+    an unwritten event. Each append must pass :func:`check_next` after the
+    last event written.
     """
 
     def __init__(self, path) -> None:
         self.path = os.fspath(path)
         self._handle = None
-        self._last_seq = 0
-        self._finished = False
-        self._started = False
+        self._last: RunEvent | None = None
 
     def start(self, manifest: dict) -> None:
         if self._handle is not None:
@@ -138,40 +155,22 @@ class EventLog:
         if not line.endswith(b"\n"):
             self._handle.write("\n")
             self._handle.flush()
-        self._last_seq = keep_seq
-        self._started = keep_seq > 0
-        last = RunEvent.from_line(line.decode("utf-8")) if self._started else None
-        self._finished = last is not None and last.kind == "RunFinished"
+        self._last = RunEvent.from_line(line.decode("utf-8")) if keep_seq > 0 else None
 
     def append(self, event: RunEvent) -> None:
         if self._handle is None:
             raise LogError("log is not open")
-        if self._finished:
-            raise LogError("cannot append after RunFinished")
-        if event.seq != self._last_seq + 1:
-            raise LogError(
-                f"sequence gap: expected {self._last_seq + 1}, got {event.seq}"
-            )
-        if event.ts != event.seq:
-            raise LogError("event ts must equal its sequence number")
-        if not self._started and event.kind != "RunStarted":
-            raise LogError("first event must be RunStarted")
-        if self._started and event.kind == "RunStarted":
-            raise LogError("duplicate RunStarted")
-        if event.kind not in EVENT_KINDS:
-            raise LogError(f"unknown event kind {event.kind!r}")
+        check_next(self._last, event)
         try:
             self._handle.write(event.to_line() + "\n")
             self._handle.flush()
         except OSError as exc:
             raise LogError(f"cannot append to {self.path}: {exc}") from exc
-        self._last_seq = event.seq
-        self._started = True
-        if event.kind == "RunFinished":
-            self._finished = True
+        self._last = event
 
     def emit(self, kind: str, payload: dict) -> RunEvent:
-        event = RunEvent(seq=self._last_seq + 1, ts=self._last_seq + 1, kind=kind, payload=payload)
+        seq = self._last.seq + 1 if self._last is not None else 1
+        event = RunEvent(seq=seq, ts=seq, kind=kind, payload=payload)
         self.append(event)
         return event
 
@@ -203,7 +202,8 @@ def read_log(path) -> tuple[dict, list[RunEvent]]:
     """Parse a log file into (manifest, events).
 
     A half-written final line (the classic crash artifact) is dropped; corrupt
-    lines anywhere else raise. Sequence contiguity is enforced.
+    lines anywhere else raise, and so does an event that breaks
+    :func:`check_next`.
     """
     try:
         with open(path, encoding="utf-8") as handle:
@@ -221,6 +221,7 @@ def read_log(path) -> tuple[dict, list[RunEvent]]:
     if not isinstance(manifest, dict) or "run_id" not in manifest:
         raise LogError("first line is not a run manifest")
     events: list[RunEvent] = []
+    last = None
     for i, line in enumerate(lines[1:], start=2):
         try:
             event = RunEvent.from_line(line)
@@ -228,16 +229,9 @@ def read_log(path) -> tuple[dict, list[RunEvent]]:
             if i == len(lines):
                 break  # trailing partial write
             raise
-        expected = events[-1].seq + 1 if events else 1
-        if event.seq != expected:
-            raise LogError(f"sequence gap at line {i}: expected {expected}, got {event.seq}")
+        check_next(last, event)
         events.append(event)
-    if events:
-        if events[0].kind != "RunStarted":
-            raise LogError("first event must be RunStarted")
-        for event in events[:-1]:
-            if event.kind == "RunFinished":
-                raise LogError("events found after RunFinished")
+        last = event
     return manifest, events
 
 
@@ -246,34 +240,44 @@ class ReplayResult:
     """Engine state as of the last commit event of a log."""
 
     manifest: dict
+    run_started: dict
     state: EngineState
     committed_seq: int
     finished: bool
 
 
-def replay_log(path, engine_config) -> ReplayResult:
+def replay_log(path) -> ReplayResult:
     """Fold a log through the engine's own transition function
     (:func:`promptloop.state.apply`) into the state at its last commit point.
 
-    Each mutation step's RNG picks are drawn again and must equal the logged
-    ones; ``apply`` checks every other value the log repeats, so a tampered
-    or corrupt log is rejected rather than replayed.
+    The fold starts from the seed and archive capacities the log's
+    RunStarted records, so it needs nothing but the log. Each mutation
+    step's RNG picks are drawn again and must equal the logged ones;
+    ``apply`` checks every other value the log repeats, so a tampered or
+    corrupt log is rejected rather than replayed.
     """
     manifest, events = read_log(path)
     if not events:
         raise LogError(f"log {path} has a manifest but no events")
-    fold = Fold(EngineState.initial(engine_config))
+    started = check_payload(events[0])
+    if min(started["best_capacity"], started["worst_capacity"]) < 1:
+        raise LogError("event 1: RunStarted archive capacities must be >= 1")
+    state = EngineState.initial(started["seed"], started["best_capacity"], started["worst_capacity"])
+    committed_seq = next(e.seq for e in reversed(events) if e.kind in COMMIT_KINDS)
     for event in events:
         picks = None
         if event.kind in MUTATION_KINDS:
-            if not fold.state.best.entries:
+            if not state.best.entries:
                 raise LogError(f"event {event.seq}: mutation step before any archived prompt")
-            picks = draw_picks(fold.state)[0]
-        fold.apply(event, picks)
+            picks = draw_picks(state)[0]
+        apply(state, event, picks)
+        if event.seq == committed_seq:
+            committed = state.clone()
     return ReplayResult(
         manifest=manifest,
-        state=fold.committed,
-        committed_seq=fold.committed_seq,
+        run_started=started,
+        state=committed,
+        committed_seq=committed_seq,
         finished=events[-1].kind == "RunFinished",
     )
 
@@ -292,7 +296,8 @@ def check_digests(manifest: dict, config_digest: str, corpus_digest: str) -> Non
 
 
 def summarize_log(path) -> dict:
-    """Project a log into the report structure."""
+    """Project a log into the report structure, without folding it; every
+    payload must still pass :func:`promptloop.state.check_payload`."""
     manifest, events = read_log(path)
     if not events:
         raise LogError(f"log {path} has no events to report on")
@@ -304,12 +309,14 @@ def summarize_log(path) -> dict:
     threshold: float | None = None
     best_max: float | None = None
     for event in events:
-        payload = event.payload
+        payload = check_payload(event)
+        if event.kind in ("ArchivesUpdated", "MutationApplied"):
+            # The best archive's top entry: only a strictly higher score displaces it.
+            best_max = payload["score"] if best_max is None else max(best_max, payload["score"])
         if event.kind == "ThresholdUpdated":
             threshold = payload["value"]
             threshold_trajectory.append(threshold)
         elif event.kind == "ArchivesUpdated":
-            best_max = payload["best"][0]["score"] if payload["best"] else None
             rounds.append(
                 {
                     "round": payload["round"],
@@ -321,7 +328,6 @@ def summarize_log(path) -> dict:
             )
         elif event.kind == "MutationApplied":
             mutations_applied += 1
-            best_max = payload["best"][0]["score"] if payload["best"] else best_max
         elif event.kind == "MutationRejected":
             mutations_rejected += 1
         elif event.kind == "RunFinished":

@@ -224,11 +224,11 @@ class EngineState:
     scores: list[float] = field(default_factory=list)
 
     @classmethod
-    def initial(cls, config) -> "EngineState":
+    def initial(cls, seed: int, best_capacity: int, worst_capacity: int) -> "EngineState":
         return cls(
-            best=PromptArchive(config.best_capacity, keep="best"),
-            worst=PromptArchive(config.worst_capacity, keep="worst"),
-            rng=SplitMix64(config.seed),
+            best=PromptArchive(best_capacity, keep="best"),
+            worst=PromptArchive(worst_capacity, keep="worst"),
+            rng=SplitMix64(seed),
         )
 
     def clone(self) -> "EngineState":
@@ -251,6 +251,40 @@ _PHASE_OF = {
 }
 
 
+_INT, _NUMBER, _TEXT, _LIST, _NONE = (int,), (int, float), (str,), (list,), (type(None),)
+
+#: The payload fields the fold or the report reads, by event kind, with the
+#: exact types each may hold (so a bool is not a number).
+PAYLOAD_FIELDS = {
+    "RunStarted": {"task_prompt": _TEXT, "seed": _INT, "best_capacity": _INT, "worst_capacity": _INT},
+    "RoundStarted": {"candidate_id": _TEXT, "step_plan": _TEXT},
+    "SampleScored": {"score": _NUMBER},
+    "ThresholdUpdated": {"value": _NUMBER},
+    "ArchivesUpdated": {"round": _INT, "candidate_id": _TEXT, "score": _NUMBER, "best": _LIST, "worst": _LIST},
+    "PromptRegenerated": {"round": _INT, "candidate_id": _TEXT, "step_plan": _TEXT, "origin": _TEXT},
+    "PhaseTransition": {"to": _TEXT},
+    "MutationApplied": {"step": _INT, "candidate_id": _TEXT, "step_plan": _TEXT, "score": _NUMBER, "best": _LIST},
+    "MutationRejected": {"step": _INT},
+    "RunFinished": {
+        "best_candidate_id": _TEXT + _NONE, "best_score": _NUMBER + _NONE, "best_step_plan": _TEXT + _NONE
+    },
+}
+
+
+def check_payload(event) -> dict:
+    """Return the event's payload once each field :data:`PAYLOAD_FIELDS`
+    lists for its kind is present with one of its types."""
+    payload = event.payload
+    for key, types in PAYLOAD_FIELDS.get(event.kind, {}).items():
+        if key not in payload:
+            raise LogError(f"event {event.seq}: {event.kind} payload has no {key!r}")
+        value = payload[key]
+        if type(value) not in types:
+            expected = " or ".join(t.__name__ for t in types)
+            raise LogError(f"event {event.seq}: {event.kind} {key} {value!r} is not {expected}")
+    return payload
+
+
 def _check_mean(event, scores: list[float], value: float) -> None:
     if not scores or value != round_mean(scores):
         raise LogError(
@@ -266,7 +300,7 @@ def apply(state: EngineState, event, picks: Picks | None = None) -> None:
     Events that only carry text (samples, feedback, summaries, failures)
     leave the state as it is.
     """
-    kind, payload = event.kind, event.payload
+    kind, payload = event.kind, check_payload(event)
     expected = payload.get("from") if kind == "PhaseTransition" else _PHASE_OF.get(kind, state.phase)
     if expected != state.phase:
         raise LogError(f"event {event.seq}: {kind} in phase {state.phase!r}, expected {expected!r}")
@@ -281,10 +315,8 @@ def apply(state: EngineState, event, picks: Picks | None = None) -> None:
             raise LogError(f"event {event.seq}: the round does not run the current prompt")
     elif kind == "SampleScored":
         score = payload["score"]
-        # A bool is an int, NaN fails the comparison, and an int is finite
-        # only within float range.
-        number = isinstance(score, (int, float)) and not isinstance(score, bool)
-        if not (number and abs(score) <= _FLOAT_MAX):
+        # NaN fails the comparison, and an int is finite only within float range.
+        if not abs(score) <= _FLOAT_MAX:
             raise LogError(f"event {event.seq}: SampleScored score {score!r} is not a finite number")
         state.scores.append(score)
     elif kind == "ThresholdUpdated":
@@ -335,25 +367,7 @@ def apply(state: EngineState, event, picks: Picks | None = None) -> None:
     if kind in COMMIT_KINDS:
         state.scores = []
         if "chat_calls" in payload:
-            state.chat_calls = dict(payload["chat_calls"])
-
-
-class Fold:
-    """A run state folded from events, and a copy of it as of the latest
-    commit event: the state a resumed run restarts from and the state an
-    aborted round rolls back to."""
-
-    def __init__(self, state: EngineState) -> None:
-        self.state = state
-        self.committed = state.clone()
-        self.committed_seq = 0
-
-    def apply(self, event, picks: Picks | None = None) -> None:
-        apply(self.state, event, picks)
-        if event.kind in COMMIT_KINDS:
-            self.committed = self.state.clone()
-            self.committed_seq = event.seq
-
-    def rollback(self) -> None:
-        """Drop every change made since the latest commit event."""
-        self.state = self.committed.clone()
+            calls = payload["chat_calls"]
+            if type(calls) is not dict or any(type(n) is not int for n in calls.values()):
+                raise LogError(f"event {event.seq}: {kind} chat_calls {calls!r} is not a count per role")
+            state.chat_calls = dict(calls)

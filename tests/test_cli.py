@@ -146,6 +146,44 @@ class TestOptimize:
         assert result.exit_code == 2, result.output + repr(result.exception)
         assert f"event {event['seq']}: SampleScored score '0.5x'" in result.stderr
 
+    def test_missing_score_exits_two_on_resume_and_report(self, runner, tmp_path):
+        config = small_config(tmp_path)
+        assert runner.invoke(main, ["optimize", config, "--prompt", "Aufgabe eins"]).exit_code == 0
+        runs_dir = os.path.join(tmp_path, "runs")
+        log = next(
+            os.path.join(runs_dir, n) for n in os.listdir(runs_dir) if n.endswith(".jsonl")
+        )
+        lines = Path(log).read_text(encoding="utf-8").splitlines()[:-1]  # unfinished
+        scored = next(i for i, line in enumerate(lines) if '"SampleScored"' in line)
+        event = json.loads(lines[scored])
+        del event["payload"]["score"]
+        lines[scored] = json.dumps(event)
+        Path(log).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        expected = f"event {event['seq']}: SampleScored payload has no 'score'"
+        for command in (["optimize", config, "--resume", log], ["report", log]):
+            result = runner.invoke(main, command)
+            assert result.exit_code == 2, result.output + repr(result.exception)
+            assert expected in result.stderr
+
+    def test_malformed_embed_reply_during_setup_exits_three(self, runner, tmp_path, monkeypatch):
+        import requests
+
+        class OneRowReply:
+            status_code = 200
+
+            def raise_for_status(self):
+                pass
+
+            def json(self):
+                return {"embeddings": [[1.0, 0.0]]}
+
+        monkeypatch.setattr(requests.Session, "post", lambda self, url, **kwargs: OneRowReply())
+        config = small_config(tmp_path, backend={"kind": "http", "base_url": "http://localhost:1"})
+        for command in (["optimize", config, "--prompt", "Aufgabe"], ["score", config, "--text", "x"]):
+            result = runner.invoke(main, command)
+            assert result.exit_code == 3, result.output + repr(result.exception)
+            assert "expected 2 embeddings, got 1" in result.stderr
+
     def test_missing_corpus_file_is_config_error(self, runner, tmp_path):
         config = small_config(tmp_path, corpus_path=os.path.join(tmp_path, "nope.jsonl"))
         result = runner.invoke(main, ["optimize", config, "--prompt", "Aufgabe"])

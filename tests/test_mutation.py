@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import FakeEvaluator, events_by_kind, make_harness, scripted_plans
 from oracle import segment_ref
-from promptloop.engine import ArchiveEntry, EngineConfig, EngineState
+from promptloop.engine import ArchiveEntry, EngineState
 from promptloop.errors import DegenerateInputError, MutationRejectedError
 from promptloop.gateway import FAILURE_MARKER
 from promptloop.mutation import (
@@ -130,7 +130,7 @@ def chat_with_script(rewrites):
 def mutate(plan, seed, rewrites):
     """One mutation step on a one-entry archive holding ``plan``: the picks,
     rewrite and splice of run_mutation_phase, with a scripted mutator."""
-    state = EngineState.initial(EngineConfig(best_capacity=1, seed=seed))
+    state = EngineState.initial(seed, best_capacity=1, worst_capacity=5)
     state.best.offer(ArchiveEntry("cand-0003", plan, 0.5, 1))
     picks, segmentation = draw_picks(state)
     sentence = segmentation.sentences[picks.sentence_index]

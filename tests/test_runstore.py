@@ -185,6 +185,20 @@ class TestReadLog:
         with pytest.raises(LogError):
             read_log(path)
 
+    def test_timestamp_other_than_seq_rejected(self, tmp_path):
+        log = started_log(tmp_path)
+        log.emit("RunStarted", {})
+        log.emit("RoundStarted", {})
+        log.emit("RunFinished", {})
+        log.close()
+        lines = open(log.path).read().splitlines()
+        event = json.loads(lines[2])
+        event["ts"] = 7
+        lines[2] = json.dumps(event)
+        open(log.path, "w").write("\n".join(lines) + "\n")
+        with pytest.raises(LogError, match="ts 7"):
+            read_log(log.path)
+
 
 def finished_run(tmp_path, name="run", max_rounds=5, budget=2, caps=(3, 3)):
     scripts = {
@@ -268,6 +282,10 @@ TAMPERS = {
             "int-beyond-float-range": 10**400,
         }.items()
     },
+    "sample-score-missing": _edit_first(_kind("SampleScored"), lambda p: p.pop("score")),
+    "payload-not-object": lambda events: [
+        {**e, "payload": []} if e["kind"] == "SampleScored" else e for e in events
+    ],
 }
 
 
@@ -319,7 +337,7 @@ class TestResume:
         partial = os.path.join(tmp_path, "partial.jsonl")
         with open(partial, "w", encoding="utf-8") as handle:
             handle.write("\n".join(lines[: cut + 3]) + "\n")
-        replay = replay_log(partial, h.config.engine)
+        replay = replay_log(partial)
         assert replay.state.round == 2
         assert replay.state.current.id == "cand-0003"
         assert replay.committed_seq == json.loads(lines[cut])["seq"]
@@ -379,7 +397,7 @@ class TestResume:
 
     def test_replay_matches_live_final_state(self, tmp_path):
         h, result = finished_run(tmp_path, name="live")
-        replay = replay_log(h.log_path, h.config.engine)
+        replay = replay_log(h.log_path)
         live = h.engine.state
         assert replay.finished
         assert replay.state.round == live.round
@@ -403,7 +421,7 @@ class TestResume:
             name="tamper",
         )
         h.run()
-        replay_log(h.log_path, h.config.engine)
+        replay_log(h.log_path)
         lines = open(h.log_path).read().splitlines()
         events = TAMPERS[tamper]([json.loads(line) for line in lines[1:]])
         for seq, event in enumerate(events, start=1):
@@ -411,7 +429,7 @@ class TestResume:
         body = [json.dumps(e, sort_keys=True, ensure_ascii=False, separators=(",", ":")) for e in events]
         open(h.log_path, "w").write("\n".join([lines[0]] + body) + "\n")
         with pytest.raises(LogError):
-            replay_log(h.log_path, h.config.engine)
+            replay_log(h.log_path)
 
 
     def _rewritten(self, tmp_path, edit):
@@ -440,14 +458,25 @@ class TestResume:
             if not (e["kind"] == "ThresholdUpdated" and e["payload"]["round"] == 2)
         ])
         with pytest.raises(LogError, match="threshold update is missing"):
-            replay_log(h.log_path, h.config.engine)
+            replay_log(h.log_path)
+
+    def test_second_run_started_detected(self, tmp_path):
+        def insert(events):
+            at = next(i for i, e in enumerate(events) if e["kind"] == "PromptRegenerated") + 1
+            injected = json.loads(json.dumps(events[0]))
+            injected["payload"]["task_prompt"] = "Eine andere Aufgabe"
+            return events[:at] + [injected] + events[at:]
+
+        h = self._rewritten(tmp_path, insert)
+        with pytest.raises(LogError, match="duplicate RunStarted"):
+            replay_log(h.log_path)
 
     def test_mutation_step_before_any_archived_prompt_detected(self, tmp_path):
         h = self._rewritten(tmp_path, lambda events: [
             events[0], next(e for e in events if e["kind"] == "MutationRejected")
         ])
         with pytest.raises(LogError, match="before any archived prompt"):
-            replay_log(h.log_path, h.config.engine)
+            replay_log(h.log_path)
 
 
 def make_fresh_backend(tmp_path):
@@ -549,8 +578,40 @@ class TestResumeFromEveryCut:
         assert resumed == 3 * events - 1 - refused
 
 
-def demo_config(tmp_path):
-    return resolve_config(dict(DEMO_CONFIG_DOC, output_dir=os.fspath(tmp_path / "unused")), env={})
+def demo_config(tmp_path, **engine):
+    doc = dict(DEMO_CONFIG_DOC, output_dir=os.fspath(tmp_path / "unused"))
+    doc["engine"] = {**doc["engine"], **engine}
+    return resolve_config(doc, env={})
+
+
+class TestResumeChecksTheRunStarted:
+    """Replay reads the seed and capacities from the log, so a config that
+    disagrees with the log fails as a config mismatch, not as a bad log."""
+
+    def cut_demo(self, tmp_path, **started):
+        """The demo log without its RunFinished line, its RunStarted payload
+        updated with ``started``."""
+        _, path = run_demo(tmp_path / "demo")
+        lines = Path(path).read_text(encoding="utf-8").splitlines()[:-1]
+        event = json.loads(lines[1])
+        event["payload"].update(started)
+        lines[1] = json.dumps(event, ensure_ascii=False)
+        cut = tmp_path / "cut.jsonl"
+        cut.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return cut
+
+    @pytest.mark.parametrize("changed", [{"seed": 43}, {"best_capacity": 2}])
+    def test_changed_config_is_a_config_digest_mismatch(self, tmp_path, changed):
+        cut = self.cut_demo(tmp_path)
+        with pytest.raises(DigestMismatchError, match="config digest"):
+            resume_optimization(demo_config(tmp_path, **changed), cut, corpus_texts=DEMO_CORPUS)
+
+    def test_run_started_unlike_the_config_rejected(self, tmp_path):
+        cut = self.cut_demo(tmp_path, samples_per_round=3)
+        before = cut.read_bytes()
+        with pytest.raises(LogError, match="RunStarted"):
+            resume_optimization(demo_config(tmp_path), cut, corpus_texts=DEMO_CORPUS)
+        assert cut.read_bytes() == before
 
 
 def demo_fault_run(config, log_path, op="chat", at=None, error=BackendUnavailableError):
