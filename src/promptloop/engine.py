@@ -9,7 +9,7 @@ Once the best archive is full the run switches to the guided mutation phase.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from . import mutation, runstore, templates
 from .errors import BACKEND_ERRORS, BackendUnavailableError, ConfigError, LogError, RunAbortedError
@@ -291,19 +291,7 @@ class Engine:
                 {"round": round_no, "previous": state.threshold, "value": mean},
             )
 
-        scored = replace(candidate, score=mean)
-        arrival = state.arrival_counter + 1
-        best, worst = update_archives(state.best.clone(), state.worst.clone(), scored, arrival)
-        self.record(
-            "ArchivesUpdated",
-            {
-                "round": round_no,
-                "candidate_id": candidate.id,
-                "score": mean,
-                "best": best.snapshot(),
-                "worst": worst.snapshot(),
-            },
-        )
+        self.record("ArchivesUpdated", {"round": round_no, "candidate_id": candidate.id, "score": mean})
         next_plan = self.generate_step_plan(summary, state.best, state.worst)
         self._publish_plan(round_no, "refined", next_plan)
 
@@ -349,20 +337,9 @@ class Engine:
         if self.state.phase == "mutation":
             mutation.run_mutation_phase(self)
         state = self.state
-        best_entry = state.best.ranked()[0] if state.best.entries else None
-        self.record(
-            "RunFinished",
-            {
-                "best_candidate_id": best_entry.candidate_id if best_entry else None,
-                "best_score": best_entry.score if best_entry else None,
-                "best_step_plan": best_entry.step_plan if best_entry else None,
-                "rounds": state.round,
-                "mutations_applied": state.mutations_applied,
-                "mutations_rejected": state.mutations_rejected,
-            },
-        )
+        self.record("RunFinished", state.totals())
         return OptimizationResult(
-            best=best_entry,
+            best=state.best.entries[0] if state.best.entries else None,
             rounds_completed=state.round,
             mutations_applied=state.mutations_applied,
             mutations_rejected=state.mutations_rejected,
@@ -398,27 +375,27 @@ class Engine:
         config_digest: str,
         corpus_digest: str,
     ) -> "Engine":
-        """Rebuild an engine from a log: replay it to the last commit point,
-        verify the digests and that the log's RunStarted is the one this
-        config writes, cut off any uncommitted tail, and continue each role's
-        call count from the commit."""
-        result = runstore.replay_log(log_path)
-        runstore.check_digests(result.manifest, config_digest, corpus_digest)
-        run_id = result.manifest["run_id"]
-        engine = cls(
-            gateway,
-            evaluator,
-            config,
-            runstore.EventLog(log_path),
-            result.state.task_prompt,
-        )
-        if result.run_started != engine._run_started(run_id):
-            raise LogError(f"run {run_id}: the log's RunStarted differs from the one this config writes")
-        if result.finished:
-            raise LogError(f"run {run_id} is already finished")
-        engine.state = result.state
-        engine.chat_calls.update(result.state.chat_calls)
-        engine.log.resume_at(result.committed_seq)
+        """Rebuild an engine from a log: lock it, replay it to the last commit
+        point, verify the digests and that the log's RunStarted is the one
+        this config writes, cut off any uncommitted tail, and continue each
+        role's call count from the commit."""
+        log = runstore.EventLog(log_path)
+        log.lock()
+        try:
+            result = runstore.replay_log(log_path)
+            runstore.check_digests(result.manifest, config_digest, corpus_digest)
+            run_id = result.manifest["run_id"]
+            engine = cls(gateway, evaluator, config, log, result.state.task_prompt)
+            if result.run_started != engine._run_started(run_id):
+                raise LogError(f"run {run_id}: the log's RunStarted differs from the one this config writes")
+            if result.finished:
+                raise LogError(f"run {run_id} is already finished")
+            engine.state = result.state
+            engine.chat_calls.update(result.state.chat_calls)
+            log.resume_at(result.committed_seq)
+        except BaseException:
+            log.close()
+            raise
         return engine
 
     def resume(self) -> OptimizationResult:

@@ -15,7 +15,7 @@ from typing import Callable
 from . import templates
 from .errors import BACKEND_ERRORS, DegenerateInputError, EmptyResponseError, MutationRejectedError
 from .roles import ModelRole
-from .state import ArchiveEntry, Picks, SplitMix64, round_mean
+from .state import Picks, SplitMix64, round_mean
 
 #: A terminator and the whitespace after it. For str patterns ``\s`` is
 #: exactly ``str.isspace``; the test on the character that follows stays in
@@ -132,10 +132,7 @@ def run_mutation_phase(engine) -> None:
             continue
 
         score = round_mean([sample.score for sample in samples])
-        best = state.best.clone()
-        inserted, evicted = best.offer(
-            ArchiveEntry(mutant_id, step_plan, score, state.arrival_counter + 1)
-        )
+        inserted, evicted = state.best.admits(score)
         if inserted:
             finish(
                 "MutationApplied",
@@ -146,7 +143,6 @@ def run_mutation_phase(engine) -> None:
                     "step_plan": step_plan,
                     "score": score,
                     "evicted_candidate_id": evicted.candidate_id if evicted else None,
-                    "best": best.snapshot(),
                 },
             )
         else:

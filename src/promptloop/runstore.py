@@ -9,16 +9,17 @@ number); wall-clock time appears only in the manifest.
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
-from .errors import DigestMismatchError, LogError
+from .errors import DegenerateInputError, DigestMismatchError, LogError
 from .mutation import draw_picks
 from .state import COMMIT_KINDS, MUTATION_KINDS, EngineState, apply, check_payload
 
-ARTIFACT_VERSION = "0.1.0"
+ARTIFACT_VERSION = "0.2.0"
 
 EVENT_KINDS = frozenset(
     {
@@ -72,16 +73,17 @@ class RunEvent:
 def check_next(last: RunEvent | None, event: RunEvent) -> None:
     """The log's order rule, for writer and reader alike: ``event`` may follow
     ``last`` (None at the start) only if its seq is the next one and equals
-    its ts, RunStarted is first and only first, nothing follows RunFinished,
-    and its kind is known and its payload an object."""
+    its ts (both ints, so not bools), RunStarted is first and only first,
+    nothing follows RunFinished, and its kind is known and its payload an
+    object."""
     if last is not None and last.kind == "RunFinished":
         raise LogError(f"event {event.seq}: nothing may follow RunFinished")
     expected = last.seq + 1 if last is not None else 1
-    if event.seq != expected:
-        raise LogError(f"sequence gap: expected {expected}, got {event.seq}")
-    if event.ts != event.seq:
+    if type(event.seq) is not int or event.seq != expected:
+        raise LogError(f"sequence gap: expected {expected}, got {event.seq!r}")
+    if type(event.ts) is not int or event.ts != event.seq:
         raise LogError(f"event {event.seq}: ts {event.ts!r} must equal its sequence number")
-    if event.kind not in EVENT_KINDS:
+    if type(event.kind) is not str or event.kind not in EVENT_KINDS:
         raise LogError(f"event {event.seq}: unknown event kind {event.kind!r}")
     if last is None and event.kind != "RunStarted":
         raise LogError("first event must be RunStarted")
@@ -113,11 +115,13 @@ def build_manifest(
 class EventLog:
     """Single-appender event log bound to one file path.
 
-    ``start`` creates the file with the manifest line, replacing an earlier
-    log only if that run finished; ``emit`` appends the
-    next event and flushes before returning, so the engine never advances past
-    an unwritten event. Each append must pass :func:`check_next` after the
-    last event written.
+    ``lock`` opens the file and takes an exclusive ``flock`` on it, so one
+    EventLog, in this process or another, appends to a file at a time; the
+    lock holds until :meth:`close`. ``start`` creates the file with the
+    manifest line, replacing an earlier log only if that run finished;
+    ``emit`` appends the next event and flushes before returning, so the
+    engine never advances past an unwritten event. Each append must pass
+    :func:`check_next` after the last event written.
     """
 
     def __init__(self, path) -> None:
@@ -125,33 +129,50 @@ class EventLog:
         self._handle = None
         self._last: RunEvent | None = None
 
-    def start(self, manifest: dict) -> None:
+    def lock(self, create: bool = False) -> None:
+        """Open the file for appending and take its lock; a missing file is
+        created only if ``create``. Refuses while another EventLog holds it."""
         if self._handle is not None:
             raise LogError("log already open")
-        if os.path.exists(self.path) and not _finished(self.path):
+        try:
+            fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | (os.O_CREAT if create else 0), 0o666)
+        except OSError as exc:
+            raise LogError(f"cannot open log {self.path}: {exc}") from exc
+        handle = open(fd, "a", encoding="utf-8", newline="\n")
+        try:
+            fcntl.flock(handle, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except OSError as exc:
+            handle.close()
+            raise LogError(f"{self.path} is being appended to by another run") from exc
+        self._handle = handle
+
+    def start(self, manifest: dict) -> None:
+        self.lock(create=True)
+        if os.fstat(self._handle.fileno()).st_size and not _finished(self.path):
+            self.close()
             raise LogError(
                 f"{self.path} holds an unfinished run; continue it with --resume,"
                 " or remove the file to start over"
             )
-        self._handle = open(self.path, "w", encoding="utf-8", newline="\n")
+        self._handle.truncate(0)
         self._handle.write(canonical_json(manifest) + "\n")
         self._handle.flush()
 
     def resume_at(self, keep_seq: int) -> None:
-        """Reopen the log for appending after event ``keep_seq``.
+        """Append after event ``keep_seq``. The caller holds the lock, taken
+        with :meth:`lock` before it read the log.
 
         Any later (uncommitted) lines are cut off in place with a truncate;
         the kept lines are never rewritten, so a crash here cannot lose them.
         A kept last line without its newline gets one.
         """
-        if self._handle is not None:
-            raise LogError("log already open")
+        if self._handle is None:
+            raise LogError("log is not locked")
         with open(self.path, "rb") as handle:
             for _ in range(keep_seq + 1):  # the manifest, then the kept events
                 line = handle.readline()
             end = handle.tell()
-        os.truncate(self.path, end)
-        self._handle = open(self.path, "a", encoding="utf-8", newline="\n")
+        self._handle.truncate(end)
         if not line.endswith(b"\n"):
             self._handle.write("\n")
             self._handle.flush()
@@ -269,7 +290,10 @@ def replay_log(path) -> ReplayResult:
         if event.kind in MUTATION_KINDS:
             if not state.best.entries:
                 raise LogError(f"event {event.seq}: mutation step before any archived prompt")
-            picks = draw_picks(state)[0]
+            try:
+                picks = draw_picks(state)[0]
+            except DegenerateInputError as exc:  # only a logged prompt can be blank
+                raise LogError(f"event {event.seq}: the picked prompt has no sentence") from exc
         apply(state, event, picks)
         if event.seq == committed_seq:
             committed = state.clone()
@@ -370,7 +394,7 @@ def emit_report(path, format: str = "json") -> str:
         lines.append(
             f"| {row['round']} | {row['mean_score']!r} | {row['threshold']!r} | {row['best_max']!r} |"
         )
-    if "best_step_plan" in summary:
+    if summary.get("best_step_plan") is not None:
         lines += [
             "",
             f"## Best prompt (score {summary['best_score']!r})",

@@ -3,10 +3,10 @@
 :func:`apply` takes the state and one logged event and moves the state on.
 The engine applies every event it emits, and replay folds a log through the
 same function, so a resumed run restarts from exactly the state the live run
-had. Events repeat values the engine derived (round means, archive
-snapshots, RNG picks); ``apply`` recomputes each one and raises
-:class:`LogError` when the event disagrees, so a tampered or corrupt log is
-rejected rather than replayed.
+had, and it is the only code that changes an archive. Events repeat values
+the engine derived (round means, RNG picks, the entry a mutant evicts);
+``apply`` recomputes each one and raises :class:`LogError` when the event
+disagrees, so a tampered or corrupt log is rejected rather than replayed.
 """
 
 from __future__ import annotations
@@ -131,31 +131,26 @@ class PromptArchive:
     def is_full(self) -> bool:
         return len(self.entries) >= self.capacity
 
-    def boundary_score(self) -> float | None:
-        """Worst retained score: the minimum for a best archive, the maximum
-        for a worst archive; None while empty."""
-        return self.entries[-1].score if self.entries else None
-
     def top_score(self) -> float | None:
         return self.entries[0].score if self.entries else None
 
+    def admits(self, score: float) -> tuple[bool, ArchiveEntry | None]:
+        """Whether an entry of this score would go in, and the entry it would
+        evict; the archive is left as it is."""
+        if not self.is_full:
+            return True, None
+        weakest = self.entries[-1]
+        improves = score > weakest.score if self.keep == "best" else score < weakest.score
+        return (True, weakest) if improves else (False, None)
+
     def offer(self, entry: ArchiveEntry) -> tuple[bool, ArchiveEntry | None]:
         """Insert the entry if it belongs; returns (inserted, evicted)."""
-        evicted = None
-        if self.is_full:
-            weakest = self.entries[-1]
-            improves = entry.score > weakest.score if self.keep == "best" else entry.score < weakest.score
-            if not improves:
-                return False, None
-            evicted = self.entries.pop()
-        bisect.insort(self.entries, entry, key=self._rank_key)
-        return True, evicted
-
-    def snapshot(self) -> list[dict]:
-        return [
-            {"candidate_id": e.candidate_id, "score": e.score, "arrival": e.arrival}
-            for e in self.entries
-        ]
+        inserted, evicted = self.admits(entry.score)
+        if evicted is not None:
+            self.entries.pop()
+        if inserted:
+            bisect.insort(self.entries, entry, key=self._rank_key)
+        return inserted, evicted
 
     def clone(self) -> "PromptArchive":
         copy = PromptArchive(self.capacity, self.keep)
@@ -231,6 +226,19 @@ class EngineState:
             rng=SplitMix64(seed),
         )
 
+    def totals(self) -> dict:
+        """What RunFinished records: the best archive's top prompt and the
+        run's counts."""
+        best = self.best.entries[0] if self.best.entries else None
+        return {
+            "best_candidate_id": best.candidate_id if best else None,
+            "best_score": best.score if best else None,
+            "best_step_plan": best.step_plan if best else None,
+            "rounds": self.round,
+            "mutations_applied": self.mutations_applied,
+            "mutations_rejected": self.mutations_rejected,
+        }
+
     def clone(self) -> "EngineState":
         return replace(
             self,
@@ -243,15 +251,16 @@ class EngineState:
 
 
 #: The phase an event of each kind may occur in. A PhaseTransition must start
-#: from the current phase.
+#: from the current phase and go to one of its successors.
 _PHASE_OF = {
     "RoundStarted": "feedback_loop",
     "MutationApplied": "mutation",
     "MutationRejected": "mutation",
 }
+_SUCCESSORS = {"feedback_loop": ("mutation", "finished"), "mutation": ("finished",)}
 
 
-_INT, _NUMBER, _TEXT, _LIST, _NONE = (int,), (int, float), (str,), (list,), (type(None),)
+_INT, _NUMBER, _TEXT, _NONE = (int,), (int, float), (str,), (type(None),)
 
 #: The payload fields the fold or the report reads, by event kind, with the
 #: exact types each may hold (so a bool is not a number).
@@ -260,13 +269,17 @@ PAYLOAD_FIELDS = {
     "RoundStarted": {"candidate_id": _TEXT, "step_plan": _TEXT},
     "SampleScored": {"score": _NUMBER},
     "ThresholdUpdated": {"value": _NUMBER},
-    "ArchivesUpdated": {"round": _INT, "candidate_id": _TEXT, "score": _NUMBER, "best": _LIST, "worst": _LIST},
+    "ArchivesUpdated": {"round": _INT, "candidate_id": _TEXT, "score": _NUMBER},
     "PromptRegenerated": {"round": _INT, "candidate_id": _TEXT, "step_plan": _TEXT, "origin": _TEXT},
     "PhaseTransition": {"to": _TEXT},
-    "MutationApplied": {"step": _INT, "candidate_id": _TEXT, "step_plan": _TEXT, "score": _NUMBER, "best": _LIST},
+    "MutationApplied": {
+        "step": _INT, "candidate_id": _TEXT, "step_plan": _TEXT, "score": _NUMBER,
+        "evicted_candidate_id": _TEXT + _NONE,
+    },
     "MutationRejected": {"step": _INT},
     "RunFinished": {
-        "best_candidate_id": _TEXT + _NONE, "best_score": _NUMBER + _NONE, "best_step_plan": _TEXT + _NONE
+        "best_candidate_id": _TEXT + _NONE, "best_score": _NUMBER + _NONE, "best_step_plan": _TEXT + _NONE,
+        "rounds": _INT, "mutations_applied": _INT, "mutations_rejected": _INT,
     },
 }
 
@@ -326,20 +339,23 @@ def apply(state: EngineState, event, picks: Picks | None = None) -> None:
             raise LogError(f"event {event.seq}: threshold decreased")
         state.threshold = value
     elif kind == "ArchivesUpdated":
+        current = state.current
+        if current is None or (payload["round"], payload["candidate_id"]) != (state.round + 1, current.id):
+            raise LogError(f"event {event.seq}: round {state.round + 1} did not archive that prompt")
         _check_mean(event, state.scores, payload["score"])
         if state.threshold is None or payload["score"] > state.threshold:
             raise LogError(f"event {event.seq}: the round's threshold update is missing")
         state.arrival_counter += 1
-        scored = replace(state.current, score=payload["score"])
+        scored = replace(current, score=payload["score"])
         update_archives(state.best, state.worst, scored, state.arrival_counter)
-        if state.best.snapshot() != payload["best"] or state.worst.snapshot() != payload["worst"]:
-            raise LogError(f"event {event.seq}: archive snapshot mismatch")
     elif kind == "PromptRegenerated":
         state.current = PromptCandidate(
             id=payload["candidate_id"], step_plan=payload["step_plan"], origin=payload["origin"]
         )
         state.round = payload["round"]
     elif kind == "PhaseTransition":
+        if payload["to"] not in _SUCCESSORS.get(state.phase, ()):
+            raise LogError(f"event {event.seq}: no transition from {state.phase!r} to {payload['to']!r}")
         state.phase = payload["to"]
     elif kind in MUTATION_KINDS:
         if picks is None or any(payload.get(key) != value for key, value in picks.payload().items()):
@@ -348,6 +364,8 @@ def apply(state: EngineState, event, picks: Picks | None = None) -> None:
         if "score" in payload:
             _check_mean(event, state.scores, payload["score"])
         if kind == "MutationApplied":
+            if payload["candidate_id"] != f"mut-{picks.step:04d}":
+                raise LogError(f"event {event.seq}: the mutant's id is not that of step {picks.step}")
             state.arrival_counter += 1
             entry = ArchiveEntry(
                 candidate_id=payload["candidate_id"],
@@ -355,14 +373,18 @@ def apply(state: EngineState, event, picks: Picks | None = None) -> None:
                 score=payload["score"],
                 arrival=state.arrival_counter,
             )
-            inserted, _ = state.best.offer(entry)
-            if not inserted or state.best.snapshot() != payload["best"]:
-                raise LogError(f"event {event.seq}: mutation archive mismatch")
+            inserted, evicted = state.best.offer(entry)
+            if not inserted or payload["evicted_candidate_id"] != (evicted.candidate_id if evicted else None):
+                raise LogError(f"event {event.seq}: the best archive does not take the mutant that way")
             state.mutations_applied += 1
         else:
+            if "score" in payload and state.best.admits(payload["score"])[0]:
+                raise LogError(f"event {event.seq}: the best archive would take the rejected mutant")
             state.mutations_rejected += 1
         state.mutation_step = payload["step"]
     elif kind == "RunFinished":
+        if any(payload[key] != value for key, value in state.totals().items()):
+            raise LogError(f"event {event.seq}: RunFinished does not record the replayed run")
         state.phase = "finished"
     if kind in COMMIT_KINDS:
         state.scores = []

@@ -16,8 +16,10 @@ from promptloop.config import (
 from promptloop.engine import Engine
 from promptloop.errors import BackendUnavailableError, PromptloopError
 from promptloop.gateway import BackendDescriptor, MockBackend
+from promptloop.mutation import draw_picks
 from promptloop.runstore import EventLog, build_manifest, read_log
 from promptloop.scoring import CorpusEvaluator, EmbeddingCache, ReferenceCorpus
+from promptloop.state import MUTATION_KINDS, apply
 
 DEFAULT_TASK = "Schreibe einen Arztbrief aus der Kardiologie."
 
@@ -218,6 +220,19 @@ class FakeResponse:
 
 def events_by_kind(events, kind):
     return [e for e in events if e.kind == kind]
+
+
+def fold_best_floors(state, events):
+    """Fold events through ``apply`` from ``state``, the run state before
+    the first of them; returns the best archive's lowest score before the
+    first event and after each MutationApplied."""
+    floors = [state.best.entries[-1].score]
+    for event in events:
+        picks = draw_picks(state)[0] if event.kind in MUTATION_KINDS else None
+        apply(state, event, picks)
+        if event.kind == "MutationApplied":
+            floors.append(state.best.entries[-1].score)
+    return floors
 
 
 def round_of(events, candidate_id):

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import events_by_kind, make_harness, scripted_plans
+from conftest import events_by_kind, fold_best_floors, make_harness, scripted_plans
 from oracle import corpus_score_ref, cosine_ref
 from promptloop.demo import DEMO_CORPUS, run_demo
 from promptloop.engine import Engine, PromptArchive, SplitMix64, update_archives, PromptCandidate
@@ -291,12 +291,10 @@ class TestCriterion6MutationLocality:
             h.engine.state.round = 3
             h.engine.state.phase = "mutation"
             h.engine.log.emit("PhaseTransition", {"round": 3, "from": "feedback_loop", "to": "mutation"})
-            floors = [h.engine.state.best.boundary_score()]
+            before, logged = h.engine.state.clone(), len(h.events())
             run_mutation_phase(h.engine)
-            for event in h.events():
-                if event.kind == "MutationApplied":
-                    floors.append(event.payload["best"][-1]["score"])
-            floors.append(h.engine.state.best.boundary_score())
+            floors = fold_best_floors(before, h.events()[logged:])
+            floors.append(h.engine.state.best.entries[-1].score)
             h.engine.log.close()
             assert floors == sorted(floors)
 

@@ -9,7 +9,7 @@ from conftest import write_config_file, write_corpus_file
 from promptloop import cli
 from promptloop.cli import main
 from promptloop.errors import LogError
-from promptloop.runstore import emit_report
+from promptloop.runstore import EventLog, emit_report
 
 CORPUS = [
     "Der Patient ist kardial stabil. Die Entlassung erfolgt morgen.",
@@ -127,6 +127,26 @@ class TestOptimize:
         result = runner.invoke(main, ["optimize", config, "--resume", log])
         assert result.exit_code == 2
         assert "finished" in result.stderr
+
+    def test_resume_of_a_log_another_run_appends_to_exits_two(self, runner, tmp_path):
+        config = small_config(tmp_path)
+        result = runner.invoke(main, ["optimize", config, "--prompt", "Aufgabe eins"])
+        assert result.exit_code == 0
+        runs_dir = os.path.join(tmp_path, "runs")
+        log = next(
+            os.path.join(runs_dir, n) for n in os.listdir(runs_dir) if n.endswith(".jsonl")
+        )
+        lines = Path(log).read_text(encoding="utf-8").splitlines()
+        Path(log).write_text("\n".join(lines[:-1]) + "\n", encoding="utf-8")
+        holder = EventLog(log)
+        holder.lock()
+        try:
+            result = runner.invoke(main, ["optimize", config, "--resume", log])
+        finally:
+            holder.close()
+        assert result.exit_code == 2, result.output + repr(result.exception)
+        assert "another run" in result.stderr
+        assert Path(log).read_text(encoding="utf-8").splitlines() == lines[:-1]
 
     def test_resume_of_non_numeric_score_exits_two(self, runner, tmp_path):
         config = small_config(tmp_path)

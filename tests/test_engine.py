@@ -146,7 +146,7 @@ class TestArchives:
         for arrival, score in enumerate([0.4, 0.2, 0.6, 0.1, 0.5, 0.3], start=1):
             best.offer(ArchiveEntry(f"c{arrival}", "p", score, arrival))
             if best.is_full:
-                floors.append(best.boundary_score())
+                floors.append(best.entries[-1].score)
         assert floors == sorted(floors)
 
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FakeEvaluator, events_by_kind, make_harness, scripted_plans
+from conftest import FakeEvaluator, events_by_kind, fold_best_floors, make_harness, scripted_plans
 from oracle import segment_ref
 from promptloop.engine import ArchiveEntry, EngineState
 from promptloop.errors import DegenerateInputError, MutationRejectedError
@@ -332,12 +332,10 @@ class TestMutationPhase:
         h = mutation_harness(
             tmp_path, [0.70, 0.75, 0.80], [0.72, 0.71, 0.90, 0.10], budget=4
         )
-        floors = [h.engine.state.best.boundary_score()]
+        before, logged = h.engine.state.clone(), len(h.events())
         run_mutation_phase(h.engine)
-        for event in h.events():
-            if event.kind == "MutationApplied":
-                floors.append(event.payload["best"][-1]["score"])
-        floors.append(h.engine.state.best.boundary_score())
+        floors = fold_best_floors(before, h.events()[logged:])
+        floors.append(h.engine.state.best.entries[-1].score)
         assert floors == sorted(floors)
 
     def test_rng_picks_reproducible_from_seed(self, tmp_path):

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -199,6 +201,17 @@ class TestReadLog:
         with pytest.raises(LogError, match="ts 7"):
             read_log(log.path)
 
+    @pytest.mark.parametrize("seq, ts", [(True, True), (1, True)])
+    def test_boolean_seq_or_ts_rejected(self, tmp_path, seq, ts):
+        _, path = run_demo(tmp_path / "demo")
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        event = json.loads(lines[1])
+        event["seq"], event["ts"] = seq, ts
+        lines[1] = json.dumps(event, ensure_ascii=False)
+        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(LogError):
+            read_log(path)
+
 
 def finished_run(tmp_path, name="run", max_rounds=5, budget=2, caps=(3, 3)):
     scripts = {
@@ -252,13 +265,43 @@ def _edit_first(picked, change):
     return edit
 
 
+def _rejected_mutant_scores(value):
+    """Give the rejected mutant's samples and mean a score of ``value``."""
+    def edit(events):
+        for event in events:
+            if event["kind"] in ("SampleScored", "MutationRejected") and (
+                event["payload"].get("candidate_id") == "mut-0002"
+            ):
+                event["payload"]["score"] = value
+        return events
+    return edit
+
+
 #: name -> an edit of a finished log's events; the test renumbers them after
 TAMPERS = {
     "threshold-value": _edit_first(_kind("ThresholdUpdated"), _bump("value")),
-    "best-snapshot-score": _edit_first(
-        _kind("ArchivesUpdated"), lambda p: p["best"][0].update(score=0.99)
-    ),
     "archived-score": _edit_first(_kind("ArchivesUpdated"), _bump("score")),
+    "archived-candidate-id": _edit_first(
+        _kind("ArchivesUpdated"), lambda p: p.update(candidate_id="cand-0002")
+    ),
+    "archived-round": _edit_first(_kind("ArchivesUpdated"), _bump("round", 1)),
+    "phase-target-bogus": _edit_first(_kind("PhaseTransition"), lambda p: p.update(to="bogus")),
+    "mutant-id": _edit_first(_kind("MutationApplied"), lambda p: p.update(candidate_id="mut-0002")),
+    "evicted-id": _edit_first(
+        _kind("MutationApplied"), lambda p: p.update(evicted_candidate_id="cand-0001")
+    ),
+    "rejected-mutant-the-archive-takes": _rejected_mutant_scores(0.9),
+    **{
+        f"finished-{key}": _edit_first(_kind("RunFinished"), change)
+        for key, change in {
+            "best-candidate-id": lambda p: p.update(best_candidate_id="cand-0002"),
+            "best-score": _bump("best_score"),
+            "best-step-plan": lambda p: p.update(best_step_plan="Plan 9: Schritt eins."),
+            "rounds": _bump("rounds", 1),
+            "mutations-applied": _bump("mutations_applied", 1),
+            "mutations-rejected": _bump("mutations_rejected", 1),
+        }.items()
+    },
     "rejected-sentence-index": _edit_first(_kind("MutationRejected"), _bump("sentence_index", 1)),
     "applied-score": _edit_first(_kind("MutationApplied"), _bump("score")),
     "sample-in-round-keeping-threshold": _edit_first(
@@ -402,8 +445,8 @@ class TestResume:
         assert replay.finished
         assert replay.state.round == live.round
         assert replay.state.threshold == live.threshold
-        assert replay.state.best.snapshot() == live.best.snapshot()
-        assert replay.state.worst.snapshot() == live.worst.snapshot()
+        assert replay.state.best.entries == live.best.entries
+        assert replay.state.worst.entries == live.worst.entries
         assert replay.state.mutation_step == live.mutation_step
         assert replay.state.mutations_applied == live.mutations_applied
         assert replay.state.rng.state == live.rng.state
@@ -582,6 +625,122 @@ def demo_config(tmp_path, **engine):
     doc = dict(DEMO_CONFIG_DOC, output_dir=os.fspath(tmp_path / "unused"))
     doc["engine"] = {**doc["engine"], **engine}
     return resolve_config(doc, env={})
+
+
+def cut_demo_log(tmp_path):
+    """The demo log cut after its last PromptRegenerated, the reference
+    demo log, and the cut's seq."""
+    _, path = run_demo(tmp_path / "demo")
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    at = max(i for i, line in enumerate(lines) if '"PromptRegenerated"' in line)
+    cut = tmp_path / "cut.jsonl"
+    cut.write_text("\n".join(lines[: at + 1]) + "\n", encoding="utf-8")
+    return cut, path, at
+
+
+class TestOneAppender:
+    """A log has one appender at a time: each EventLog takes an exclusive
+    flock on the file before it reads or truncates it."""
+
+    def test_second_start_is_refused_while_the_first_appends(self, tmp_path):
+        first = started_log(tmp_path)
+        first.emit("RunStarted", {"task_prompt": "t"})
+        with pytest.raises(LogError, match="another run"):
+            EventLog(first.path).start(manifest())
+        first.emit("RoundStarted", {})
+        first.close()
+        assert [e.kind for e in read_log(first.path)[1]] == ["RunStarted", "RoundStarted"]
+
+    def test_two_resumes_of_one_log_do_not_both_append(self, tmp_path):
+        cut, _, at = cut_demo_log(tmp_path)
+        first = EventLog(cut)
+        first.lock()
+        first.resume_at(at)
+        with pytest.raises(LogError, match="another run"):
+            EventLog(cut).lock()
+        before = cut.read_bytes()
+        with pytest.raises(LogError, match="another run"):
+            resume_optimization(demo_config(tmp_path), cut, corpus_texts=DEMO_CORPUS)
+        assert cut.read_bytes() == before
+        first.emit("PhaseTransition", {"round": 3, "from": "feedback_loop", "to": "mutation"})
+        first.close()
+        assert read_log(cut)[1][-1].seq == at + 1
+
+    def test_resume_is_refused_while_another_process_holds_the_lock(self, tmp_path):
+        cut, full, _ = cut_demo_log(tmp_path)
+        holder = subprocess.Popen(
+            [sys.executable, "-c",
+             "import sys; from promptloop.runstore import EventLog;"
+             " log = EventLog(sys.argv[1]); log.lock(); print('locked', flush=True);"
+             " sys.stdin.read()",
+             os.fspath(cut)],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        try:
+            assert holder.stdout.readline() == b"locked\n"
+            before = cut.read_bytes()
+            with pytest.raises(LogError, match="another run"):
+                resume_optimization(demo_config(tmp_path), cut, corpus_texts=DEMO_CORPUS)
+            assert cut.read_bytes() == before
+        finally:
+            holder.stdin.close()
+            holder.wait(timeout=30)
+            holder.stdout.close()
+        resume_optimization(demo_config(tmp_path), cut, corpus_texts=DEMO_CORPUS)
+        assert event_lines(cut) == event_lines(full)
+
+
+class TestPhaseTarget:
+    def test_cut_demo_log_with_a_bogus_phase_is_rejected(self, tmp_path):
+        """The demo log up to its first PhaseTransition, which says it goes
+        to a phase that does not exist."""
+        _, path = run_demo(tmp_path / "demo")
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        at = next(i for i, line in enumerate(lines) if '"PhaseTransition"' in line)
+        event = json.loads(lines[at])
+        event["payload"]["to"] = "bogus"
+        lines[at] = json.dumps(event, ensure_ascii=False)
+        cut = tmp_path / "cut.jsonl"
+        cut.write_text("\n".join(lines[: at + 1]) + "\n", encoding="utf-8")
+        before = cut.read_bytes()
+        with pytest.raises(LogError, match="bogus"):
+            replay_log(cut)
+        with pytest.raises(LogError, match="bogus"):
+            resume_optimization(demo_config(tmp_path), cut, corpus_texts=DEMO_CORPUS)
+        assert cut.read_bytes() == before
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+class TestFormat010Log:
+    """The demo log as format 0.1.0 wrote it, archive snapshots and all."""
+
+    def test_replays(self):
+        replay = replay_log(FIXTURES / "demo-0.1.0.jsonl")
+        assert replay.finished
+        assert replay.manifest["artifact_version"] == "0.1.0"
+        assert [e.candidate_id for e in replay.state.best.entries] == ["cand-0003", "mut-0001", "cand-0002"]
+
+    @pytest.mark.parametrize("format, suffix", [("json", "json"), ("markdown", "md")])
+    def test_report_is_the_one_format_0_1_wrote(self, format, suffix):
+        expected = (FIXTURES / f"demo-0.1.0.report.{suffix}").read_text(encoding="utf-8")
+        assert emit_report(FIXTURES / "demo-0.1.0.jsonl", format) == expected
+
+    @pytest.mark.parametrize("commit", ["PromptRegenerated", "MutationApplied"])
+    def test_resume_from_a_cut_finishes(self, tmp_path, commit):
+        lines = (FIXTURES / "demo-0.1.0.jsonl").read_text(encoding="utf-8").splitlines()
+        at = max(i for i, line in enumerate(lines) if f'"{commit}"' in line)
+        prefix = "\n".join(lines[: at + 1]) + "\n"
+        cut = tmp_path / "cut.jsonl"
+        cut.write_text(prefix, encoding="utf-8")
+        result = resume_optimization(demo_config(tmp_path), cut, corpus_texts=DEMO_CORPUS)
+        assert result.best.candidate_id == "cand-0003"
+        _, current = run_demo(tmp_path / "demo")
+        text = cut.read_text(encoding="utf-8")
+        assert text.startswith(prefix)
+        assert text[len(prefix):].split("\n") == event_lines(current)[at:] + [""]
 
 
 class TestResumeChecksTheRunStarted:
