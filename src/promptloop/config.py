@@ -4,6 +4,13 @@ The config is a single JSON document (schema version 1). Every field has a
 default except ``corpus_path``; an empty engine section resolves to the
 built-in role sampling parameters and seed. ``PROMPTLOOP_BASE_URL`` in the
 environment overrides ``backend.base_url``.
+
+This module is the only one that knows what a valid config is. Every field
+of every section has one row in :data:`_FIELDS`: its exact JSON types (a
+bool is not a number) and the condition its value must meet (NaN and the
+infinities meet none). :func:`_check` walks a document against the table;
+three rules that span fields follow it in :func:`resolve_config`. The
+dataclasses it fills are plain records.
 """
 
 from __future__ import annotations
@@ -11,23 +18,24 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field, fields as dataclass_fields
+import sys
+from dataclasses import dataclass, field, replace
+from typing import Callable, NamedTuple
 
 from .engine import EngineConfig
 from .errors import ConfigError
 from .gateway import BackendDescriptor
-from .roles import DEFAULT_ROLE_PARAMS, DEFAULT_SYSTEM_PROMPTS, ModelRole, SamplingParams
+from .roles import DEFAULT_ROLE_PARAMS, DEFAULT_SYSTEM_PROMPTS, ModelRole
 from .runstore import canonical_json
 
 CONFIG_VERSION = 1
 
 ENV_BASE_URL = "PROMPTLOOP_BASE_URL"
 
-_BACKEND_KEYS = {f.name for f in dataclass_fields(BackendDescriptor)}
-#: Engine fields set from the config's ``prompts`` section, not ``engine``.
-_PROMPT_FIELDS = {"system_prompts", "example_messages"}
-_ENGINE_KEYS = {f.name for f in dataclass_fields(EngineConfig)} - _PROMPT_FIELDS
-_LOG_LEVELS = {"debug", "info", "warning", "error"}
+_FLOAT_MAX = sys.float_info.max
+
+#: Top-level fields a CliConfig holds as the document gives them.
+_PLAIN = ("corpus_path", "max_documents", "output_dir", "log_level")
 
 
 @dataclass
@@ -41,149 +49,158 @@ class CliConfig:
     log_level: str = "info"
 
 
-_TOP_KEYS = {f.name for f in dataclass_fields(CliConfig)} | {"version", "prompts"}
+class Field(NamedTuple):
+    """One field's exact JSON types, the test its value must pass, and both
+    in words; an object field names the :data:`_FIELDS` section its value is
+    checked against instead."""
+
+    types: tuple[type, ...]
+    test: Callable[[object], bool]
+    meaning: str
+    section: str | None = None
 
 
-def _role_from_key(key: str, where: str) -> ModelRole:
-    try:
-        return ModelRole(key)
-    except ValueError:
-        valid = ", ".join(role.value for role in ModelRole)
-        raise ConfigError(f"{where}: unknown role {key!r} (valid: {valid})") from None
+_INT, _NUMBER, _TEXT, _LIST, _NULL = (int,), (int, float), (str,), (list,), (type(None),)
 
 
-def _check_keys(section: dict, allowed: set[str], where: str) -> None:
-    unknown = set(section) - allowed
+def _any(value) -> bool:
+    return True
+
+
+def _turn(turn) -> bool:
+    return type(turn) is list and len(turn) == 2 and turn[0] in ("user", "assistant") and type(turn[1]) is str
+
+
+def _object(section: str) -> Field:
+    return Field((dict,), _any, "an object", section)
+
+
+def _per_role(row: Field) -> dict[str, Field]:
+    return {role.value: row for role in ModelRole}
+
+
+_COUNT = Field(_INT, lambda v: v >= 1, "an integer >= 1")
+_SEED = Field(_INT, _any, "an integer")
+_NAME = Field(_TEXT, _any, "a string")
+_PATH = Field(_TEXT, bool, "a non-empty string")
+
+#: Section name -> field name -> row. ``config`` is the document itself.
+_FIELDS: dict[str, dict[str, Field]] = {
+    "config": {
+        "version": Field(_INT, lambda v: v == CONFIG_VERSION, f"{CONFIG_VERSION}"),
+        "backend": _object("backend"),
+        "engine": _object("engine"),
+        "prompts": _object("prompts"),
+        "scripts": _object("scripts"),
+        "corpus_path": _PATH,
+        "max_documents": Field(_INT + _NULL, lambda v: v is None or v >= 1, "an integer >= 1 or null"),
+        "output_dir": _PATH,
+        "log_level": Field(
+            _TEXT, lambda v: v in ("debug", "info", "warning", "error"),
+            "one of 'debug', 'info', 'warning', 'error'",
+        ),
+    },
+    "backend": {
+        "kind": Field(_TEXT, lambda v: v in ("http", "mock"), "'http' or 'mock'"),
+        "base_url": _NAME,
+        "model_name": _NAME,
+        "embedding_model_name": _NAME,
+        "timeout": Field(_NUMBER, lambda v: 0 < v <= _FLOAT_MAX, "a finite number > 0"),
+        "max_retries": Field(_INT, lambda v: v >= 0, "an integer >= 0"),
+        "retry_backoff": Field(_NUMBER, lambda v: 0 <= v <= _FLOAT_MAX, "a finite number >= 0"),
+        "mock_embedding_dim": _COUNT,
+    },
+    "engine": {
+        "samples_per_round": _COUNT,
+        "best_capacity": _COUNT,
+        "worst_capacity": _COUNT,
+        "max_rounds": _COUNT,
+        "score_target": Field(_NUMBER + _NULL, lambda v: v is None or 0 <= v <= 1, "a number in [0, 1] or null"),
+        "mutation_trigger": Field(_TEXT, lambda v: v == "best-archive-full", "'best-archive-full'"),
+        "mutation_budget": Field(_INT, lambda v: v >= 0, "an integer >= 0"),
+        "seed": _SEED,
+        "role_params": _object("role_params"),
+    },
+    "role_params": _per_role(_object("sampling")),
+    # A role's sampling parameters, merged over its defaults.
+    "sampling": {
+        "temperature": Field(_NUMBER, lambda v: 0 <= v <= _FLOAT_MAX, "a finite number >= 0"),
+        "top_k": _COUNT,
+        "top_p": Field(_NUMBER, lambda v: 0 < v <= 1, "a number in (0, 1]"),
+        "seed": _SEED,
+    },
+    "prompts": {"system": _object("system"), "examples": _object("examples")},
+    "system": _per_role(_PATH),
+    "examples": _per_role(
+        Field(_LIST, lambda turns: all(map(_turn, turns)),
+              "a list of [speaker, text] turns with speaker 'user' or 'assistant'")
+    ),
+    "scripts": _per_role(
+        Field(_LIST, lambda items: all(type(t) is str for t in items), "a list of strings")
+    ),
+}
+
+
+def _check(raw, where: str, section: str = "config") -> None:
+    """Check an object against its section of :data:`_FIELDS`: no unknown
+    key, and each value of a row's types passing its test, object values
+    checked against their own section in turn."""
+    if type(raw) is not dict:
+        raise ConfigError(f"{where or 'config document'} must be a JSON object, got {raw!r}")
+    rows = _FIELDS[section]
+    unknown = [key for key in raw if key not in rows]
     if unknown:
-        raise ConfigError(f"{where}: unknown field(s) {sorted(unknown)}")
+        raise ConfigError(
+            f"{where or 'config'}: unknown field(s) {unknown} (valid: {', '.join(rows)})"
+        )
+    for name, value in raw.items():
+        row = rows[name]
+        path = f"{where}.{name}" if where else name
+        if row.section:
+            _check(value, path, row.section)
+        elif type(value) not in row.types or not row.test(value):
+            raise ConfigError(f"{path} must be {row.meaning}, got {value!r}")
 
 
-def _parse_backend(raw: dict) -> BackendDescriptor:
-    _check_keys(raw, _BACKEND_KEYS, "backend")
-    try:
-        return BackendDescriptor(**raw)
-    except TypeError as exc:
-        raise ConfigError(f"backend: {exc}") from exc
-
-
-def _parse_role_params(raw: dict) -> dict[ModelRole, SamplingParams]:
-    params = dict(DEFAULT_ROLE_PARAMS)
-    for key, overrides in raw.items():
-        role = _role_from_key(key, "engine.role_params")
-        if not isinstance(overrides, dict):
-            raise ConfigError(f"engine.role_params.{key} must be an object")
-        _check_keys(overrides, {"temperature", "top_k", "top_p", "seed"}, f"engine.role_params.{key}")
-        base = params[role]
-        merged = {
-            "temperature": overrides.get("temperature", base.temperature),
-            "top_k": overrides.get("top_k", base.top_k),
-            "top_p": overrides.get("top_p", base.top_p),
-            "seed": overrides.get("seed", base.seed),
-        }
-        try:
-            params[role] = SamplingParams(**merged)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"engine.role_params.{key}: {exc}") from exc
-    return params
-
-
-def _parse_engine(raw: dict, prompts: dict) -> EngineConfig:
-    _check_keys(raw, _ENGINE_KEYS, "engine")
-    role_params = _parse_role_params(raw.get("role_params", {}))
-
-    system_prompts = dict(DEFAULT_SYSTEM_PROMPTS)
-    for key, text in prompts.get("system", {}).items():
-        role = _role_from_key(key, "prompts.system")
-        if not isinstance(text, str) or not text:
-            raise ConfigError(f"prompts.system.{key} must be a non-empty string")
-        system_prompts[role] = text
-
-    example_messages: dict[ModelRole, tuple[tuple[str, str], ...]] = {}
-    for key, turns in prompts.get("examples", {}).items():
-        role = _role_from_key(key, "prompts.examples")
-        parsed = []
-        for turn in turns:
-            if (
-                not isinstance(turn, (list, tuple))
-                or len(turn) != 2
-                or turn[0] not in ("user", "assistant")
-                or not isinstance(turn[1], str)
-            ):
-                raise ConfigError(
-                    f"prompts.examples.{key}: each turn must be [speaker, text]"
-                    " with speaker 'user' or 'assistant'"
-                )
-            parsed.append((turn[0], turn[1]))
-        example_messages[role] = tuple(parsed)
-
-    kwargs = {k: v for k, v in raw.items() if k != "role_params"}
-    config = EngineConfig(
-        role_params=role_params,
-        system_prompts=system_prompts,
-        example_messages=example_messages,
-        **kwargs,
-    )
-    config.validate()
-    return config
-
-
-def _parse_scripts(raw: dict) -> dict[ModelRole, list[str]]:
-    scripts: dict[ModelRole, list[str]] = {}
-    for key, items in raw.items():
-        role = _role_from_key(key, "scripts")
-        if not isinstance(items, list) or not all(isinstance(t, str) for t in items):
-            raise ConfigError(f"scripts.{key} must be a list of strings")
-        scripts[role] = list(items)
-    return scripts
+def _by_role(raw: dict) -> dict:
+    return {ModelRole(key): value for key, value in raw.items()}
 
 
 def resolve_config(raw: dict, env: dict | None = None) -> CliConfig:
-    """Turn a parsed config document into a validated CliConfig."""
-    if env is None:
-        env = dict(os.environ)
-    if not isinstance(raw, dict):
-        raise ConfigError("config document must be a JSON object")
-    _check_keys(raw, _TOP_KEYS, "config")
-    version = raw.get("version", CONFIG_VERSION)
-    if version != CONFIG_VERSION:
-        raise ConfigError(f"unsupported config version {version!r} (expected {CONFIG_VERSION})")
-
-    backend_raw = dict(raw.get("backend", {}))
-    override = env.get(ENV_BASE_URL)
+    """Turn a parsed config document into a validated CliConfig: the table's
+    checks, then the three rules that span fields (``http`` needs a
+    ``base_url``, scripts need the mock, ``corpus_path`` is required)."""
+    _check(raw, "")
+    backend = dict(raw.get("backend", {}))
+    override = (os.environ if env is None else env).get(ENV_BASE_URL)
     if override:
-        backend_raw["base_url"] = override
-    backend = _parse_backend(backend_raw)
-
-    prompts = raw.get("prompts", {})
-    if not isinstance(prompts, dict):
-        raise ConfigError("prompts must be an object")
-    _check_keys(prompts, {"system", "examples"}, "prompts")
-    engine = _parse_engine(dict(raw.get("engine", {})), prompts)
-
-    scripts = _parse_scripts(dict(raw.get("scripts", {})))
-    if scripts and backend.kind != "mock":
+        backend["base_url"] = override
+    http = backend.get("kind") == "http"
+    if http and not backend.get("base_url"):
+        raise ConfigError("backend.base_url is required for kind 'http'")
+    if http and raw.get("scripts"):
         raise ConfigError("scripts are only valid with backend.kind 'mock'")
-
-    corpus_path = raw.get("corpus_path")
-    if not isinstance(corpus_path, str) or not corpus_path:
+    if "corpus_path" not in raw:
         raise ConfigError("config is missing required field 'corpus_path'")
 
-    max_documents = raw.get("max_documents")
-    if max_documents is not None and (not isinstance(max_documents, int) or max_documents < 1):
-        raise ConfigError("max_documents must be a positive integer")
-
-    log_level = raw.get("log_level", "info")
-    if log_level not in _LOG_LEVELS:
-        raise ConfigError(f"log_level must be one of {sorted(_LOG_LEVELS)}")
-
+    engine = dict(raw.get("engine", {}))
+    role_params = dict(DEFAULT_ROLE_PARAMS)
+    for role, overrides in _by_role(engine.pop("role_params", {})).items():
+        role_params[role] = replace(role_params[role], **overrides)
+    prompts = raw.get("prompts", {})
     return CliConfig(
-        backend=backend,
-        engine=engine,
-        corpus_path=corpus_path,
-        scripts=scripts,
-        max_documents=max_documents,
-        output_dir=raw.get("output_dir", "runs"),
-        log_level=log_level,
+        backend=BackendDescriptor(**backend),
+        engine=EngineConfig(
+            **engine,
+            role_params=role_params,
+            system_prompts={**DEFAULT_SYSTEM_PROMPTS, **_by_role(prompts.get("system", {}))},
+            example_messages={
+                role: tuple(map(tuple, turns))
+                for role, turns in _by_role(prompts.get("examples", {})).items()
+            },
+        ),
+        scripts={role: list(items) for role, items in _by_role(raw.get("scripts", {})).items()},
+        **{name: raw[name] for name in _PLAIN if name in raw},
     )
 
 
@@ -201,10 +218,8 @@ def load_config(path, env: dict | None = None) -> CliConfig:
 def normalize_config(config: CliConfig) -> dict:
     """Fully resolved plain-dict form of the config; the digest input and the
     output of ``validate-config``."""
-    backend = {
-        f.name: getattr(config.backend, f.name) for f in dataclass_fields(BackendDescriptor)
-    }
-    engine = {name: getattr(config.engine, name) for name in _ENGINE_KEYS}
+    backend = {name: getattr(config.backend, name) for name in _FIELDS["backend"]}
+    engine = {name: getattr(config.engine, name) for name in _FIELDS["engine"]}
     engine["role_params"] = {
         role.value: config.engine.role_params[role].as_options() for role in ModelRole
     }
@@ -225,10 +240,7 @@ def normalize_config(config: CliConfig) -> dict:
         "scripts": {role.value: items for role, items in sorted(
             config.scripts.items(), key=lambda kv: kv[0].value
         )},
-        "corpus_path": config.corpus_path,
-        "max_documents": config.max_documents,
-        "output_dir": config.output_dir,
-        "log_level": config.log_level,
+        **{name: getattr(config, name) for name in _PLAIN},
     }
 
 

@@ -60,36 +60,6 @@ class EngineConfig:
     )
     example_messages: dict[ModelRole, tuple[tuple[str, str], ...]] = field(default_factory=dict)
 
-    def validate(self) -> None:
-        for name in ("samples_per_round", "best_capacity", "worst_capacity",
-                     "max_rounds", "mutation_budget", "seed"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ConfigError(f"engine.{name} must be an integer, got {value!r}")
-        if self.samples_per_round < 1:
-            raise ConfigError("engine.samples_per_round must be >= 1")
-        if self.best_capacity < 1 or self.worst_capacity < 1:
-            raise ConfigError("engine archive capacities must be >= 1")
-        if self.max_rounds < 1:
-            raise ConfigError("engine.max_rounds must be >= 1")
-        if self.mutation_budget < 0:
-            raise ConfigError("engine.mutation_budget must be >= 0")
-        if self.score_target is not None:
-            if not isinstance(self.score_target, (int, float)) or isinstance(self.score_target, bool):
-                raise ConfigError("engine.score_target must be a number")
-            if not 0.0 <= self.score_target <= 1.0:
-                raise ConfigError("engine.score_target must lie in [0, 1]")
-        if self.mutation_trigger != "best-archive-full":
-            raise ConfigError(
-                f"unknown mutation_trigger {self.mutation_trigger!r}"
-                " (supported: 'best-archive-full')"
-            )
-        for role in ModelRole:
-            if role not in self.role_params:
-                raise ConfigError(f"engine.role_params is missing role {role.value!r}")
-            if role not in self.system_prompts:
-                raise ConfigError(f"system prompt missing for role {role.value!r}")
-
 
 @dataclass
 class OptimizationResult:
@@ -111,10 +81,7 @@ def check_transition(state: EngineState, config: EngineConfig) -> str:
     archive is full, otherwise unchanged."""
     if state.phase == "finished":
         return "finished"
-    if state.round >= config.max_rounds:
-        return "finished"
-    top = state.best.top_score()
-    if config.score_target is not None and top is not None and top >= config.score_target:
+    if state.round >= config.max_rounds or state.reached(config.score_target):
         return "finished"
     if state.phase == "feedback_loop" and state.best.is_full:
         return "mutation"
@@ -136,7 +103,6 @@ class Engine:
     """
 
     def __init__(self, gateway, evaluator, config: EngineConfig, log: runstore.EventLog, task_prompt: str) -> None:
-        config.validate()
         if not task_prompt:
             raise ConfigError("task prompt must be non-empty")
         self.gateway = gateway

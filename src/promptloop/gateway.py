@@ -27,12 +27,7 @@ from typing import Sequence
 import numpy as np
 import requests
 
-from .errors import (
-    BackendUnavailableError,
-    ConfigError,
-    EmptyResponseError,
-    ProtocolError,
-)
+from .errors import BackendUnavailableError, EmptyResponseError, ProtocolError
 from .roles import ModelRole, SamplingParams
 from .state import SplitMix64
 
@@ -133,24 +128,6 @@ class BackendDescriptor:
     retry_backoff: float = 0.5
     mock_embedding_dim: int = 64
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("http", "mock"):
-            raise ConfigError(f"backend.kind must be 'http' or 'mock', got {self.kind!r}")
-        if self.kind == "http" and not self.base_url:
-            raise ConfigError("backend.base_url is required for kind 'http'")
-        for name in ("timeout", "max_retries", "retry_backoff", "mock_embedding_dim"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ConfigError(f"backend.{name} must be a number, got {value!r}")
-        if not isinstance(self.max_retries, int) or self.max_retries < 0:
-            raise ConfigError("backend.max_retries must be an integer >= 0")
-        if not isinstance(self.mock_embedding_dim, int) or self.mock_embedding_dim < 1:
-            raise ConfigError("backend.mock_embedding_dim must be an integer >= 1")
-        if self.timeout <= 0:
-            raise ConfigError("backend.timeout must be positive")
-        if self.retry_backoff < 0:
-            raise ConfigError("backend.retry_backoff must be >= 0")
-
 
 @dataclass
 class HealthReport:
@@ -159,16 +136,6 @@ class HealthReport:
     model_name: str
     embedding_model_name: str
     cause: str | None = None
-
-
-@dataclass
-class RecordedCall:
-    """Chat call captured by the mock, for assertions in tests."""
-
-    role: ModelRole
-    params: SamplingParams
-    system_prompt: str
-    messages: tuple[tuple[str, str], ...]
 
 
 class MockBackend:
@@ -194,12 +161,8 @@ class MockBackend:
         self.dim = descriptor.mock_embedding_dim
         self._buckets = _bigram_buckets(self.dim)
         self._scripts = {role: tuple(items) for role, items in (scripts or {}).items()}
-        self.calls: list[RecordedCall] = []
 
     def chat(self, exchange: ChatExchange, params: SamplingParams) -> str:
-        self.calls.append(
-            RecordedCall(exchange.role, params, exchange.system_prompt, exchange.messages)
-        )
         script = self._scripts.get(exchange.role, ())
         if exchange.index < len(script):
             text = script[exchange.index]
@@ -373,6 +336,4 @@ def build_backend(
 ) -> MockBackend | HttpBackend:
     if descriptor.kind == "mock":
         return MockBackend(descriptor, scripts)
-    if scripts:
-        raise ConfigError("scripts are only valid for the mock backend")
     return HttpBackend(descriptor)

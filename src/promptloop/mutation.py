@@ -9,28 +9,19 @@ split — a documented limitation accepted for reproducibility.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
 from typing import Callable
 
 from . import templates
 from .errors import BACKEND_ERRORS, DegenerateInputError, EmptyResponseError, MutationRejectedError
 from .roles import ModelRole
-from .state import Picks, SplitMix64, round_mean
+from .state import Picks, SentenceSegmentation, SplitMix64, round_mean
+from .state import apply_rewrite  # noqa: F401  (the splice is importable with the segmenter)
 
 #: A terminator and the whitespace after it. For str patterns ``\s`` is
 #: exactly ``str.isspace``; the test on the character that follows stays in
 #: Python, because ``\d`` and ``[A-Z]`` disagree with ``str.isdigit`` and
 #: ``str.isupper`` on characters such as "²", "Ⅷ" and "Ü".
 _BOUNDARY = re.compile(r"[.!?]\s+")
-
-
-@dataclass(frozen=True)
-class SentenceSegmentation:
-    sentences: tuple[str, ...]
-    joiner: str = " "
-
-    def join(self) -> str:
-        return self.joiner.join(self.sentences)
 
 
 def segment_sentences(text: str) -> SentenceSegmentation:
@@ -66,16 +57,6 @@ def rewrite_sentence(chat: Callable[[ModelRole, str], str], step_plan: str, sent
     return rewritten
 
 
-def apply_rewrite(
-    segmentation: SentenceSegmentation, sentence_index: int, rewritten: str
-) -> SentenceSegmentation:
-    """Replace exactly one sentence slot; if the rewrite contains several
-    sentences the full text still occupies the single slot."""
-    sentences = list(segmentation.sentences)
-    sentences[sentence_index] = rewritten
-    return replace(segmentation, sentences=tuple(sentences))
-
-
 def draw_picks(state) -> tuple[Picks, SentenceSegmentation]:
     """Draw the next mutation step's archive pick, then its sentence pick.
 
@@ -89,7 +70,7 @@ def draw_picks(state) -> tuple[Picks, SentenceSegmentation]:
     source = ranked[archive_index]
     segmentation = segment_sentences(source.step_plan)
     sentence_index = rng.below(len(segmentation.sentences))
-    picks = Picks(state.mutation_step + 1, source, archive_index, sentence_index, rng.state)
+    picks = Picks(state.mutation_step + 1, source, archive_index, sentence_index, rng.state, segmentation)
     return picks, segmentation
 
 
@@ -105,12 +86,8 @@ def run_mutation_phase(engine) -> None:
     config = engine.config
     if state.phase != "mutation":
         raise MutationRejectedError(f"mutation phase entered in phase {state.phase!r}")
-    while state.mutation_step < config.mutation_budget:
-        top = state.best.top_score()
-        if config.score_target is not None and top is not None and top >= config.score_target:
-            break
-        picks, segmentation = draw_picks(state)
-        original = segmentation.sentences[picks.sentence_index]
+    while state.mutation_step < config.mutation_budget and not state.reached(config.score_target):
+        picks = draw_picks(state)[0]
         mutant_id = f"mut-{picks.step:04d}"
 
         def finish(kind: str, fields: dict) -> None:
@@ -118,8 +95,8 @@ def run_mutation_phase(engine) -> None:
             engine.record(kind, payload, picks)
 
         try:
-            rewritten = rewrite_sentence(engine._chat, picks.source.step_plan, original)
-            step_plan = apply_rewrite(segmentation, picks.sentence_index, rewritten).join()
+            rewritten = rewrite_sentence(engine._chat, picks.source.step_plan, picks.original)
+            step_plan = picks.mutant(rewritten)
             samples = engine.draw_samples(mutant_id, step_plan)
         except MutationRejectedError:
             finish("MutationRejected", {"reason": "empty-rewrite"})
@@ -137,7 +114,7 @@ def run_mutation_phase(engine) -> None:
             finish(
                 "MutationApplied",
                 {
-                    "original_sentence": original,
+                    "original_sentence": picks.original,
                     "rewritten_sentence": rewritten,
                     "candidate_id": mutant_id,
                     "step_plan": step_plan,

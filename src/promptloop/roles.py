@@ -31,14 +31,6 @@ class SamplingParams:
     top_p: float
     seed: int = DEFAULT_SEED
 
-    def __post_init__(self) -> None:
-        if self.temperature < 0:
-            raise ValueError(f"temperature must be >= 0, got {self.temperature}")
-        if self.top_k < 1:
-            raise ValueError(f"top_k must be >= 1, got {self.top_k}")
-        if not 0 < self.top_p <= 1:
-            raise ValueError(f"top_p must be in (0, 1], got {self.top_p}")
-
     def as_options(self) -> dict:
         """Options block for the wire protocol."""
         return {

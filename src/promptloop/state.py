@@ -4,9 +4,10 @@
 The engine applies every event it emits, and replay folds a log through the
 same function, so a resumed run restarts from exactly the state the live run
 had, and it is the only code that changes an archive. Events repeat values
-the engine derived (round means, RNG picks, the entry a mutant evicts);
-``apply`` recomputes each one and raises :class:`LogError` when the event
-disagrees, so a tampered or corrupt log is rejected rather than replayed.
+the engine derived (round means, RNG picks, a mutant's text, the entry a
+mutant evicts); ``apply`` recomputes each one and raises :class:`LogError`
+when the event disagrees, so a tampered or corrupt log is rejected rather
+than replayed.
 """
 
 from __future__ import annotations
@@ -110,10 +111,6 @@ class PromptArchive:
     """
 
     def __init__(self, capacity: int, keep: str = "best") -> None:
-        if capacity < 1:
-            raise ValueError("archive capacity must be >= 1")
-        if keep not in ("best", "worst"):
-            raise ValueError(f"keep must be 'best' or 'worst', got {keep!r}")
         self.capacity = capacity
         self.keep = keep
         self.entries: list[ArchiveEntry] = []  # in rank order, best first
@@ -179,15 +176,45 @@ def update_archives(
 
 
 @dataclass(frozen=True)
+class SentenceSegmentation:
+    sentences: tuple[str, ...]
+    joiner: str = " "
+
+    def join(self) -> str:
+        return self.joiner.join(self.sentences)
+
+
+def apply_rewrite(
+    segmentation: SentenceSegmentation, sentence_index: int, rewritten: str
+) -> SentenceSegmentation:
+    """Replace exactly one sentence slot; if the rewrite contains several
+    sentences the full text still occupies the single slot."""
+    sentences = list(segmentation.sentences)
+    sentences[sentence_index] = rewritten
+    return replace(segmentation, sentences=tuple(sentences))
+
+
+@dataclass(frozen=True)
 class Picks:
     """The two RNG draws of one mutation step, with the generator state they
-    leave behind."""
+    leave behind and the segmentation of the picked prompt."""
 
     step: int
     source: ArchiveEntry
     archive_index: int
     sentence_index: int
     rng_after: int
+    segmentation: SentenceSegmentation
+
+    @property
+    def original(self) -> str:
+        """The picked sentence."""
+        return self.segmentation.sentences[self.sentence_index]
+
+    def mutant(self, rewritten: str) -> str:
+        """The step's mutant: the picked prompt with the picked sentence
+        replaced by ``rewritten``."""
+        return apply_rewrite(self.segmentation, self.sentence_index, rewritten).join()
 
     def payload(self) -> dict:
         """The picks as the step's event records them."""
@@ -225,6 +252,12 @@ class EngineState:
             worst=PromptArchive(worst_capacity, keep="worst"),
             rng=SplitMix64(seed),
         )
+
+    def reached(self, target: float | None) -> bool:
+        """Whether the best archive's top score meets the score target (never
+        without a target or an archived prompt)."""
+        top = self.best.top_score()
+        return target is not None and top is not None and top >= target
 
     def totals(self) -> dict:
         """What RunFinished records: the best archive's top prompt and the
@@ -266,15 +299,17 @@ _INT, _NUMBER, _TEXT, _NONE = (int,), (int, float), (str,), (type(None),)
 #: exact types each may hold (so a bool is not a number).
 PAYLOAD_FIELDS = {
     "RunStarted": {"task_prompt": _TEXT, "seed": _INT, "best_capacity": _INT, "worst_capacity": _INT},
-    "RoundStarted": {"candidate_id": _TEXT, "step_plan": _TEXT},
+    "RoundStarted": {"round": _INT, "candidate_id": _TEXT, "step_plan": _TEXT, "origin": _TEXT},
     "SampleScored": {"score": _NUMBER},
-    "ThresholdUpdated": {"value": _NUMBER},
+    "ThresholdUpdated": {"round": _INT, "previous": _NUMBER + _NONE, "value": _NUMBER},
     "ArchivesUpdated": {"round": _INT, "candidate_id": _TEXT, "score": _NUMBER},
-    "PromptRegenerated": {"round": _INT, "candidate_id": _TEXT, "step_plan": _TEXT, "origin": _TEXT},
+    "PromptRegenerated": {
+        "round": _INT, "candidate_id": _TEXT, "step_plan": _TEXT, "origin": _TEXT, "for_round": _INT,
+    },
     "PhaseTransition": {"to": _TEXT},
     "MutationApplied": {
-        "step": _INT, "candidate_id": _TEXT, "step_plan": _TEXT, "score": _NUMBER,
-        "evicted_candidate_id": _TEXT + _NONE,
+        "step": _INT, "original_sentence": _TEXT, "rewritten_sentence": _TEXT,
+        "candidate_id": _TEXT, "step_plan": _TEXT, "score": _NUMBER, "evicted_candidate_id": _TEXT + _NONE,
     },
     "MutationRejected": {"step": _INT},
     "RunFinished": {
@@ -321,11 +356,10 @@ def apply(state: EngineState, event, picks: Picks | None = None) -> None:
         state.task_prompt = payload["task_prompt"]
     elif kind == "RoundStarted":
         current = state.current
-        if current is None or (current.id, current.step_plan) != (
-            payload["candidate_id"],
-            payload["step_plan"],
-        ):
-            raise LogError(f"event {event.seq}: the round does not run the current prompt")
+        if current is None or (
+            payload["round"], payload["candidate_id"], payload["step_plan"], payload["origin"]
+        ) != (state.round + 1, current.id, current.step_plan, current.origin):
+            raise LogError(f"event {event.seq}: round {state.round + 1} does not run the current prompt")
     elif kind == "SampleScored":
         score = payload["score"]
         # NaN fails the comparison, and an int is finite only within float range.
@@ -334,6 +368,8 @@ def apply(state: EngineState, event, picks: Picks | None = None) -> None:
         state.scores.append(score)
     elif kind == "ThresholdUpdated":
         value = payload["value"]
+        if (payload["round"], payload["previous"]) != (state.round + 1, state.threshold):
+            raise LogError(f"event {event.seq}: not round {state.round + 1}'s update of the threshold")
         _check_mean(event, state.scores, value)
         if state.threshold is not None and value < state.threshold:
             raise LogError(f"event {event.seq}: threshold decreased")
@@ -349,10 +385,16 @@ def apply(state: EngineState, event, picks: Picks | None = None) -> None:
         scored = replace(current, score=payload["score"])
         update_archives(state.best, state.worst, scored, state.arrival_counter)
     elif kind == "PromptRegenerated":
+        # The initial plan is round 0's; each later one closes the open round.
+        round_no = 0 if state.current is None else state.round + 1
+        if (payload["round"], payload["candidate_id"], payload["for_round"], payload["origin"]) != (
+            round_no, f"cand-{round_no + 1:04d}", round_no + 1, "refined" if round_no else "initial"
+        ):
+            raise LogError(f"event {event.seq}: PromptRegenerated is not the plan round {round_no} makes")
         state.current = PromptCandidate(
             id=payload["candidate_id"], step_plan=payload["step_plan"], origin=payload["origin"]
         )
-        state.round = payload["round"]
+        state.round = round_no
     elif kind == "PhaseTransition":
         if payload["to"] not in _SUCCESSORS.get(state.phase, ()):
             raise LogError(f"event {event.seq}: no transition from {state.phase!r} to {payload['to']!r}")
@@ -364,8 +406,10 @@ def apply(state: EngineState, event, picks: Picks | None = None) -> None:
         if "score" in payload:
             _check_mean(event, state.scores, payload["score"])
         if kind == "MutationApplied":
-            if payload["candidate_id"] != f"mut-{picks.step:04d}":
-                raise LogError(f"event {event.seq}: the mutant's id is not that of step {picks.step}")
+            if (payload["candidate_id"], payload["original_sentence"], payload["step_plan"]) != (
+                f"mut-{picks.step:04d}", picks.original, picks.mutant(payload["rewritten_sentence"])
+            ):
+                raise LogError(f"event {event.seq}: not step {picks.step}'s mutant of the picked sentence")
             state.arrival_counter += 1
             entry = ArchiveEntry(
                 candidate_id=payload["candidate_id"],

@@ -17,6 +17,7 @@ from promptloop.engine import Engine
 from promptloop.errors import BackendUnavailableError, PromptloopError
 from promptloop.gateway import BackendDescriptor, MockBackend
 from promptloop.mutation import draw_picks
+from promptloop.roles import ModelRole, SamplingParams
 from promptloop.runstore import EventLog, build_manifest, read_log
 from promptloop.scoring import CorpusEvaluator, EmbeddingCache, ReferenceCorpus
 from promptloop.state import MUTATION_KINDS, apply
@@ -34,6 +35,29 @@ FIXED_CREATED_AT = "2026-01-01T00:00:00+00:00"
 #: and the round mean (``--hypothesis-profile=kernels``); the default profile
 #: is unchanged.
 settings.register_profile("kernels", max_examples=20_000, deadline=None)
+
+
+@dataclass
+class RecordedCall:
+    """One chat call a RecordingBackend saw."""
+
+    role: ModelRole
+    params: SamplingParams
+    system_prompt: str
+    messages: tuple[tuple[str, str], ...]
+
+
+class RecordingBackend(MockBackend):
+    """The scripted mock, recording every chat call it receives (a failing
+    one included) in ``calls``."""
+
+    def __init__(self, descriptor, scripts=None):
+        super().__init__(descriptor, scripts)
+        self.calls: list[RecordedCall] = []
+
+    def chat(self, exchange, params):
+        self.calls.append(RecordedCall(exchange.role, params, exchange.system_prompt, exchange.messages))
+        return super().chat(exchange, params)
 
 
 @pytest.fixture
@@ -56,7 +80,7 @@ class Harness:
     """One fully wired engine over the scripted mock, ready to run."""
 
     engine: Engine
-    backend: MockBackend
+    backend: RecordingBackend
     cache: EmbeddingCache
     corpus: ReferenceCorpus
     evaluator: CorpusEvaluator
@@ -120,7 +144,7 @@ def make_harness(
     if scripts:
         doc["scripts"] = {role.value: list(items) for role, items in scripts.items()}
     config = resolve_config(doc, env={})
-    backend = MockBackend(config.backend, config.scripts)
+    backend = RecordingBackend(config.backend, config.scripts)
     cache = EmbeddingCache(backend)
     corpus = make_corpus(cache, corpus_texts)
     if evaluator is None:

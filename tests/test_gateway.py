@@ -7,9 +7,9 @@ import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FakeResponse
+from conftest import FakeResponse, RecordingBackend
 from oracle import embed_ref, fnv1a64_ref
-from promptloop.engine import EngineConfig
+from promptloop.config import resolve_config
 from promptloop.errors import (
     BackendUnavailableError,
     ConfigError,
@@ -27,7 +27,7 @@ from promptloop.gateway import (
     call_seed,
     fnv1a64,
 )
-from promptloop.roles import DEFAULT_ROLE_PARAMS, ModelRole, SamplingParams
+from promptloop.roles import DEFAULT_ROLE_PARAMS, ModelRole
 
 
 def exchange(role=ModelRole.ACTOR, text="Schreib einen Brief", index=0):
@@ -99,7 +99,7 @@ class TestMockChat:
     def test_reply_is_the_script_item_at_the_index(self):
         # a resumed run starts at each role's logged call count, so the reply
         # to index i must not depend on the calls before it, failed or not
-        backend = MockBackend(
+        backend = RecordingBackend(
             BackendDescriptor(), {ModelRole.ACTOR: ["a", FAILURE_MARKER, "", "d"]}
         )
         with pytest.raises(BackendUnavailableError):
@@ -495,33 +495,43 @@ class TestHealthCheck:
         assert backend.health_check().status == "unavailable"
 
 
+def resolved(backend=None, role_params=None):
+    """The config of a document with the given backend and role_params
+    sections."""
+    doc = {"corpus_path": "c"}
+    if backend is not None:
+        doc["backend"] = backend
+    if role_params is not None:
+        doc["engine"] = {"role_params": role_params}
+    return resolve_config(doc, env={})
+
+
 class TestDescriptor:
     def test_http_requires_base_url(self):
         with pytest.raises(ConfigError):
-            BackendDescriptor(kind="http")
+            resolved(backend={"kind": "http"})
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError):
-            BackendDescriptor(kind="grpc")
+            resolved(backend={"kind": "grpc"})
 
     def test_sampling_params_validation(self):
-        with pytest.raises(ValueError):
-            SamplingParams(temperature=-0.1, top_k=5, top_p=0.5)
-        with pytest.raises(ValueError):
-            SamplingParams(temperature=0.1, top_k=0, top_p=0.5)
-        with pytest.raises(ValueError):
-            SamplingParams(temperature=0.1, top_k=5, top_p=0.0)
-        with pytest.raises(ValueError):
-            SamplingParams(temperature=0.1, top_k=5, top_p=1.2)
+        with pytest.raises(ConfigError):
+            resolved(role_params={"actor": {"temperature": -0.1, "top_k": 5, "top_p": 0.5}})
+        with pytest.raises(ConfigError):
+            resolved(role_params={"actor": {"temperature": 0.1, "top_k": 0, "top_p": 0.5}})
+        with pytest.raises(ConfigError):
+            resolved(role_params={"actor": {"temperature": 0.1, "top_k": 5, "top_p": 0.0}})
+        with pytest.raises(ConfigError):
+            resolved(role_params={"actor": {"temperature": 0.1, "top_k": 5, "top_p": 1.2}})
 
 
 class TestRoleParamsTotality:
     def test_defaults_cover_every_role(self):
         assert set(DEFAULT_ROLE_PARAMS) == set(ModelRole)
-        EngineConfig().validate()
+        engine = resolved(role_params={"actor": {"top_k": 3}}).engine
+        assert set(engine.role_params) == set(engine.system_prompts) == set(ModelRole)
 
     def test_missing_role_rejected(self):
-        params = dict(DEFAULT_ROLE_PARAMS)
-        del params[ModelRole.MUTATOR]
         with pytest.raises(ConfigError):
-            EngineConfig(role_params=params).validate()
+            resolved(role_params={"mutator": None})

@@ -35,13 +35,15 @@ FIXTURES = Path(__file__).parent / "fixtures"
 #: Every event's ``seq`` and ``ts`` are checked too, and a sample's score
 #: through the round or step mean it enters.
 CHECKED = {
-    "RoundStarted": {"candidate_id", "step_plan"},
-    "ThresholdUpdated": {"value"},
+    "RoundStarted": {"round", "candidate_id", "step_plan", "origin"},
+    "ThresholdUpdated": {"round", "previous", "value"},
     "ArchivesUpdated": {"round", "candidate_id", "score"},
+    "PromptRegenerated": {"round", "candidate_id", "for_round", "origin"},
     "PhaseTransition": {"from", "to"},
     "MutationApplied": {
         "step", "source_candidate_id", "archive_index", "sentence_index",
-        "candidate_id", "score", "evicted_candidate_id",
+        "original_sentence", "rewritten_sentence", "candidate_id", "step_plan",
+        "score", "evicted_candidate_id",
     },
     "MutationRejected": {"step", "source_candidate_id", "archive_index", "sentence_index", "score"},
     "RunFinished": {

@@ -265,6 +265,16 @@ def _edit_first(picked, change):
     return edit
 
 
+def _edit_and_cut(picked, change):
+    """Change the payload of the first event ``picked`` selects and drop
+    the events after it, so no later event can give the edit away."""
+    def edit(events):
+        index = next(i for i, e in enumerate(events) if picked(e))
+        change(events[index]["payload"])
+        return events[: index + 1]
+    return edit
+
+
 def _rejected_mutant_scores(value):
     """Give the rejected mutant's samples and mean a score of ``value``."""
     def edit(events):
@@ -291,6 +301,28 @@ TAMPERS = {
         _kind("MutationApplied"), lambda p: p.update(evicted_candidate_id="cand-0001")
     ),
     "rejected-mutant-the-archive-takes": _rejected_mutant_scores(0.9),
+    "round-started-round": _edit_first(_kind("RoundStarted"), _bump("round", 1)),
+    "round-started-origin": _edit_first(_kind("RoundStarted"), lambda p: p.update(origin="refined")),
+    "threshold-previous": _edit_first(_kind("ThresholdUpdated"), lambda p: p.update(previous=0.5)),
+    "threshold-round": _edit_first(_kind("ThresholdUpdated"), _bump("round", 1)),
+    "regenerated-round": _edit_and_cut(
+        lambda e: e["kind"] == "PromptRegenerated" and e["payload"]["round"] == 1,
+        lambda p: p.update(round=3),
+    ),
+    "regenerated-candidate-id": _edit_and_cut(
+        _kind("PromptRegenerated"), lambda p: p.update(candidate_id="cand-0002")
+    ),
+    "regenerated-for-round": _edit_first(_kind("PromptRegenerated"), _bump("for_round", 1)),
+    "regenerated-origin": _edit_first(_kind("PromptRegenerated"), lambda p: p.update(origin="refined")),
+    "applied-original-sentence": _edit_first(
+        _kind("MutationApplied"), lambda p: p.update(original_sentence="Ein anderer Satz.")
+    ),
+    "applied-rewritten-sentence": _edit_first(
+        _kind("MutationApplied"), lambda p: p.update(rewritten_sentence="Ein anderer Satz.")
+    ),
+    "applied-step-plan": _edit_first(
+        _kind("MutationApplied"), lambda p: p.update(step_plan="Plan 9: Schritt eins.")
+    ),
     **{
         f"finished-{key}": _edit_first(_kind("RunFinished"), change)
         for key, change in {
