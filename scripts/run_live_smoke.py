@@ -35,9 +35,9 @@ def main() -> int:
         env={},
     )
     backend = build_backend(config.backend, config.scripts or None)
-    health = backend.health_check()
-    if health.status != "ok":
-        print(f"endpoint {base_url} unavailable: {health.cause}", file=sys.stderr)
+    cause = backend.health_check()
+    if cause is not None:
+        print(f"endpoint {base_url} unavailable: {cause}", file=sys.stderr)
         return 3
 
     cache = EmbeddingCache(backend)

@@ -34,6 +34,11 @@ ENV_BASE_URL = "PROMPTLOOP_BASE_URL"
 
 _FLOAT_MAX = sys.float_info.max
 
+#: Longest request timeout and first retry backoff, in seconds. With at most
+#: 10 retries the longest backoff sleep is 3,600 * 2**9 s, which sockets and
+#: ``time.sleep`` accept on every platform.
+_MAX_WAIT = 3600
+
 #: Top-level fields a CliConfig holds as the document gives them.
 _PLAIN = ("corpus_path", "max_documents", "output_dir", "log_level")
 
@@ -105,9 +110,9 @@ _FIELDS: dict[str, dict[str, Field]] = {
         "base_url": _NAME,
         "model_name": _NAME,
         "embedding_model_name": _NAME,
-        "timeout": Field(_NUMBER, lambda v: 0 < v <= _FLOAT_MAX, "a finite number > 0"),
-        "max_retries": Field(_INT, lambda v: v >= 0, "an integer >= 0"),
-        "retry_backoff": Field(_NUMBER, lambda v: 0 <= v <= _FLOAT_MAX, "a finite number >= 0"),
+        "timeout": Field(_NUMBER, lambda v: 0 < v <= _MAX_WAIT, f"a number in (0, {_MAX_WAIT}]"),
+        "max_retries": Field(_INT, lambda v: 0 <= v <= 10, "an integer in [0, 10]"),
+        "retry_backoff": Field(_NUMBER, lambda v: 0 <= v <= _MAX_WAIT, f"a number in [0, {_MAX_WAIT}]"),
         "mock_embedding_dim": _COUNT,
     },
     "engine": {

@@ -21,16 +21,7 @@ from .roles import (
     ModelRole,
     SamplingParams,
 )
-from .state import (  # noqa: F401  (the state types are importable from here too)
-    ArchiveEntry,
-    EngineState,
-    PromptArchive,
-    PromptCandidate,
-    SplitMix64,
-    apply,
-    round_mean,
-    update_archives,
-)
+from .state import ArchiveEntry, EngineState, PromptArchive, PromptCandidate, apply, round_mean
 
 
 @dataclass
@@ -317,9 +308,9 @@ class Engine:
         """Run fresh: health-check the backend, then open the log and drive
         the phases to completion. An unreachable backend aborts before any
         log file is created."""
-        report = self.gateway.health_check()
-        if report.status != "ok":
-            raise BackendUnavailableError(f"backend unavailable: {report.cause}")
+        cause = self.gateway.health_check()
+        if cause is not None:
+            raise BackendUnavailableError(f"backend unavailable: {cause}")
         self.log.start(manifest)
         self.record("RunStarted", self._run_started(manifest["run_id"]))
         return self._drive()

@@ -3,7 +3,7 @@
 Two backends implement it: an HTTP client for any Ollama-compatible REST
 endpoint, and a fully offline scripted mock whose outputs are a pure function
 of its scripts and inputs. Both expose ``chat``, ``chat_many``, ``embed`` and
-``health_check``.
+``health_check``, which returns why the backend cannot serve a run, or None.
 
 Every chat call carries its identity: its role and the role's call index.
 The mock looks its reply up by that index, and the HTTP backend derives the
@@ -129,15 +129,6 @@ class BackendDescriptor:
     mock_embedding_dim: int = 64
 
 
-@dataclass
-class HealthReport:
-    status: str  # "ok" | "unavailable"
-    kind: str
-    model_name: str
-    embedding_model_name: str
-    cause: str | None = None
-
-
 class MockBackend:
     """Deterministic offline backend.
 
@@ -193,13 +184,8 @@ class MockBackend:
             vec /= norm
         return vec
 
-    def health_check(self) -> HealthReport:
-        return HealthReport(
-            status="ok",
-            kind="mock",
-            model_name=self.descriptor.model_name,
-            embedding_model_name=self.descriptor.embedding_model_name,
-        )
+    def health_check(self) -> str | None:
+        return None
 
 
 class HttpBackend:
@@ -297,31 +283,23 @@ class HttpBackend:
             f"{url} unreachable after {attempts} attempts: {last_error}"
         ) from last_error
 
-    def health_check(self) -> HealthReport:
-        """Ok only if ``/api/tags`` answers and lists both configured models."""
+    def health_check(self) -> str | None:
+        """Why the backend is unusable, or None once ``/api/tags`` answers and
+        lists both configured models."""
         url = self.descriptor.base_url.rstrip("/") + "/api/tags"
         try:
             response = self.session.get(url, timeout=self.descriptor.timeout)
             response.raise_for_status()
             served = {_tagged(model["name"]) for model in response.json()["models"]}
         except requests.RequestException as exc:
-            return self._health(cause=str(exc))
+            return str(exc)
         except (ValueError, KeyError, TypeError) as exc:
-            return self._health(cause=f"malformed reply from {url}: {exc!r}")
+            return f"malformed reply from {url}: {exc!r}"
         names = (self.descriptor.model_name, self.descriptor.embedding_model_name)
         missing = [name for name in names if _tagged(name) not in served]
         if missing:
-            return self._health(cause=f"{url} does not list model {', '.join(missing)}")
-        return self._health()
-
-    def _health(self, cause: str | None = None) -> HealthReport:
-        return HealthReport(
-            status="ok" if cause is None else "unavailable",
-            kind="http",
-            model_name=self.descriptor.model_name,
-            embedding_model_name=self.descriptor.embedding_model_name,
-            cause=cause,
-        )
+            return f"{url} does not list model {', '.join(missing)}"
+        return None
 
 
 def _tagged(name: str) -> str:

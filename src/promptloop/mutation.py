@@ -15,7 +15,6 @@ from . import templates
 from .errors import BACKEND_ERRORS, DegenerateInputError, EmptyResponseError, MutationRejectedError
 from .roles import ModelRole
 from .state import Picks, SentenceSegmentation, SplitMix64, round_mean
-from .state import apply_rewrite  # noqa: F401  (the splice is importable with the segmenter)
 
 #: A terminator and the whitespace after it. For str patterns ``\s`` is
 #: exactly ``str.isspace``; the test on the character that follows stays in
@@ -57,12 +56,11 @@ def rewrite_sentence(chat: Callable[[ModelRole, str], str], step_plan: str, sent
     return rewritten
 
 
-def draw_picks(state) -> tuple[Picks, SentenceSegmentation]:
+def draw_picks(state) -> Picks:
     """Draw the next mutation step's archive pick, then its sentence pick.
 
     The draws run on a copy of the run's generator: the state moves on only
-    when the step's outcome event is applied. Returns the picks and the
-    segmentation of the picked prompt.
+    when the step's outcome event is applied.
     """
     rng = SplitMix64(state.rng.state)
     ranked = state.best.ranked()
@@ -70,8 +68,7 @@ def draw_picks(state) -> tuple[Picks, SentenceSegmentation]:
     source = ranked[archive_index]
     segmentation = segment_sentences(source.step_plan)
     sentence_index = rng.below(len(segmentation.sentences))
-    picks = Picks(state.mutation_step + 1, source, archive_index, sentence_index, rng.state, segmentation)
-    return picks, segmentation
+    return Picks(state.mutation_step + 1, source, archive_index, sentence_index, rng.state, segmentation)
 
 
 def run_mutation_phase(engine) -> None:
@@ -87,7 +84,7 @@ def run_mutation_phase(engine) -> None:
     if state.phase != "mutation":
         raise MutationRejectedError(f"mutation phase entered in phase {state.phase!r}")
     while state.mutation_step < config.mutation_budget and not state.reached(config.score_target):
-        picks = draw_picks(state)[0]
+        picks = draw_picks(state)
         mutant_id = f"mut-{picks.step:04d}"
 
         def finish(kind: str, fields: dict) -> None:

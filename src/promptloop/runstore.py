@@ -17,28 +17,9 @@ from datetime import datetime, timezone
 
 from .errors import DegenerateInputError, DigestMismatchError, LogError
 from .mutation import draw_picks
-from .state import COMMIT_KINDS, MUTATION_KINDS, EngineState, apply, check_payload
+from .state import COMMIT_KINDS, MUTATION_KINDS, PAYLOAD_FIELDS, EngineState, apply, check_payload
 
 ARTIFACT_VERSION = "0.2.0"
-
-EVENT_KINDS = frozenset(
-    {
-        "RunStarted",
-        "RoundStarted",
-        "SampleGenerated",
-        "SampleScored",
-        "FeedbackIssued",
-        "RoundSummarized",
-        "ThresholdUpdated",
-        "ArchivesUpdated",
-        "PromptRegenerated",
-        "PhaseTransition",
-        "MutationApplied",
-        "MutationRejected",
-        "BackendFailure",
-        "RunFinished",
-    }
-)
 
 
 def canonical_json(value) -> str:
@@ -74,8 +55,8 @@ def check_next(last: RunEvent | None, event: RunEvent) -> None:
     """The log's order rule, for writer and reader alike: ``event`` may follow
     ``last`` (None at the start) only if its seq is the next one and equals
     its ts (both ints, so not bools), RunStarted is first and only first,
-    nothing follows RunFinished, and its kind is known and its payload an
-    object."""
+    nothing follows RunFinished, its kind is a key of
+    :data:`promptloop.state.PAYLOAD_FIELDS` and its payload an object."""
     if last is not None and last.kind == "RunFinished":
         raise LogError(f"event {event.seq}: nothing may follow RunFinished")
     expected = last.seq + 1 if last is not None else 1
@@ -83,7 +64,7 @@ def check_next(last: RunEvent | None, event: RunEvent) -> None:
         raise LogError(f"sequence gap: expected {expected}, got {event.seq!r}")
     if type(event.ts) is not int or event.ts != event.seq:
         raise LogError(f"event {event.seq}: ts {event.ts!r} must equal its sequence number")
-    if type(event.kind) is not str or event.kind not in EVENT_KINDS:
+    if type(event.kind) is not str or event.kind not in PAYLOAD_FIELDS:
         raise LogError(f"event {event.seq}: unknown event kind {event.kind!r}")
     if last is None and event.kind != "RunStarted":
         raise LogError("first event must be RunStarted")
@@ -291,7 +272,7 @@ def replay_log(path) -> ReplayResult:
             if not state.best.entries:
                 raise LogError(f"event {event.seq}: mutation step before any archived prompt")
             try:
-                picks = draw_picks(state)[0]
+                picks = draw_picks(state)
             except DegenerateInputError as exc:  # only a logged prompt can be blank
                 raise LogError(f"event {event.seq}: the picked prompt has no sentence") from exc
         apply(state, event, picks)

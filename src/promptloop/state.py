@@ -17,8 +17,10 @@ import sys
 from dataclasses import dataclass, field, replace
 
 from .errors import LogError
+from .roles import ModelRole
 
 _MASK64 = (1 << 64) - 1
+_ROLES = frozenset(role.value for role in ModelRole)
 _FLOAT_MAX = sys.float_info.max
 
 #: Event kinds at which the state is durably consistent: replay restores the
@@ -89,7 +91,6 @@ class PromptCandidate:
     id: str
     step_plan: str
     origin: str  # "initial" | "refined"
-    score: float | None = None
 
 
 @dataclass(frozen=True)
@@ -153,26 +154,6 @@ class PromptArchive:
         copy = PromptArchive(self.capacity, self.keep)
         copy.entries = list(self.entries)
         return copy
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
-def update_archives(
-    best: PromptArchive, worst: PromptArchive, candidate: PromptCandidate, arrival: int
-) -> tuple[PromptArchive, PromptArchive]:
-    """Offer a scored candidate to both archives."""
-    if candidate.score is None:
-        raise ValueError("candidate must be scored before archiving")
-    entry = ArchiveEntry(
-        candidate_id=candidate.id,
-        step_plan=candidate.step_plan,
-        score=candidate.score,
-        arrival=arrival,
-    )
-    best.offer(entry)
-    worst.offer(entry)
-    return best, worst
 
 
 @dataclass(frozen=True)
@@ -253,6 +234,11 @@ class EngineState:
             rng=SplitMix64(seed),
         )
 
+    def arrive(self, candidate_id: str, step_plan: str, score: float) -> ArchiveEntry:
+        """The archive entry of the run's next scored prompt."""
+        self.arrival_counter += 1
+        return ArchiveEntry(candidate_id, step_plan, score, self.arrival_counter)
+
     def reached(self, target: float | None) -> bool:
         """Whether the best archive's top score meets the score target (never
         without a target or an archived prompt)."""
@@ -293,25 +279,32 @@ _PHASE_OF = {
 _SUCCESSORS = {"feedback_loop": ("mutation", "finished"), "mutation": ("finished",)}
 
 
-_INT, _NUMBER, _TEXT, _NONE = (int,), (int, float), (str,), (type(None),)
+_INT, _NUMBER, _TEXT, _NONE, _OBJECT = (int,), (int, float), (str,), (type(None),), (dict,)
 
-#: The payload fields the fold or the report reads, by event kind, with the
-#: exact types each may hold (so a bool is not a number).
+#: Every event kind, with the payload fields the fold or the report reads and
+#: the exact types each may hold (so a bool is not a number). The kinds that
+#: only carry text have none.
 PAYLOAD_FIELDS = {
     "RunStarted": {"task_prompt": _TEXT, "seed": _INT, "best_capacity": _INT, "worst_capacity": _INT},
     "RoundStarted": {"round": _INT, "candidate_id": _TEXT, "step_plan": _TEXT, "origin": _TEXT},
+    "SampleGenerated": {},
     "SampleScored": {"score": _NUMBER},
+    "FeedbackIssued": {},
+    "RoundSummarized": {},
     "ThresholdUpdated": {"round": _INT, "previous": _NUMBER + _NONE, "value": _NUMBER},
     "ArchivesUpdated": {"round": _INT, "candidate_id": _TEXT, "score": _NUMBER},
     "PromptRegenerated": {
         "round": _INT, "candidate_id": _TEXT, "step_plan": _TEXT, "origin": _TEXT, "for_round": _INT,
+        "chat_calls": _OBJECT,
     },
     "PhaseTransition": {"to": _TEXT},
     "MutationApplied": {
         "step": _INT, "original_sentence": _TEXT, "rewritten_sentence": _TEXT,
         "candidate_id": _TEXT, "step_plan": _TEXT, "score": _NUMBER, "evicted_candidate_id": _TEXT + _NONE,
+        "chat_calls": _OBJECT,
     },
-    "MutationRejected": {"step": _INT},
+    "MutationRejected": {"step": _INT, "chat_calls": _OBJECT},
+    "BackendFailure": {},
     "RunFinished": {
         "best_candidate_id": _TEXT + _NONE, "best_score": _NUMBER + _NONE, "best_step_plan": _TEXT + _NONE,
         "rounds": _INT, "mutations_applied": _INT, "mutations_rejected": _INT,
@@ -323,7 +316,7 @@ def check_payload(event) -> dict:
     """Return the event's payload once each field :data:`PAYLOAD_FIELDS`
     lists for its kind is present with one of its types."""
     payload = event.payload
-    for key, types in PAYLOAD_FIELDS.get(event.kind, {}).items():
+    for key, types in PAYLOAD_FIELDS[event.kind].items():
         if key not in payload:
             raise LogError(f"event {event.seq}: {event.kind} payload has no {key!r}")
         value = payload[key]
@@ -381,9 +374,9 @@ def apply(state: EngineState, event, picks: Picks | None = None) -> None:
         _check_mean(event, state.scores, payload["score"])
         if state.threshold is None or payload["score"] > state.threshold:
             raise LogError(f"event {event.seq}: the round's threshold update is missing")
-        state.arrival_counter += 1
-        scored = replace(current, score=payload["score"])
-        update_archives(state.best, state.worst, scored, state.arrival_counter)
+        entry = state.arrive(current.id, current.step_plan, payload["score"])
+        state.best.offer(entry)
+        state.worst.offer(entry)
     elif kind == "PromptRegenerated":
         # The initial plan is round 0's; each later one closes the open round.
         round_no = 0 if state.current is None else state.round + 1
@@ -410,13 +403,7 @@ def apply(state: EngineState, event, picks: Picks | None = None) -> None:
                 f"mut-{picks.step:04d}", picks.original, picks.mutant(payload["rewritten_sentence"])
             ):
                 raise LogError(f"event {event.seq}: not step {picks.step}'s mutant of the picked sentence")
-            state.arrival_counter += 1
-            entry = ArchiveEntry(
-                candidate_id=payload["candidate_id"],
-                step_plan=payload["step_plan"],
-                score=payload["score"],
-                arrival=state.arrival_counter,
-            )
+            entry = state.arrive(payload["candidate_id"], payload["step_plan"], payload["score"])
             inserted, evicted = state.best.offer(entry)
             if not inserted or payload["evicted_candidate_id"] != (evicted.candidate_id if evicted else None):
                 raise LogError(f"event {event.seq}: the best archive does not take the mutant that way")
@@ -432,8 +419,8 @@ def apply(state: EngineState, event, picks: Picks | None = None) -> None:
         state.phase = "finished"
     if kind in COMMIT_KINDS:
         state.scores = []
-        if "chat_calls" in payload:
+        if "chat_calls" in PAYLOAD_FIELDS[kind]:
             calls = payload["chat_calls"]
-            if type(calls) is not dict or any(type(n) is not int for n in calls.values()):
-                raise LogError(f"event {event.seq}: {kind} chat_calls {calls!r} is not a count per role")
+            if calls.keys() != _ROLES or any(type(n) is not int or n < 0 for n in calls.values()):
+                raise LogError(f"event {event.seq}: {kind} chat_calls {calls!r} is not a count >= 0 per role")
             state.chat_calls = dict(calls)

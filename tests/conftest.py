@@ -252,7 +252,7 @@ def fold_best_floors(state, events):
     first event and after each MutationApplied."""
     floors = [state.best.entries[-1].score]
     for event in events:
-        picks = draw_picks(state)[0] if event.kind in MUTATION_KINDS else None
+        picks = draw_picks(state) if event.kind in MUTATION_KINDS else None
         apply(state, event, picks)
         if event.kind == "MutationApplied":
             floors.append(state.best.entries[-1].score)

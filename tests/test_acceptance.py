@@ -16,11 +16,12 @@ import pytest
 from conftest import events_by_kind, fold_best_floors, make_harness, scripted_plans
 from oracle import corpus_score_ref, cosine_ref
 from promptloop.demo import DEMO_CORPUS, run_demo
-from promptloop.engine import Engine, PromptArchive, SplitMix64, update_archives, PromptCandidate
-from promptloop.mutation import apply_rewrite, segment_sentences
+from promptloop.engine import Engine
+from promptloop.mutation import segment_sentences
 from promptloop.roles import ModelRole
 from promptloop.runstore import read_log, summarize_log
 from promptloop.scoring import cosine
+from promptloop.state import ArchiveEntry, PromptArchive, PromptCandidate, SplitMix64, apply_rewrite
 
 
 def ok(number, name):
@@ -146,8 +147,9 @@ class TestCriterion3ArchiveOracle:
             for arrival in range(1, length + 1):
                 score = rng.randint(0, 25) / 25  # coarse grid provokes ties
                 cid = f"c{arrival}"
-                candidate = PromptCandidate(cid, "p", "refined", score=score)
-                update_archives(best, worst, candidate, arrival)
+                entry = ArchiveEntry(cid, "p", score, arrival)
+                best.offer(entry)
+                worst.offer(entry)
                 oracle.add(score, arrival, cid)
                 assert {e.candidate_id for e in best.entries} == oracle.top_ids(best_cap)
                 assert {e.candidate_id for e in worst.entries} == oracle.bottom_ids(worst_cap)
@@ -249,7 +251,6 @@ class TestCriterion6MutationLocality:
     def test_archive_floor_monotone_through_fuzzed_phases(self, tmp_path):
         from promptloop.mutation import run_mutation_phase
         from conftest import FakeEvaluator
-        from promptloop.engine import ArchiveEntry
 
         rng = random.Random(99)
         for index in range(40):
@@ -437,9 +438,9 @@ class TestCriterion10LiveSmoke:
             env={},
         )
         backend = build_backend(config.backend, config.scripts or None)
-        health = backend.health_check()
-        if health.status != "ok":
-            pytest.skip(f"no live endpoint at {base_url}: {health.cause}")
+        cause = backend.health_check()
+        if cause is not None:
+            pytest.skip(f"no live endpoint at {base_url}: {cause}")
         cache = EmbeddingCache(backend)
         corpus = ReferenceCorpus(
             documents=list(DEMO_CORPUS),

@@ -41,6 +41,10 @@ REJECTED = {
     "timeout-nan": ({"backend": {"timeout": math.nan}}, "backend.timeout"),
     "timeout-infinity": ({"backend": {"timeout": math.inf}}, "backend.timeout"),
     "retry-backoff-infinity": ({"backend": {"retry_backoff": math.inf}}, "backend.retry_backoff"),
+    # Finite, but beyond what a socket timeout or time.sleep accepts.
+    "timeout-huge": ({"backend": {"timeout": 1e300}}, "backend.timeout"),
+    "retry-backoff-huge": ({"backend": {"retry_backoff": 1e300, "max_retries": 1}}, "backend.retry_backoff"),
+    "max-retries-eleven": ({"backend": {"max_retries": 11}}, "backend.max_retries"),
     "top-k-bool": ({"engine": {"role_params": {"actor": {"top_k": True}}}}, "engine.role_params.actor.top_k"),
     "top-k-fraction": ({"engine": {"role_params": {"actor": {"top_k": 2.5}}}}, "engine.role_params.actor.top_k"),
     "role-seed-string": ({"engine": {"role_params": {"actor": {"seed": "x"}}}}, "engine.role_params.actor.seed"),

@@ -10,27 +10,25 @@ from hypothesis import strategies as st
 
 from conftest import FakeEvaluator, FakeResponse, events_by_kind, make_harness, scripted_plans
 from oracle import bottom_k_ref, top_k_ref
-from promptloop.engine import (
-    ArchiveEntry,
-    Engine,
-    EngineConfig,
-    EngineState,
-    PromptArchive,
-    PromptCandidate,
-    SplitMix64,
-    check_transition,
-    round_mean,
-    route_feedback,
-    update_archives,
-)
+from promptloop.engine import Engine, EngineConfig, check_transition, route_feedback
 from promptloop.errors import RunAbortedError
 from promptloop.gateway import FAILURE_MARKER, BackendDescriptor, HttpBackend
 from promptloop.roles import DEFAULT_SYSTEM_PROMPTS, ModelRole
 from promptloop.runstore import EventLog
+from promptloop.state import (
+    ArchiveEntry,
+    EngineState,
+    PromptArchive,
+    PromptCandidate,
+    SplitMix64,
+    round_mean,
+)
 
 
-def candidate(cid="cand-0001", plan="Schritt eins. Schritt zwei.", score=None):
-    return PromptCandidate(id=cid, step_plan=plan, origin="initial", score=score)
+def offer(best, worst, cid, score, arrival):
+    entry = ArchiveEntry(cid, "Schritt eins. Schritt zwei.", score, arrival)
+    best.offer(entry)
+    worst.offer(entry)
 
 
 class TestSplitMix64:
@@ -99,7 +97,7 @@ class TestArchives:
         best = PromptArchive(best_cap, keep="best")
         worst = PromptArchive(worst_cap, keep="worst")
         for arrival, score in enumerate(scores, start=1):
-            update_archives(best, worst, candidate(f"c{arrival}", score=score), arrival)
+            offer(best, worst, f"c{arrival}", score, arrival)
         return best, worst
 
     def test_spec_stream(self):
@@ -133,7 +131,7 @@ class TestArchives:
         best = PromptArchive(best_cap, keep="best")
         worst = PromptArchive(worst_cap, keep="worst")
         for arrival, score in enumerate(scores, start=1):
-            update_archives(best, worst, candidate(f"c{arrival}", score=score), arrival)
+            offer(best, worst, f"c{arrival}", score, arrival)
             prefix = scores[:arrival]
             expected_best = {f"c{i + 1}" for i, _ in top_k_ref(prefix, best_cap)}
             expected_worst = {f"c{i + 1}" for i, _ in bottom_k_ref(prefix, worst_cap)}
@@ -407,7 +405,7 @@ class TestAtomicRounds:
         assert after.round == before.round
         assert after.threshold == before.threshold
         assert after.current.id == before.current.id
-        assert after.current.score == before.current.score is None
+        assert after.current == before.current
         assert [e.candidate_id for e in after.best.entries] == []
         assert after.rng.state == before.rng.state
         assert h.events()[-1].kind == "BackendFailure"
@@ -438,7 +436,7 @@ class TestAtomicRounds:
         h.engine.log.close()
         after = h.engine.state
         assert after.threshold is None and before.threshold is None
-        assert after.current.score is None
+        assert after.current == before.current
         assert len(after.best.entries) == 0
         assert len(after.worst.entries) == 0
         assert after.arrival_counter == before.arrival_counter
@@ -508,13 +506,7 @@ class TestRunOptimization:
 
     def test_unavailable_backend_creates_no_log(self, tmp_path, monkeypatch):
         h = self.scripted(tmp_path, "nolog")
-        from promptloop.gateway import HealthReport
-
-        monkeypatch.setattr(
-            h.backend,
-            "health_check",
-            lambda: HealthReport("unavailable", "mock", "m", "e", cause="down"),
-        )
+        monkeypatch.setattr(h.backend, "health_check", lambda: "down")
         from promptloop.errors import BackendUnavailableError
 
         with pytest.raises(BackendUnavailableError):

@@ -445,23 +445,18 @@ class TestHttpEmbed:
 
 class TestHealthCheck:
     def test_mock_reports_ok(self, mock_backend):
-        report = mock_backend.health_check()
-        assert report.status == "ok"
-        assert report.kind == "mock"
+        assert mock_backend.health_check() is None
 
     def test_http_unreachable_reports_cause(self):
         session = FakeSession([requests.ConnectionError("refused")])
         backend = HttpBackend(http_descriptor(), session)
-        report = backend.health_check()
-        assert report.status == "unavailable"
-        assert "refused" in report.cause
+        cause = backend.health_check()
+        assert "refused" in cause
 
     def test_http_reachable_echoes_model_name(self):
         session = FakeSession([FakeResponse(tags("llama3.1", "jina-embeddings-v2-base-de"))])
         backend = HttpBackend(http_descriptor(model_name="llama3.1"), session)
-        report = backend.health_check()
-        assert report.status == "ok"
-        assert report.model_name == "llama3.1"
+        assert backend.health_check() is None
 
     @pytest.mark.parametrize("listed", [
         ("llama3.1:latest", "jina-embeddings-v2-base-de:latest", "mistral:7b"),
@@ -470,29 +465,26 @@ class TestHealthCheck:
     def test_http_both_models_listed_is_ok(self, listed):
         session = FakeSession([FakeResponse(tags(*listed))])
         backend = HttpBackend(http_descriptor(), session)
-        report = backend.health_check()
-        assert report.status == "ok" and report.cause is None
+        assert backend.health_check() is None
         assert session.requests[0]["url"] == "http://localhost:11434/api/tags"
 
     def test_http_missing_model_is_named(self):
         session = FakeSession([FakeResponse(tags("llama3.1:latest", "llama3.1:8b"))])
         backend = HttpBackend(http_descriptor(), session)
-        report = backend.health_check()
-        assert report.status == "unavailable"
-        assert "jina-embeddings-v2-base-de" in report.cause
-        assert "llama3.1" not in report.cause
+        cause = backend.health_check()
+        assert "jina-embeddings-v2-base-de" in cause
+        assert "llama3.1" not in cause
 
     def test_http_tag_must_match(self):
         session = FakeSession([FakeResponse(tags("llama3.1:8b", "jina-embeddings-v2-base-de"))])
         backend = HttpBackend(http_descriptor(), session)
-        report = backend.health_check()
-        assert report.status == "unavailable"
-        assert "llama3.1" in report.cause
+        cause = backend.health_check()
+        assert "llama3.1" in cause
 
     def test_http_malformed_tags_reply_is_unavailable(self):
         session = FakeSession([FakeResponse({"tags": []})])
         backend = HttpBackend(http_descriptor(), session)
-        assert backend.health_check().status == "unavailable"
+        assert "malformed reply" in backend.health_check()
 
 
 def resolved(backend=None, role_params=None):

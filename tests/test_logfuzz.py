@@ -26,8 +26,8 @@ from conftest import make_harness, scripted_plans
 from promptloop.demo import run_demo
 from promptloop.errors import LogError
 from promptloop.roles import ModelRole
-from promptloop.runstore import emit_report, read_log, replay_log
-from promptloop.state import COMMIT_KINDS
+from promptloop.runstore import RunEvent, check_next, emit_report, read_log, replay_log
+from promptloop.state import COMMIT_KINDS, PAYLOAD_FIELDS
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -38,14 +38,16 @@ CHECKED = {
     "RoundStarted": {"round", "candidate_id", "step_plan", "origin"},
     "ThresholdUpdated": {"round", "previous", "value"},
     "ArchivesUpdated": {"round", "candidate_id", "score"},
-    "PromptRegenerated": {"round", "candidate_id", "for_round", "origin"},
+    "PromptRegenerated": {"round", "candidate_id", "for_round", "origin", "chat_calls"},
     "PhaseTransition": {"from", "to"},
     "MutationApplied": {
         "step", "source_candidate_id", "archive_index", "sentence_index",
         "original_sentence", "rewritten_sentence", "candidate_id", "step_plan",
-        "score", "evicted_candidate_id",
+        "score", "evicted_candidate_id", "chat_calls",
     },
-    "MutationRejected": {"step", "source_candidate_id", "archive_index", "sentence_index", "score"},
+    "MutationRejected": {
+        "step", "source_candidate_id", "archive_index", "sentence_index", "score", "chat_calls",
+    },
     "RunFinished": {
         "best_candidate_id", "best_score", "best_step_plan",
         "rounds", "mutations_applied", "mutations_rejected",
@@ -280,3 +282,20 @@ def test_the_logs_replay_unedited(logs, workdir):
         for read in READERS:
             read(log)
         assert read_log(log)[1][-1].kind == "RunFinished"
+
+
+def test_logged_kinds_are_the_payload_table_keys(logs):
+    """The payload table is the one list of event kinds: every kind the logs
+    hold is a key, and only BackendFailure, which a run writes when its
+    backend fails, is missing from them."""
+    kinds = {json.loads(line)["kind"] for name in ("demo", "long") for line in logs[name][1:]}
+    assert kinds <= PAYLOAD_FIELDS.keys()
+    assert PAYLOAD_FIELDS.keys() - kinds == {"BackendFailure"}
+
+
+def test_check_next_rejects_a_kind_the_table_lacks(logs):
+    first, second = (RunEvent.from_line(line) for line in logs["demo"][1:3])
+    check_next(first, second)
+    second.kind = "SampleDiscarded"
+    with pytest.raises(LogError, match="unknown event kind 'SampleDiscarded'"):
+        check_next(first, second)

@@ -6,17 +6,11 @@ from hypothesis import strategies as st
 
 from conftest import FakeEvaluator, events_by_kind, fold_best_floors, make_harness, scripted_plans
 from oracle import segment_ref
-from promptloop.engine import ArchiveEntry, EngineState
 from promptloop.errors import DegenerateInputError, MutationRejectedError
 from promptloop.gateway import FAILURE_MARKER
-from promptloop.mutation import (
-    apply_rewrite,
-    draw_picks,
-    rewrite_sentence,
-    run_mutation_phase,
-    segment_sentences,
-)
+from promptloop.mutation import draw_picks, rewrite_sentence, run_mutation_phase, segment_sentences
 from promptloop.roles import ModelRole
+from promptloop.state import ArchiveEntry, EngineState, apply_rewrite
 
 
 def normalize_ws(text):
@@ -132,10 +126,10 @@ def mutate(plan, seed, rewrites):
     rewrite and splice of run_mutation_phase, with a scripted mutator."""
     state = EngineState.initial(seed, best_capacity=1, worst_capacity=5)
     state.best.offer(ArchiveEntry("cand-0003", plan, 0.5, 1))
-    picks, segmentation = draw_picks(state)
-    sentence = segmentation.sentences[picks.sentence_index]
+    picks = draw_picks(state)
+    sentence = picks.segmentation.sentences[picks.sentence_index]
     rewritten = rewrite_sentence(chat_with_script(rewrites), plan, sentence)
-    return picks, apply_rewrite(segmentation, picks.sentence_index, rewritten)
+    return picks, apply_rewrite(picks.segmentation, picks.sentence_index, rewritten)
 
 
 class TestMutateOnce:

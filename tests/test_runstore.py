@@ -335,6 +335,20 @@ TAMPERS = {
         }.items()
     },
     "rejected-sentence-index": _edit_first(_kind("MutationRejected"), _bump("sentence_index", 1)),
+    "chat-calls-negative": _edit_and_cut(
+        lambda e: e["kind"] == "PromptRegenerated" and e["payload"]["round"] == 2,
+        lambda p: p["chat_calls"].update(actor=-2),
+    ),
+    "chat-calls-missing": _edit_and_cut(
+        lambda e: e["kind"] == "PromptRegenerated" and e["payload"]["round"] == 2,
+        lambda p: p.pop("chat_calls"),
+    ),
+    "chat-calls-missing-role": _edit_and_cut(
+        _kind("PromptRegenerated"), lambda p: p["chat_calls"].pop("actor")
+    ),
+    "chat-calls-unknown-role": _edit_first(
+        _kind("MutationApplied"), lambda p: p["chat_calls"].update(critic=1)
+    ),
     "applied-score": _edit_first(_kind("MutationApplied"), _bump("score")),
     "sample-in-round-keeping-threshold": _edit_first(
         lambda e: e["kind"] == "SampleScored" and e["payload"]["candidate_id"] == "cand-0002",
