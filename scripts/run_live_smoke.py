@@ -56,13 +56,13 @@ def main() -> int:
         backend={"kind": "http", "model_name": config.backend.model_name},
     )
     engine = Engine(backend, evaluator, config.engine, EventLog(log_path), TASK)
-    result = engine.run(manifest)
+    state = engine.run(manifest)
     engine.log.close()
     summary = summarize_log(log_path)
     print(f"log: {log_path}")
     for row in summary["rounds"]:
         print(f"round {row['round']}: mean={row['mean_score']!r} threshold={row['threshold']!r}")
-    print(f"best score: {result.best.score!r}")
+    print(f"best score: {state.best.top_score()!r}")
     return 0
 
 

@@ -17,7 +17,6 @@ import click
 
 from . import demo as demo_mod
 from .config import load_config, normalize_config
-from .engine import OptimizationResult
 from .errors import (
     BackendUnavailableError,
     ConfigError,
@@ -69,18 +68,6 @@ def _write_whole(path: str, document: str) -> None:
             os.remove(temp_path)
 
 
-def _print_result(result: OptimizationResult, log_path: str, report_path: str) -> None:
-    click.echo(f"log: {log_path}")
-    click.echo(f"report: {report_path}")
-    click.echo(f"rounds completed: {result.rounds_completed}")
-    click.echo(
-        f"mutations applied/rejected: {result.mutations_applied}/{result.mutations_rejected}"
-    )
-    click.echo(f"best score: {result.best.score!r}")
-    click.echo("best prompt:")
-    click.echo(result.best.step_plan)
-
-
 @main.command("optimize")
 @click.argument("config_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--prompt", "prompt_text", default=None, help="Initial task prompt.")
@@ -112,12 +99,20 @@ def cmd_optimize(config_path, prompt_text, prompt_file, resume_path) -> None:
 
     config = load_config(config_path)
     if resume_path is not None:
-        result = resume_optimization(config, resume_path, expected_task_prompt=prompt_text)
+        log_path = resume_optimization(config, resume_path, expected_task_prompt=prompt_text)
     else:
-        result = run_optimization(config, prompt_text)
-    report_path = os.path.splitext(result.log_path)[0] + ".report.json"
-    _write_whole(report_path, emit_report(result.log_path, "json"))
-    _print_result(result, result.log_path, report_path)
+        log_path = run_optimization(config, prompt_text)
+    report_path = os.path.splitext(log_path)[0] + ".report.json"
+    report = emit_report(log_path, "json")
+    _write_whole(report_path, report)
+    summary = json.loads(report)
+    click.echo(f"log: {log_path}")
+    click.echo(f"report: {report_path}")
+    click.echo(f"rounds completed: {len(summary['rounds'])}")
+    click.echo(f"mutations applied/rejected: {summary['mutations_applied']}/{summary['mutations_rejected']}")
+    click.echo(f"best score: {summary['best_score']!r}")
+    click.echo("best prompt:")
+    click.echo(summary["best_step_plan"])
 
 
 @main.command("score")
@@ -178,7 +173,7 @@ def cmd_demo(output_dir) -> None:
     """Run the bundled offline scenario and print its score trajectory."""
     if output_dir is None:
         output_dir = tempfile.mkdtemp(prefix="promptloop-demo-")
-    result, log_path = demo_mod.run_demo(output_dir)
+    log_path = demo_mod.run_demo(output_dir)
     summary = json.loads(emit_report(log_path, "json"))
     click.echo("round  mean score           best so far")
     for row in summary["rounds"]:
@@ -187,7 +182,7 @@ def cmd_demo(output_dir) -> None:
     click.echo(f"final best score: {summary['best_score']!r}")
     click.echo(f"log: {log_path}")
     click.echo("best prompt:")
-    click.echo(result.best.step_plan)
+    click.echo(summary["best_step_plan"])
 
 
 if __name__ == "__main__":

@@ -12,7 +12,6 @@ from __future__ import annotations
 import os
 
 from .config import resolve_config
-from .engine import OptimizationResult
 from .pipeline import run_optimization
 from .roles import ModelRole
 
@@ -95,11 +94,9 @@ DEMO_CONFIG_DOC = {
 }
 
 
-def run_demo(output_dir) -> tuple[OptimizationResult, str]:
-    """Run the bundled scenario into ``output_dir``; returns the result and
-    the log path."""
+def run_demo(output_dir) -> str:
+    """Run the bundled scenario into ``output_dir``; returns the log path."""
     doc = dict(DEMO_CONFIG_DOC)
     doc["output_dir"] = os.fspath(output_dir)
     cli_config = resolve_config(doc, env={})
-    result = run_optimization(cli_config, DEMO_TASK_PROMPT, corpus_texts=DEMO_CORPUS)
-    return result, result.log_path
+    return run_optimization(cli_config, DEMO_TASK_PROMPT, corpus_texts=DEMO_CORPUS)

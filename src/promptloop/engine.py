@@ -21,16 +21,7 @@ from .roles import (
     ModelRole,
     SamplingParams,
 )
-from .state import ArchiveEntry, EngineState, PromptArchive, PromptCandidate, apply, round_mean
-
-
-@dataclass
-class ScoredSample:
-    candidate_id: str
-    sample_index: int
-    output_text: str
-    score: float
-    route: str | None = None  # "diagnostic" | "general"
+from .state import EngineState, PromptArchive, PromptCandidate, apply, round_mean
 
 
 @dataclass
@@ -50,16 +41,6 @@ class EngineConfig:
         default_factory=lambda: dict(DEFAULT_SYSTEM_PROMPTS)
     )
     example_messages: dict[ModelRole, tuple[tuple[str, str], ...]] = field(default_factory=dict)
-
-
-@dataclass
-class OptimizationResult:
-    best: ArchiveEntry
-    rounds_completed: int
-    mutations_applied: int
-    mutations_rejected: int
-    log_path: str
-    state: EngineState
 
 
 def route_feedback(score: float, threshold: float) -> str:
@@ -83,14 +64,15 @@ class Engine:
     """State machine driving one optimization run.
 
     The engine talks to the backend only through :meth:`_chat` and
-    :meth:`_chat_many`, which number each call by its role's call count (so a
-    resumed run issues the calls the uninterrupted run would have), and to
-    the scorer only through ``evaluator.score``. Independent calls (a prompt's actor samples, a
-    round's per-sample feedback) go out as one ``chat_many`` batch, which the
-    HTTP backend runs concurrently; scoring, routing and every event happen
-    on the calling thread after the batch returns, in sample-index order.
-    The engine changes the run state only by logging an event and applying
-    it (:meth:`record`), through the same function replay folds a log with.
+    :meth:`_chat_many`, which number each call by its role's call count in the
+    run state (so a resumed run issues the calls the uninterrupted run would
+    have), and to the scorer only through ``evaluator.score``. Independent
+    calls (a prompt's actor samples, a round's per-sample feedback) go out
+    as one ``chat_many`` batch, which the HTTP backend runs concurrently;
+    scoring, routing and every event happen on the calling thread after the
+    batch returns, in sample-index order. The engine changes the run state
+    only by logging an event and applying it (:meth:`record`), through the
+    same function replay folds a log with.
     """
 
     def __init__(self, gateway, evaluator, config: EngineConfig, log: runstore.EventLog, task_prompt: str) -> None:
@@ -102,7 +84,6 @@ class Engine:
         self.log = log
         self.task_prompt = task_prompt
         self.state = EngineState.initial(config.seed, config.best_capacity, config.worst_capacity)
-        self.chat_calls: dict[str, int] = {role.value: 0 for role in ModelRole}
 
     def record(self, kind: str, payload: dict, picks=None) -> None:
         """Log one event, then apply it to the run state."""
@@ -111,15 +92,16 @@ class Engine:
     # ------------------------------------------------------------------ chat
 
     def _call(self, role: ModelRole, user_message: str) -> ChatCall:
-        """Build one chat request and count it against its role."""
+        """Build one chat request and count it against its role in the state."""
         messages = tuple(self.config.example_messages.get(role, ())) + (("user", user_message),)
+        calls = self.state.chat_calls
         exchange = ChatExchange(
             role=role,
-            index=self.chat_calls[role.value],
+            index=calls[role.value],
             system_prompt=self.config.system_prompts[role],
             messages=messages,
         )
-        self.chat_calls[role.value] += 1
+        calls[role.value] += 1
         return exchange, self.config.role_params[role]
 
     def _chat(self, role: ModelRole, user_message: str) -> str:
@@ -139,15 +121,15 @@ class Engine:
         worst: PromptArchive,
     ) -> str:
         request = templates.compose_step_plan_request(
-            self.task_prompt, feedback_summary, best.ranked(), worst.ranked()
+            self.task_prompt, feedback_summary, best.entries, worst.entries
         )
         return self._chat(ModelRole.PROMPTING, request)
 
-    def draw_samples(self, candidate_id: str, step_plan: str) -> list[ScoredSample]:
+    def draw_samples(self, candidate_id: str, step_plan: str) -> list[tuple[str, float]]:
         """Send the actor calls for one prompt as a batch, then score and log
-        the samples in index order."""
+        the samples in index order; returns (text, score) per sample."""
         outputs = self._chat_many([(ModelRole.ACTOR, step_plan)] * self.config.samples_per_round)
-        samples: list[ScoredSample] = []
+        samples: list[tuple[str, float]] = []
         for index, output in enumerate(outputs):
             self.record(
                 "SampleGenerated",
@@ -158,22 +140,17 @@ class Engine:
                 "SampleScored",
                 {"candidate_id": candidate_id, "sample_index": index, "score": score},
             )
-            samples.append(ScoredSample(candidate_id, index, output, score))
+            samples.append((output, score))
         return samples
 
-    def collect_feedback(self, samples: list[ScoredSample], prompt: PromptCandidate) -> list[str]:
-        """One feedback call per routed sample, sent as a batch."""
+    def collect_feedback(
+        self, samples: list[tuple[str, float]], routes: list[str], prompt: PromptCandidate
+    ) -> list[str]:
+        """One feedback call per sample, on its route's role, sent as a batch."""
         requests = []
-        for sample in samples:
-            role = (
-                ModelRole.DIAGNOSTIC_FEEDBACK
-                if sample.route == "diagnostic"
-                else ModelRole.GENERAL_FEEDBACK
-            )
-            request = templates.compose_feedback_request(
-                prompt.step_plan, sample.output_text, sample.score
-            )
-            requests.append((role, request))
+        for (text, score), route in zip(samples, routes):
+            role = ModelRole.DIAGNOSTIC_FEEDBACK if route == "diagnostic" else ModelRole.GENERAL_FEEDBACK
+            requests.append((role, templates.compose_feedback_request(prompt.step_plan, text, score)))
         return self._chat_many(requests)
 
     def summarize_round(self, feedbacks: list[str]) -> str:
@@ -214,23 +191,22 @@ class Engine:
         )
 
         samples = self.draw_samples(candidate.id, candidate.step_plan)
-        mean = round_mean([s.score for s in samples])
+        mean = round_mean([score for _, score in samples])
 
         # Round 1 defines the threshold before any routing happens.
         if state.threshold is None:
             self.record("ThresholdUpdated", {"round": round_no, "previous": None, "value": mean})
 
-        for sample in samples:
-            sample.route = route_feedback(sample.score, state.threshold)
-        feedbacks = self.collect_feedback(samples, candidate)
-        for sample, feedback in zip(samples, feedbacks):
+        routes = [route_feedback(score, state.threshold) for _, score in samples]
+        feedbacks = self.collect_feedback(samples, routes, candidate)
+        for index, (route, feedback) in enumerate(zip(routes, feedbacks)):
             self.record(
                 "FeedbackIssued",
                 {
                     "round": round_no,
                     "candidate_id": candidate.id,
-                    "sample_index": sample.sample_index,
-                    "route": sample.route,
+                    "sample_index": index,
+                    "route": route,
                     "text": feedback,
                 },
             )
@@ -262,7 +238,7 @@ class Engine:
                 "origin": origin,
                 "step_plan": plan,
                 "for_round": round_no + 1,
-                "chat_calls": dict(self.chat_calls),
+                "chat_calls": dict(self.state.chat_calls),
             },
         )
 
@@ -279,7 +255,9 @@ class Engine:
             raise RunAbortedError(f"initial plan generation failed: {exc}") from exc
         self._publish_plan(0, "initial", plan)
 
-    def _drive(self) -> OptimizationResult:
+    def resume(self) -> EngineState:
+        """Drive the phases from the current state to RunFinished; returns
+        the final state."""
         if self.state.current is None and self.state.phase == "feedback_loop":
             self._generate_initial_plan()
         while self.state.phase == "feedback_loop":
@@ -293,27 +271,19 @@ class Engine:
             self.run_round()
         if self.state.phase == "mutation":
             mutation.run_mutation_phase(self)
-        state = self.state
-        self.record("RunFinished", state.totals())
-        return OptimizationResult(
-            best=state.best.entries[0] if state.best.entries else None,
-            rounds_completed=state.round,
-            mutations_applied=state.mutations_applied,
-            mutations_rejected=state.mutations_rejected,
-            log_path=self.log.path,
-            state=state,
-        )
+        self.record("RunFinished", self.state.totals())
+        return self.state
 
-    def run(self, manifest: dict) -> OptimizationResult:
+    def run(self, manifest: dict) -> EngineState:
         """Run fresh: health-check the backend, then open the log and drive
-        the phases to completion. An unreachable backend aborts before any
-        log file is created."""
+        the phases to completion; returns the final state. An unreachable
+        backend aborts before any log file is created."""
         cause = self.gateway.health_check()
         if cause is not None:
             raise BackendUnavailableError(f"backend unavailable: {cause}")
         self.log.start(manifest)
         self.record("RunStarted", self._run_started(manifest["run_id"]))
-        return self._drive()
+        return self.resume()
 
     def _run_started(self, run_id: str) -> dict:
         """The RunStarted payload of this engine's config and task prompt."""
@@ -334,8 +304,8 @@ class Engine:
     ) -> "Engine":
         """Rebuild an engine from a log: lock it, replay it to the last commit
         point, verify the digests and that the log's RunStarted is the one
-        this config writes, cut off any uncommitted tail, and continue each
-        role's call count from the commit."""
+        this config writes, and cut off any uncommitted tail. The replayed
+        state carries each role's call count as of the commit."""
         log = runstore.EventLog(log_path)
         log.lock()
         try:
@@ -348,12 +318,8 @@ class Engine:
             if result.finished:
                 raise LogError(f"run {run_id} is already finished")
             engine.state = result.state
-            engine.chat_calls.update(result.state.chat_calls)
             log.resume_at(result.committed_seq)
         except BaseException:
             log.close()
             raise
         return engine
-
-    def resume(self) -> OptimizationResult:
-        return self._drive()

@@ -89,22 +89,14 @@ class ChatExchange:
 
     ``index`` counts the role's earlier calls in the run, from 0. ``messages``
     is an ordered tuple of (speaker, text) pairs with speakers "user" or
-    "assistant"; the last message must come from the user.
+    "assistant" (the config checks the example turns), ending in the user
+    message the engine adds.
     """
 
     role: ModelRole
     index: int
     system_prompt: str
     messages: tuple[tuple[str, str], ...]
-
-    def __post_init__(self) -> None:
-        if not self.messages:
-            raise ValueError("exchange needs at least one message")
-        for speaker, _ in self.messages:
-            if speaker not in ("user", "assistant"):
-                raise ValueError(f"unknown speaker {speaker!r}")
-        if self.messages[-1][0] != "user":
-            raise ValueError("last message must come from the user")
 
     @property
     def last_user_text(self) -> str:
@@ -219,7 +211,8 @@ class HttpBackend:
             },
         }
         data = self._post("/api/chat", payload)
-        content = data.get("message", {}).get("content")
+        message = data.get("message")
+        content = message.get("content") if isinstance(message, dict) else None
         if not isinstance(content, str):
             raise ProtocolError(f"chat response missing message.content: {data!r}")
         if not content.strip():
@@ -253,11 +246,20 @@ class HttpBackend:
             raise ProtocolError(
                 f"expected {len(texts)} embeddings, got {rows if rows is None else len(rows)}"
             )
-        vectors = [np.asarray(row, dtype=np.float64) for row in rows]
-        dims = {v.shape for v in vectors}
-        if len(dims) != 1 or vectors[0].ndim != 1:
-            raise ProtocolError(f"inconsistent embedding dimensions in batch: {sorted(dims)}")
-        return vectors
+        try:
+            matrix = np.asarray(rows)
+        except ValueError as exc:  # rows of different lengths or depths
+            raise ProtocolError(f"inconsistent embedding dimensions in batch: {exc}") from exc
+        if matrix.ndim != 2:
+            raise ProtocolError(f"inconsistent embedding dimensions in batch: shape {matrix.shape}")
+        # Strings, objects, nulls and integers beyond int64 give other dtypes.
+        if matrix.dtype.kind not in "iuf":
+            raise ProtocolError(f"embeddings hold non-numeric values (dtype {matrix.dtype})")
+        matrix = matrix.astype(np.float64, copy=False)
+        # Python's json accepts NaN and Infinity, which would poison the scores.
+        if not np.isfinite(matrix).all():
+            raise ProtocolError("embeddings hold a non-finite value")
+        return list(matrix)
 
     def _post(self, path: str, payload: dict) -> dict:
         url = self.descriptor.base_url.rstrip("/") + path
@@ -276,9 +278,12 @@ class HttpBackend:
                     time.sleep(self.descriptor.retry_backoff * (2**attempt))
                 continue
             try:
-                return response.json()
+                data = response.json()
             except ValueError as exc:
                 raise ProtocolError(f"non-JSON response from {url}") from exc
+            if not isinstance(data, dict):
+                raise ProtocolError(f"{url} answered JSON that is not an object: {data!r:.80}")
+            return data
         raise BackendUnavailableError(
             f"{url} unreachable after {attempts} attempts: {last_error}"
         ) from last_error

@@ -63,9 +63,9 @@ def draw_picks(state) -> Picks:
     when the step's outcome event is applied.
     """
     rng = SplitMix64(state.rng.state)
-    ranked = state.best.ranked()
-    archive_index = rng.below(len(ranked))
-    source = ranked[archive_index]
+    entries = state.best.entries
+    archive_index = rng.below(len(entries))
+    source = entries[archive_index]
     segmentation = segment_sentences(source.step_plan)
     sentence_index = rng.below(len(segmentation.sentences))
     return Picks(state.mutation_step + 1, source, archive_index, sentence_index, rng.state, segmentation)
@@ -88,7 +88,7 @@ def run_mutation_phase(engine) -> None:
         mutant_id = f"mut-{picks.step:04d}"
 
         def finish(kind: str, fields: dict) -> None:
-            payload = {**picks.payload(), **fields, "chat_calls": dict(engine.chat_calls)}
+            payload = {**picks.payload(), **fields, "chat_calls": dict(state.chat_calls)}
             engine.record(kind, payload, picks)
 
         try:
@@ -105,7 +105,7 @@ def run_mutation_phase(engine) -> None:
             finish("MutationRejected", {"reason": "backend-failure"})
             continue
 
-        score = round_mean([sample.score for sample in samples])
+        score = round_mean([score for _, score in samples])
         inserted, evicted = state.best.admits(score)
         if inserted:
             finish(

@@ -1,4 +1,4 @@
-"""End-to-end wiring: config -> backend -> corpus -> engine -> result.
+"""End-to-end wiring: config -> backend -> corpus -> engine -> event log.
 
 These are the library entry points the CLI shells out to; everything the CLI
 can do is reachable here with identical results.
@@ -10,19 +10,16 @@ import os
 from dataclasses import dataclass
 
 from .config import CliConfig, config_digest, corpus_digest, run_id_for
-from .engine import Engine, OptimizationResult
+from .engine import Engine
 from .errors import ConfigError
 from .gateway import HttpBackend, MockBackend, build_backend
 from .runstore import EventLog, build_manifest
-from .scoring import CorpusEvaluator, EmbeddingCache, ReferenceCorpus, embed_corpus, load_corpus
+from .scoring import CorpusEvaluator, EmbeddingCache, embed_corpus, load_corpus
 
 
 @dataclass
 class Runtime:
-    config: CliConfig
     backend: MockBackend | HttpBackend
-    cache: EmbeddingCache
-    corpus: ReferenceCorpus
     evaluator: CorpusEvaluator
     config_digest: str
     corpus_digest: str
@@ -43,10 +40,7 @@ def build_runtime(config: CliConfig, corpus_texts=None) -> Runtime:
     else:
         corpus = embed_corpus(list(corpus_texts), cache)
     return Runtime(
-        config=config,
         backend=backend,
-        cache=cache,
-        corpus=corpus,
         evaluator=CorpusEvaluator(corpus, cache),
         config_digest=config_digest(config),
         corpus_digest=corpus_digest(corpus.documents),
@@ -69,19 +63,17 @@ def run_optimization(
     task_prompt: str,
     *,
     corpus_texts=None,
-    log_path=None,
-) -> OptimizationResult:
-    """Run the full pipeline for one task prompt.
+) -> str:
+    """Run the full pipeline for one task prompt; returns the log's path.
 
-    The log lands at ``output_dir/<run_id>.jsonl`` unless ``log_path`` is
-    given; the run id is a digest of config, corpus, and prompt, so repeated
-    identical runs share a name and identical event bytes.
+    The log lands at ``output_dir/<run_id>.jsonl``; the run id is a digest
+    of config, corpus, and prompt, so repeated identical runs share a name
+    and identical event bytes.
     """
     runtime = build_runtime(config, corpus_texts)
     run_id = run_id_for(runtime.config_digest, runtime.corpus_digest, task_prompt)
-    if log_path is None:
-        os.makedirs(config.output_dir, exist_ok=True)
-        log_path = os.path.join(config.output_dir, f"{run_id}.jsonl")
+    os.makedirs(config.output_dir, exist_ok=True)
+    log_path = os.path.join(config.output_dir, f"{run_id}.jsonl")
     manifest = build_manifest(
         run_id=run_id,
         config_digest=runtime.config_digest,
@@ -90,9 +82,10 @@ def run_optimization(
     )
     engine = Engine(runtime.backend, runtime.evaluator, config.engine, EventLog(log_path), task_prompt)
     try:
-        return engine.run(manifest)
+        engine.run(manifest)
     finally:
         engine.log.close()
+    return log_path
 
 
 def resume_optimization(
@@ -101,8 +94,8 @@ def resume_optimization(
     *,
     corpus_texts=None,
     expected_task_prompt: str | None = None,
-) -> OptimizationResult:
-    """Continue an interrupted run from its log.
+) -> str:
+    """Continue an interrupted run from its log; returns the log's path.
 
     The task prompt comes from the log; if ``expected_task_prompt`` is given
     it must match. Config and corpus must digest to the manifest's values.
@@ -122,6 +115,7 @@ def resume_optimization(
             "the given prompt differs from the task prompt recorded in the log"
         )
     try:
-        return engine.resume()
+        engine.resume()
     finally:
         engine.log.close()
+    return engine.log.path

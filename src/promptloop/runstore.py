@@ -101,7 +101,7 @@ class EventLog:
     lock holds until :meth:`close`. ``start`` creates the file with the
     manifest line, replacing an earlier log only if that run finished;
     ``emit`` appends the next event and flushes before returning, so the
-    engine never advances past an unwritten event. Each append must pass
+    engine never advances past an unwritten event. Each event must pass
     :func:`check_next` after the last event written.
     """
 
@@ -159,9 +159,12 @@ class EventLog:
             self._handle.flush()
         self._last = RunEvent.from_line(line.decode("utf-8")) if keep_seq > 0 else None
 
-    def append(self, event: RunEvent) -> None:
+    def emit(self, kind: str, payload: dict) -> RunEvent:
+        """Append the next event of ``kind`` and return it."""
         if self._handle is None:
             raise LogError("log is not open")
+        seq = self._last.seq + 1 if self._last is not None else 1
+        event = RunEvent(seq=seq, ts=seq, kind=kind, payload=payload)
         check_next(self._last, event)
         try:
             self._handle.write(event.to_line() + "\n")
@@ -169,11 +172,6 @@ class EventLog:
         except OSError as exc:
             raise LogError(f"cannot append to {self.path}: {exc}") from exc
         self._last = event
-
-    def emit(self, kind: str, payload: dict) -> RunEvent:
-        seq = self._last.seq + 1 if self._last is not None else 1
-        event = RunEvent(seq=seq, ts=seq, kind=kind, payload=payload)
-        self.append(event)
         return event
 
     def close(self) -> None:

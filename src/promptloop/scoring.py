@@ -61,9 +61,6 @@ class EmbeddingCache:
             self._vectors.update(zip(misses, self._backend.embed(misses)))
         return [self._vectors[t] for t in texts]
 
-    def __len__(self) -> int:
-        return len(self._vectors)
-
 
 @dataclass
 class ReferenceCorpus:

@@ -122,9 +122,6 @@ class PromptArchive:
             return (-entry.score, entry.arrival)
         return (entry.score, entry.arrival)
 
-    def ranked(self) -> list[ArchiveEntry]:
-        return list(self.entries)
-
     @property
     def is_full(self) -> bool:
         return len(self.entries) >= self.capacity
@@ -221,8 +218,9 @@ class EngineState:
     mutation_step: int = 0
     mutations_applied: int = 0
     mutations_rejected: int = 0
-    #: Chat calls per role as of the latest commit event.
-    chat_calls: dict[str, int] = field(default_factory=dict)
+    #: Chat calls per role: the engine counts each call here, and replay
+    #: takes the counts from each commit event that records them.
+    chat_calls: dict[str, int] = field(default_factory=lambda: {role.value: 0 for role in ModelRole})
     #: Scores logged since the latest commit event (the open round or step).
     scores: list[float] = field(default_factory=list)
 

@@ -286,7 +286,7 @@ class TestCriterion6MutationLocality:
                 h.engine.log.emit("PromptRegenerated", {
                     "round": arrival - 1, "candidate_id": f"cand-{arrival:04d}",
                     "origin": "refined", "step_plan": plan, "for_round": arrival,
-                    "chat_calls": dict(h.engine.chat_calls),
+                    "chat_calls": dict(h.engine.state.chat_calls),
                 })
             h.engine.state.arrival_counter = 3
             h.engine.state.round = 3
@@ -302,7 +302,7 @@ class TestCriterion6MutationLocality:
 
 class TestCriterion7PlantedImprovement:
     def test_demo_trajectory_strictly_improves(self, tmp_path):
-        result, log_path = run_demo(tmp_path)
+        log_path = run_demo(tmp_path)
         summary = summarize_log(log_path)
         best_max = [row["best_max"] for row in summary["rounds"]]
         means = [row["mean_score"] for row in summary["rounds"]]
@@ -458,7 +458,7 @@ class TestCriterion10LiveSmoke:
         )
         engine = Engine(backend, evaluator, config.engine, EventLog(log_path),
                         "Schreibe einen Arztbrief.")
-        result = engine.run(manifest)
+        state = engine.run(manifest)
         engine.log.close()
         _, events = read_log(log_path)
         kinds = [e.kind for e in events]
@@ -466,6 +466,6 @@ class TestCriterion10LiveSmoke:
                      "ThresholdUpdated", "FeedbackIssued", "RoundSummarized",
                      "ArchivesUpdated", "PromptRegenerated", "RunFinished"):
             assert kind in kinds
-        assert result.rounds_completed == 1
-        assert -1.0 <= result.best.score <= 1.0
+        assert state.round == 1
+        assert -1.0 <= state.best.entries[0].score <= 1.0
         ok(10, "live backend smoke test")

@@ -9,7 +9,7 @@ from conftest import write_config_file, write_corpus_file
 from promptloop import cli
 from promptloop.cli import main
 from promptloop.errors import LogError
-from promptloop.runstore import EventLog, emit_report
+from promptloop.runstore import EventLog, emit_report, replay_log
 
 CORPUS = [
     "Der Patient ist kardial stabil. Die Entlassung erfolgt morgen.",
@@ -40,6 +40,22 @@ def small_config(tmp_path, **overrides):
     }
     doc.update(overrides)
     return write_config_file(tmp_path, doc)
+
+
+def replayed_stdout(log):
+    """What ``optimize`` prints for a finished log, from its replayed state."""
+    state = replay_log(log).state
+    best = state.best.entries[0]
+    lines = [
+        f"log: {log}",
+        f"report: {log[: -len('.jsonl')]}.report.json",
+        f"rounds completed: {state.round}",
+        f"mutations applied/rejected: {state.mutations_applied}/{state.mutations_rejected}",
+        f"best score: {best.score!r}",
+        "best prompt:",
+        best.step_plan,
+    ]
+    return "\n".join(lines) + "\n"
 
 
 class TestOptimize:
@@ -99,6 +115,25 @@ class TestOptimize:
         config = small_config(tmp_path)
         result = runner.invoke(main, ["optimize", config, "--prompt", "   "])
         assert result.exit_code == 2
+
+    def test_stdout_is_the_replayed_final_state(self, runner, tmp_path):
+        config = small_config(tmp_path, engine={
+            "samples_per_round": 1, "best_capacity": 2, "worst_capacity": 2,
+            "max_rounds": 3, "mutation_budget": 2, "seed": 42,
+        })
+        fresh = runner.invoke(main, ["optimize", config, "--prompt", "Schreibe einen Arztbrief"])
+        assert fresh.exit_code == 0, fresh.output + repr(fresh.exception)
+        runs_dir = os.path.join(tmp_path, "runs")
+        [log] = [os.path.join(runs_dir, n) for n in os.listdir(runs_dir) if n.endswith(".jsonl")]
+        assert fresh.stdout == replayed_stdout(log)
+        assert "mutations applied/rejected: 0/0" not in fresh.stdout
+
+        lines = Path(log).read_text(encoding="utf-8").splitlines()
+        cut = next(i for i, line in enumerate(lines) if '"kind":"PromptRegenerated"' in line)
+        Path(log).write_text("\n".join(lines[: cut + 1]) + "\n", encoding="utf-8")
+        resumed = runner.invoke(main, ["optimize", config, "--resume", log])
+        assert resumed.exit_code == 0, resumed.output + repr(resumed.exception)
+        assert resumed.stdout == replayed_stdout(log) == fresh.stdout
 
     def test_resume_digest_mismatch_names_digest(self, runner, tmp_path):
         config = small_config(tmp_path)
@@ -188,21 +223,35 @@ class TestOptimize:
     def test_malformed_embed_reply_during_setup_exits_three(self, runner, tmp_path, monkeypatch):
         import requests
 
-        class OneRowReply:
+        replies = [
+            ('{"embeddings": [[1.0, 0.0]]}', "expected 2 embeddings, got 1"),
+            ("[]", "not an object"),
+            ('{"embeddings": [["a", 0.0], [0.0, 1.0]]}', "non-numeric"),
+            ('{"embeddings": [[{"a": 1}, 0.0], [0.0, 1.0]]}', "non-numeric"),
+            ('{"embeddings": [[NaN, 0.0], [0.0, 1.0]]}', "non-finite"),
+            ('{"embeddings": [[1.0, 0.0], [Infinity, 1.0]]}', "non-finite"),
+            ('{"embeddings": [[1.0, -Infinity], [0.0, 1.0]]}', "non-finite"),
+        ]
+
+        class Reply:
             status_code = 200
+
+            def __init__(self, text):
+                self.text = text
 
             def raise_for_status(self):
                 pass
 
             def json(self):
-                return {"embeddings": [[1.0, 0.0]]}
+                return json.loads(self.text)
 
-        monkeypatch.setattr(requests.Session, "post", lambda self, url, **kwargs: OneRowReply())
         config = small_config(tmp_path, backend={"kind": "http", "base_url": "http://localhost:1"})
-        for command in (["optimize", config, "--prompt", "Aufgabe"], ["score", config, "--text", "x"]):
-            result = runner.invoke(main, command)
-            assert result.exit_code == 3, result.output + repr(result.exception)
-            assert "expected 2 embeddings, got 1" in result.stderr
+        for text, expected in replies:
+            monkeypatch.setattr(requests.Session, "post", lambda self, url, **kwargs: Reply(text))
+            for command in (["optimize", config, "--prompt", "Aufgabe"], ["score", config, "--text", "x"]):
+                result = runner.invoke(main, command)
+                assert result.exit_code == 3, text + result.output + repr(result.exception)
+                assert expected in result.stderr, text
 
     def test_missing_corpus_file_is_config_error(self, runner, tmp_path):
         config = small_config(tmp_path, corpus_path=os.path.join(tmp_path, "nope.jsonl"))

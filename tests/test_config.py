@@ -34,6 +34,7 @@ REJECTED = {
     "log-level-list": ({"log_level": []}, "log_level"),
     "examples-not-object": ({"prompts": {"examples": []}}, "prompts.examples"),
     "examples-not-list": ({"prompts": {"examples": {"actor": 5}}}, "prompts.examples.actor"),
+    "examples-unknown-speaker": ({"prompts": {"examples": {"actor": [["system", "a"]]}}}, "prompts.examples.actor"),
     "max-documents-bool": ({"max_documents": True}, "max_documents"),
     "output-dir-number": ({"output_dir": 5}, "output_dir"),
     "base-url-number": ({"backend": {"kind": "http", "base_url": 5}}, "backend.base_url"),

@@ -8,13 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FakeEvaluator, FakeResponse, events_by_kind, make_harness, scripted_plans
-from oracle import bottom_k_ref, top_k_ref
+from conftest import FakeEvaluator, FakeResponse, events_by_kind, make_corpus, make_harness, scripted_plans
+from oracle import bottom_k_ref, embed_ref, top_k_ref
 from promptloop.engine import Engine, EngineConfig, check_transition, route_feedback
 from promptloop.errors import RunAbortedError
 from promptloop.gateway import FAILURE_MARKER, BackendDescriptor, HttpBackend
 from promptloop.roles import DEFAULT_SYSTEM_PROMPTS, ModelRole
 from promptloop.runstore import EventLog
+from promptloop.scoring import CorpusEvaluator, EmbeddingCache
 from promptloop.state import (
     ArchiveEntry,
     EngineState,
@@ -115,11 +116,11 @@ class TestArchives:
 
     def test_tie_keeps_incumbent(self):
         best, _ = self.run_stream([0.5, 0.5, 0.5], best_cap=2)
-        assert [e.candidate_id for e in best.ranked()] == ["c1", "c2"]
+        assert [e.candidate_id for e in best.entries] == ["c1", "c2"]
 
     def test_ranked_prefers_earlier_arrival_on_ties(self):
         best, _ = self.run_stream([0.5, 0.9, 0.5], best_cap=3)
-        assert [e.candidate_id for e in best.ranked()] == ["c2", "c1", "c3"]
+        assert [e.candidate_id for e in best.entries] == ["c2", "c1", "c3"]
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -373,10 +374,7 @@ class TestRunRound:
                                          "mutation_trigger": "best-archive-full"})
         h.engine._generate_initial_plan()
         sample = PromptCandidate("cand-0001", "Plan.", "initial")
-        from promptloop.engine import ScoredSample
-
-        scored = ScoredSample("cand-0001", 0, "Ausgabe", 0.2, route="diagnostic")
-        assert h.engine.collect_feedback([scored], sample) == ["too generic"]
+        assert h.engine.collect_feedback([("Ausgabe", 0.2)], ["diagnostic"], sample) == ["too generic"]
 
 
 class TestAtomicRounds:
@@ -484,12 +482,12 @@ class TestRunOptimization:
                 ModelRole.ACTOR: ["Der Patient ist stabil.", "Die Medikation bleibt."],
             },
         )
-        result = h.run()
+        state = h.run()
         events = h.events()
         assert len(events_by_kind(events, "RoundStarted")) == 1
-        assert result.rounds_completed == 1
+        assert state.round == 1
         assert h.engine.state.phase == "finished"
-        assert result.best.candidate_id == "cand-0001"
+        assert state.best.entries[0].candidate_id == "cand-0001"
         assert events[-1].kind == "RunFinished"
 
     def test_transition_to_mutation_when_best_full(self, tmp_path):
@@ -527,10 +525,10 @@ class TestRunOptimization:
             scripts={ModelRole.PROMPTING: scripted_plans(11)},
             evaluator=FakeEvaluator([0.95]),
         )
-        result = h.run()
-        assert result.rounds_completed == 1
+        state = h.run()
+        assert state.round == 1
         assert h.engine.state.phase == "finished"
-        assert result.mutations_applied == 0
+        assert state.mutations_applied == 0
 
     def test_chat_calls_recorded_per_role(self, tmp_path):
         h = self.scripted(tmp_path, "calls", max_rounds=6, budget=2, caps=(3, 3))
@@ -693,6 +691,87 @@ class TestPerCallSeeds:
             tail = full.seeds[role][len(full.seeds[role]) - len(resumed.seeds[role]):]
             assert sorted(resumed.seeds[role]) == sorted(tail), role
         assert _lines(cut_path) == lines
+
+
+class MalformedSession:
+    """Fake Ollama endpoint for a whole engine run: chat replies name the
+    role's call, embeddings are the oracle's. The ``at``-th request of
+    ``target`` (a role, or "embed") gets ``reply`` instead."""
+
+    def __init__(self, target, at, reply):
+        self.target, self.at, self.reply = target, at, reply
+        self.lock = threading.Lock()
+        self.counts = {}
+
+    def get(self, url, timeout=None):
+        return FakeResponse({"models": [{"name": "llama3.1:latest"},
+                                        {"name": "jina-embeddings-v2-base-de:latest"}]})
+
+    def post(self, url, json=None, timeout=None):
+        embed = url.endswith("/api/embed")
+        target = "embed" if embed else ROLE_OF_SYSTEM_PROMPT[json["messages"][0]["content"]]
+        with self.lock:
+            self.counts[target] = count = self.counts.get(target, 0) + 1
+        if (target, count) == (self.target, self.at):
+            return FakeResponse(self.reply)
+        if embed:
+            return FakeResponse({"embeddings": [embed_ref(text, 64) for text in json["input"]]})
+        return FakeResponse({"message": {"content": f"Antwort {target} {count}. Zweiter Satz."}})
+
+
+class TestMalformedHttpReplies:
+    """A malformed reply is a ProtocolError, contained like any other backend
+    failure: logged, aborting a round and skipping a mutation step."""
+
+    ENGINE = {"samples_per_round": 2, "best_capacity": 1, "worst_capacity": 1, "max_rounds": 3,
+              "mutation_budget": 2}
+
+    def run_over_http(self, h, target, at, reply):
+        backend = HttpBackend(
+            BackendDescriptor(kind="http", base_url="http://stub", retry_backoff=0.0),
+            MalformedSession(target, at, reply),
+        )
+        cache = EmbeddingCache(backend)
+        evaluator = CorpusEvaluator(make_corpus(cache), cache)
+        engine = Engine(backend, evaluator, h.config.engine, EventLog(h.log_path), h.task)
+        try:
+            engine.run(h.manifest())
+        finally:
+            engine.log.close()
+
+    @pytest.mark.parametrize(
+        "target, reply",
+        [
+            (ModelRole.SUMMARIZER, []),
+            (ModelRole.SUMMARIZER, {"message": "Text."}),
+            (ModelRole.SUMMARIZER, {"message": ["Text."]}),
+            ("embed", []),
+            ("embed", {"embeddings": [["x"] * 64]}),
+            ("embed", {"embeddings": [[{"x": 1.0}] * 64]}),
+            ("embed", {"embeddings": [[math.nan] + [0.5] * 63]}),
+            ("embed", {"embeddings": [[0.5] * 63 + [-math.inf]]}),
+        ],
+    )
+    def test_mid_round_reply_is_logged_and_aborts_the_run(self, tmp_path, target, reply):
+        # The corpus takes the first two embed requests, one per document.
+        at = 3 if target == "embed" else 1
+        h = make_harness(tmp_path, engine=self.ENGINE)
+        with pytest.raises(RunAbortedError):
+            self.run_over_http(h, target, at, reply)
+        last = h.events()[-1]
+        assert last.kind == "BackendFailure"
+        assert last.payload["phase"] == "feedback_loop"
+
+    @pytest.mark.parametrize("reply", [[], {"message": "Text."}, {"message": ["Text."]}])
+    def test_mutation_step_reply_skips_the_step(self, tmp_path, reply):
+        h = make_harness(tmp_path, engine=self.ENGINE)
+        self.run_over_http(h, ModelRole.MUTATOR, 1, reply)
+        events = h.events()
+        assert [e.payload["phase"] for e in events_by_kind(events, "BackendFailure")] == ["mutation"]
+        steps = events_by_kind(events, "MutationApplied") + events_by_kind(events, "MutationRejected")
+        assert [e.payload["step"] for e in steps] == [1, 2]
+        assert events_by_kind(events, "MutationRejected")[0].payload["reason"] == "backend-failure"
+        assert events[-1].kind == "RunFinished"
 
 
 def _lines(path):

@@ -1,3 +1,4 @@
+import json
 import threading
 import time
 
@@ -38,27 +39,6 @@ PARAMS = DEFAULT_ROLE_PARAMS[ModelRole.ACTOR]
 
 #: Seeds of the first three prompting calls at base seed 42.
 GOLDEN_SEEDS = [292906096, 764168745, 1289699210]
-
-
-class TestChatExchange:
-    def test_requires_messages(self):
-        with pytest.raises(ValueError):
-            ChatExchange(role=ModelRole.ACTOR, index=0, system_prompt="", messages=())
-
-    def test_last_speaker_must_be_user(self):
-        with pytest.raises(ValueError):
-            ChatExchange(
-                role=ModelRole.ACTOR,
-                index=0,
-                system_prompt="",
-                messages=(("user", "a"), ("assistant", "b")),
-            )
-
-    def test_unknown_speaker_rejected(self):
-        with pytest.raises(ValueError):
-            ChatExchange(
-                role=ModelRole.ACTOR, index=0, system_prompt="", messages=(("system", "a"),)
-            )
 
 
 class TestMockChat:
@@ -276,6 +256,14 @@ class TestHttpChat:
         with pytest.raises(ProtocolError):
             backend.chat(exchange(), PARAMS)
 
+    @pytest.mark.parametrize("reply", [[], "Plan", None, {"message": "Plan"}, {"message": ["Plan"]}])
+    def test_reply_or_message_that_is_not_an_object_is_protocol_error(self, reply):
+        session = FakeSession([FakeResponse(reply)])
+        backend = HttpBackend(http_descriptor(max_retries=2), session)
+        with pytest.raises(ProtocolError):
+            backend.chat(exchange(), PARAMS)
+        assert len(session.requests) == 1
+
     def test_retry_bound_is_max_retries_plus_one(self):
         failures = [requests.ConnectionError("down")] * 10
         session = FakeSession(failures)
@@ -440,6 +428,31 @@ class TestHttpEmbed:
         session = FakeSession([FakeResponse({"embeddings": [[1.0, 0.0]]})])
         backend = HttpBackend(http_descriptor(), session)
         with pytest.raises(ProtocolError):
+            backend.embed(["a", "b"])
+
+    @pytest.mark.parametrize(
+        "reply",
+        [
+            [],
+            {"embeddings": [["x", 0.0], [0.0, 1.0]]},
+            {"embeddings": [[{"x": 1.0}, 0.0], [0.0, 1.0]]},
+            {"embeddings": [[None, 0.0], [0.0, 1.0]]},
+            {"embeddings": [[1.0, [0.0]], [0.0, 1.0]]},
+        ],
+    )
+    def test_malformed_reply_is_protocol_error(self, reply):
+        session = FakeSession([FakeResponse(reply)])
+        backend = HttpBackend(http_descriptor(), session)
+        with pytest.raises(ProtocolError):
+            backend.embed(["a", "b"])
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_value_is_protocol_error(self, value):
+        # Python's json parses these, so they reach the backend as floats.
+        reply = json.loads(f'{{"embeddings": [[1.0, 0.0], [0.5, {value}]]}}')
+        session = FakeSession([FakeResponse(reply)])
+        backend = HttpBackend(http_descriptor(), session)
+        with pytest.raises(ProtocolError, match="non-finite"):
             backend.embed(["a", "b"])
 
 

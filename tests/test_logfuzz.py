@@ -96,7 +96,7 @@ def logs(tmp_path_factory):
     directory = tmp_path_factory.mktemp("logs")
     paths = {
         "demo-0.1.0": FIXTURES / "demo-0.1.0.jsonl",
-        "demo": Path(run_demo(directory / "demo")[1]),
+        "demo": Path(run_demo(directory / "demo")),
         "long": long_log(directory),
     }
     return Logs(

@@ -227,7 +227,7 @@ def mutation_harness(tmp_path, archive_scores, mutant_scores, budget=1, mutator_
         # the regeneration event records the plan text replay resolves later
         h.engine.log.emit("PromptRegenerated", {
             "round": arrival - 1, "candidate_id": entry.candidate_id, "origin": "refined",
-            "step_plan": plan, "for_round": arrival, "chat_calls": dict(h.engine.chat_calls),
+            "step_plan": plan, "for_round": arrival, "chat_calls": dict(h.engine.state.chat_calls),
         })
     state.arrival_counter = len(archive_scores)
     state.round = len(archive_scores)
@@ -286,8 +286,8 @@ class TestMutationPhase:
         run_mutation_phase(h.engine)
         after = h.engine.state
         assert after.phase == "finished"
-        assert [e.candidate_id for e in after.best.ranked()] == [
-            e.candidate_id for e in before.best.ranked()
+        assert [e.candidate_id for e in after.best.entries] == [
+            e.candidate_id for e in before.best.entries
         ]
         assert after.mutation_step == 0
         assert events_by_kind(h.events(), "PhaseTransition")[-1].payload["to"] == "finished"

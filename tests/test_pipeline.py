@@ -37,13 +37,13 @@ def library_config(tmp_path, **overrides):
 class TestRunOptimization:
     def test_happy_path_creates_named_log(self, tmp_path):
         config = library_config(tmp_path)
-        result = run_optimization(config, "Schreibe einen Arztbrief")
-        assert os.path.isfile(result.log_path)
-        manifest, events = read_log(result.log_path)
-        assert manifest["run_id"] in result.log_path
+        log_path = run_optimization(config, "Schreibe einen Arztbrief")
+        assert os.path.isfile(log_path)
+        manifest, events = read_log(log_path)
+        assert manifest["run_id"] in log_path
         assert events[-1].kind == "RunFinished"
-        assert result.rounds_completed == 2
-        assert 0.0 <= result.best.score <= 1.0
+        assert events[-1].payload["rounds"] == 2
+        assert 0.0 <= events[-1].payload["best_score"] <= 1.0
 
     def test_missing_corpus_path_fails_before_backend_use(self, tmp_path):
         config = library_config(tmp_path, corpus_path=os.path.join(tmp_path, "nope.jsonl"))
@@ -52,16 +52,16 @@ class TestRunOptimization:
 
     def test_in_memory_corpus_bypasses_path(self, tmp_path):
         config = library_config(tmp_path, corpus_path="ignored-because-texts-given")
-        result = run_optimization(config, "Aufgabe", corpus_texts=CORPUS)
-        assert os.path.isfile(result.log_path)
+        log_path = run_optimization(config, "Aufgabe", corpus_texts=CORPUS)
+        assert os.path.isfile(log_path)
 
     def test_same_inputs_same_run_id_and_bytes(self, tmp_path):
         config = library_config(tmp_path)
         first = run_optimization(config, "Aufgabe")
-        first_lines = open(first.log_path, encoding="utf-8").read().splitlines()
+        first_lines = open(first, encoding="utf-8").read().splitlines()
         second = run_optimization(config, "Aufgabe")
-        second_lines = open(second.log_path, encoding="utf-8").read().splitlines()
-        assert first.log_path == second.log_path
+        second_lines = open(second, encoding="utf-8").read().splitlines()
+        assert first == second
         assert first_lines[1:] == second_lines[1:]
 
 
@@ -75,24 +75,24 @@ class TestResumeOptimization:
             },
             engine={"samples_per_round": 1, "max_rounds": 3, "mutation_budget": 0, "seed": 42},
         )
-        result = run_optimization(config, "Aufgabe")
-        original = open(result.log_path, encoding="utf-8").read()
+        log_path = run_optimization(config, "Aufgabe")
+        original = open(log_path, encoding="utf-8").read()
         lines = original.splitlines()
         cut = next(
             i for i, line in enumerate(lines[1:], start=1)
             if json.loads(line)["kind"] == "PromptRegenerated"
             and json.loads(line)["payload"]["round"] == 1
         )
-        with open(result.log_path, "w", encoding="utf-8") as handle:
+        with open(log_path, "w", encoding="utf-8") as handle:
             handle.write("\n".join(lines[: cut + 1]) + "\n")
-        return config, result.log_path, original
+        return config, log_path, original
 
     def test_resume_completes_interrupted_run(self, tmp_path):
         config, log, original = self._truncated(tmp_path)
-        result = resume_optimization(config, log)
-        assert result.rounds_completed == 3
+        assert resume_optimization(config, log) == log
         _, events = read_log(log)
         assert events[-1].kind == "RunFinished"
+        assert events[-1].payload["rounds"] == 3
         assert open(log, encoding="utf-8").read() == original
 
     def test_resume_rejects_foreign_prompt(self, tmp_path):
@@ -141,12 +141,12 @@ class TestBuildRuntime:
         texts = [f"Text {i}." for i in range(70)]
         runtime = build_runtime(library_config(tmp_path, backend=HTTP_BACKEND), corpus_texts=texts)
         assert sizes == [64, 6]
-        assert runtime.corpus.documents == texts
+        assert runtime.evaluator.corpus.documents == texts
 
     def test_runtime_pieces_are_consistent(self, tmp_path):
         config = library_config(tmp_path)
         runtime = build_runtime(config)
-        assert runtime.corpus.documents == CORPUS
+        assert runtime.evaluator.corpus.documents == CORPUS
         score = runtime.evaluator.score(CORPUS[0])
         assert 0.0 < score <= 1.0
         assert len(runtime.config_digest) == 64

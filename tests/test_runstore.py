@@ -31,6 +31,7 @@ from promptloop.runstore import (
     EventLog,
     RunEvent,
     build_manifest,
+    check_next,
     emit_report,
     read_log,
     replay_log,
@@ -58,9 +59,9 @@ class TestAppendRules:
 
     def test_sequence_gap_rejected(self, tmp_path):
         log = started_log(tmp_path)
-        log.emit("RunStarted", {})
+        started = log.emit("RunStarted", {})
         with pytest.raises(LogError, match="sequence gap"):
-            log.append(RunEvent(seq=3, ts=3, kind="RoundStarted", payload={}))
+            check_next(started, RunEvent(seq=3, ts=3, kind="RoundStarted", payload={}))
 
     def test_append_after_finished_rejected(self, tmp_path):
         log = started_log(tmp_path)
@@ -71,9 +72,9 @@ class TestAppendRules:
 
     def test_logical_timestamp_must_match_seq(self, tmp_path):
         log = started_log(tmp_path)
-        log.emit("RunStarted", {})
+        started = log.emit("RunStarted", {})
         with pytest.raises(LogError):
-            log.append(RunEvent(seq=2, ts=7, kind="RoundStarted", payload={}))
+            check_next(started, RunEvent(seq=2, ts=7, kind="RoundStarted", payload={}))
 
     def test_unknown_kind_rejected(self, tmp_path):
         log = started_log(tmp_path)
@@ -203,7 +204,7 @@ class TestReadLog:
 
     @pytest.mark.parametrize("seq, ts", [(True, True), (1, True)])
     def test_boolean_seq_or_ts_rejected(self, tmp_path, seq, ts):
-        _, path = run_demo(tmp_path / "demo")
+        path = run_demo(tmp_path / "demo")
         lines = Path(path).read_text(encoding="utf-8").splitlines()
         event = json.loads(lines[1])
         event["seq"], event["ts"] = seq, ts
@@ -235,8 +236,8 @@ def finished_run(tmp_path, name="run", max_rounds=5, budget=2, caps=(3, 3)):
         scripts=scripts,
         name=name,
     )
-    result = h.run()
-    return h, result
+    state = h.run()
+    return h, state
 
 
 def cut_after_round(log_path, round_no):
@@ -485,7 +486,7 @@ class TestResume:
             assert handle.read().splitlines()[1:] == lines[1:]
 
     def test_replay_matches_live_final_state(self, tmp_path):
-        h, result = finished_run(tmp_path, name="live")
+        h, _ = finished_run(tmp_path, name="live")
         replay = replay_log(h.log_path)
         live = h.engine.state
         assert replay.finished
@@ -593,12 +594,12 @@ class TestReport:
         assert [row["mean_score"] for row in summary["rounds"]] == means_from_log
 
     def test_json_report_round_trips_against_log(self, tmp_path):
-        h, result = finished_run(tmp_path, name="rt")
+        h, state = finished_run(tmp_path, name="rt")
         parsed = json.loads(emit_report(h.log_path, "json"))
         summary = summarize_log(h.log_path)
         assert parsed == json.loads(json.dumps(summary))
-        assert parsed["best_score"] == result.best.score
-        assert parsed["mutations_applied"] == result.mutations_applied
+        assert parsed["best_score"] == state.best.entries[0].score
+        assert parsed["mutations_applied"] == state.mutations_applied
         assert parsed["finished"] is True
 
     def test_markdown_report_contains_trajectory_table(self, tmp_path):
@@ -645,7 +646,7 @@ class TestResumeFromEveryCut:
         from promptloop.demo import DEMO_CONFIG_DOC, DEMO_CORPUS, run_demo
         from promptloop.pipeline import resume_optimization
 
-        _, full_path = run_demo(tmp_path / "full")
+        full_path = run_demo(tmp_path / "full")
         with open(full_path, encoding="utf-8") as handle:
             full = handle.read()
         doc = dict(DEMO_CONFIG_DOC, output_dir=os.fspath(tmp_path / "unused"))
@@ -676,7 +677,7 @@ def demo_config(tmp_path, **engine):
 def cut_demo_log(tmp_path):
     """The demo log cut after its last PromptRegenerated, the reference
     demo log, and the cut's seq."""
-    _, path = run_demo(tmp_path / "demo")
+    path = run_demo(tmp_path / "demo")
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     at = max(i for i, line in enumerate(lines) if '"PromptRegenerated"' in line)
     cut = tmp_path / "cut.jsonl"
@@ -741,7 +742,7 @@ class TestPhaseTarget:
     def test_cut_demo_log_with_a_bogus_phase_is_rejected(self, tmp_path):
         """The demo log up to its first PhaseTransition, which says it goes
         to a phase that does not exist."""
-        _, path = run_demo(tmp_path / "demo")
+        path = run_demo(tmp_path / "demo")
         lines = Path(path).read_text(encoding="utf-8").splitlines()
         at = next(i for i, line in enumerate(lines) if '"PhaseTransition"' in line)
         event = json.loads(lines[at])
@@ -781,9 +782,9 @@ class TestFormat010Log:
         prefix = "\n".join(lines[: at + 1]) + "\n"
         cut = tmp_path / "cut.jsonl"
         cut.write_text(prefix, encoding="utf-8")
-        result = resume_optimization(demo_config(tmp_path), cut, corpus_texts=DEMO_CORPUS)
-        assert result.best.candidate_id == "cand-0003"
-        _, current = run_demo(tmp_path / "demo")
+        path = resume_optimization(demo_config(tmp_path), cut, corpus_texts=DEMO_CORPUS)
+        assert read_log(path)[1][-1].payload["best_candidate_id"] == "cand-0003"
+        current = run_demo(tmp_path / "demo")
         text = cut.read_text(encoding="utf-8")
         assert text.startswith(prefix)
         assert text[len(prefix):].split("\n") == event_lines(current)[at:] + [""]
@@ -796,7 +797,7 @@ class TestResumeChecksTheRunStarted:
     def cut_demo(self, tmp_path, **started):
         """The demo log without its RunFinished line, its RunStarted payload
         updated with ``started``."""
-        _, path = run_demo(tmp_path / "demo")
+        path = run_demo(tmp_path / "demo")
         lines = Path(path).read_text(encoding="utf-8").splitlines()[:-1]
         event = json.loads(lines[1])
         event["payload"].update(started)
@@ -864,7 +865,7 @@ class TestBackendFaultSweep:
         ],
     )
     def test_fault_after_every_call(self, tmp_path, op, error, calls, aborting):
-        _, full_path = run_demo(tmp_path / "full")
+        full_path = run_demo(tmp_path / "full")
         full = event_lines(full_path)
         config = demo_config(tmp_path)
         fault, aborted = demo_fault_run(config, tmp_path / "clean.jsonl")

@@ -177,13 +177,14 @@ class TestCorpusScore:
         assert score_cold == first == second
 
     def test_cache_hit_identical_to_fresh_embed(self, mock_backend):
-        cache = EmbeddingCache(mock_backend)
+        backend = CountingBackend()
+        cache = EmbeddingCache(backend)
         hit = cache.embed_one("Der Patient.")
         again = cache.embed_one("Der Patient.")
         fresh = mock_backend.embed(["Der Patient."])[0]
         assert np.array_equal(hit, again)
         assert np.array_equal(hit, fresh)
-        assert len(cache) == 1
+        assert backend.batches == [["Der Patient."]]
 
 
 class TestReferenceCorpus:
@@ -244,11 +245,12 @@ class TestLoadCorpus:
         with pytest.raises(CorpusError):
             load_corpus(tmp_path / "missing.jsonl", cache)
 
-    def test_embeddings_cached_once(self, tmp_path, mock_backend):
-        cache = EmbeddingCache(mock_backend)
+    def test_embeddings_cached_once(self, tmp_path):
+        backend = CountingBackend()
+        cache = EmbeddingCache(backend)
         path = write_corpus_file(tmp_path, ["Eins zwei.", "Eins zwei."])
         corpus = load_corpus(path, cache)
-        assert len(cache) == 1
+        assert backend.batches == [["Eins zwei."]]
         assert np.array_equal(corpus.embeddings[0], corpus.embeddings[1])
 
 
