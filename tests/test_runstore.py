@@ -761,6 +761,18 @@ class TestPhaseTarget:
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
+class TestGoldenDemoLog:
+    """The demo log as format 0.2.0 first wrote it, before the sample embeds
+    were batched: a fresh demo must reproduce its event lines byte for byte."""
+
+    def test_fresh_demo_matches_the_fixture(self, tmp_path):
+        path = run_demo(tmp_path)
+        fixture = FIXTURES / "demo-0.2.0.jsonl"
+        assert os.path.basename(path) == "32e6351267ef29a6.jsonl"
+        assert read_log(path)[0]["run_id"] == "32e6351267ef29a6"
+        assert event_lines(path) == event_lines(fixture)
+
+
 class TestFormat010Log:
     """The demo log as format 0.1.0 wrote it, archive snapshots and all."""
 
