@@ -130,7 +130,7 @@ def cmd_score(config_path, text, corpus_path) -> None:
     config = load_config(config_path)
     if corpus_path is not None:
         config = dataclasses.replace(config, corpus_path=corpus_path)
-    click.echo(repr(build_runtime(config).evaluator.score(text)))
+    click.echo(repr(build_runtime(config).evaluator.score_batch([text])[0]))
 
 
 @main.command("validate-config")

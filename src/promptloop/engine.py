@@ -66,13 +66,14 @@ class Engine:
     The engine talks to the backend only through :meth:`_chat` and
     :meth:`_chat_many`, which number each call by its role's call count in the
     run state (so a resumed run issues the calls the uninterrupted run would
-    have), and to the scorer only through ``evaluator.score``. Independent
-    calls (a prompt's actor samples, a round's per-sample feedback) go out
-    as one ``chat_many`` batch, which the HTTP backend runs concurrently;
-    scoring, routing and every event happen on the calling thread after the
-    batch returns, in sample-index order. The engine changes the run state
-    only by logging an event and applying it (:meth:`record`), through the
-    same function replay folds a log with.
+    have), and to the scorer only through ``evaluator.score_batch``.
+    Independent calls (a prompt's actor samples, a round's per-sample
+    feedback) go out as one ``chat_many`` batch, which the HTTP backend runs
+    concurrently; a batch's samples are scored together, and routing and
+    every event happen on the calling thread after the batch returns, in
+    sample-index order. The engine changes the run state only by logging an
+    event and applying it (:meth:`record`), through the same function replay
+    folds a log with.
     """
 
     def __init__(self, gateway, evaluator, config: EngineConfig, log: runstore.EventLog, task_prompt: str) -> None:
@@ -126,21 +127,20 @@ class Engine:
         return self._chat(ModelRole.PROMPTING, request)
 
     def draw_samples(self, candidate_id: str, step_plan: str) -> list[tuple[str, float]]:
-        """Send the actor calls for one prompt as a batch, then score and log
-        the samples in index order; returns (text, score) per sample."""
+        """Send the actor calls for one prompt as a batch and score the
+        samples as a batch, then log them in index order; returns
+        (text, score) per sample. A failed scoring logs none of them."""
         outputs = self._chat_many([(ModelRole.ACTOR, step_plan)] * self.config.samples_per_round)
-        samples: list[tuple[str, float]] = []
-        for index, output in enumerate(outputs):
+        samples = list(zip(outputs, self.evaluator.score_batch(outputs)))
+        for index, (output, score) in enumerate(samples):
             self.record(
                 "SampleGenerated",
                 {"candidate_id": candidate_id, "sample_index": index, "text": output},
             )
-            score = self.evaluator.score(output)
             self.record(
                 "SampleScored",
                 {"candidate_id": candidate_id, "sample_index": index, "score": score},
             )
-            samples.append((output, score))
         return samples
 
     def collect_feedback(

@@ -50,5 +50,7 @@ class RunAbortedError(PromptloopError):
 
 
 #: Backend-side failures: they abort a feedback round atomically and skip a
-#: mutation step.
-BACKEND_ERRORS = (BackendUnavailableError, EmptyResponseError, ProtocolError, DegenerateInputError)
+#: mutation step. A sample vector whose length differs from the corpus's is
+#: one of them: the embedding backend answered it.
+BACKEND_ERRORS = (BackendUnavailableError, EmptyResponseError, ProtocolError, DegenerateInputError,
+                  DimensionMismatchError)

@@ -11,9 +11,11 @@ request's sampling seed from it, so a resumed run repeats exactly the calls
 of the uninterrupted one.
 
 ``chat_many`` sends a batch of independent calls and returns the replies in
-input order. Over HTTP the calls run concurrently, every one is issued, and
-the first failure in index order is raised once the whole batch is done; the
-mock runs them in index order and raises at the first failure.
+input order; ``embed`` does the same for texts. Over HTTP the chat calls and
+the embed requests of :data:`EMBED_BATCH` texts each run concurrently, at
+most :data:`MAX_IN_FLIGHT` at a time; every one is issued, and the first
+failure in input order is raised once the whole batch is done. The mock runs
+chat calls in index order and raises at the first failure.
 """
 
 from __future__ import annotations
@@ -37,12 +39,18 @@ FAILURE_MARKER = "<<BACKEND-FAILURE>>"
 #: Client errors worth another attempt: request timeout and rate limiting.
 _RETRYABLE_4XX = (408, 429)
 
-#: Most chat requests an HTTP batch keeps in flight. Ollama serves at most
-#: ``OLLAMA_NUM_PARALLEL`` requests per model at once, by default 4 or 1
-#: depending on available memory (Ollama FAQ); more would only queue on the
+#: Most requests an HTTP batch keeps in flight, chat or embed. Ollama serves
+#: at most ``OLLAMA_NUM_PARALLEL`` requests per model at once, by default 4 or
+#: 1 depending on available memory (Ollama FAQ); more would only queue on the
 #: server, where the wait counts against each request's ``timeout``. It also
 #: stays below the 10 connections of the default ``requests`` adapter pool.
-MAX_CHAT_WORKERS = 4
+MAX_IN_FLIGHT = 4
+
+#: Most texts one embed request carries. At Ollama's documented 13.1 ms per
+#: text a full request is about 0.84 s of server time, far inside the default
+#: 120 s ``timeout``, and the bound keeps the request body of a large corpus
+#: small.
+EMBED_BATCH = 64
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -185,10 +193,10 @@ class HttpBackend:
 
     Chat posts to ``/api/chat`` (non-streaming) with the role's sampling
     options, its seed replaced by :func:`call_seed`; embeddings post to
-    ``/api/embed``. Transport failures, HTTP 5xx, 408 and 429 are retried
-    up to ``max_retries`` times with exponential backoff, so each call makes
-    at most ``max_retries + 1`` attempts; any other 4xx is final after one
-    attempt.
+    ``/api/embed``, at most :data:`EMBED_BATCH` texts per request. Transport
+    failures, HTTP 5xx, 408 and 429 are retried up to ``max_retries`` times
+    with exponential backoff, so each request makes at most
+    ``max_retries + 1`` attempts; any other 4xx is final after one attempt.
     """
 
     def __init__(self, descriptor: BackendDescriptor, session: requests.Session | None = None):
@@ -220,25 +228,42 @@ class HttpBackend:
         return content
 
     def chat_many(self, calls: Sequence[ChatCall]) -> list[str]:
-        """Run the calls concurrently through :meth:`chat`, at most
-        :data:`MAX_CHAT_WORKERS` at a time, all sharing this backend's session."""
-        if not calls:
+        """Run the calls concurrently through :meth:`chat`, all sharing this
+        backend's session."""
+        return self._in_flight("chat", lambda call: self.chat(*call), calls)
+
+    def embed(self, texts: Sequence[str]) -> list[np.ndarray]:
+        """Vectors of ``texts`` in input order, embedded :data:`EMBED_BATCH`
+        texts per request, the requests sent concurrently."""
+        if not texts:
+            raise ValueError("embed needs at least one text")
+        chunks = [texts[start : start + EMBED_BATCH] for start in range(0, len(texts), EMBED_BATCH)]
+        matrices = self._in_flight("embed", self._embed_chunk, chunks)
+        dims = sorted({matrix.shape[1] for matrix in matrices})
+        if len(dims) != 1:
+            raise ProtocolError(f"embedding requests disagree on dimension: {dims}")
+        return [row for matrix in matrices for row in matrix]
+
+    def _in_flight(self, kind: str, send, items: Sequence) -> list:
+        """``send`` of every item on a pool of at most :data:`MAX_IN_FLIGHT`
+        threads; the results in input order. Every item is sent, and the
+        first failure in input order is raised once all have finished."""
+        if not items:
             return []
         pool = ThreadPoolExecutor(
-            max_workers=min(len(calls), MAX_CHAT_WORKERS), thread_name_prefix="promptloop-chat"
+            max_workers=min(len(items), MAX_IN_FLIGHT), thread_name_prefix=f"promptloop-{kind}"
         )
         try:
-            futures = [pool.submit(self.chat, exchange, params) for exchange, params in calls]
+            futures = [pool.submit(send, item) for item in items]
             wait(futures)
         finally:
-            # On an interrupt, drop the calls not yet started; the ones in
+            # On an interrupt, drop the requests not yet started; the ones in
             # flight still finish before the interpreter exits.
             pool.shutdown(wait=False, cancel_futures=True)
         return [future.result() for future in futures]
 
-    def embed(self, texts: Sequence[str]) -> list[np.ndarray]:
-        if not texts:
-            raise ValueError("embed needs at least one text")
+    def _embed_chunk(self, texts: Sequence[str]) -> np.ndarray:
+        """One ``/api/embed`` request: the checked matrix of the texts' vectors."""
         payload = {"model": self.descriptor.embedding_model_name, "input": list(texts)}
         data = self._post("/api/embed", payload)
         rows = data.get("embeddings")
@@ -259,7 +284,7 @@ class HttpBackend:
         # Python's json accepts NaN and Infinity, which would poison the scores.
         if not np.isfinite(matrix).all():
             raise ProtocolError("embeddings hold a non-finite value")
-        return list(matrix)
+        return matrix
 
     def _post(self, path: str, payload: dict) -> dict:
         url = self.descriptor.base_url.rstrip("/") + path

@@ -18,12 +18,6 @@ import numpy as np
 
 from .errors import CorpusError, DegenerateInputError, DimensionMismatchError
 
-#: Most corpus texts one embed request carries. At Ollama's documented
-#: 13.1 ms per text a full request is about 0.84 s of server time, far inside
-#: the default 120 s ``timeout``, and the bound keeps the request body of a
-#: large corpus small.
-EMBED_BATCH = 64
-
 
 def cosine(u, v) -> float:
     """Cosine similarity of two nonzero vectors, clamped into [-1, 1]."""
@@ -55,7 +49,8 @@ class EmbeddingCache:
 
     def embed_many(self, texts: Sequence[str]) -> list[np.ndarray]:
         """Vectors of ``texts``, in input order. The texts not cached yet go
-        to the backend as one request, each text once, in first-seen order."""
+        to the backend in one ``embed`` call, each text once, in first-seen
+        order."""
         misses = list(dict.fromkeys(t for t in texts if t not in self._vectors))
         if misses:
             self._vectors.update(zip(misses, self._backend.embed(misses)))
@@ -121,11 +116,10 @@ def load_corpus(path, cache: EmbeddingCache, max_documents: int | None = None) -
 
 
 def embed_corpus(documents: list[str], cache: EmbeddingCache) -> ReferenceCorpus:
-    """Embed the documents through the cache, :data:`EMBED_BATCH` texts per
-    backend request, in document order, so the chunks are the same on every
-    run."""
-    for start in range(0, len(documents), EMBED_BATCH):
-        cache.embed_many(documents[start : start + EMBED_BATCH])
+    """Embed the documents through the cache in one ``embed_many`` call. The
+    HTTP backend splits it into requests in document order, so the requests
+    are the same on every run."""
+    cache.embed_many(documents)
     # Every vector is cached now. Reading them back one by one keeps the
     # single-text lookup on the setup path, where perfbench times the cache
     # layer through ``EmbeddingCache.embed_one``.
@@ -146,12 +140,16 @@ def corpus_score(candidate_text: str, corpus: ReferenceCorpus, cache: EmbeddingC
 
 
 class CorpusEvaluator:
-    """Binds a corpus and a cache into the single text -> score callable the
-    optimization engine consumes."""
+    """Binds a corpus and a cache into the batch scorer the optimization
+    engine consumes."""
 
     def __init__(self, corpus: ReferenceCorpus, cache: EmbeddingCache) -> None:
         self.corpus = corpus
         self.cache = cache
 
-    def score(self, text: str) -> float:
-        return corpus_score(text, self.corpus, self.cache)
+    def score_batch(self, texts: Sequence[str]) -> list[float]:
+        """Corpus scores of ``texts``, in input order. The texts not cached
+        yet go to the backend in one ``embed_many`` call; an empty text is
+        left to :func:`corpus_score` to reject."""
+        self.cache.embed_many([text for text in texts if text])
+        return [corpus_score(text, self.corpus, self.cache) for text in texts]

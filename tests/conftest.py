@@ -172,7 +172,10 @@ class FakeEvaluator:
         self.scores = list(scores)
         self.served = []
 
-    def score(self, text):
+    def score_batch(self, texts):
+        return [self._score(text) for text in texts]
+
+    def _score(self, text):
         value = self.scores.pop(0) if len(self.scores) > 1 else self.scores[0]
         self.served.append((text, value))
         return value

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from conftest import write_config_file, write_corpus_file
+from conftest import FakeResponse, write_config_file, write_corpus_file
 from promptloop import cli
 from promptloop.cli import main
 from promptloop.errors import LogError
@@ -253,6 +253,51 @@ class TestOptimize:
                 assert result.exit_code == 3, text + result.output + repr(result.exception)
                 assert expected in result.stderr, text
 
+    def test_embed_requests_of_different_dimensions_during_setup_exit_three(
+        self, runner, tmp_path, monkeypatch
+    ):
+        import requests
+
+        def embed(session, url, json=None, timeout=None):
+            # the corpus goes out as one request of 64 texts and one of 1
+            dim = 64 if len(json["input"]) > 1 else 32
+            return FakeResponse({"embeddings": [[0.5] * dim for _ in json["input"]]})
+
+        monkeypatch.setattr(requests.Session, "post", embed)
+        corpus = write_corpus_file(tmp_path, [f"Dokument {i} ist stabil." for i in range(65)], "big.jsonl")
+        config = small_config(
+            tmp_path, backend={"kind": "http", "base_url": "http://localhost:1"}, corpus_path=corpus
+        )
+        for command in (["optimize", config, "--prompt", "Aufgabe"], ["score", config, "--text", "x"]):
+            result = runner.invoke(main, command)
+            assert result.exit_code == 3, result.output + repr(result.exception)
+            assert "disagree on dimension: [32, 64]" in result.stderr
+
+    def test_sample_vector_of_another_dimension_exits_four(self, runner, tmp_path, monkeypatch):
+        import requests
+
+        def post(session, url, json=None, timeout=None):
+            if url.endswith("/api/chat"):
+                return FakeResponse({"message": {"content": "Der Befund folgt."}})
+            dim = 64 if json["input"] == CORPUS else 32
+            return FakeResponse({"embeddings": [[0.5] * dim for _ in json["input"]]})
+
+        monkeypatch.setattr(requests.Session, "post", post)
+        monkeypatch.setattr(
+            requests.Session, "get",
+            lambda session, url, timeout=None: FakeResponse(
+                {"models": [{"name": "llama3.1"}, {"name": "jina-embeddings-v2-base-de"}]}
+            ),
+        )
+        config = small_config(tmp_path, backend={"kind": "http", "base_url": "http://localhost:1"})
+        result = runner.invoke(main, ["optimize", config, "--prompt", "Aufgabe"])
+        assert result.exit_code == 4, result.output + repr(result.exception)
+        runs_dir = os.path.join(tmp_path, "runs")
+        [log] = [os.path.join(runs_dir, n) for n in os.listdir(runs_dir) if n.endswith(".jsonl")]
+        last = json.loads(Path(log).read_text(encoding="utf-8").splitlines()[-1])
+        assert last["kind"] == "BackendFailure"
+        assert last["payload"]["message"] == "candidate (32,) vs corpus (64,)"
+
     def test_missing_corpus_file_is_config_error(self, runner, tmp_path):
         config = small_config(tmp_path, corpus_path=os.path.join(tmp_path, "nope.jsonl"))
         result = runner.invoke(main, ["optimize", config, "--prompt", "Aufgabe"])
@@ -371,7 +416,7 @@ class TestScore:
         corpus = ReferenceCorpus(
             documents=list(CORPUS), embeddings=[cache.embed_one(t) for t in CORPUS]
         )
-        expected = CorpusEvaluator(corpus, cache).score("Der Befund folgt.")
+        expected = CorpusEvaluator(corpus, cache).score_batch(["Der Befund folgt."])[0]
         assert result.output.strip() == repr(expected)
 
 

@@ -8,14 +8,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FakeEvaluator, FakeResponse, events_by_kind, make_corpus, make_harness, scripted_plans
+from conftest import (
+    CORPUS_TEXTS,
+    FakeEvaluator,
+    FakeResponse,
+    events_by_kind,
+    make_corpus,
+    make_harness,
+    scripted_plans,
+)
 from oracle import bottom_k_ref, embed_ref, top_k_ref
 from promptloop.engine import Engine, EngineConfig, check_transition, route_feedback
 from promptloop.errors import RunAbortedError
 from promptloop.gateway import FAILURE_MARKER, BackendDescriptor, HttpBackend
 from promptloop.roles import DEFAULT_SYSTEM_PROMPTS, ModelRole
 from promptloop.runstore import EventLog
-from promptloop.scoring import CorpusEvaluator, EmbeddingCache
+from promptloop.scoring import CorpusEvaluator, EmbeddingCache, corpus_score
 from promptloop.state import (
     ArchiveEntry,
     EngineState,
@@ -720,8 +728,10 @@ class MalformedSession:
 
 
 class TestMalformedHttpReplies:
-    """A malformed reply is a ProtocolError, contained like any other backend
-    failure: logged, aborting a round and skipping a mutation step."""
+    """A malformed reply is a ProtocolError, and a sample vector of another
+    length than the corpus's a DimensionMismatchError; both are contained like
+    any other backend failure: logged, aborting a round and skipping a
+    mutation step."""
 
     ENGINE = {"samples_per_round": 2, "best_capacity": 1, "worst_capacity": 1, "max_rounds": 3,
               "mutation_budget": 2}
@@ -740,38 +750,81 @@ class TestMalformedHttpReplies:
             engine.log.close()
 
     @pytest.mark.parametrize(
-        "target, reply",
+        "target, reply, cause",
         [
-            (ModelRole.SUMMARIZER, []),
-            (ModelRole.SUMMARIZER, {"message": "Text."}),
-            (ModelRole.SUMMARIZER, {"message": ["Text."]}),
-            ("embed", []),
-            ("embed", {"embeddings": [["x"] * 64]}),
-            ("embed", {"embeddings": [[{"x": 1.0}] * 64]}),
-            ("embed", {"embeddings": [[math.nan] + [0.5] * 63]}),
-            ("embed", {"embeddings": [[0.5] * 63 + [-math.inf]]}),
+            (ModelRole.SUMMARIZER, [], "not an object"),
+            (ModelRole.SUMMARIZER, {"message": "Text."}, "missing message.content"),
+            (ModelRole.SUMMARIZER, {"message": ["Text."]}, "missing message.content"),
+            ("embed", [], "not an object"),
+            ("embed", {"embeddings": [["x"] * 64, [0.5] * 64]}, "non-numeric"),
+            ("embed", {"embeddings": [[{"x": 1.0}] * 64, [0.5] * 64]}, "non-numeric"),
+            ("embed", {"embeddings": [[math.nan] + [0.5] * 63, [0.5] * 64]}, "non-finite"),
+            ("embed", {"embeddings": [[0.5] * 64, [0.5] * 63 + [-math.inf]]}, "non-finite"),
+            ("embed", {"embeddings": [[0.5] * 32, [0.5] * 32]}, "candidate (32,) vs corpus (64,)"),
         ],
     )
-    def test_mid_round_reply_is_logged_and_aborts_the_run(self, tmp_path, target, reply):
-        # The corpus takes the first two embed requests, one per document.
+    def test_mid_round_reply_is_logged_and_aborts_the_run(self, tmp_path, target, reply, cause):
+        # The corpus takes the first two embed requests, one per document;
+        # the third carries round 1's two samples.
         at = 3 if target == "embed" else 1
         h = make_harness(tmp_path, engine=self.ENGINE)
         with pytest.raises(RunAbortedError):
             self.run_over_http(h, target, at, reply)
-        last = h.events()[-1]
+        events = h.events()
+        last = events[-1]
         assert last.kind == "BackendFailure"
         assert last.payload["phase"] == "feedback_loop"
+        assert cause in last.payload["message"]
+        if target == "embed":
+            # a batch is scored before any of its samples is logged
+            assert [e.kind for e in events[-2:]] == ["RoundStarted", "BackendFailure"]
 
-    @pytest.mark.parametrize("reply", [[], {"message": "Text."}, {"message": ["Text."]}])
-    def test_mutation_step_reply_skips_the_step(self, tmp_path, reply):
+    @pytest.mark.parametrize(
+        "target, at, reply",
+        [
+            (ModelRole.MUTATOR, 1, []),
+            (ModelRole.MUTATOR, 1, {"message": "Text."}),
+            (ModelRole.MUTATOR, 1, {"message": ["Text."]}),
+            # round 1 fills the one-slot archive, so the fourth embed request
+            # carries the first mutation step's samples
+            ("embed", 4, {"embeddings": [[0.5] * 32, [0.5] * 32]}),
+        ],
+    )
+    def test_mutation_step_reply_skips_the_step(self, tmp_path, target, at, reply):
         h = make_harness(tmp_path, engine=self.ENGINE)
-        self.run_over_http(h, ModelRole.MUTATOR, 1, reply)
+        self.run_over_http(h, target, at, reply)
         events = h.events()
         assert [e.payload["phase"] for e in events_by_kind(events, "BackendFailure")] == ["mutation"]
         steps = events_by_kind(events, "MutationApplied") + events_by_kind(events, "MutationRejected")
-        assert [e.payload["step"] for e in steps] == [1, 2]
+        assert sorted(e.payload["step"] for e in steps) == [1, 2]
         assert events_by_kind(events, "MutationRejected")[0].payload["reason"] == "backend-failure"
         assert events[-1].kind == "RunFinished"
+
+
+class TestBatchScoring:
+    """A round's samples are embedded together: one request for the texts
+    the cache does not hold yet, each text once."""
+
+    def test_one_embed_request_per_round_each_text_once(self, tmp_path):
+        samples = ["Befund eins folgt.", "Befund zwei folgt.", "Befund eins folgt.", CORPUS_TEXTS[0]]
+        h = make_harness(
+            tmp_path,
+            engine={"samples_per_round": 4, "max_rounds": 2},
+            scripts={ModelRole.ACTOR: samples + ["Befund drei folgt."] * 4},
+        )
+        requests = []
+        embed = h.backend.embed
+
+        def recording_embed(texts):
+            requests.append(list(texts))
+            return embed(texts)
+
+        h.backend.embed = recording_embed
+        h.run()
+        assert requests == [samples[:2], ["Befund drei folgt."]]
+        scores = [e.payload["score"] for e in events_by_kind(h.events(), "SampleScored")]
+        assert scores[0] == scores[2]
+        assert scores[3] == corpus_score(CORPUS_TEXTS[0], h.corpus, h.cache)
 
 
 def _lines(path):

@@ -19,8 +19,9 @@ from promptloop.errors import (
 )
 from promptloop import gateway
 from promptloop.gateway import (
+    EMBED_BATCH,
     FAILURE_MARKER,
-    MAX_CHAT_WORKERS,
+    MAX_IN_FLIGHT,
     BackendDescriptor,
     ChatExchange,
     HttpBackend,
@@ -377,11 +378,11 @@ class TestHttpChatMany:
     def test_batch_wider_than_the_pool_keeps_input_order(self):
         session = PooledSession()
         backend = HttpBackend(http_descriptor(), session)
-        size = 3 * MAX_CHAT_WORKERS
+        size = 3 * MAX_IN_FLIGHT
         calls = [(exchange(text=f"call {i}"), PARAMS) for i in range(size)]
         assert backend.chat_many(calls) == [f"reply {i}" for i in range(size)]
         assert session.requests == size
-        assert session.peak <= MAX_CHAT_WORKERS
+        assert session.peak <= MAX_IN_FLIGHT
 
     def test_interrupt_drops_calls_not_yet_started(self, monkeypatch):
         release = threading.Event()
@@ -398,17 +399,96 @@ class TestHttpChatMany:
 
         monkeypatch.setattr(gateway, "wait", interrupted_wait)
         backend = HttpBackend(http_descriptor(), BlockingSession())
-        calls = [(exchange(text=f"call {i}"), PARAMS) for i in range(3 * MAX_CHAT_WORKERS)]
+        calls = [(exchange(text=f"call {i}"), PARAMS) for i in range(3 * MAX_IN_FLIGHT)]
         with pytest.raises(KeyboardInterrupt):
             backend.chat_many(calls)
         release.set()
         for thread in threading.enumerate():
             if thread.name.startswith("promptloop-chat"):
                 thread.join(5)
-        assert len(started) <= MAX_CHAT_WORKERS
+        assert len(started) <= MAX_IN_FLIGHT
+
+
+class EmbedPoolSession:
+    """Thread-safe fake ``/api/embed`` endpoint: text ``t<i>`` embeds to
+    ``[i, 1]``. The ``k``-th request of a batch is held ``hold(k)`` seconds,
+    by default less for later ones, so requests sent together overlap and
+    finish in reverse order; one that carries a text named in ``statuses``
+    answers that status at once. Records each request's texts, the most
+    requests in flight at once, and how many have finished."""
+
+    HOLD_S = 0.05
+
+    def __init__(self, statuses=None, hold=lambda k: EmbedPoolSession.HOLD_S / (1 + k)):
+        self.statuses = statuses or {}
+        self.hold = hold
+        self.lock = threading.Lock()
+        self.inputs = []
+        self.in_flight = self.peak = self.finished = 0
+
+    def post(self, url, json=None, timeout=None):
+        texts = json["input"]
+        with self.lock:
+            self.inputs.append(texts)
+            self.in_flight += 1
+            self.peak = max(self.peak, self.in_flight)
+        try:
+            status = next((self.statuses[t] for t in texts if t in self.statuses), 200)
+            if status == 200:
+                time.sleep(self.hold(int(texts[0][1:]) // EMBED_BATCH))
+            return FakeResponse({"embeddings": [[float(t[1:]), 1.0] for t in texts]}, status)
+        finally:
+            with self.lock:
+                self.in_flight -= 1
+                self.finished += 1
+
+
+#: Three full embed requests of 64 texts and a short one.
+POOL_TEXTS = [f"t{i}" for i in range(3 * 64 + 5)]
 
 
 class TestHttpEmbed:
+    def test_no_request_carries_more_than_a_batch(self):
+        session = EmbedPoolSession()
+        HttpBackend(http_descriptor(), session).embed(POOL_TEXTS)
+        assert sorted(len(texts) for texts in session.inputs) == [5, 64, 64, 64]
+        assert sorted(t for texts in session.inputs for t in texts) == sorted(POOL_TEXTS)
+
+    def test_requests_overlap_up_to_the_in_flight_bound(self, monkeypatch):
+        session = EmbedPoolSession()
+        HttpBackend(http_descriptor(), session).embed(POOL_TEXTS)
+        assert 1 < session.peak <= MAX_IN_FLIGHT
+        monkeypatch.setattr(gateway, "MAX_IN_FLIGHT", 2)  # fewer slots than requests
+        narrow = EmbedPoolSession()
+        HttpBackend(http_descriptor(), narrow).embed(POOL_TEXTS)
+        assert narrow.peak == 2 and len(narrow.inputs) == 4
+
+    def test_vectors_come_back_in_input_order(self):
+        vectors = HttpBackend(http_descriptor(), EmbedPoolSession()).embed(POOL_TEXTS)
+        assert [v.tolist() for v in vectors] == [[float(i), 1.0] for i in range(len(POOL_TEXTS))]
+
+    def test_failing_middle_request_raises_after_every_request_finished(self):
+        # The second and the last request fail at once. The third is held
+        # longest, so it is still in flight when the second one's failure is
+        # first readable.
+        session = EmbedPoolSession(
+            statuses={"t70": 404, "t195": 400}, hold=lambda k: EmbedPoolSession.HOLD_S * (1 + k)
+        )
+        backend = HttpBackend(http_descriptor(max_retries=2), session)
+        with pytest.raises(BackendUnavailableError, match="404"):
+            backend.embed(POOL_TEXTS)
+        assert session.finished == len(session.inputs) == 4
+
+    def test_requests_of_different_dimensions_are_protocol_error(self):
+        class TwoDimensions(EmbedPoolSession):
+            def post(self, url, json=None, timeout=None):
+                texts = json["input"]
+                return FakeResponse({"embeddings": [[1.0] * (2 if len(texts) == 5 else 3)] * len(texts)})
+
+        backend = HttpBackend(http_descriptor(), TwoDimensions())
+        with pytest.raises(ProtocolError, match=r"disagree on dimension: \[2, 3\]"):
+            backend.embed(POOL_TEXTS)
+
     def test_embed_posts_model_and_input(self):
         session = FakeSession([FakeResponse({"embeddings": [[1.0, 0.0], [0.0, 1.0]]})])
         backend = HttpBackend(http_descriptor(), session)

@@ -873,7 +873,8 @@ class TestBackendFaultSweep:
         [
             ("chat", BackendUnavailableError, 25, 19),
             ("chat", ProtocolError, 25, 19),
-            ("embed", BackendUnavailableError, 9, 6),
+            ("embed", BackendUnavailableError, 5, 3),
+            ("embed", ProtocolError, 5, 3),
         ],
     )
     def test_fault_after_every_call(self, tmp_path, op, error, calls, aborting):

@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 from conftest import FakeResponse, make_corpus, write_corpus_file
 from oracle import corpus_score_ref, embed_ref
 from promptloop.errors import CorpusError, DegenerateInputError, DimensionMismatchError
-from promptloop.gateway import BackendDescriptor, HttpBackend, MockBackend
+from promptloop.gateway import EMBED_BATCH, BackendDescriptor, HttpBackend, MockBackend
 from promptloop.scoring import (
-    EMBED_BATCH,
     CorpusEvaluator,
     EmbeddingCache,
     ReferenceCorpus,
@@ -286,10 +285,12 @@ class TestBatchedEmbedding:
         backend = HttpBackend(BackendDescriptor(kind="http", base_url="http://stub"), session)
         corpus = load_corpus(write_corpus_file(tmp_path, documents), EmbeddingCache(backend))
         assert EMBED_BATCH == 64 and len(documents) == 130
-        assert session.inputs == [
+        # The chunks split the distinct documents; their requests run
+        # concurrently, so they may arrive in any order.
+        assert sorted(session.inputs, key=lambda chunk: documents.index(chunk[0])) == [
             documents[:64],
-            documents[64:100] + documents[101:128],
-            documents[128:],
+            documents[64:100] + documents[101:129],
+            documents[129:],
         ]
         assert sum(batch.count(documents[5]) for batch in session.inputs) == 1
         assert [v.tolist() for v in corpus.embeddings] == [embed_ref(d, 64) for d in documents]
@@ -325,4 +326,4 @@ class TestEvaluator:
     def test_score_equals_corpus_score(self, cache):
         corpus = make_corpus(cache, [DOC_COS_08, DOC_COS_06])
         evaluator = CorpusEvaluator(corpus, cache)
-        assert evaluator.score("aaa") == corpus_score("aaa", corpus, cache) == 0.7
+        assert evaluator.score_batch(["aaa"]) == [corpus_score("aaa", corpus, cache)] == [0.7]
