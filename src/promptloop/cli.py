@@ -20,6 +20,7 @@ from .config import load_config, normalize_config
 from .errors import (
     BackendUnavailableError,
     ConfigError,
+    DimensionMismatchError,
     EmptyResponseError,
     PromptloopError,
     ProtocolError,
@@ -43,7 +44,7 @@ class _Commands(click.Group):
             return super().invoke(ctx)
         except RunAbortedError as exc:
             code, message = EXIT_ABORTED, f"{exc} (log retained for --resume)"
-        except (BackendUnavailableError, ProtocolError, EmptyResponseError) as exc:
+        except (BackendUnavailableError, ProtocolError, EmptyResponseError, DimensionMismatchError) as exc:
             code, message = EXIT_BACKEND, str(exc)
         except PromptloopError as exc:
             code, message = EXIT_CONFIG, str(exc)

@@ -230,7 +230,7 @@ class HttpBackend:
     def chat_many(self, calls: Sequence[ChatCall]) -> list[str]:
         """Run the calls concurrently through :meth:`chat`, all sharing this
         backend's session."""
-        return self._in_flight("chat", lambda call: self.chat(*call), calls)
+        return self._in_flight(lambda call: self.chat(*call), calls)
 
     def embed(self, texts: Sequence[str]) -> list[np.ndarray]:
         """Vectors of ``texts`` in input order, embedded :data:`EMBED_BATCH`
@@ -238,20 +238,20 @@ class HttpBackend:
         if not texts:
             raise ValueError("embed needs at least one text")
         chunks = [texts[start : start + EMBED_BATCH] for start in range(0, len(texts), EMBED_BATCH)]
-        matrices = self._in_flight("embed", self._embed_chunk, chunks)
+        matrices = self._in_flight(self._embed_chunk, chunks)
         dims = sorted({matrix.shape[1] for matrix in matrices})
         if len(dims) != 1:
             raise ProtocolError(f"embedding requests disagree on dimension: {dims}")
         return [row for matrix in matrices for row in matrix]
 
-    def _in_flight(self, kind: str, send, items: Sequence) -> list:
+    def _in_flight(self, send, items: Sequence) -> list:
         """``send`` of every item on a pool of at most :data:`MAX_IN_FLIGHT`
         threads; the results in input order. Every item is sent, and the
         first failure in input order is raised once all have finished."""
         if not items:
             return []
         pool = ThreadPoolExecutor(
-            max_workers=min(len(items), MAX_IN_FLIGHT), thread_name_prefix=f"promptloop-{kind}"
+            max_workers=min(len(items), MAX_IN_FLIGHT), thread_name_prefix="promptloop-http"
         )
         try:
             futures = [pool.submit(send, item) for item in items]

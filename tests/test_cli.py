@@ -297,6 +297,10 @@ class TestOptimize:
         last = json.loads(Path(log).read_text(encoding="utf-8").splitlines()[-1])
         assert last["kind"] == "BackendFailure"
         assert last["payload"]["message"] == "candidate (32,) vs corpus (64,)"
+        # outside a run the same reply is a backend failure too
+        result = runner.invoke(main, ["score", config, "--text", "Der Befund folgt."])
+        assert result.exit_code == 3, result.output + repr(result.exception)
+        assert "candidate (32,) vs corpus (64,)" in result.stderr
 
     def test_missing_corpus_file_is_config_error(self, runner, tmp_path):
         config = small_config(tmp_path, corpus_path=os.path.join(tmp_path, "nope.jsonl"))

@@ -780,23 +780,25 @@ class TestMalformedHttpReplies:
             assert [e.kind for e in events[-2:]] == ["RoundStarted", "BackendFailure"]
 
     @pytest.mark.parametrize(
-        "target, at, reply",
+        "target, at, reply, applied, rejected",
         [
-            (ModelRole.MUTATOR, 1, []),
-            (ModelRole.MUTATOR, 1, {"message": "Text."}),
-            (ModelRole.MUTATOR, 1, {"message": ["Text."]}),
+            (ModelRole.MUTATOR, 1, [], [], [1, 2]),
+            (ModelRole.MUTATOR, 1, {"message": "Text."}, [], [1, 2]),
+            (ModelRole.MUTATOR, 1, {"message": ["Text."]}, [], [1, 2]),
             # round 1 fills the one-slot archive, so the fourth embed request
             # carries the first mutation step's samples
-            ("embed", 4, {"embeddings": [[0.5] * 32, [0.5] * 32]}),
+            ("embed", 4, {"embeddings": [[0.5] * 32, [0.5] * 32]}, [2], [1]),
         ],
     )
-    def test_mutation_step_reply_skips_the_step(self, tmp_path, target, at, reply):
+    def test_mutation_step_reply_skips_the_step(self, tmp_path, target, at, reply, applied, rejected):
         h = make_harness(tmp_path, engine=self.ENGINE)
         self.run_over_http(h, target, at, reply)
         events = h.events()
         assert [e.payload["phase"] for e in events_by_kind(events, "BackendFailure")] == ["mutation"]
-        steps = events_by_kind(events, "MutationApplied") + events_by_kind(events, "MutationRejected")
-        assert sorted(e.payload["step"] for e in steps) == [1, 2]
+        steps = [e.payload["step"] for e in events if e.kind in ("MutationApplied", "MutationRejected")]
+        assert steps == [1, 2]
+        assert [e.payload["step"] for e in events_by_kind(events, "MutationApplied")] == applied
+        assert [e.payload["step"] for e in events_by_kind(events, "MutationRejected")] == rejected
         assert events_by_kind(events, "MutationRejected")[0].payload["reason"] == "backend-failure"
         assert events[-1].kind == "RunFinished"
 

@@ -404,7 +404,7 @@ class TestHttpChatMany:
             backend.chat_many(calls)
         release.set()
         for thread in threading.enumerate():
-            if thread.name.startswith("promptloop-chat"):
+            if thread.name.startswith("promptloop-http"):
                 thread.join(5)
         assert len(started) <= MAX_IN_FLIGHT
 
