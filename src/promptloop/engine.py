@@ -163,8 +163,6 @@ class Engine:
         commit point), logs a BackendFailure event, and aborts the run (the
         log stays resumable).
         """
-        if self.state.phase != "feedback_loop":
-            raise RunAbortedError(f"cannot run a round in phase {self.state.phase!r}")
         round_no = self.state.round + 1
         committed = self.state.clone()
         try:
@@ -318,7 +316,7 @@ class Engine:
             if result.finished:
                 raise LogError(f"run {run_id} is already finished")
             engine.state = result.state
-            log.resume_at(result.committed_seq)
+            log.resume_at(result.committed_end, result.committed)
         except BaseException:
             log.close()
             raise

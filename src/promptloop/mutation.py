@@ -81,8 +81,6 @@ def run_mutation_phase(engine) -> None:
     """
     state = engine.state
     config = engine.config
-    if state.phase != "mutation":
-        raise MutationRejectedError(f"mutation phase entered in phase {state.phase!r}")
     while state.mutation_step < config.mutation_budget and not state.reached(config.score_target):
         picks = draw_picks(state)
         mutant_id = f"mut-{picks.step:04d}"

@@ -139,25 +139,24 @@ class EventLog:
         self._handle.write(canonical_json(manifest) + "\n")
         self._handle.flush()
 
-    def resume_at(self, keep_seq: int) -> None:
-        """Append after event ``keep_seq``. The caller holds the lock, taken
-        with :meth:`lock` before it read the log.
+    def resume_at(self, end: int, last: RunEvent) -> None:
+        """Append after ``last``, the event whose line ends at byte ``end``
+        (its newline excluded), both as :func:`replay_log` read them. The
+        caller holds the lock, taken with :meth:`lock` before it read the log.
 
         Any later (uncommitted) lines are cut off in place with a truncate;
         the kept lines are never rewritten, so a crash here cannot lose them.
-        A kept last line without its newline gets one.
+        The log is not read again: a kept last line that ends the file
+        without its newline gets one.
         """
         if self._handle is None:
             raise LogError("log is not locked")
-        with open(self.path, "rb") as handle:
-            for _ in range(keep_seq + 1):  # the manifest, then the kept events
-                line = handle.readline()
-            end = handle.tell()
-        self._handle.truncate(end)
-        if not line.endswith(b"\n"):
+        if end < os.fstat(self._handle.fileno()).st_size:
+            self._handle.truncate(end + 1)  # the kept line's newline is the byte at ``end``
+        else:
             self._handle.write("\n")
             self._handle.flush()
-        self._last = RunEvent.from_line(line.decode("utf-8")) if keep_seq > 0 else None
+        self._last = last
 
     def emit(self, kind: str, payload: dict) -> RunEvent:
         """Append the next event of ``kind`` and return it."""
@@ -193,56 +192,88 @@ def _finished(path) -> bool:
             tail = handle.read(step) + tail
     last = tail.rstrip(b"\n").rsplit(b"\n", 1)[-1]
     try:
-        return RunEvent.from_line(last.decode("utf-8")).kind == "RunFinished"
-    except (LogError, UnicodeDecodeError):
+        return _parse_event(last).kind == "RunFinished"
+    except LogError:
         return False
 
 
-def read_log(path) -> tuple[dict, list[RunEvent]]:
-    """Parse a log file into (manifest, events).
+#: ``json.loads`` decodes with a default ``JSONDecoder`` too.
+_raw_decode = json.JSONDecoder().raw_decode
 
-    A half-written final line (the classic crash artifact) is dropped; corrupt
-    lines anywhere else raise, and so does an event that breaks
-    :func:`check_next`.
+
+def _parse_event(line: bytes) -> RunEvent:
+    """``RunEvent.from_line`` of a log line's UTF-8 text. A line that is
+    exactly one JSON object holding the four fields is decoded directly;
+    every other line goes through ``from_line``, for its value or its
+    LogError."""
+    try:
+        text = line.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise LogError(f"event line is not UTF-8: {exc}") from exc
+    try:
+        raw, stop = _raw_decode(text)
+        if stop == len(text) and type(raw) is dict:
+            return RunEvent(raw["seq"], raw["ts"], raw["kind"], raw["payload"])
+    except (ValueError, KeyError):
+        pass
+    return RunEvent.from_line(text)
+
+
+def read_log(path) -> tuple[dict, list[RunEvent], list[int]]:
+    """Parse a log file into (manifest, events, ends), where ``ends[i]`` is
+    the byte offset at which the line of ``events[i]`` ends, its newline
+    excluded.
+
+    The file is read once, as bytes. Lines end at ``\\n`` only, and each is
+    decoded as UTF-8 on its own. A half-written final line (the classic crash
+    artifact, which may stop inside a character) is dropped; corrupt lines
+    anywhere else raise, and so does an event that breaks :func:`check_next`.
     """
     try:
-        with open(path, encoding="utf-8") as handle:
-            lines = handle.read().split("\n")
+        with open(path, "rb") as handle:
+            lines = handle.read().split(b"\n")
     except OSError as exc:
         raise LogError(f"cannot read log {path}: {exc}") from exc
-    if lines and lines[-1] == "":
+    if lines[-1] == b"":
         lines.pop()
     if not lines:
         raise LogError(f"log {path} is empty")
     try:
-        manifest = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
+        manifest = json.loads(lines[0].decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise LogError(f"corrupt manifest line: {exc}") from exc
     if not isinstance(manifest, dict) or "run_id" not in manifest:
         raise LogError("first line is not a run manifest")
     events: list[RunEvent] = []
+    ends: list[int] = []
     last = None
+    end = len(lines[0])
     for i, line in enumerate(lines[1:], start=2):
+        end += 1 + len(line)
         try:
-            event = RunEvent.from_line(line)
+            event = _parse_event(line)
         except LogError:
             if i == len(lines):
                 break  # trailing partial write
             raise
         check_next(last, event)
         events.append(event)
+        ends.append(end)
         last = event
-    return manifest, events
+    return manifest, events, ends
 
 
 @dataclass
 class ReplayResult:
-    """Engine state as of the last commit event of a log."""
+    """Engine state as of the last commit event of a log, with that event
+    and the byte offset at which its line ends (its newline excluded): a
+    resume cuts the log there, without reading it again."""
 
     manifest: dict
     run_started: dict
     state: EngineState
-    committed_seq: int
+    committed: RunEvent
+    committed_end: int
     finished: bool
 
 
@@ -256,14 +287,14 @@ def replay_log(path) -> ReplayResult:
     ``apply`` checks every other value the log repeats, so a tampered or
     corrupt log is rejected rather than replayed.
     """
-    manifest, events = read_log(path)
+    manifest, events, ends = read_log(path)
     if not events:
         raise LogError(f"log {path} has a manifest but no events")
     started = check_payload(events[0])
     if min(started["best_capacity"], started["worst_capacity"]) < 1:
         raise LogError("event 1: RunStarted archive capacities must be >= 1")
     state = EngineState.initial(started["seed"], started["best_capacity"], started["worst_capacity"])
-    committed_seq = next(e.seq for e in reversed(events) if e.kind in COMMIT_KINDS)
+    committed = next(e for e in reversed(events) if e.kind in COMMIT_KINDS)
     for event in events:
         picks = None
         if event.kind in MUTATION_KINDS:
@@ -274,13 +305,14 @@ def replay_log(path) -> ReplayResult:
             except DegenerateInputError as exc:  # only a logged prompt can be blank
                 raise LogError(f"event {event.seq}: the picked prompt has no sentence") from exc
         apply(state, event, picks)
-        if event.seq == committed_seq:
-            committed = state.clone()
+        if event is committed:
+            committed_state = state.clone()
     return ReplayResult(
         manifest=manifest,
         run_started=started,
-        state=committed,
-        committed_seq=committed_seq,
+        state=committed_state,
+        committed=committed,
+        committed_end=ends[committed.seq - 1],
         finished=events[-1].kind == "RunFinished",
     )
 
@@ -301,7 +333,7 @@ def check_digests(manifest: dict, config_digest: str, corpus_digest: str) -> Non
 def summarize_log(path) -> dict:
     """Project a log into the report structure, without folding it; every
     payload must still pass :func:`promptloop.state.check_payload`."""
-    manifest, events = read_log(path)
+    manifest, events, _ = read_log(path)
     if not events:
         raise LogError(f"log {path} has no events to report on")
     rounds: list[dict] = []

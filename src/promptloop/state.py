@@ -156,10 +156,9 @@ class PromptArchive:
 @dataclass(frozen=True)
 class SentenceSegmentation:
     sentences: tuple[str, ...]
-    joiner: str = " "
 
     def join(self) -> str:
-        return self.joiner.join(self.sentences)
+        return " ".join(self.sentences)
 
 
 def apply_rewrite(

@@ -106,7 +106,7 @@ class Harness:
         )
 
     def events(self):
-        _, events = read_log(self.log_path)
+        _, events, _ = read_log(self.log_path)
         return events
 
 

@@ -311,7 +311,7 @@ class TestCriterion7PlantedImprovement:
         assert summary["best_score"] > means[0] + 0.05
         # the trajectory is a property of the scripted texts; cross-check the
         # engine's round means against the independent embedding oracle
-        _, events = read_log(log_path)
+        _, events, _ = read_log(log_path)
         outputs = {}
         for event in events:
             if event.kind == "SampleGenerated":
@@ -460,7 +460,7 @@ class TestCriterion10LiveSmoke:
                         "Schreibe einen Arztbrief.")
         state = engine.run(manifest)
         engine.log.close()
-        _, events = read_log(log_path)
+        _, events, _ = read_log(log_path)
         kinds = [e.kind for e in events]
         for kind in ("RunStarted", "RoundStarted", "SampleGenerated", "SampleScored",
                      "ThresholdUpdated", "FeedbackIssued", "RoundSummarized",

@@ -511,6 +511,23 @@ class TestReportAndDemo:
         assert result.exit_code == 0
         assert json.load(open(target))["finished"] is True
 
+    def test_report_on_a_character_cut_and_on_invalid_utf8(self, runner, tmp_path):
+        """A last line cut inside a character is a torn write; a 0xFF byte in
+        a middle line is a corrupt log, exit 2."""
+        data = (Path(__file__).parent / "fixtures" / "demo-0.2.0.jsonl").read_bytes()
+        cut = os.path.join(tmp_path, "cut.jsonl")
+        Path(cut).write_bytes(data[: data.rindex("ü".encode("utf-8")) + 1])
+        result = runner.invoke(main, ["report", cut])
+        assert result.exit_code == 0, result.output + repr(result.exception)
+        assert json.loads(result.output)["finished"] is False
+        lines = data.split(b"\n")
+        lines[5] = lines[5][:20] + b"\xff" + lines[5][20:]
+        corrupt = os.path.join(tmp_path, "ff.jsonl")
+        Path(corrupt).write_bytes(b"\n".join(lines))
+        result = runner.invoke(main, ["report", corrupt])
+        assert result.exit_code == 2, result.output + repr(result.exception)
+        assert "not UTF-8" in result.stderr
+
     def test_report_on_garbage_is_config_error(self, runner, tmp_path):
         path = os.path.join(tmp_path, "junk.jsonl")
         open(path, "w").write("junk\n")

@@ -39,7 +39,7 @@ class TestRunOptimization:
         config = library_config(tmp_path)
         log_path = run_optimization(config, "Schreibe einen Arztbrief")
         assert os.path.isfile(log_path)
-        manifest, events = read_log(log_path)
+        manifest, events, _ = read_log(log_path)
         assert manifest["run_id"] in log_path
         assert events[-1].kind == "RunFinished"
         assert events[-1].payload["rounds"] == 2
@@ -90,7 +90,7 @@ class TestResumeOptimization:
     def test_resume_completes_interrupted_run(self, tmp_path):
         config, log, original = self._truncated(tmp_path)
         assert resume_optimization(config, log) == log
-        _, events = read_log(log)
+        _, events, _ = read_log(log)
         assert events[-1].kind == "RunFinished"
         assert events[-1].payload["rounds"] == 3
         assert open(log, encoding="utf-8").read() == original

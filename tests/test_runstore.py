@@ -1,3 +1,4 @@
+import builtins
 import json
 import os
 import subprocess
@@ -30,6 +31,7 @@ from promptloop.roles import ModelRole
 from promptloop.runstore import (
     EventLog,
     RunEvent,
+    _parse_event,
     build_manifest,
     check_next,
     emit_report,
@@ -151,7 +153,7 @@ class TestReadLog:
                                  "best_step_plan": None, "rounds": 0,
                                  "mutations_applied": 0, "mutations_rejected": 0})
         log.close()
-        man, events = read_log(log.path)
+        man, events, _ = read_log(log.path)
         assert man["run_id"] == "rid"
         assert [e.kind for e in events] == ["RunStarted", "RunFinished"]
 
@@ -162,7 +164,7 @@ class TestReadLog:
         log.close()
         with open(log.path, "a", encoding="utf-8") as handle:
             handle.write('{"seq": 3, "ts": 3, "kind": "Sam')  # torn write
-        _, events = read_log(log.path)
+        _, events, _ = read_log(log.path)
         assert len(events) == 2
 
     def test_corrupt_middle_line_rejected(self, tmp_path):
@@ -430,7 +432,7 @@ class TestResume:
         replay = replay_log(partial)
         assert replay.state.round == 2
         assert replay.state.current.id == "cand-0003"
-        assert replay.committed_seq == json.loads(lines[cut])["seq"]
+        assert replay.committed.seq == json.loads(lines[cut])["seq"]
 
         fresh, _ = finished_run(tmp_path, name="driver2", max_rounds=5, budget=0, caps=(6, 6))
         resumed = Engine.resumed(
@@ -702,7 +704,8 @@ class TestOneAppender:
         cut, _, at = cut_demo_log(tmp_path)
         first = EventLog(cut)
         first.lock()
-        first.resume_at(at)
+        replay = replay_log(cut)
+        first.resume_at(replay.committed_end, replay.committed)
         with pytest.raises(LogError, match="another run"):
             EventLog(cut).lock()
         before = cut.read_bytes()
@@ -771,6 +774,138 @@ class TestGoldenDemoLog:
         assert os.path.basename(path) == "32e6351267ef29a6.jsonl"
         assert read_log(path)[0]["run_id"] == "32e6351267ef29a6"
         assert event_lines(path) == event_lines(fixture)
+
+
+class TestLineBytes:
+    """Lines end at b"\\n" only and are decoded as UTF-8 one at a time, by
+    the reader and the resume's truncate alike."""
+
+    fixture = FIXTURES / "demo-0.2.0.jsonl"
+
+    def test_cut_inside_each_multibyte_character_resumes(self, tmp_path):
+        data = self.fixture.read_bytes()
+        leads = [i for i, byte in enumerate(data) if byte >= 0xC0]
+        assert len(leads) == 18
+        config = demo_config(tmp_path)
+        cut = tmp_path / "cut.jsonl"
+        for lead in leads:
+            cut.write_bytes(data[: lead + 1])
+            assert not summarize_log(cut)["finished"], lead
+            resume_optimization(config, cut, corpus_texts=DEMO_CORPUS)
+            assert event_lines(cut) == event_lines(self.fixture), lead
+
+    def test_invalid_utf8_in_a_middle_line_is_a_log_error(self, tmp_path):
+        lines = self.fixture.read_bytes().split(b"\n")
+        lines[5] = lines[5][:20] + b"\xff" + lines[5][20:]
+        path = tmp_path / "ff.jsonl"
+        path.write_bytes(b"\n".join(lines))
+        for read in (read_log, replay_log, summarize_log):
+            with pytest.raises(LogError, match="not UTF-8"):
+                read(path)
+
+    def test_lone_carriage_return_between_events_is_rejected(self, tmp_path):
+        """The manifest and events 1 to 3, with a \\r in place of the
+        newline after event 1: one corrupt line, not two events."""
+        lines = self.fixture.read_bytes().split(b"\n")
+        cut = tmp_path / "cut.jsonl"
+        cut.write_bytes(lines[0] + b"\n" + lines[1] + b"\r" + lines[2] + b"\n" + lines[3] + b"\n")
+        before = cut.read_bytes()
+        with pytest.raises(LogError, match="corrupt event line"):
+            replay_log(cut)
+        with pytest.raises(LogError, match="corrupt event line"):
+            resume_optimization(demo_config(tmp_path), cut, corpus_texts=DEMO_CORPUS)
+        assert cut.read_bytes() == before
+
+    def test_crlf_copy_replays_reports_and_resumes(self, tmp_path):
+        data = self.fixture.read_bytes()
+        crlf = tmp_path / "crlf.jsonl"
+        crlf.write_bytes(data.replace(b"\n", b"\r\n"))
+        assert replay_log(crlf).finished
+        for format in ("json", "markdown"):
+            assert emit_report(crlf, format) == emit_report(self.fixture, format)
+        lines = data.split(b"\n")
+        at = max(i for i, line in enumerate(lines) if b'"PromptRegenerated"' in line)
+        prefix = b"\r\n".join(lines[: at + 1]) + b"\r\n"
+        cut = tmp_path / "cut.jsonl"
+        cut.write_bytes(prefix + lines[at + 1][:30])
+        resume_optimization(demo_config(tmp_path), cut, corpus_texts=DEMO_CORPUS)
+        assert cut.read_bytes().startswith(prefix)
+        assert event_lines(cut) == event_lines(self.fixture)
+
+    def test_resume_opens_the_log_for_reading_once(self, tmp_path, monkeypatch):
+        cut, full, _ = cut_demo_log(tmp_path)
+        reads = []
+        real_open, real_os_open = builtins.open, os.open
+
+        def counting_open(file, mode="r", *args, **kwargs):
+            if not isinstance(file, int) and os.fspath(file) == os.fspath(cut) and ("r" in mode or "+" in mode):
+                reads.append(mode)
+            return real_open(file, mode, *args, **kwargs)
+
+        def counting_os_open(path, flags, *args, **kwargs):
+            if os.fspath(path) == os.fspath(cut) and flags & os.O_ACCMODE != os.O_WRONLY:
+                reads.append(flags)
+            return real_os_open(path, flags, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        monkeypatch.setattr(os, "open", counting_os_open)
+        resume_optimization(demo_config(tmp_path), cut, corpus_texts=DEMO_CORPUS)
+        monkeypatch.undo()
+        assert reads == ["rb"]
+        assert event_lines(cut) == event_lines(full)
+
+
+def parsed(parse, line):
+    """What ``parse`` makes of ``line``: the event's repr (NaN payloads
+    compare by it), or the LogError's message."""
+    try:
+        return repr(parse(line))
+    except LogError as exc:
+        return f"LogError: {exc}"
+
+
+class TestFastDecode:
+    """The reader's fast path gives ``RunEvent.from_line``'s value or
+    LogError for every line."""
+
+    event = '{"kind":"RunStarted","payload":{"seed":42},"seq":1,"ts":1}'
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            " " + event,
+            event + " ",
+            "\t" + event + "\r",
+            event + "\r",
+            "\r" + event,
+            "\ufeff" + event,
+            '{"kind":"X","payload":{"v":NaN,"w":-Infinity},"seq":Infinity,"ts":1}',
+            '{"kind":"A","kind":"B","payload":{},"payload":[],"seq":1,"ts":1,"seq":2}',
+            '{"kind":"X","payload":{},"seq":1,"ts":1,"extra":true}',
+            "[1, 2]",
+            '"seq ts kind payload"',
+            "5",
+            "null",
+            '{"kind":"RunStarted","seq":1,"ts":1}',
+            '{"payload":{},"seq":1,"ts":1}',
+            event[: len(event) // 2],
+            event[:-1],
+            event + event,
+            event + "x",
+            "",
+            "{}",
+            '{"kind":"\\ud800","payload":"\\u00fc","seq":1.0,"ts":true}',
+        ],
+    )
+    def test_hand_made_line(self, line):
+        assert parsed(lambda text: _parse_event(text.encode("utf-8")), line) == parsed(RunEvent.from_line, line)
+
+    def test_every_fixture_line(self):
+        for fixture in ("demo-0.1.0.jsonl", "demo-0.2.0.jsonl"):
+            for line in (FIXTURES / fixture).read_text(encoding="utf-8").split("\n"):
+                assert parsed(lambda text: _parse_event(text.encode("utf-8")), line) == parsed(
+                    RunEvent.from_line, line
+                )
 
 
 class TestFormat010Log:
