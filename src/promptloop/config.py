@@ -215,7 +215,7 @@ def load_config(path, env: dict | None = None) -> CliConfig:
             raw = json.load(handle)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, an int past the digit limit
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     return resolve_config(raw, env)
 

@@ -14,8 +14,12 @@ of the uninterrupted one.
 input order; ``embed`` does the same for texts. Over HTTP the chat calls and
 the embed requests of :data:`EMBED_BATCH` texts each run concurrently, at
 most :data:`MAX_IN_FLIGHT` at a time; every one is issued, and the first
-failure in input order is raised once the whole batch is done. The mock runs
-chat calls in index order and raises at the first failure.
+failure in input order is raised once the whole batch is done; a batch of one
+request is sent on the calling thread. The mock runs chat calls in index
+order and raises at the first failure.
+
+The HTTP client, ``requests``, is imported only when an :class:`HttpBackend`
+is built, so mock runs, reports and config checks never load it.
 """
 
 from __future__ import annotations
@@ -24,14 +28,16 @@ import functools
 import time
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-import requests
 
 from .errors import BackendUnavailableError, EmptyResponseError, ProtocolError
 from .roles import ModelRole, SamplingParams
 from .state import SplitMix64
+
+if TYPE_CHECKING:
+    import requests
 
 #: Scripted reply that makes the mock raise a backend failure.
 FAILURE_MARKER = "<<BACKEND-FAILURE>>"
@@ -197,11 +203,26 @@ class HttpBackend:
     failures, HTTP 5xx, 408 and 429 are retried up to ``max_retries`` times
     with exponential backoff, so each request makes at most
     ``max_retries + 1`` attempts; any other 4xx is final after one attempt.
+
+    Without a ``session`` the backend makes one that reads the environment
+    once: its proxies, ``verify`` and netrc auth are resolved for
+    ``base_url`` here, as ``requests`` would on every request, and
+    ``trust_env`` is then off. All requests go to that one host. A given
+    session is used as it is.
     """
 
     def __init__(self, descriptor: BackendDescriptor, session: requests.Session | None = None):
+        import requests
+
         self.descriptor = descriptor
-        self.session = session or requests.Session()
+        if session is None:
+            session = requests.Session()
+            settings = session.merge_environment_settings(descriptor.base_url, {}, None, None, None)
+            session.proxies = settings["proxies"]
+            session.verify = settings["verify"]
+            session.auth = requests.utils.get_netrc_auth(descriptor.base_url)
+            session.trust_env = False
+        self.session = session
 
     def chat(self, exchange: ChatExchange, params: SamplingParams) -> str:
         messages = []
@@ -247,9 +268,11 @@ class HttpBackend:
     def _in_flight(self, send, items: Sequence) -> list:
         """``send`` of every item on a pool of at most :data:`MAX_IN_FLIGHT`
         threads; the results in input order. Every item is sent, and the
-        first failure in input order is raised once all have finished."""
-        if not items:
-            return []
+        first failure in input order is raised once all have finished. A
+        single item is sent on the calling thread, which a pool would only
+        keep waiting."""
+        if len(items) <= 1:
+            return [send(item) for item in items]
         pool = ThreadPoolExecutor(
             max_workers=min(len(items), MAX_IN_FLIGHT), thread_name_prefix="promptloop-http"
         )
@@ -287,6 +310,8 @@ class HttpBackend:
         return matrix
 
     def _post(self, path: str, payload: dict) -> dict:
+        import requests
+
         url = self.descriptor.base_url.rstrip("/") + path
         attempts = self.descriptor.max_retries + 1
         last_error: Exception | None = None
@@ -316,6 +341,8 @@ class HttpBackend:
     def health_check(self) -> str | None:
         """Why the backend is unusable, or None once ``/api/tags`` answers and
         lists both configured models."""
+        import requests
+
         url = self.descriptor.base_url.rstrip("/") + "/api/tags"
         try:
             response = self.session.get(url, timeout=self.descriptor.timeout)
@@ -335,6 +362,8 @@ class HttpBackend:
 def _tagged(name: str) -> str:
     """A model name with its tag; Ollama lists a bare ``llama3.1`` as
     ``llama3.1:latest``."""
+    if not isinstance(name, str):  # a listed name comes from the server
+        raise TypeError(f"model name {name!r:.80} is not a string")
     return name if ":" in name.rsplit("/", 1)[-1] else name + ":latest"
 
 

@@ -42,7 +42,7 @@ class RunEvent:
     def from_line(cls, line: str) -> "RunEvent":
         try:
             raw = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
             raise LogError(f"corrupt event line: {exc}") from exc
         try:
             event = cls(seq=raw["seq"], ts=raw["ts"], kind=raw["kind"], payload=raw["payload"])
@@ -240,7 +240,7 @@ def read_log(path) -> tuple[dict, list[RunEvent], list[int]]:
         raise LogError(f"log {path} is empty")
     try:
         manifest = json.loads(lines[0].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # UnicodeDecodeError, JSONDecodeError, an int past the digit limit
         raise LogError(f"corrupt manifest line: {exc}") from exc
     if not isinstance(manifest, dict) or "run_id" not in manifest:
         raise LogError("first line is not a run manifest")

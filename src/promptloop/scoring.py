@@ -101,7 +101,7 @@ def load_corpus(path, cache: EmbeddingCache, max_documents: int | None = None) -
                     continue
                 try:
                     record = json.loads(line)
-                except json.JSONDecodeError as exc:
+                except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
                     raise CorpusError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
                 if not isinstance(record, dict) or not isinstance(record.get("text"), str):
                     raise CorpusError(f"{path}:{lineno}: record needs a string field 'text'")

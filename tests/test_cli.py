@@ -364,6 +364,23 @@ class TestOptimize:
         assert result.exit_code == 2
         assert "differs" in result.stderr
 
+    @pytest.mark.parametrize("name", [None, 5, ["a"]])
+    def test_model_name_that_is_not_a_string_exits_three(self, runner, tmp_path, monkeypatch, name):
+        import requests
+
+        def embed(session, url, json=None, timeout=None):
+            return FakeResponse({"embeddings": [[0.5, 0.5] for _ in json["input"]]})
+
+        monkeypatch.setattr(requests.Session, "post", embed)
+        monkeypatch.setattr(
+            requests.Session, "get",
+            lambda session, url, timeout=None: FakeResponse({"models": [{"name": "llama3.1"}, {"name": name}]}),
+        )
+        config = small_config(tmp_path, backend={"kind": "http", "base_url": "http://localhost:1"})
+        result = runner.invoke(main, ["optimize", config, "--prompt", "Aufgabe"])
+        assert result.exit_code == 3, result.output + repr(result.exception)
+        assert "malformed reply" in result.stderr
+
     def test_mock_backend_never_touches_the_network(self, runner, tmp_path, monkeypatch):
         import requests
 
@@ -465,6 +482,13 @@ class TestValidateConfig:
         result = runner.invoke(main, ["validate-config", path])
         assert result.exit_code == 2
 
+    def test_integer_past_the_digit_limit_rejected(self, runner, tmp_path):
+        path = os.path.join(tmp_path, "huge.json")
+        Path(path).write_text('{"corpus_path": "c", "max_documents": ' + "9" * 5000 + "}", encoding="utf-8")
+        result = runner.invoke(main, ["validate-config", path])
+        assert result.exit_code == 2, result.output + repr(result.exception)
+        assert "is not valid JSON" in result.stderr
+
 
 class TestReportAndDemo:
     def test_demo_exit_zero_with_increasing_trajectory(self, runner, tmp_path):
@@ -527,6 +551,15 @@ class TestReportAndDemo:
         result = runner.invoke(main, ["report", corrupt])
         assert result.exit_code == 2, result.output + repr(result.exception)
         assert "not UTF-8" in result.stderr
+
+    def test_report_on_an_integer_past_the_digit_limit_exits_two(self, runner, tmp_path):
+        lines = (Path(__file__).parent / "fixtures" / "demo-0.2.0.jsonl").read_bytes().split(b"\n")
+        lines[3] = lines[3].replace(b'"seq":3', b'"seq":' + b"9" * 5000)
+        path = os.path.join(tmp_path, "huge.jsonl")
+        Path(path).write_bytes(b"\n".join(lines))
+        result = runner.invoke(main, ["report", path])
+        assert result.exit_code == 2, result.output + repr(result.exception)
+        assert "corrupt event line" in result.stderr
 
     def test_report_on_garbage_is_config_error(self, runner, tmp_path):
         path = os.path.join(tmp_path, "junk.jsonl")

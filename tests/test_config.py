@@ -118,14 +118,25 @@ KNOWN = [
     1, 0, 2, 0.5, 1.0, 0.25, 30, None, "mock", "http", "debug", "info", "warning", "error",
     "best-archive-full", "c.jsonl", [], ["a", "b"], [["user", "Hallo"], ["assistant", "Gut"]],
 ]
+
+
+def text(max_size):
+    """``st.text(max_size=max_size)``'s strings (any code point but a
+    surrogate), drawn as code points: ``st.text`` first builds Hypothesis'
+    Unicode tables, about 2 s without a ``.hypothesis/`` cache, which fails
+    the ``too_slow`` health check on a fresh checkout."""
+    point = st.one_of(st.integers(0, 0xD7FF), st.integers(0xE000, 0x10FFFF))
+    return st.lists(point.map(chr), max_size=max_size).map("".join)
+
+
 AT_LARGE = st.one_of(
     st.none(),
     st.booleans(),
     st.integers(min_value=-(10**20), max_value=10**20),
     st.floats(),
-    st.text(max_size=8),
-    st.lists(st.text(max_size=4), max_size=3),
-    st.lists(st.tuples(st.sampled_from(["user", "assistant"]), st.text(max_size=4)).map(list), max_size=2),
+    text(max_size=8),
+    st.lists(text(max_size=4), max_size=3),
+    st.lists(st.tuples(st.sampled_from(["user", "assistant"]), text(max_size=4)).map(list), max_size=2),
 )
 
 

@@ -1,6 +1,11 @@
+import base64
 import json
+import os
+import subprocess
+import sys
 import threading
 import time
+from urllib.parse import urlsplit
 
 import numpy as np
 import pytest
@@ -578,6 +583,138 @@ class TestHealthCheck:
         session = FakeSession([FakeResponse({"tags": []})])
         backend = HttpBackend(http_descriptor(), session)
         assert "malformed reply" in backend.health_check()
+
+    @pytest.mark.parametrize("name", [None, 5, ["a"]])
+    def test_http_model_name_that_is_not_a_string_is_malformed(self, name):
+        session = FakeSession([FakeResponse(tags("llama3.1", name))])
+        backend = HttpBackend(http_descriptor(), session)
+        assert "malformed reply" in backend.health_check()
+
+
+#: Imports a CLI process makes, then a mock demo run, then an HTTP backend:
+#: prints the HTTP-stack modules loaded after each step.
+CLIENT_LOADING = """
+import sys
+HTTP_STACK = ("requests", "urllib3", "idna", "charset_normalizer")
+loaded = lambda: [name for name in HTTP_STACK if name in sys.modules]
+import promptloop.cli, promptloop.pipeline
+from promptloop.demo import run_demo
+from promptloop.gateway import BackendDescriptor, HttpBackend
+print(loaded())
+run_demo(sys.argv[1])
+print(loaded())
+HttpBackend(BackendDescriptor(kind="http", base_url="http://localhost:1"))
+print("requests" in sys.modules)
+"""
+
+
+class EchoAdapter:
+    """Transport adapter answering every ``/api`` request of an
+    :class:`HttpBackend` well-formed, recording the URL, ``proxies``,
+    ``verify`` and ``Authorization`` header each request reached it with."""
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.sent = []
+
+    def send(self, request, stream=False, timeout=None, verify=True, cert=None, proxies=None):
+        with self.lock:
+            self.sent.append((request.url, proxies, verify, request.headers.get("Authorization")))
+        path = urlsplit(request.url).path
+        if path == "/api/chat":
+            body = {"message": {"content": "Befund"}}
+        elif path == "/api/embed":
+            body = {"embeddings": [[1.0, 0.0] for _ in json.loads(request.body)["input"]]}
+        else:
+            body = tags("llama3.1", "jina-embeddings-v2-base-de")
+        response = requests.Response()
+        response.status_code = 200
+        response._content = json.dumps(body).encode("utf-8")
+        response.url = request.url
+        response.request = request
+        return response
+
+    def close(self):
+        pass
+
+
+class TestHttpSession:
+    def test_http_client_loads_only_when_an_http_backend_is_built(self, tmp_path):
+        result = subprocess.run(
+            [sys.executable, "-c", CLIENT_LOADING, os.fspath(tmp_path)],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines() == ["[]", "[]", "True"]
+
+    def test_environment_is_read_once_per_backend(self, tmp_path, monkeypatch):
+        netrc = tmp_path / "netrc"
+        netrc.write_text("machine model.example login arzt password geheim\n")
+        netrc.chmod(0o600)
+        monkeypatch.setenv("HTTP_PROXY", "http://proxy.example:3128")
+        monkeypatch.setenv("NO_PROXY", "localhost")
+        monkeypatch.setenv("REQUESTS_CA_BUNDLE", os.fspath(tmp_path / "bundle.pem"))
+        monkeypatch.setenv("NETRC", os.fspath(netrc))
+        reads = []
+        real = requests.utils.get_environ_proxies
+
+        def counted(*args, **kwargs):
+            reads.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(requests.utils, "get_environ_proxies", counted)
+        monkeypatch.setattr(requests.sessions, "get_environ_proxies", counted)
+        for base_url, proxied in (("http://model.example:11434", True), ("http://localhost:11434", False)):
+            reads.clear()
+            backend = HttpBackend(http_descriptor(base_url=base_url))
+            adapter = EchoAdapter()
+            backend.session.mount("http://", adapter)
+            calls = [(exchange(text=f"call {i}", index=i), PARAMS) for i in range(4)]
+            assert backend.chat_many(calls) == ["Befund"] * 4
+            assert len(backend.embed(["a", "b"])) == 2
+            assert backend.health_check() is None
+            assert len(adapter.sent) == 6
+            assert len(reads) <= 1
+            fresh = requests.Session()
+            for url, proxies, verify, authorization in adapter.sent:
+                expected = fresh.merge_environment_settings(url, {}, None, None, None)
+                assert (proxies, verify) == (expected["proxies"], expected["verify"]), url
+                assert verify == os.fspath(tmp_path / "bundle.pem")
+                assert bool(proxies) is proxied
+                assert (authorization is not None) is proxied  # netrc names model.example only
+            if proxied:
+                assert proxies["http"] == "http://proxy.example:3128"
+                assert authorization == "Basic " + base64.b64encode(b"arzt:geheim").decode("ascii")
+
+    def test_given_session_is_used_as_it_is(self, monkeypatch):
+        monkeypatch.setenv("HTTP_PROXY", "http://proxy.example:3128")
+        session = requests.Session()
+        backend = HttpBackend(http_descriptor(), session)
+        assert backend.session is session
+        assert session.trust_env is True
+        assert session.proxies == {} and session.verify is True and session.auth is None
+
+    def test_one_item_batch_runs_on_the_calling_thread(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-item batch started a pool")
+
+        monkeypatch.setattr(gateway, "ThreadPoolExecutor", no_pool)
+        threads = []
+
+        class ThreadSession(FakeSession):
+            def post(self, url, json=None, timeout=None):
+                threads.append(threading.current_thread())
+                return super().post(url, json, timeout)
+
+        session = ThreadSession([
+            FakeResponse({"message": {"content": "Befund"}}),
+            FakeResponse({"embeddings": [[1.0, 0.0], [0.0, 1.0]]}),
+        ])
+        backend = HttpBackend(http_descriptor(), session)
+        assert backend.chat_many([(exchange(), PARAMS)]) == ["Befund"]
+        assert len(backend.embed(["a", "b"])) == 2
+        assert threads == [threading.current_thread()] * 2
 
 
 def resolved(backend=None, role_params=None):

@@ -803,6 +803,23 @@ class TestLineBytes:
             with pytest.raises(LogError, match="not UTF-8"):
                 read(path)
 
+    def test_integer_past_the_digit_limit_is_a_log_error(self, tmp_path):
+        """``json.loads`` refuses an int of more than 4,300 digits with a
+        plain ValueError, in an event line and in the manifest alike."""
+        huge = b"9" * 5000
+        lines = self.fixture.read_bytes().split(b"\n")
+        lines[3] = lines[3].replace(b'"seq":3', b'"seq":' + huge)
+        event = tmp_path / "seq.jsonl"
+        event.write_bytes(b"\n".join(lines))
+        lines = self.fixture.read_bytes().split(b"\n")
+        lines[0] = lines[0][:-1] + b',"extra":' + huge + b"}"
+        manifest = tmp_path / "manifest.jsonl"
+        manifest.write_bytes(b"\n".join(lines))
+        for path, what in ((event, "corrupt event line"), (manifest, "corrupt manifest line")):
+            for read in (read_log, replay_log, summarize_log):
+                with pytest.raises(LogError, match=what):
+                    read(path)
+
     def test_lone_carriage_return_between_events_is_rejected(self, tmp_path):
         """The manifest and events 1 to 3, with a \\r in place of the
         newline after event 1: one corrupt line, not two events."""

@@ -234,6 +234,12 @@ class TestLoadCorpus:
         with pytest.raises(CorpusError):
             load_corpus(path, cache)
 
+    def test_integer_past_the_digit_limit_rejected(self, tmp_path, cache):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text('{"text": "ok.", "id": ' + "9" * 5000 + "}\n", encoding="utf-8")
+        with pytest.raises(CorpusError, match="invalid JSON"):
+            load_corpus(path, cache)
+
     def test_missing_text_field_rejected(self, tmp_path, cache):
         path = tmp_path / "corpus.jsonl"
         path.write_text('{"body": "ok."}\n', encoding="utf-8")
