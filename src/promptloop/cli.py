@@ -64,6 +64,8 @@ def _write_whole(path: str, document: str) -> None:
         with open(temp_path, "w", encoding="utf-8") as handle:
             handle.write(document)
         os.replace(temp_path, path)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
     finally:
         if os.path.exists(temp_path):
             os.remove(temp_path)
@@ -93,8 +95,11 @@ def cmd_optimize(config_path, prompt_text, prompt_file, resume_path) -> None:
     if prompt_text is None and prompt_file is None and resume_path is None:
         raise click.UsageError("one of --prompt or --prompt-file is required")
     if prompt_file is not None:
-        with open(prompt_file, encoding="utf-8") as handle:
-            prompt_text = handle.read().strip()
+        try:
+            with open(prompt_file, encoding="utf-8") as handle:
+                prompt_text = handle.read().strip()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read prompt file {prompt_file}: {exc}") from exc
     if prompt_text is not None and not prompt_text.strip():
         raise ConfigError("the task prompt is empty")
 

@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import mutation, runstore, templates
-from .errors import BACKEND_ERRORS, BackendUnavailableError, ConfigError, LogError, RunAbortedError
+from .errors import (BACKEND_ERRORS, BackendUnavailableError, ConfigError, DigestMismatchError, LogError,
+                     RunAbortedError)
 from .gateway import ChatCall, ChatExchange
 from .roles import (
     DEFAULT_ROLE_PARAMS,
@@ -153,9 +154,6 @@ class Engine:
             requests.append((role, templates.compose_feedback_request(prompt.step_plan, text, score)))
         return self._chat_many(requests)
 
-    def summarize_round(self, feedbacks: list[str]) -> str:
-        return self._chat(ModelRole.SUMMARIZER, templates.compose_summary_request(feedbacks))
-
     def run_round(self) -> None:
         """Execute one feedback round atomically.
 
@@ -209,7 +207,7 @@ class Engine:
                 },
             )
 
-        summary = self.summarize_round(feedbacks)
+        summary = self._chat(ModelRole.SUMMARIZER, templates.compose_summary_request(feedbacks))
         self.record(
             "RoundSummarized",
             {"round": round_no, "candidate_id": candidate.id, "text": summary},
@@ -308,7 +306,12 @@ class Engine:
         log.lock()
         try:
             result = runstore.replay_log(log_path)
-            runstore.check_digests(result.manifest, config_digest, corpus_digest)
+            for name, supplied in (("config", config_digest), ("corpus", corpus_digest)):
+                logged = result.manifest.get(f"{name}_digest")
+                if logged != supplied:
+                    raise DigestMismatchError(
+                        f"{name} digest mismatch: log has {logged}, supplied {name} digests to {supplied}"
+                    )
             run_id = result.manifest["run_id"]
             engine = cls(gateway, evaluator, config, log, result.state.task_prompt)
             if result.run_started != engine._run_started(run_id):

@@ -112,10 +112,6 @@ class ChatExchange:
     system_prompt: str
     messages: tuple[tuple[str, str], ...]
 
-    @property
-    def last_user_text(self) -> str:
-        return self.messages[-1][1]
-
 
 #: One chat request of a batch.
 ChatCall = tuple[ChatExchange, SamplingParams]
@@ -164,7 +160,7 @@ class MockBackend:
         if exchange.index < len(script):
             text = script[exchange.index]
         else:
-            text = "ECHO: " + exchange.last_user_text
+            text = "ECHO: " + exchange.messages[-1][1]
         if text == FAILURE_MARKER:
             raise BackendUnavailableError(f"scripted failure for role {exchange.role.value}")
         if not text.strip():
@@ -365,12 +361,3 @@ def _tagged(name: str) -> str:
     if not isinstance(name, str):  # a listed name comes from the server
         raise TypeError(f"model name {name!r:.80} is not a string")
     return name if ":" in name.rsplit("/", 1)[-1] else name + ":latest"
-
-
-def build_backend(
-    descriptor: BackendDescriptor,
-    scripts: dict[ModelRole, Sequence[str]] | None = None,
-) -> MockBackend | HttpBackend:
-    if descriptor.kind == "mock":
-        return MockBackend(descriptor, scripts)
-    return HttpBackend(descriptor)

@@ -14,7 +14,7 @@ from typing import Callable
 from . import templates
 from .errors import BACKEND_ERRORS, DegenerateInputError, EmptyResponseError, MutationRejectedError
 from .roles import ModelRole
-from .state import Picks, SentenceSegmentation, SplitMix64, round_mean
+from .state import Picks, SplitMix64, round_mean
 
 #: A terminator and the whitespace after it. For str patterns ``\s`` is
 #: exactly ``str.isspace``; the test on the character that follows stays in
@@ -23,7 +23,7 @@ from .state import Picks, SentenceSegmentation, SplitMix64, round_mean
 _BOUNDARY = re.compile(r"[.!?]\s+")
 
 
-def segment_sentences(text: str) -> SentenceSegmentation:
+def segment_sentences(text: str) -> tuple[str, ...]:
     """Split text into sentences, keeping terminators on their sentence.
 
     Joining the sentences with a single space reproduces the source content
@@ -41,7 +41,7 @@ def segment_sentences(text: str) -> SentenceSegmentation:
             sentences.append(stripped[start : match.start() + 1])
             start = match.end()
     sentences.append(stripped[start:])
-    return SentenceSegmentation(sentences=tuple(sentences))
+    return tuple(sentences)
 
 
 def rewrite_sentence(chat: Callable[[ModelRole, str], str], step_plan: str, sentence: str) -> str:
@@ -66,9 +66,9 @@ def draw_picks(state) -> Picks:
     entries = state.best.entries
     archive_index = rng.below(len(entries))
     source = entries[archive_index]
-    segmentation = segment_sentences(source.step_plan)
-    sentence_index = rng.below(len(segmentation.sentences))
-    return Picks(state.mutation_step + 1, source, archive_index, sentence_index, rng.state, segmentation)
+    sentences = segment_sentences(source.step_plan)
+    sentence_index = rng.below(len(sentences))
+    return Picks(state.mutation_step + 1, source, archive_index, sentence_index, rng.state, sentences)
 
 
 def run_mutation_phase(engine) -> None:

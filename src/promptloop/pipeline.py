@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from .config import CliConfig, config_digest, corpus_digest, run_id_for
 from .engine import Engine
 from .errors import ConfigError
-from .gateway import HttpBackend, MockBackend, build_backend
+from .gateway import HttpBackend, MockBackend
 from .runstore import EventLog, build_manifest
 from .scoring import CorpusEvaluator, EmbeddingCache, embed_corpus, load_corpus
 
@@ -33,7 +33,10 @@ def build_runtime(config: CliConfig, corpus_texts=None) -> Runtime:
     """
     if corpus_texts is None and not os.path.isfile(config.corpus_path):
         raise ConfigError(f"corpus_path does not exist: {config.corpus_path}")
-    backend = build_backend(config.backend, config.scripts or None)
+    if config.backend.kind == "mock":
+        backend = MockBackend(config.backend, config.scripts)
+    else:
+        backend = HttpBackend(config.backend)
     cache = EmbeddingCache(backend)
     if corpus_texts is None:
         corpus = load_corpus(config.corpus_path, cache, config.max_documents)
@@ -72,7 +75,10 @@ def run_optimization(
     """
     runtime = build_runtime(config, corpus_texts)
     run_id = run_id_for(runtime.config_digest, runtime.corpus_digest, task_prompt)
-    os.makedirs(config.output_dir, exist_ok=True)
+    try:
+        os.makedirs(config.output_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output_dir {config.output_dir}: {exc}") from exc
     log_path = os.path.join(config.output_dir, f"{run_id}.jsonl")
     manifest = build_manifest(
         run_id=run_id,

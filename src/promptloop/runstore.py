@@ -15,7 +15,7 @@ import os
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
-from .errors import DegenerateInputError, DigestMismatchError, LogError
+from .errors import DegenerateInputError, LogError
 from .mutation import draw_picks
 from .state import COMMIT_KINDS, MUTATION_KINDS, PAYLOAD_FIELDS, EngineState, apply, check_payload
 
@@ -315,19 +315,6 @@ def replay_log(path) -> ReplayResult:
         committed_end=ends[committed.seq - 1],
         finished=events[-1].kind == "RunFinished",
     )
-
-
-def check_digests(manifest: dict, config_digest: str, corpus_digest: str) -> None:
-    if manifest.get("config_digest") != config_digest:
-        raise DigestMismatchError(
-            f"config digest mismatch: log has {manifest.get('config_digest')}, "
-            f"supplied config digests to {config_digest}"
-        )
-    if manifest.get("corpus_digest") != corpus_digest:
-        raise DigestMismatchError(
-            f"corpus digest mismatch: log has {manifest.get('corpus_digest')}, "
-            f"supplied corpus digests to {corpus_digest}"
-        )
 
 
 def summarize_log(path) -> dict:

@@ -11,7 +11,7 @@ the score is independent of corpus document order down to the last bit.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -59,22 +59,23 @@ class EmbeddingCache:
 
 @dataclass
 class ReferenceCorpus:
-    """Real example documents used purely as a scoring benchmark."""
+    """Real example documents used purely as a scoring benchmark. The
+    documents' embeddings go into the centroid and are not kept."""
 
     documents: list[str]
-    embeddings: list[np.ndarray] = field(repr=False)
+    embeddings: InitVar[list[np.ndarray]]
     #: Mean of the documents' unit vectors, one sorted column sum per component.
     centroid: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, embeddings: list[np.ndarray]) -> None:
         if not self.documents:
             raise CorpusError("corpus is empty")
-        if len(self.documents) != len(self.embeddings):
-            raise CorpusError(f"{len(self.documents)} documents but {len(self.embeddings)} embeddings")
-        dims = {e.shape for e in self.embeddings}
+        if len(self.documents) != len(embeddings):
+            raise CorpusError(f"{len(self.documents)} documents but {len(embeddings)} embeddings")
+        dims = {e.shape for e in embeddings}
         if len(dims) != 1:
             raise DimensionMismatchError(f"corpus embeddings disagree on dimension: {sorted(dims)}")
-        vectors = np.array(self.embeddings, dtype=np.float64)
+        vectors = np.array(embeddings, dtype=np.float64)
         norms = np.linalg.norm(vectors, axis=1, keepdims=True)
         if not norms.all():
             raise DegenerateInputError(f"corpus document {np.argmin(norms)} embeds to the zero vector")
@@ -108,7 +109,7 @@ def load_corpus(path, cache: EmbeddingCache, max_documents: int | None = None) -
                 documents.append(record["text"])
                 if max_documents is not None and len(documents) >= max_documents:
                     break
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CorpusError(f"cannot read corpus file {path}: {exc}") from exc
     if not documents:
         raise CorpusError(f"corpus file {path} contains no documents")

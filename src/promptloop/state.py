@@ -153,45 +153,35 @@ class PromptArchive:
         return copy
 
 
-@dataclass(frozen=True)
-class SentenceSegmentation:
-    sentences: tuple[str, ...]
-
-    def join(self) -> str:
-        return " ".join(self.sentences)
-
-
-def apply_rewrite(
-    segmentation: SentenceSegmentation, sentence_index: int, rewritten: str
-) -> SentenceSegmentation:
+def apply_rewrite(sentences: tuple[str, ...], sentence_index: int, rewritten: str) -> tuple[str, ...]:
     """Replace exactly one sentence slot; if the rewrite contains several
     sentences the full text still occupies the single slot."""
-    sentences = list(segmentation.sentences)
-    sentences[sentence_index] = rewritten
-    return replace(segmentation, sentences=tuple(sentences))
+    updated = list(sentences)
+    updated[sentence_index] = rewritten
+    return tuple(updated)
 
 
 @dataclass(frozen=True)
 class Picks:
     """The two RNG draws of one mutation step, with the generator state they
-    leave behind and the segmentation of the picked prompt."""
+    leave behind and the sentences of the picked prompt."""
 
     step: int
     source: ArchiveEntry
     archive_index: int
     sentence_index: int
     rng_after: int
-    segmentation: SentenceSegmentation
+    sentences: tuple[str, ...]
 
     @property
     def original(self) -> str:
         """The picked sentence."""
-        return self.segmentation.sentences[self.sentence_index]
+        return self.sentences[self.sentence_index]
 
     def mutant(self, rewritten: str) -> str:
         """The step's mutant: the picked prompt with the picked sentence
         replaced by ``rewritten``."""
-        return apply_rewrite(self.segmentation, self.sentence_index, rewritten).join()
+        return " ".join(apply_rewrite(self.sentences, self.sentence_index, rewritten))
 
     def payload(self) -> dict:
         """The picks as the step's event records them."""

@@ -10,10 +10,6 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 
-def format_score(score: float) -> str:
-    return repr(score)
-
-
 def compose_step_plan_request(
     task_prompt: str,
     feedback_summary: str | None = None,
@@ -40,7 +36,7 @@ def compose_step_plan_request(
 
 def _entry_block(entries: Iterable) -> str:
     return "\n".join(
-        f"{i}. (score={format_score(entry.score)}) {entry.step_plan}"
+        f"{i}. (score={entry.score!r}) {entry.step_plan}"
         for i, entry in enumerate(entries, start=1)
     )
 
@@ -53,7 +49,7 @@ def compose_feedback_request(step_plan: str, output_text: str, score: float) -> 
         + "\n\nGenerated output:\n"
         + output_text
         + "\n\nSimilarity score: "
-        + format_score(score)
+        + repr(score)
     )
 
 

@@ -234,18 +234,18 @@ class TestCriterion6MutationLocality:
         for _ in range(500):
             sentence_pool = [random_text(rng, 2, 5) + "." for _ in range(rng.randint(1, 8))]
             plan = " ".join(sentence_pool)
-            base = segment_sentences(plan).sentences
+            base = segment_sentences(plan)
             rewrite = random_text(rng, 2, 5) + "."
             candidate = PromptCandidate("cand-0001", plan, "refined")
-            segmentation = segment_sentences(candidate.step_plan)
-            sentence_index = SplitMix64(rng.randint(0, 2**62)).below(len(segmentation.sentences))
-            outcome = apply_rewrite(segmentation, sentence_index, rewrite)
-            assert len(outcome.sentences) == len(base)
+            sentences = segment_sentences(candidate.step_plan)
+            sentence_index = SplitMix64(rng.randint(0, 2**62)).below(len(sentences))
+            outcome = apply_rewrite(sentences, sentence_index, rewrite)
+            assert len(outcome) == len(base)
             for i in range(len(base)):
                 if i == sentence_index:
-                    assert outcome.sentences[i] == rewrite
+                    assert outcome[i] == rewrite
                 else:
-                    assert outcome.sentences[i] == base[i]
+                    assert outcome[i] == base[i]
         ok(6, "mutation locality, 500 fuzzed mutations")
 
     def test_archive_floor_monotone_through_fuzzed_phases(self, tmp_path):
@@ -422,10 +422,9 @@ class TestCriterion9GoldenDefaultConfig:
 @pytest.mark.live
 class TestCriterion10LiveSmoke:
     def test_one_round_against_live_endpoint(self, tmp_path):
-        from promptloop.config import resolve_config, config_digest, corpus_digest, run_id_for
-        from promptloop.gateway import build_backend
-        from promptloop.runstore import EventLog, build_manifest
-        from promptloop.scoring import CorpusEvaluator, EmbeddingCache, ReferenceCorpus
+        from promptloop.config import resolve_config
+        from promptloop.errors import BackendUnavailableError
+        from promptloop.pipeline import run_optimization
 
         base_url = os.environ.get("PROMPTLOOP_BASE_URL", "http://localhost:11434")
         config = resolve_config(
@@ -434,38 +433,21 @@ class TestCriterion10LiveSmoke:
                 "backend": {"kind": "http", "base_url": base_url, "timeout": 180.0},
                 "engine": {"samples_per_round": 1, "max_rounds": 1, "mutation_budget": 0},
                 "corpus_path": "unused",
+                "output_dir": str(tmp_path),
             },
             env={},
         )
-        backend = build_backend(config.backend, config.scripts or None)
-        cause = backend.health_check()
-        if cause is not None:
-            pytest.skip(f"no live endpoint at {base_url}: {cause}")
-        cache = EmbeddingCache(backend)
-        corpus = ReferenceCorpus(
-            documents=list(DEMO_CORPUS),
-            embeddings=[cache.embed_one(t) for t in DEMO_CORPUS],
-        )
-        evaluator = CorpusEvaluator(corpus, cache)
-        cfg_digest = config_digest(config)
-        cor_digest = corpus_digest(corpus.documents)
-        log_path = os.path.join(tmp_path, "live.jsonl")
-        manifest = build_manifest(
-            run_id=run_id_for(cfg_digest, cor_digest, "Schreibe einen Arztbrief."),
-            config_digest=cfg_digest,
-            corpus_digest=cor_digest,
-            backend={"kind": "http", "model_name": config.backend.model_name},
-        )
-        engine = Engine(backend, evaluator, config.engine, EventLog(log_path),
-                        "Schreibe einen Arztbrief.")
-        state = engine.run(manifest)
-        engine.log.close()
+        try:
+            log_path = run_optimization(config, "Schreibe einen Arztbrief.", corpus_texts=DEMO_CORPUS)
+        except BackendUnavailableError as exc:
+            pytest.skip(f"no live endpoint at {base_url}: {exc}")
         _, events, _ = read_log(log_path)
         kinds = [e.kind for e in events]
         for kind in ("RunStarted", "RoundStarted", "SampleGenerated", "SampleScored",
                      "ThresholdUpdated", "FeedbackIssued", "RoundSummarized",
                      "ArchivesUpdated", "PromptRegenerated", "RunFinished"):
             assert kind in kinds
-        assert state.round == 1
-        assert -1.0 <= state.best.entries[0].score <= 1.0
+        finished = events[kinds.index("RunFinished")].payload
+        assert finished["rounds"] == 1
+        assert -1.0 <= finished["best_score"] <= 1.0
         ok(10, "live backend smoke test")

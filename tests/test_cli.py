@@ -111,6 +111,24 @@ class TestOptimize:
         result = runner.invoke(main, ["optimize", config, "--prompt-file", prompt_file])
         assert result.exit_code == 0, result.output
 
+    def test_prompt_file_that_is_not_utf8_exits_two(self, runner, tmp_path):
+        config = small_config(tmp_path)
+        prompt_file = tmp_path / "prompt.txt"
+        prompt_file.write_bytes(b"Schreibe \xff")
+        result = runner.invoke(main, ["optimize", config, "--prompt-file", str(prompt_file)])
+        assert result.exit_code == 2, result.output + repr(result.exception)
+        assert f"cannot read prompt file {prompt_file}" in result.stderr
+
+    def test_output_dir_that_is_a_file_exits_two(self, runner, tmp_path):
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory")
+        config = small_config(tmp_path, output_dir=str(taken))
+        result = runner.invoke(main, ["optimize", config, "--prompt", "Aufgabe"])
+        assert result.exit_code == 2, result.output + repr(result.exception)
+        assert f"cannot create output_dir {taken}" in result.stderr
+        assert taken.read_text() == "not a directory"
+        assert not list(tmp_path.rglob("*.tmp"))
+
     def test_empty_prompt_rejected(self, runner, tmp_path):
         config = small_config(tmp_path)
         result = runner.invoke(main, ["optimize", config, "--prompt", "   "])
@@ -421,6 +439,14 @@ class TestScore:
         result = runner.invoke(main, ["score", config, "--text", ""])
         assert result.exit_code == 2
 
+    def test_corpus_that_is_not_utf8_exits_two(self, runner, tmp_path):
+        corpus_path = tmp_path / "bad.jsonl"
+        corpus_path.write_bytes(b'{"text": "ok."}\n{"text": "\xff"}\n')
+        config = small_config(tmp_path)
+        result = runner.invoke(main, ["score", config, "--text", "x y", "--corpus", str(corpus_path)])
+        assert result.exit_code == 2, result.output + repr(result.exception)
+        assert f"cannot read corpus file {corpus_path}" in result.stderr
+
     def test_corpus_defaults_to_config(self, runner, tmp_path):
         config = small_config(tmp_path)
         result = runner.invoke(main, ["score", config, "--text", CORPUS[0]])
@@ -534,6 +560,14 @@ class TestReportAndDemo:
         result = runner.invoke(main, ["report", log, "--output", target])
         assert result.exit_code == 0
         assert json.load(open(target))["finished"] is True
+
+    def test_report_into_a_missing_directory_exits_two(self, runner, tmp_path):
+        log = str(Path(__file__).parent / "fixtures" / "demo-0.2.0.jsonl")
+        target = tmp_path / "nodir" / "r.md"
+        result = runner.invoke(main, ["report", log, "--format", "markdown", "--output", str(target)])
+        assert result.exit_code == 2, result.output + repr(result.exception)
+        assert f"cannot write {target}" in result.stderr
+        assert not list(tmp_path.rglob("*.tmp"))
 
     def test_report_on_a_character_cut_and_on_invalid_utf8(self, runner, tmp_path):
         """A last line cut inside a character is a torn write; a 0xFF byte in

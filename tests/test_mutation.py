@@ -31,16 +31,16 @@ SEGMENT_ALPHABET = (
 class TestSegmentation:
     def test_two_plain_sentences(self):
         seg = segment_sentences("Der Patient ist stabil. Entlassung morgen.")
-        assert seg.sentences == ("Der Patient ist stabil.", "Entlassung morgen.")
+        assert seg == ("Der Patient ist stabil.", "Entlassung morgen.")
 
     def test_no_terminator_is_one_sentence(self):
-        assert segment_sentences("Hallo").sentences == ("Hallo",)
+        assert segment_sentences("Hallo") == ("Hallo",)
 
     def test_abbreviation_limitation_splits(self):
         # Terminator followed by whitespace+uppercase splits, abbreviations
         # included; the rule output is frozen here.
         seg = segment_sentences("Dr. Meier kommt. Dann Visite.")
-        assert seg.sentences == ("Dr.", "Meier kommt.", "Dann Visite.")
+        assert seg == ("Dr.", "Meier kommt.", "Dann Visite.")
 
     def test_whitespace_only_rejected(self):
         with pytest.raises(DegenerateInputError):
@@ -48,32 +48,32 @@ class TestSegmentation:
 
     def test_terminators_retained(self):
         seg = segment_sentences("Was nun? Alles gut! Ende.")
-        assert seg.sentences == ("Was nun?", "Alles gut!", "Ende.")
+        assert seg == ("Was nun?", "Alles gut!", "Ende.")
 
     def test_consecutive_terminators_stay_together(self):
-        assert segment_sentences("Wirklich?!").sentences == ("Wirklich?!",)
+        assert segment_sentences("Wirklich?!") == ("Wirklich?!",)
 
     def test_ellipsis_splits_only_at_the_end(self):
         seg = segment_sentences("Er zoegert... Dann geht er.")
-        assert seg.sentences == ("Er zoegert...", "Dann geht er.")
+        assert seg == ("Er zoegert...", "Dann geht er.")
 
     def test_digit_after_terminator_splits(self):
         seg = segment_sentences("Siehe Punkt 1. 2 Tage spaeter kam er.")
-        assert seg.sentences == ("Siehe Punkt 1.", "2 Tage spaeter kam er.")
+        assert seg == ("Siehe Punkt 1.", "2 Tage spaeter kam er.")
 
     def test_decimal_number_does_not_split(self):
-        assert segment_sentences("Dosis 2.5 mg taeglich.").sentences == ("Dosis 2.5 mg taeglich.",)
+        assert segment_sentences("Dosis 2.5 mg taeglich.") == ("Dosis 2.5 mg taeglich.",)
 
     def test_lowercase_after_terminator_does_not_split(self):
-        assert segment_sentences("z. b. hier bleibt alles zusammen.").sentences == (
+        assert segment_sentences("z. b. hier bleibt alles zusammen.") == (
             "z. b. hier bleibt alles zusammen.",
         )
 
     def test_no_empty_sentences_and_joiner_roundtrip(self):
         text = "Eins.  Zwei drei.\nVier!   Fuenf?"
         seg = segment_sentences(text)
-        assert all(s for s in seg.sentences)
-        assert normalize_ws(seg.join()) == normalize_ws(text)
+        assert all(s for s in seg)
+        assert normalize_ws(" ".join(seg)) == normalize_ws(text)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -87,15 +87,15 @@ class TestSegmentation:
         if not text.strip():
             return
         seg = segment_sentences(text)
-        assert all(s.strip() == s and s for s in seg.sentences)
-        assert normalize_ws(seg.join()) == normalize_ws(text)
+        assert all(s.strip() == s and s for s in seg)
+        assert normalize_ws(" ".join(seg)) == normalize_ws(text)
 
     @given(st.text(alphabet=st.sampled_from(SEGMENT_ALPHABET), max_size=60))
     def test_matches_reference(self, text):
         # No @settings: CI runs this under the "kernels" profile, which a
         # max_examples here would override.
         if text.strip():
-            assert segment_sentences(text).sentences == segment_ref(text)
+            assert segment_sentences(text) == segment_ref(text)
         else:
             with pytest.raises(ValueError):
                 segment_ref(text)
@@ -108,7 +108,7 @@ class TestSegmentation:
 
         for text in list(CORPUS_TEXTS) + list(DEMO_CORPUS):
             seg = segment_sentences(text)
-            assert normalize_ws(seg.join()) == normalize_ws(text)
+            assert normalize_ws(" ".join(seg)) == normalize_ws(text)
 
 
 def chat_with_script(rewrites):
@@ -127,24 +127,24 @@ def mutate(plan, seed, rewrites):
     state = EngineState.initial(seed, best_capacity=1, worst_capacity=5)
     state.best.offer(ArchiveEntry("cand-0003", plan, 0.5, 1))
     picks = draw_picks(state)
-    sentence = picks.segmentation.sentences[picks.sentence_index]
+    sentence = picks.sentences[picks.sentence_index]
     rewritten = rewrite_sentence(chat_with_script(rewrites), plan, sentence)
-    return picks, apply_rewrite(picks.segmentation, picks.sentence_index, rewritten)
+    return picks, apply_rewrite(picks.sentences, picks.sentence_index, rewritten)
 
 
 class TestMutateOnce:
     def test_single_sentence_always_index_zero(self):
         picks, outcome = mutate("Nur ein Satz ohne Ende", 42, ["Ein anderer Satz ohne Ende"])
         assert picks.sentence_index == 0
-        assert outcome.join() == "Ein anderer Satz ohne Ende"
+        assert " ".join(outcome) == "Ein anderer Satz ohne Ende"
         assert picks.source.candidate_id == "cand-0003"
 
     def test_locality_on_three_sentences(self):
         plan = "Erster Satz hier. Zweiter Satz dort. Dritter Satz folgt."
         picks, outcome = mutate(plan, 42, ["Schreibe praezise Befunde."])
-        original = segment_sentences(plan).sentences
-        assert len(outcome.sentences) == 3
-        for i, (before, after) in enumerate(zip(original, outcome.sentences)):
+        original = segment_sentences(plan)
+        assert len(outcome) == 3
+        for i, (before, after) in enumerate(zip(original, outcome)):
             if i == picks.sentence_index:
                 assert after == "Schreibe praezise Befunde."
             else:
@@ -153,8 +153,8 @@ class TestMutateOnce:
     def test_multi_sentence_rewrite_occupies_one_slot(self):
         plan = "Eins hier. Zwei dort."
         _, outcome = mutate(plan, 1, ["Neu. Und noch neuer."])
-        assert len(outcome.sentences) == 2
-        assert "Neu. Und noch neuer." in outcome.sentences
+        assert len(outcome) == 2
+        assert "Neu. Und noch neuer." in outcome
 
     def test_empty_rewrite_rejected(self):
         with pytest.raises(MutationRejectedError):
@@ -174,18 +174,18 @@ class TestMutateOnce:
     )
     def test_locality_fuzz(self, sentences, seed):
         plan = " ".join(sentences)
-        base = segment_sentences(plan).sentences
+        base = segment_sentences(plan)
         picks, outcome = mutate(plan, seed, ["Ersatzsatz hier."])
-        assert len(outcome.sentences) == len(base)
+        assert len(outcome) == len(base)
         differing = [
-            i for i, (a, b) in enumerate(zip(base, outcome.sentences)) if a != b
+            i for i, (a, b) in enumerate(zip(base, outcome)) if a != b
         ]
         assert differing == [picks.sentence_index] or (
             base[picks.sentence_index] == "Ersatzsatz hier." and differing == []
         )
         for i in range(len(base)):
             if i != picks.sentence_index:
-                assert outcome.sentences[i] == base[i]
+                assert outcome[i] == base[i]
 
 
 def mutation_harness(tmp_path, archive_scores, mutant_scores, budget=1, mutator_scripts=None,
@@ -265,7 +265,7 @@ class TestMutationPhase:
         )
         plan = message.split("Full prompt:\n", 1)[1].split("\n\nRewrite", 1)[0]
         sentence = message.rsplit("meaning:\n", 1)[1]
-        assert segment_sentences(plan).sentences[event.payload["sentence_index"]] == sentence
+        assert segment_sentences(plan)[event.payload["sentence_index"]] == sentence
 
     def test_worse_mutant_leaves_archive_unchanged(self, tmp_path):
         h = mutation_harness(tmp_path, [0.70, 0.75, 0.80], [0.69])

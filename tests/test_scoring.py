@@ -234,6 +234,12 @@ class TestLoadCorpus:
         with pytest.raises(CorpusError):
             load_corpus(path, cache)
 
+    def test_invalid_utf8_rejected(self, tmp_path, cache):
+        path = tmp_path / "corpus.jsonl"
+        path.write_bytes(b'{"text": "ok."}\n{"text": "\xff"}\n')
+        with pytest.raises(CorpusError, match="cannot read corpus file"):
+            load_corpus(path, cache)
+
     def test_integer_past_the_digit_limit_rejected(self, tmp_path, cache):
         path = tmp_path / "corpus.jsonl"
         path.write_text('{"text": "ok.", "id": ' + "9" * 5000 + "}\n", encoding="utf-8")
@@ -254,9 +260,9 @@ class TestLoadCorpus:
         backend = CountingBackend()
         cache = EmbeddingCache(backend)
         path = write_corpus_file(tmp_path, ["Eins zwei.", "Eins zwei."])
-        corpus = load_corpus(path, cache)
+        vectors = cache.embed_many(load_corpus(path, cache).documents)
         assert backend.batches == [["Eins zwei."]]
-        assert np.array_equal(corpus.embeddings[0], corpus.embeddings[1])
+        assert np.array_equal(vectors[0], vectors[1])
 
 
 class EmbedSession:
@@ -289,7 +295,8 @@ class TestBatchedEmbedding:
         documents.insert(100, documents[5])
         session = EmbedSession()
         backend = HttpBackend(BackendDescriptor(kind="http", base_url="http://stub"), session)
-        corpus = load_corpus(write_corpus_file(tmp_path, documents), EmbeddingCache(backend))
+        cache = EmbeddingCache(backend)
+        vectors = cache.embed_many(load_corpus(write_corpus_file(tmp_path, documents), cache).documents)
         assert EMBED_BATCH == 64 and len(documents) == 130
         # The chunks split the distinct documents; their requests run
         # concurrently, so they may arrive in any order.
@@ -299,14 +306,16 @@ class TestBatchedEmbedding:
             documents[129:],
         ]
         assert sum(batch.count(documents[5]) for batch in session.inputs) == 1
-        assert [v.tolist() for v in corpus.embeddings] == [embed_ref(d, 64) for d in documents]
+        assert [v.tolist() for v in vectors] == [embed_ref(d, 64) for d in documents]
 
     def test_batched_vectors_equal_single_embeds(self, tmp_path):
         documents = [f"Satz {i} über die Medikation." for i in range(EMBED_BATCH + 3)]
         backend = MockBackend(BackendDescriptor())
-        corpus = load_corpus(write_corpus_file(tmp_path, documents), EmbeddingCache(backend))
+        cache = EmbeddingCache(backend)
+        corpus = load_corpus(write_corpus_file(tmp_path, documents), cache)
+        assert corpus.documents == documents
         single = EmbeddingCache(backend)
-        for document, vector in zip(documents, corpus.embeddings):
+        for document, vector in zip(documents, cache.embed_many(documents)):
             assert np.array_equal(vector, single.embed_one(document))
 
     def test_misses_sent_once_in_first_seen_order(self):
