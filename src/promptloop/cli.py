@@ -159,6 +159,8 @@ def cmd_validate_config(config_path) -> None:
 @click.option("--output", "output_path", type=click.Path(dir_okay=False), default=None)
 def cmd_report(log_path, format_, output_path) -> None:
     """Render a score/threshold trajectory report from a run log."""
+    if output_path is not None and os.path.exists(output_path) and os.path.samefile(output_path, log_path):
+        raise ConfigError(f"--output {output_path} is the run log itself; it would be overwritten")
     document = emit_report(log_path, format_)
     if output_path is None:
         click.echo(document, nl=False)

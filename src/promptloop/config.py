@@ -3,7 +3,7 @@
 The config is a single JSON document (schema version 1). Every field has a
 default except ``corpus_path``; an empty engine section resolves to the
 built-in role sampling parameters and seed. ``PROMPTLOOP_BASE_URL`` in the
-environment overrides ``backend.base_url``.
+environment overrides ``backend.base_url`` of an ``http`` backend.
 
 This module is the only one that knows what a valid config is. Every field
 of every section has one row in :data:`_FIELDS`: its exact JSON types (a
@@ -177,10 +177,10 @@ def resolve_config(raw: dict, env: dict | None = None) -> CliConfig:
     ``base_url``, scripts need the mock, ``corpus_path`` is required)."""
     _check(raw, "")
     backend = dict(raw.get("backend", {}))
-    override = (os.environ if env is None else env).get(ENV_BASE_URL)
-    if override:
-        backend["base_url"] = override
     http = backend.get("kind") == "http"
+    override = (os.environ if env is None else env).get(ENV_BASE_URL)
+    if http and override:  # a mock reads no URL; the override must not change its digest
+        backend["base_url"] = override
     if http and not backend.get("base_url"):
         raise ConfigError("backend.base_url is required for kind 'http'")
     if http and raw.get("scripts"):

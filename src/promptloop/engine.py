@@ -22,7 +22,7 @@ from .roles import (
     ModelRole,
     SamplingParams,
 )
-from .state import EngineState, PromptArchive, PromptCandidate, apply, round_mean
+from .state import EngineState, apply, round_mean
 
 
 @dataclass
@@ -50,15 +50,13 @@ def route_feedback(score: float, threshold: float) -> str:
 
 
 def check_transition(state: EngineState, config: EngineConfig) -> str:
-    """Next phase: finished on budget or target, mutation once the best
-    archive is full, otherwise unchanged."""
-    if state.phase == "finished":
-        return "finished"
+    """The feedback loop's next phase: finished on budget or target,
+    mutation once the best archive is full, otherwise unchanged."""
     if state.round >= config.max_rounds or state.reached(config.score_target):
         return "finished"
-    if state.phase == "feedback_loop" and state.best.is_full:
+    if state.best.is_full:
         return "mutation"
-    return state.phase
+    return "feedback_loop"
 
 
 class Engine:
@@ -116,14 +114,9 @@ class Engine:
 
     # ------------------------------------------------------------- round ops
 
-    def generate_step_plan(
-        self,
-        feedback_summary: str | None,
-        best: PromptArchive,
-        worst: PromptArchive,
-    ) -> str:
+    def generate_step_plan(self, feedback_summary: str | None) -> str:
         request = templates.compose_step_plan_request(
-            self.task_prompt, feedback_summary, best.entries, worst.entries
+            self.task_prompt, feedback_summary, self.state.best.entries, self.state.worst.entries
         )
         return self._chat(ModelRole.PROMPTING, request)
 
@@ -144,14 +137,12 @@ class Engine:
             )
         return samples
 
-    def collect_feedback(
-        self, samples: list[tuple[str, float]], routes: list[str], prompt: PromptCandidate
-    ) -> list[str]:
+    def collect_feedback(self, samples: list[tuple[str, float]], routes: list[str], step_plan: str) -> list[str]:
         """One feedback call per sample, on its route's role, sent as a batch."""
         requests = []
         for (text, score), route in zip(samples, routes):
             role = ModelRole.DIAGNOSTIC_FEEDBACK if route == "diagnostic" else ModelRole.GENERAL_FEEDBACK
-            requests.append((role, templates.compose_feedback_request(prompt.step_plan, text, score)))
+            requests.append((role, templates.compose_feedback_request(step_plan, text, score)))
         return self._chat_many(requests)
 
     def run_round(self) -> None:
@@ -194,7 +185,7 @@ class Engine:
             self.record("ThresholdUpdated", {"round": round_no, "previous": None, "value": mean})
 
         routes = [route_feedback(score, state.threshold) for _, score in samples]
-        feedbacks = self.collect_feedback(samples, routes, candidate)
+        feedbacks = self.collect_feedback(samples, routes, candidate.step_plan)
         for index, (route, feedback) in enumerate(zip(routes, feedbacks)):
             self.record(
                 "FeedbackIssued",
@@ -221,17 +212,16 @@ class Engine:
             )
 
         self.record("ArchivesUpdated", {"round": round_no, "candidate_id": candidate.id, "score": mean})
-        next_plan = self.generate_step_plan(summary, state.best, state.worst)
-        self._publish_plan(round_no, "refined", next_plan)
+        self._publish_plan(round_no, self.generate_step_plan(summary))
 
-    def _publish_plan(self, round_no: int, origin: str, plan: str) -> None:
+    def _publish_plan(self, round_no: int, plan: str) -> None:
         """Log the prompt the next round runs; this commits the round."""
         self.record(
             "PromptRegenerated",
             {
                 "round": round_no,
                 "candidate_id": f"cand-{round_no + 1:04d}",
-                "origin": origin,
+                "origin": "refined" if round_no else "initial",
                 "step_plan": plan,
                 "for_round": round_no + 1,
                 "chat_calls": dict(self.state.chat_calls),
@@ -242,14 +232,14 @@ class Engine:
 
     def _generate_initial_plan(self) -> None:
         try:
-            plan = self.generate_step_plan(None, self.state.best, self.state.worst)
+            plan = self.generate_step_plan(None)
         except BACKEND_ERRORS as exc:
             self.record(
                 "BackendFailure",
                 {"phase": "feedback_loop", "round": 1, "message": str(exc)},
             )
             raise RunAbortedError(f"initial plan generation failed: {exc}") from exc
-        self._publish_plan(0, "initial", plan)
+        self._publish_plan(0, plan)
 
     def resume(self) -> EngineState:
         """Drive the phases from the current state to RunFinished; returns

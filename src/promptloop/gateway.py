@@ -316,7 +316,7 @@ class HttpBackend:
                 response = self.session.post(url, json=payload, timeout=self.descriptor.timeout)
                 status = response.status_code
                 if 400 <= status < 500 and status not in _RETRYABLE_4XX:
-                    raise BackendUnavailableError(f"{url} answered HTTP {status}; not retried")
+                    raise BackendUnavailableError(f"{url} answered HTTP {status}; not retried{_reason(response)}")
                 response.raise_for_status()
             except requests.RequestException as exc:
                 last_error = exc
@@ -353,6 +353,16 @@ class HttpBackend:
         if missing:
             return f"{url} does not list model {', '.join(missing)}"
         return None
+
+
+def _reason(response) -> str:
+    """``": <error>"`` from a refusal whose body is a JSON object with an
+    ``error`` string (Ollama's form), capped at 200 characters; else ``""``."""
+    try:
+        error = response.json().get("error")
+    except (ValueError, AttributeError):
+        return ""
+    return f": {error:.200}" if isinstance(error, str) else ""
 
 
 def _tagged(name: str) -> str:

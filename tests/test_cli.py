@@ -399,6 +399,27 @@ class TestOptimize:
         assert result.exit_code == 3, result.output + repr(result.exception)
         assert "malformed reply" in result.stderr
 
+    def test_refused_setup_request_names_the_server_reason(self, runner, tmp_path, monkeypatch):
+        """An embedding model the server lacks: Ollama answers 404 with an
+        ``error`` text, which the exit-3 message carries; a 4xx is not retried."""
+        import requests
+
+        reason = 'model "jina-embeddings-v2-base-de" not found, try pulling it first'
+        posts = []
+
+        def embed(session, url, json=None, timeout=None):
+            posts.append(url)
+            return FakeResponse({"error": reason}, status=404)
+
+        monkeypatch.setattr(requests.Session, "post", embed)
+        config = small_config(tmp_path, backend={"kind": "http", "base_url": "http://localhost:1"})
+        for command in (["optimize", config, "--prompt", "Aufgabe"], ["score", config, "--text", "x"]):
+            posts.clear()
+            result = runner.invoke(main, command)
+            assert result.exit_code == 3, result.output + repr(result.exception)
+            assert f"answered HTTP 404; not retried: {reason}" in result.stderr
+            assert posts == ["http://localhost:1/api/embed"]
+
     def test_mock_backend_never_touches_the_network(self, runner, tmp_path, monkeypatch):
         import requests
 
@@ -568,6 +589,18 @@ class TestReportAndDemo:
         assert result.exit_code == 2, result.output + repr(result.exception)
         assert f"cannot write {target}" in result.stderr
         assert not list(tmp_path.rglob("*.tmp"))
+
+    def test_report_refuses_to_overwrite_its_own_log(self, runner, tmp_path):
+        log = tmp_path / "d" / "run.jsonl"
+        log.parent.mkdir()
+        data = (Path(__file__).parent / "fixtures" / "demo-0.2.0.jsonl").read_bytes()
+        log.write_bytes(data)
+        for target in (str(log), str(tmp_path / "d" / ".." / "d" / "run.jsonl")):
+            result = runner.invoke(main, ["report", str(log), "--output", target])
+            assert result.exit_code == 2, result.output + repr(result.exception)
+            assert "is the run log itself" in result.stderr
+            assert log.read_bytes() == data
+        assert runner.invoke(main, ["report", str(log)]).exit_code == 0
 
     def test_report_on_a_character_cut_and_on_invalid_utf8(self, runner, tmp_path):
         """A last line cut inside a character is a torn write; a 0xFF byte in

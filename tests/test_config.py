@@ -104,6 +104,25 @@ def test_digests_of_valid_configs_are_pinned():
     assert config_digest(resolve_config(EVERY_FIELD, env={})) == EVERY_FIELD_DIGEST
 
 
+def test_base_url_override_leaves_a_mock_config_alone(tmp_path, monkeypatch):
+    """PROMPTLOOP_BASE_URL reaches only an http backend, so a mock run's id
+    and its resumes do not depend on the shell the run was started from."""
+    env = {"PROMPTLOOP_BASE_URL": "http://x:1"}
+    assert config_digest(resolve_config(DEMO_CONFIG_DOC, env=env)) == DEMO_DIGEST
+    path = write_config_file(tmp_path, DEMO_CONFIG_DOC)
+    outputs = []
+    for value in (None, env["PROMPTLOOP_BASE_URL"]):
+        if value is None:
+            monkeypatch.delenv("PROMPTLOOP_BASE_URL", raising=False)
+        else:
+            monkeypatch.setenv("PROMPTLOOP_BASE_URL", value)
+        result = CliRunner().invoke(main, ["validate-config", path])
+        assert result.exit_code == 0, result.output + repr(result.exception)
+        outputs.append(result.output)
+    assert outputs[0] == outputs[1]
+    assert '"base_url": ""' in outputs[1]
+
+
 def test_section_rows_are_the_record_fields():
     """normalize_config reads the backend and engine fields from the table."""
     names = lambda record: [f.name for f in dataclasses.fields(record)]

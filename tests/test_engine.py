@@ -28,7 +28,6 @@ from promptloop.state import (
     ArchiveEntry,
     EngineState,
     PromptArchive,
-    PromptCandidate,
     SplitMix64,
     round_mean,
 )
@@ -190,12 +189,12 @@ class TestCheckTransition:
 class TestGenerateStepPlan:
     def test_round_zero_composition_is_task_alone(self, tmp_path):
         h = make_harness(tmp_path)
-        plan = h.engine.generate_step_plan(None, h.engine.state.best, h.engine.state.worst)
+        plan = h.engine.generate_step_plan(None)
         assert plan == "ECHO: " + h.task
 
     def test_scripted_prompting_queue(self, tmp_path):
         h = make_harness(tmp_path, scripts={ModelRole.PROMPTING: ["PLAN v2"]})
-        plan = h.engine.generate_step_plan(None, h.engine.state.best, h.engine.state.worst)
+        plan = h.engine.generate_step_plan(None)
         assert plan == "PLAN v2"
 
     def test_composition_lists_archives_once_best_before_worst(self, tmp_path):
@@ -205,7 +204,8 @@ class TestGenerateStepPlan:
         best.offer(ArchiveEntry("b1", "Guter Plan A.", 0.9, 1))
         best.offer(ArchiveEntry("b2", "Guter Plan B.", 0.8, 2))
         worst.offer(ArchiveEntry("w1", "Schwacher Plan C.", 0.1, 3))
-        h.engine.generate_step_plan("Zusammenfassung X", best, worst)
+        h.engine.state.best, h.engine.state.worst = best, worst
+        h.engine.generate_step_plan("Zusammenfassung X")
         message = h.backend.calls[-1].messages[-1][1]
         for plan in ("Guter Plan A.", "Guter Plan B.", "Schwacher Plan C."):
             assert message.count(plan) == 1
@@ -216,7 +216,7 @@ class TestGenerateStepPlan:
 
     def test_prompting_params_are_role_defaults(self, tmp_path):
         h = make_harness(tmp_path)
-        h.engine.generate_step_plan(None, h.engine.state.best, h.engine.state.worst)
+        h.engine.generate_step_plan(None)
         call = h.backend.calls[-1]
         assert call.role is ModelRole.PROMPTING
         assert (call.params.temperature, call.params.top_k, call.params.top_p) == (0.5, 40, 0.85)
@@ -381,8 +381,7 @@ class TestRunRound:
                                          "mutation_budget": 0, "score_target": None,
                                          "mutation_trigger": "best-archive-full"})
         h.engine._generate_initial_plan()
-        sample = PromptCandidate("cand-0001", "Plan.", "initial")
-        assert h.engine.collect_feedback([("Ausgabe", 0.2)], ["diagnostic"], sample) == ["too generic"]
+        assert h.engine.collect_feedback([("Ausgabe", 0.2)], ["diagnostic"], "Plan.") == ["too generic"]
 
 
 class TestAtomicRounds:

@@ -299,6 +299,21 @@ class TestHttpChat:
             backend.chat(exchange(), PARAMS)
         assert len(session.requests) == 1
 
+    def test_client_error_carries_the_server_reason(self):
+        """The ``error`` string of a JSON-object body, cut at 200 characters;
+        any other body adds nothing."""
+        cases = [
+            ({"error": "x" * 300}, "; not retried: " + "x" * 200),
+            ({"error": 5}, "; not retried"),
+            (["error"], "; not retried"),
+            (ValueError("not JSON"), "; not retried"),
+        ]
+        for payload, suffix in cases:
+            backend = HttpBackend(http_descriptor(max_retries=2), FakeSession([FakeResponse(payload, status=400)]))
+            with pytest.raises(BackendUnavailableError) as info:
+                backend.chat(exchange(), PARAMS)
+            assert str(info.value).endswith("answered HTTP 400" + suffix), payload
+
     def test_server_error_is_retried(self):
         session = FakeSession([FakeResponse({}, status=503)] * 3)
         backend = HttpBackend(http_descriptor(max_retries=2), session)
