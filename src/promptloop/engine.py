@@ -65,7 +65,8 @@ class Engine:
     The engine talks to the backend only through :meth:`_chat` and
     :meth:`_chat_many`, which number each call by its role's call count in the
     run state (so a resumed run issues the calls the uninterrupted run would
-    have), and to the scorer only through ``evaluator.score_batch``.
+    have), and to the scorer only through ``evaluator.score_batch`` (its
+    ``centroid`` is read once, for the manifest).
     Independent calls (a prompt's actor samples, a round's per-sample
     feedback) go out as one ``chat_many`` batch, which the HTTP backend runs
     concurrently; a batch's samples are scored together, and routing and
@@ -262,12 +263,14 @@ class Engine:
 
     def run(self, manifest: dict) -> EngineState:
         """Run fresh: health-check the backend, then open the log and drive
-        the phases to completion; returns the final state. An unreachable
-        backend aborts before any log file is created."""
+        the phases to completion; returns the final state. The log's
+        manifest is ``manifest`` plus ``corpus_centroid``, the evaluator's
+        centroid, from which a resume scores. An unreachable backend aborts
+        before any log file is created."""
         cause = self.gateway.health_check()
         if cause is not None:
             raise BackendUnavailableError(f"backend unavailable: {cause}")
-        self.log.start(manifest)
+        self.log.start({**manifest, "corpus_centroid": runstore.encode_centroid(self.evaluator.centroid)})
         self.record("RunStarted", self._run_started(manifest["run_id"]))
         return self.resume()
 
@@ -282,7 +285,7 @@ class Engine:
     def resumed(
         cls,
         gateway,
-        evaluator,
+        evaluator_for,
         config: EngineConfig,
         log_path,
         config_digest: str,
@@ -290,8 +293,11 @@ class Engine:
     ) -> "Engine":
         """Rebuild an engine from a log: lock it, replay it to the last commit
         point, verify the digests and that the log's RunStarted is the one
-        this config writes, and cut off any uncommitted tail. The replayed
-        state carries each role's call count as of the commit."""
+        this config writes, then take the scorer ``evaluator_for(centroid)``
+        makes of the manifest's corpus centroid (None in a log without one)
+        and cut off any uncommitted tail. The log is checked before
+        ``evaluator_for`` is called. The replayed state carries each role's
+        call count as of the commit."""
         log = runstore.EventLog(log_path)
         log.lock()
         try:
@@ -303,11 +309,12 @@ class Engine:
                         f"{name} digest mismatch: log has {logged}, supplied {name} digests to {supplied}"
                     )
             run_id = result.manifest["run_id"]
-            engine = cls(gateway, evaluator, config, log, result.state.task_prompt)
+            engine = cls(gateway, None, config, log, result.state.task_prompt)
             if result.run_started != engine._run_started(run_id):
                 raise LogError(f"run {run_id}: the log's RunStarted differs from the one this config writes")
             if result.finished:
                 raise LogError(f"run {run_id} is already finished")
+            engine.evaluator = evaluator_for(result.centroid)
             engine.state = result.state
             log.resume_at(result.committed_end, result.committed)
         except BaseException:

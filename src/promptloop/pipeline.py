@@ -14,7 +14,7 @@ from .engine import Engine
 from .errors import ConfigError
 from .gateway import HttpBackend, MockBackend
 from .runstore import EventLog, build_manifest
-from .scoring import CorpusEvaluator, EmbeddingCache, embed_corpus, load_corpus
+from .scoring import CorpusEvaluator, EmbeddingCache, embed_corpus, load_corpus, read_corpus
 
 
 @dataclass
@@ -25,18 +25,25 @@ class Runtime:
     corpus_digest: str
 
 
+def _check_corpus_path(config: CliConfig, corpus_texts) -> None:
+    if corpus_texts is None and not os.path.isfile(config.corpus_path):
+        raise ConfigError(f"corpus_path does not exist: {config.corpus_path}")
+
+
+def _backend(config: CliConfig) -> MockBackend | HttpBackend:
+    if config.backend.kind == "mock":
+        return MockBackend(config.backend, config.scripts)
+    return HttpBackend(config.backend)
+
+
 def build_runtime(config: CliConfig, corpus_texts=None) -> Runtime:
     """Wire a backend, embedding cache, corpus, and evaluator from a config.
 
     ``corpus_texts`` bypasses ``corpus_path`` with in-memory documents (the
     bundled demo uses this). Paths are validated before any backend call.
     """
-    if corpus_texts is None and not os.path.isfile(config.corpus_path):
-        raise ConfigError(f"corpus_path does not exist: {config.corpus_path}")
-    if config.backend.kind == "mock":
-        backend = MockBackend(config.backend, config.scripts)
-    else:
-        backend = HttpBackend(config.backend)
+    _check_corpus_path(config, corpus_texts)
+    backend = _backend(config)
     cache = EmbeddingCache(backend)
     if corpus_texts is None:
         corpus = load_corpus(config.corpus_path, cache, config.max_documents)
@@ -44,7 +51,7 @@ def build_runtime(config: CliConfig, corpus_texts=None) -> Runtime:
         corpus = embed_corpus(list(corpus_texts), cache)
     return Runtime(
         backend=backend,
-        evaluator=CorpusEvaluator(corpus, cache),
+        evaluator=CorpusEvaluator(corpus.centroid, cache),
         config_digest=config_digest(config),
         corpus_digest=corpus_digest(corpus.documents),
     )
@@ -105,15 +112,28 @@ def resume_optimization(
 
     The task prompt comes from the log; if ``expected_task_prompt`` is given
     it must match. Config and corpus must digest to the manifest's values.
+    The corpus is read only for its digest: scores use the centroid the
+    manifest records, so the log is checked before any backend request and
+    the corpus is not embedded again. A log without a centroid gets the one
+    setup would build.
     """
-    runtime = build_runtime(config, corpus_texts)
+    _check_corpus_path(config, corpus_texts)
+    documents = read_corpus(config.corpus_path, config.max_documents) if corpus_texts is None else list(corpus_texts)
+    backend = _backend(config)
+    cache = EmbeddingCache(backend)
+
+    def evaluator_for(centroid):
+        if centroid is None:
+            centroid = embed_corpus(documents, cache).centroid
+        return CorpusEvaluator(centroid, cache)
+
     engine = Engine.resumed(
-        runtime.backend,
-        runtime.evaluator,
+        backend,
+        evaluator_for,
         config.engine,
         log_path,
-        runtime.config_digest,
-        runtime.corpus_digest,
+        config_digest(config),
+        corpus_digest(documents),
     )
     if expected_task_prompt is not None and expected_task_prompt != engine.task_prompt:
         engine.log.close()

@@ -9,11 +9,14 @@ number); wall-clock time appears only in the manifest.
 
 from __future__ import annotations
 
+import base64
 import fcntl
 import json
 import os
 from dataclasses import dataclass
 from datetime import datetime, timezone
+
+import numpy as np
 
 from .errors import DegenerateInputError, LogError
 from .mutation import draw_picks
@@ -91,6 +94,29 @@ def build_manifest(
         "artifact_version": ARTIFACT_VERSION,
         "created_at": created_at,
     }
+
+
+def encode_centroid(centroid: np.ndarray) -> str:
+    """The manifest's ``corpus_centroid``: base64 of the vector's
+    little-endian float64 bytes, so it decodes to the same bits."""
+    return base64.b64encode(np.asarray(centroid, dtype="<f8").tobytes()).decode("ascii")
+
+
+def decode_centroid(value) -> np.ndarray:
+    """The vector a manifest's ``corpus_centroid`` encodes; LogError unless it
+    is base64 of a non-empty whole number of finite float64 values."""
+    if type(value) is not str:
+        raise LogError("manifest corpus_centroid is not a string")
+    try:
+        raw = base64.b64decode(value, validate=True)
+    except ValueError as exc:  # binascii.Error, or a character outside ASCII
+        raise LogError(f"manifest corpus_centroid is not base64: {exc}") from exc
+    if not raw or len(raw) % 8:
+        raise LogError("manifest corpus_centroid does not encode float64 values")
+    centroid = np.frombuffer(raw, dtype="<f8").astype(np.float64)
+    if not np.isfinite(centroid).all():
+        raise LogError("manifest corpus_centroid holds a non-finite value")
+    return centroid
 
 
 class EventLog:
@@ -267,9 +293,12 @@ def read_log(path) -> tuple[dict, list[RunEvent], list[int]]:
 class ReplayResult:
     """Engine state as of the last commit event of a log, with that event
     and the byte offset at which its line ends (its newline excluded): a
-    resume cuts the log there, without reading it again."""
+    resume cuts the log there, without reading it again. ``centroid`` is
+    the corpus centroid the manifest records, None in a log from before the
+    manifest kept it."""
 
     manifest: dict
+    centroid: np.ndarray | None
     run_started: dict
     state: EngineState
     committed: RunEvent
@@ -290,6 +319,7 @@ def replay_log(path) -> ReplayResult:
     manifest, events, ends = read_log(path)
     if not events:
         raise LogError(f"log {path} has a manifest but no events")
+    centroid = decode_centroid(manifest["corpus_centroid"]) if "corpus_centroid" in manifest else None
     started = check_payload(events[0])
     if min(started["best_capacity"], started["worst_capacity"]) < 1:
         raise LogError("event 1: RunStarted archive capacities must be >= 1")
@@ -309,6 +339,7 @@ def replay_log(path) -> ReplayResult:
             committed_state = state.clone()
     return ReplayResult(
         manifest=manifest,
+        centroid=centroid,
         run_started=started,
         state=committed_state,
         committed=committed,

@@ -85,11 +85,11 @@ class ReferenceCorpus:
         self.centroid = columns.sum(axis=1) / len(vectors)
 
 
-def load_corpus(path, cache: EmbeddingCache, max_documents: int | None = None) -> ReferenceCorpus:
-    """Load a JSONL corpus file: one object per line, required field "text".
+def read_corpus(path, max_documents: int | None = None) -> list[str]:
+    """Read a JSONL corpus file: one object per line, required field "text".
 
     Unknown fields are ignored. Documents keep file order, truncated to
-    ``max_documents``, and are embedded by :func:`embed_corpus`.
+    ``max_documents``.
     """
     if max_documents is not None and max_documents < 1:
         raise CorpusError("max_documents must be >= 1")
@@ -113,7 +113,12 @@ def load_corpus(path, cache: EmbeddingCache, max_documents: int | None = None) -
         raise CorpusError(f"cannot read corpus file {path}: {exc}") from exc
     if not documents:
         raise CorpusError(f"corpus file {path} contains no documents")
-    return embed_corpus(documents, cache)
+    return documents
+
+
+def load_corpus(path, cache: EmbeddingCache, max_documents: int | None = None) -> ReferenceCorpus:
+    """:func:`read_corpus`, embedded by :func:`embed_corpus`."""
+    return embed_corpus(read_corpus(path, max_documents), cache)
 
 
 def embed_corpus(documents: list[str], cache: EmbeddingCache) -> ReferenceCorpus:
@@ -127,25 +132,27 @@ def embed_corpus(documents: list[str], cache: EmbeddingCache) -> ReferenceCorpus
     return ReferenceCorpus(documents=documents, embeddings=[cache.embed_one(d) for d in documents])
 
 
-def corpus_score(candidate_text: str, corpus: ReferenceCorpus, cache: EmbeddingCache) -> float:
-    """Mean cosine similarity to the corpus: the candidate's unit vector dot the centroid."""
+def corpus_score(candidate_text: str, centroid: np.ndarray, cache: EmbeddingCache) -> float:
+    """Mean cosine similarity to the corpus whose centroid is ``centroid``:
+    the candidate's unit vector dot the centroid."""
     if not candidate_text:
         raise DegenerateInputError("candidate text is empty")
     candidate = cache.embed_one(candidate_text)
     norm = float(np.linalg.norm(candidate))
     if norm == 0.0:
         raise DegenerateInputError("candidate text embeds to the zero vector")
-    if candidate.shape != corpus.centroid.shape:
-        raise DimensionMismatchError(f"candidate {candidate.shape} vs corpus {corpus.centroid.shape}")
-    return max(-1.0, min(1.0, float(np.dot(candidate, corpus.centroid)) / norm))
+    if candidate.shape != centroid.shape:
+        raise DimensionMismatchError(f"candidate {candidate.shape} vs corpus {centroid.shape}")
+    return max(-1.0, min(1.0, float(np.dot(candidate, centroid)) / norm))
 
 
 class CorpusEvaluator:
-    """Binds a corpus and a cache into the batch scorer the optimization
-    engine consumes."""
+    """Binds a corpus centroid and a cache into the batch scorer the
+    optimization engine consumes. The centroid is all of the corpus that
+    scoring needs, so a resumed run takes it from its log."""
 
-    def __init__(self, corpus: ReferenceCorpus, cache: EmbeddingCache) -> None:
-        self.corpus = corpus
+    def __init__(self, centroid: np.ndarray, cache: EmbeddingCache) -> None:
+        self.centroid = centroid
         self.cache = cache
 
     def score_batch(self, texts: Sequence[str]) -> list[float]:
@@ -153,4 +160,4 @@ class CorpusEvaluator:
         yet go to the backend in one ``embed_many`` call; an empty text is
         left to :func:`corpus_score` to reject."""
         self.cache.embed_many([text for text in texts if text])
-        return [corpus_score(text, self.corpus, self.cache) for text in texts]
+        return [corpus_score(text, self.centroid, self.cache) for text in texts]

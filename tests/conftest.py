@@ -1,7 +1,10 @@
+import hashlib
 import json
 import os
 from dataclasses import dataclass
+from urllib.parse import urlsplit
 
+import numpy as np
 import pytest
 import requests
 from hypothesis import settings
@@ -18,7 +21,7 @@ from promptloop.errors import BackendUnavailableError, PromptloopError
 from promptloop.gateway import BackendDescriptor, MockBackend
 from promptloop.mutation import draw_picks
 from promptloop.roles import ModelRole, SamplingParams
-from promptloop.runstore import EventLog, build_manifest, read_log
+from promptloop.runstore import EventLog, build_manifest, canonical_json, read_log
 from promptloop.scoring import CorpusEvaluator, EmbeddingCache, ReferenceCorpus
 from promptloop.state import MUTATION_KINDS, apply
 
@@ -109,6 +112,10 @@ class Harness:
         _, events, _ = read_log(self.log_path)
         return events
 
+    def evaluator_for(self, centroid):
+        """The scorer a resume builds: this harness's cache over the logged centroid."""
+        return CorpusEvaluator(centroid, self.cache)
+
 
 def scripted_plans(max_rounds, stem="Schritt eins. Schritt zwei. Schritt drei."):
     """Short scripted plans for every regeneration, so plans stay bounded."""
@@ -148,7 +155,7 @@ def make_harness(
     cache = EmbeddingCache(backend)
     corpus = make_corpus(cache, corpus_texts)
     if evaluator is None:
-        evaluator = CorpusEvaluator(corpus, cache)
+        evaluator = CorpusEvaluator(corpus.centroid, cache)
     log_path = os.path.join(tmp_path, f"{name}.jsonl")
     eng = Engine(backend, evaluator, config.engine, EventLog(log_path), task)
     return Harness(
@@ -166,7 +173,10 @@ def make_harness(
 
 
 class FakeEvaluator:
-    """Scorer stub: pops a scripted score queue, then repeats the last one."""
+    """Scorer stub: pops a scripted score queue, then repeats the last one.
+    Its centroid only fills the manifest's ``corpus_centroid``."""
+
+    centroid = np.ones(1)
 
     def __init__(self, scores):
         self.scores = list(scores)
@@ -243,6 +253,44 @@ class FakeResponse:
         if isinstance(self._payload, Exception):
             raise self._payload
         return self._payload
+
+
+class OllamaStub:
+    """An Ollama server behind ``requests.Session``, installed by the
+    ``ollama`` fixture. A chat reply is a digest of the request body, seed
+    included, so a resumed run gets the replies the uninterrupted run got;
+    an embedding is the default mock backend's vector of the text; ``/api/tags``
+    lists the default models. ``requests`` holds the path and JSON body of
+    every request, in arrival order."""
+
+    def __init__(self):
+        self.requests = []
+        self._embedder = MockBackend(BackendDescriptor(kind="mock"))
+
+    def get(self, url, timeout=None):
+        self.requests.append((urlsplit(url).path, None))
+        return FakeResponse({"models": [{"name": "llama3.1:latest"},
+                                        {"name": "jina-embeddings-v2-base-de:latest"}]})
+
+    def post(self, url, json=None, timeout=None):
+        path = urlsplit(url).path
+        self.requests.append((path, json))
+        if path == "/api/embed":
+            return FakeResponse({"embeddings": [v.tolist() for v in self._embedder.embed(json["input"])]})
+        digest = hashlib.sha256(canonical_json(json).encode("utf-8")).hexdigest()
+        return FakeResponse({"message": {"role": "assistant",
+                                         "content": f"Antwort {digest[:8]} folgt. Zweiter Satz {digest[8:16]}."}})
+
+    def bodies(self, path):
+        return [body for p, body in self.requests if p == path]
+
+
+@pytest.fixture
+def ollama(monkeypatch):
+    stub = OllamaStub()
+    monkeypatch.setattr(requests.Session, "get", lambda session, url, **kwargs: stub.get(url, **kwargs))
+    monkeypatch.setattr(requests.Session, "post", lambda session, url, **kwargs: stub.post(url, **kwargs))
+    return stub
 
 
 def events_by_kind(events, kind):

@@ -354,7 +354,7 @@ class TestCriterion8ResumeEquivalence:
             handle.write("\n".join(keep_lines) + "\n")
         backend = MockBackend(h.config.backend, {r: list(v) for r, v in scripts.items()})
         resumed = Engine.resumed(
-            backend, h.evaluator, h.config.engine, truncated, h.config_digest, h.corpus_digest
+            backend, h.evaluator_for, h.config.engine, truncated, h.config_digest, h.corpus_digest
         )
         resumed.resume()
         resumed.log.close()

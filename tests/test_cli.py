@@ -181,6 +181,34 @@ class TestOptimize:
         assert result.exit_code == 2
         assert "finished" in result.stderr
 
+    def test_resume_checks_the_log_before_any_request(self, runner, tmp_path, ollama):
+        """A finished, mismatched or corrupt log exits 2 naming what is wrong
+        with it, without a request to the backend."""
+        backend = {"kind": "http", "base_url": "http://127.0.0.1:9"}
+        config = small_config(tmp_path, backend=backend)
+        assert runner.invoke(main, ["optimize", config, "--prompt", "Aufgabe eins"]).exit_code == 0
+        runs_dir = os.path.join(tmp_path, "runs")
+        [log] = [os.path.join(runs_dir, n) for n in os.listdir(runs_dir) if n.endswith(".jsonl")]
+        with open(config, encoding="utf-8") as handle:
+            doc = json.load(handle)
+        doc["engine"]["seed"] = 43
+        changed = write_config_file(tmp_path, doc, "changed.json")
+        lines = Path(log).read_text(encoding="utf-8").splitlines()
+        corrupt = tmp_path / "corrupt.jsonl"
+        corrupt.write_text("\n".join(lines[:3] + ["{"] + lines[3:-1]) + "\n", encoding="utf-8")
+        fixture = str(Path(__file__).parent / "fixtures" / "demo-0.2.0.jsonl")
+        ollama.requests.clear()
+        for config_path, log_path, expected in [
+            (config, log, "already finished"),
+            (changed, log, "config digest mismatch"),
+            (config, str(corrupt), "corrupt event line"),
+            (config, fixture, "config digest mismatch"),
+        ]:
+            result = runner.invoke(main, ["optimize", config_path, "--resume", log_path])
+            assert result.exit_code == 2, result.output + repr(result.exception)
+            assert expected in result.stderr
+        assert ollama.requests == []
+
     def test_resume_of_a_log_another_run_appends_to_exits_two(self, runner, tmp_path):
         config = small_config(tmp_path)
         result = runner.invoke(main, ["optimize", config, "--prompt", "Aufgabe eins"])
@@ -484,7 +512,7 @@ class TestScore:
         corpus = ReferenceCorpus(
             documents=list(CORPUS), embeddings=[cache.embed_one(t) for t in CORPUS]
         )
-        expected = CorpusEvaluator(corpus, cache).score_batch(["Der Befund folgt."])[0]
+        expected = CorpusEvaluator(corpus.centroid, cache).score_batch(["Der Befund folgt."])[0]
         assert result.output.strip() == repr(expected)
 
 

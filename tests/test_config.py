@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 
 from conftest import write_config_file
 from promptloop.cli import main
-from promptloop.config import _FIELDS, config_digest, normalize_config, resolve_config
-from promptloop.demo import DEMO_CONFIG_DOC
+from promptloop.config import _FIELDS, config_digest, corpus_digest, normalize_config, resolve_config
+from promptloop.demo import DEMO_CONFIG_DOC, DEMO_CORPUS
 from promptloop.engine import EngineConfig
 from promptloop.errors import ConfigError
 from promptloop.gateway import BackendDescriptor
@@ -102,6 +102,17 @@ def test_validate_config_exits_2_naming_the_field(tmp_path, name):
 def test_digests_of_valid_configs_are_pinned():
     assert config_digest(resolve_config(DEMO_CONFIG_DOC, env={})) == DEMO_DIGEST
     assert config_digest(resolve_config(EVERY_FIELD, env={})) == EVERY_FIELD_DIGEST
+
+
+def test_corpus_digests_are_pinned():
+    """A resume checks its corpus by the digest alone, so a corpus keeps its
+    digest across versions: the demo's and a generated 1,000-document one."""
+    assert corpus_digest(DEMO_CORPUS) == "7f881dfbc7f1e8a8ea241ec5255851d7da233806d806a6e5ba6c48af7ae29c88"
+    documents = [
+        f"Dokument {i}: Der Patient ist kardial stabil, Befund Nummer {i * 7919 % 1000}. Ärztin Müller."
+        for i in range(1000)
+    ]
+    assert corpus_digest(documents) == "1621d45c1d10d91384eccc89a1ae5d6ec7305aa4ec8e552c05db4d907a51fc1e"
 
 
 def test_base_url_override_leaves_a_mock_config_alone(tmp_path, monkeypatch):

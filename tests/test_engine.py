@@ -653,7 +653,7 @@ class TestPerCallSeeds:
             BackendDescriptor(kind="http", base_url="http://stub", retry_backoff=0.0), session
         )
         if resume:
-            engine = Engine.resumed(backend, h.evaluator, h.config.engine, log_path,
+            engine = Engine.resumed(backend, h.evaluator_for, h.config.engine, log_path,
                                     h.config_digest, h.corpus_digest)
             engine.resume()
         else:
@@ -741,7 +741,7 @@ class TestMalformedHttpReplies:
             MalformedSession(target, at, reply),
         )
         cache = EmbeddingCache(backend)
-        evaluator = CorpusEvaluator(make_corpus(cache), cache)
+        evaluator = CorpusEvaluator(make_corpus(cache).centroid, cache)
         engine = Engine(backend, evaluator, h.config.engine, EventLog(h.log_path), h.task)
         try:
             engine.run(h.manifest())
@@ -825,7 +825,7 @@ class TestBatchScoring:
         assert requests == [samples[:2], ["Befund drei folgt."]]
         scores = [e.payload["score"] for e in events_by_kind(h.events(), "SampleScored")]
         assert scores[0] == scores[2]
-        assert scores[3] == corpus_score(CORPUS_TEXTS[0], h.corpus, h.cache)
+        assert scores[3] == corpus_score(CORPUS_TEXTS[0], h.corpus.centroid, h.cache)
 
 
 def _lines(path):

@@ -1,14 +1,15 @@
 import json
 import os
+from pathlib import Path
 
 import pytest
 import requests
 
 from conftest import FakeResponse, write_config_file, write_corpus_file
-from promptloop.config import load_config
+from promptloop.config import corpus_digest, load_config
 from promptloop.errors import ConfigError, ProtocolError
 from promptloop.pipeline import build_runtime, resume_optimization, run_optimization
-from promptloop.runstore import read_log
+from promptloop.runstore import canonical_json, read_log
 
 CORPUS = [
     "Der Patient ist kardial stabil. Die Entlassung erfolgt morgen.",
@@ -141,13 +142,57 @@ class TestBuildRuntime:
         texts = [f"Text {i}." for i in range(70)]
         runtime = build_runtime(library_config(tmp_path, backend=HTTP_BACKEND), corpus_texts=texts)
         assert sorted(sizes, reverse=True) == [64, 6]  # the two requests run concurrently
-        assert runtime.evaluator.corpus.documents == texts
+        assert runtime.corpus_digest == corpus_digest(texts)
 
     def test_runtime_pieces_are_consistent(self, tmp_path):
         config = library_config(tmp_path)
         runtime = build_runtime(config)
-        assert runtime.evaluator.corpus.documents == CORPUS
+        assert runtime.corpus_digest == corpus_digest(CORPUS)
         [score] = runtime.evaluator.score_batch([CORPUS[0]])
         assert 0.0 < score <= 1.0
         assert len(runtime.config_digest) == 64
         assert len(runtime.corpus_digest) == 64
+
+
+class TestResumeRequests:
+    """A resume scores with the centroid its log records, so over HTTP it
+    sends no corpus embed request: only the requests of the work left."""
+
+    ENGINE = {"samples_per_round": 2, "best_capacity": 5, "worst_capacity": 5,
+              "max_rounds": 2, "mutation_budget": 0, "seed": 42}
+    #: More than one 64-text embed request's worth.
+    DOCUMENTS = [f"Dokument {i}: Der Patient ist kardial stabil." for i in range(70)]
+
+    def fresh_run(self, tmp_path):
+        corpus = write_corpus_file(tmp_path, self.DOCUMENTS, "big.jsonl")
+        config = library_config(tmp_path, backend=HTTP_BACKEND, engine=self.ENGINE, corpus_path=corpus)
+        log = run_optimization(config, "Schreibe einen Arztbrief.")
+        return config, Path(log).read_text(encoding="utf-8").splitlines()
+
+    def resume(self, config, lines, keep, tmp_path):
+        cut = tmp_path / "cut.jsonl"
+        cut.write_text("\n".join(lines[:keep]) + "\n", encoding="utf-8")
+        resume_optimization(config, cut)
+        assert cut.read_text(encoding="utf-8").splitlines() == lines
+
+    def test_cut_before_the_final_transition_sends_no_request(self, tmp_path, ollama):
+        config, lines = self.fresh_run(tmp_path)
+        assert max(len(body["input"]) for body in ollama.bodies("/api/embed")) == 64
+        at = max(i for i, line in enumerate(lines) if '"PhaseTransition"' in line)
+        ollama.requests.clear()
+        self.resume(config, lines, at, tmp_path)
+        assert ollama.requests == []
+
+    def test_cut_mid_round_sends_that_rounds_requests_only(self, tmp_path, ollama):
+        config, lines = self.fresh_run(tmp_path)
+        fresh_chats, fresh_embeds = ollama.bodies("/api/chat"), ollama.bodies("/api/embed")
+        at = next(i for i, line in enumerate(lines) if '"RoundStarted"' in line and '"round":2,' in line)
+        ollama.requests.clear()
+        self.resume(config, lines, at + 2, tmp_path)  # round 2's RoundStarted and first sample
+        round_calls = 2 + 2 + 1 + 1  # actor samples, feedback, summary, next plan
+        chats = ollama.bodies("/api/chat")
+        assert sorted(map(canonical_json, chats)) == sorted(map(canonical_json, fresh_chats[-round_calls:]))
+        # one request for the round's sample batch, the one the fresh run sent last
+        assert ollama.bodies("/api/embed") == [fresh_embeds[-1]]
+        assert len(fresh_embeds[-1]["input"]) == 2
+        assert len(ollama.requests) == round_calls + 1

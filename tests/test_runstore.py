@@ -1,3 +1,4 @@
+import base64
 import builtins
 import json
 import os
@@ -5,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import (
@@ -15,6 +17,7 @@ from conftest import (
     make_harness,
     scripted_plans,
 )
+from promptloop import pipeline
 from promptloop.config import config_digest, corpus_digest, resolve_config, run_id_for
 from promptloop.demo import DEMO_CONFIG_DOC, DEMO_CORPUS, DEMO_TASK_PROMPT, run_demo
 from promptloop.engine import Engine
@@ -34,7 +37,9 @@ from promptloop.runstore import (
     _parse_event,
     build_manifest,
     check_next,
+    decode_centroid,
     emit_report,
+    encode_centroid,
     read_log,
     replay_log,
     summarize_log,
@@ -387,7 +392,7 @@ class TestResume:
         fresh, _ = finished_run(tmp_path, name="fresh")
         with pytest.raises(LogError, match="finished"):
             Engine.resumed(
-                fresh.backend, fresh.evaluator, fresh.config.engine,
+                fresh.backend, fresh.evaluator_for, fresh.config.engine,
                 h.log_path, h.config_digest, h.corpus_digest,
             )
 
@@ -396,12 +401,12 @@ class TestResume:
         fresh, _ = finished_run(tmp_path, name="fresh")
         with pytest.raises(DigestMismatchError, match="config digest"):
             Engine.resumed(
-                fresh.backend, fresh.evaluator, fresh.config.engine,
+                fresh.backend, fresh.evaluator_for, fresh.config.engine,
                 h.log_path, "deadbeef", h.corpus_digest,
             )
         with pytest.raises(DigestMismatchError, match="corpus digest"):
             Engine.resumed(
-                fresh.backend, fresh.evaluator, fresh.config.engine,
+                fresh.backend, fresh.evaluator_for, fresh.config.engine,
                 h.log_path, h.config_digest, "deadbeef",
             )
 
@@ -415,7 +420,7 @@ class TestResume:
         fresh, _ = finished_run(tmp_path, name="driver", max_rounds=5, budget=2, caps=(6, 6))
         # fresh backend with untouched scripts for the resumed process
         resumed = Engine.resumed(
-            make_fresh_backend(tmp_path), fresh.evaluator, fresh.config.engine,
+            make_fresh_backend(tmp_path), fresh.evaluator_for, fresh.config.engine,
             truncated, h.config_digest, h.corpus_digest,
         )
         resumed.resume()
@@ -436,7 +441,7 @@ class TestResume:
 
         fresh, _ = finished_run(tmp_path, name="driver2", max_rounds=5, budget=0, caps=(6, 6))
         resumed = Engine.resumed(
-            make_fresh_backend(tmp_path), fresh.evaluator, fresh.config.engine,
+            make_fresh_backend(tmp_path), fresh.evaluator_for, fresh.config.engine,
             partial, h.config_digest, h.corpus_digest,
         )
         resumed.resume()
@@ -479,7 +484,7 @@ class TestResume:
             handle.write("\n".join(lines[: rejected.seq + 1]) + "\n")
         fresh = harness("fresh")
         resumed = Engine.resumed(
-            fresh.backend, fresh.evaluator, fresh.config.engine,
+            fresh.backend, fresh.evaluator_for, fresh.config.engine,
             truncated, h.config_digest, h.corpus_digest,
         )
         resumed.resume()
@@ -999,7 +1004,7 @@ def demo_fault_run(config, log_path, op="chat", at=None, error=BackendUnavailabl
         {"kind": "mock"}, created_at=FIXED_CREATED_AT,
     )
     engine = Engine(
-        fault, CorpusEvaluator(corpus, cache), config.engine, EventLog(log_path), DEMO_TASK_PROMPT
+        fault, CorpusEvaluator(corpus.centroid, cache), config.engine, EventLog(log_path), DEMO_TASK_PROMPT
     )
     try:
         engine.run(manifest)
@@ -1062,7 +1067,7 @@ class TestResumeInPlace:
         partial.write_text(prefix + lines[cut + 1] + "\n" + lines[cut + 2][:10], encoding="utf-8")
         fresh, _ = finished_run(tmp_path, name="driver3", max_rounds=5, budget=2, caps=(6, 6))
         resumed = Engine.resumed(
-            make_fresh_backend(tmp_path), fresh.evaluator, fresh.config.engine,
+            make_fresh_backend(tmp_path), fresh.evaluator_for, fresh.config.engine,
             partial, h.config_digest, h.corpus_digest,
         )
         resumed.resume()
@@ -1070,3 +1075,90 @@ class TestResumeInPlace:
         text = partial.read_text(encoding="utf-8")
         assert text.startswith(prefix)
         assert text[len(prefix):].split("\n") == lines[cut + 1:] + [""]
+
+
+class PerturbedCorpusBackend(MockBackend):
+    """The demo's mock, except that each corpus document no demo sample
+    repeats embeds to its vector reversed: a server that answers the corpus
+    differently the second time."""
+
+    TEXTS = set(DEMO_CORPUS) - set(DEMO_CONFIG_DOC["scripts"][ModelRole.ACTOR.value])
+
+    def embed(self, texts):
+        vectors = super().embed(texts)
+        return [v[::-1].copy() if text in self.TEXTS else v for text, v in zip(texts, vectors)]
+
+
+def cut_in_round(lines, round_no, tmp_path):
+    """A copy of ``lines`` that ends with the first sample of round ``round_no``."""
+    at = next(i for i, line in enumerate(lines) if '"RoundStarted"' in line and f'"round":{round_no},' in line)
+    cut = tmp_path / "cut.jsonl"
+    cut.write_text("\n".join(lines[: at + 2]) + "\n", encoding="utf-8")
+    return cut
+
+
+class TestLoggedCentroid:
+    """A fresh run records the centroid it scores with in the manifest; a
+    resume scores with that centroid and does not embed the corpus again."""
+
+    FIXTURE = FIXTURES / "demo-0.2.0.jsonl"
+
+    def test_manifest_holds_the_scoring_centroid(self, tmp_path):
+        path = run_demo(tmp_path)
+        logged = read_log(path)[0]["corpus_centroid"]
+        centroid = embed_corpus(list(DEMO_CORPUS), EmbeddingCache(MockBackend(demo_config(tmp_path).backend))).centroid
+        assert logged == encode_centroid(centroid)
+        assert decode_centroid(logged).tobytes() == centroid.tobytes()
+        assert replay_log(path).centroid.tobytes() == centroid.tobytes()
+        assert event_lines(path) == event_lines(self.FIXTURE)
+
+    def test_perturbed_corpus_backend_differs_on_the_corpus(self, tmp_path):
+        assert PerturbedCorpusBackend.TEXTS
+        descriptor = demo_config(tmp_path).backend
+        backend, plain = PerturbedCorpusBackend(descriptor), MockBackend(descriptor)
+        for text in PerturbedCorpusBackend.TEXTS:
+            assert not (backend.embed([text])[0] == plain.embed([text])[0]).all()
+
+    def test_resume_scores_with_the_logged_centroid(self, tmp_path, monkeypatch):
+        lines = Path(run_demo(tmp_path / "demo")).read_text(encoding="utf-8").splitlines()
+        cut = cut_in_round(lines, 2, tmp_path)
+        monkeypatch.setattr(pipeline, "MockBackend", PerturbedCorpusBackend)
+        resume_optimization(demo_config(tmp_path), cut, corpus_texts=DEMO_CORPUS)
+        assert event_lines(cut) == event_lines(self.FIXTURE)
+
+    @pytest.mark.parametrize("backend, same", [(MockBackend, True), (PerturbedCorpusBackend, False)])
+    def test_log_without_a_centroid_embeds_the_corpus(self, tmp_path, monkeypatch, backend, same):
+        lines = self.FIXTURE.read_text(encoding="utf-8").splitlines()
+        assert "corpus_centroid" not in json.loads(lines[0])
+        cut = cut_in_round(lines, 2, tmp_path)
+        monkeypatch.setattr(pipeline, "MockBackend", backend)
+        resume_optimization(demo_config(tmp_path), cut, corpus_texts=DEMO_CORPUS)
+        assert (event_lines(cut) == event_lines(self.FIXTURE)) is same
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            (5, "not a string"),
+            (None, "not a string"),
+            ([1.0], "not a string"),
+            ("", "does not encode float64"),
+            ("AAAAAAAAAA==", "does not encode float64"),  # 7 bytes
+            ("not base64!", "not base64"),
+            ("AAAAAAAAAAA", "not base64"),  # padding missing
+            ("Zöllner=", "not base64"),
+            (base64.b64encode(np.array([0.5, np.nan], dtype="<f8").tobytes()).decode(), "non-finite"),
+            (base64.b64encode(np.array([np.inf], dtype="<f8").tobytes()).decode(), "non-finite"),
+        ],
+    )
+    def test_bad_centroid_is_a_log_error(self, tmp_path, value, message):
+        lines = Path(run_demo(tmp_path / "demo")).read_text(encoding="utf-8").splitlines()
+        manifest = json.loads(lines[0])
+        manifest["corpus_centroid"] = value
+        lines[0] = json.dumps(manifest, ensure_ascii=False)
+        cut = cut_in_round(lines, 2, tmp_path)
+        before = cut.read_bytes()
+        with pytest.raises(LogError, match=message):
+            replay_log(cut)
+        with pytest.raises(LogError, match=message):
+            resume_optimization(demo_config(tmp_path), cut, corpus_texts=DEMO_CORPUS)
+        assert cut.read_bytes() == before

@@ -103,39 +103,39 @@ class TestCosine:
 class TestCorpusScore:
     def test_mean_of_two_known_cosines(self, cache):
         corpus = make_corpus(cache, [DOC_COS_08, DOC_COS_06])
-        assert corpus_score("aaa", corpus, cache) == 0.7
+        assert corpus_score("aaa", corpus.centroid, cache) == 0.7
 
     def test_identical_single_document_scores_one(self, cache):
         corpus = make_corpus(cache, ["Der Patient ist stabil."])
-        assert corpus_score("Der Patient ist stabil.", corpus, cache) == 1.0
+        assert corpus_score("Der Patient ist stabil.", corpus.centroid, cache) == 1.0
 
     def test_matches_bruteforce_oracle(self, cache):
         corpus = make_corpus(cache, ["abab", "zzzz"])
-        got = corpus_score("abab", corpus, cache)
+        got = corpus_score("abab", corpus.centroid, cache)
         assert got == pytest.approx(corpus_score_ref("abab", ["abab", "zzzz"]), abs=1e-12)
 
     def test_empty_candidate_rejected(self, cache):
         corpus = make_corpus(cache)
         with pytest.raises(DegenerateInputError):
-            corpus_score("", corpus, cache)
+            corpus_score("", corpus.centroid, cache)
 
     def test_zero_embedding_candidate_rejected(self, cache):
         corpus = make_corpus(cache)
         with pytest.raises(DegenerateInputError):
-            corpus_score("x", corpus, cache)
+            corpus_score("x", corpus.centroid, cache)
 
     def test_mock_scores_stay_in_unit_interval(self, cache):
         corpus = make_corpus(cache)
         for text in ("abc", "Der Brief.", "zzzz", "Entlassung morgen"):
-            assert 0.0 <= corpus_score(text, corpus, cache) <= 1.0
+            assert 0.0 <= corpus_score(text, corpus.centroid, cache) <= 1.0
 
     @settings(max_examples=200, deadline=None)
     @given(st.permutations(list(range(4))))
     def test_permutation_invariance(self, order):
         cache = EmbeddingCache(MockBackend(BackendDescriptor()))
         texts = ["Der Patient.", "Die Entlassung.", "Befund folgt.", "Alles stabil."]
-        base = corpus_score("Der Befund.", make_corpus(cache, texts), cache)
-        permuted = corpus_score("Der Befund.", make_corpus(cache, [texts[i] for i in order]), cache)
+        base = corpus_score("Der Befund.", make_corpus(cache, texts).centroid, cache)
+        permuted = corpus_score("Der Befund.", make_corpus(cache, [texts[i] for i in order]).centroid, cache)
         assert permuted == base
 
     @settings(max_examples=100, deadline=None)
@@ -147,7 +147,7 @@ class TestCorpusScore:
         base = make_corpus(cache, texts)
         permuted = make_corpus(cache, [texts[i] for i in order])
         for candidate in ("Der Befund.", "Die Medikation wird fortgeführt.", "zzzz"):
-            assert corpus_score(candidate, permuted, cache) == corpus_score(candidate, base, cache)
+            assert corpus_score(candidate, permuted.centroid, cache) == corpus_score(candidate, base.centroid, cache)
 
     def test_large_corpus_matches_oracle(self):
         cache = EmbeddingCache(MockBackend(BackendDescriptor(mock_embedding_dim=128)))
@@ -156,23 +156,23 @@ class TestCorpusScore:
         assert corpus.centroid.shape == (128,)
         for candidate in ("Der Befund.", "Die Medikation wird fortgeführt.", "Entlassung morgen früh."):
             expected = corpus_score_ref(candidate, documents, dim=128)
-            assert corpus_score(candidate, corpus, cache) == pytest.approx(expected, abs=1e-12)
+            assert corpus_score(candidate, corpus.centroid, cache) == pytest.approx(expected, abs=1e-12)
 
     def test_candidate_dimension_must_match_corpus(self):
         corpus_cache = EmbeddingCache(MockBackend(BackendDescriptor(mock_embedding_dim=8)))
         corpus = make_corpus(corpus_cache, ["Der Patient.", "Die Entlassung."])
         candidate_cache = EmbeddingCache(MockBackend(BackendDescriptor(mock_embedding_dim=64)))
         with pytest.raises(DimensionMismatchError):
-            corpus_score("Der Befund.", corpus, candidate_cache)
+            corpus_score("Der Befund.", corpus.centroid, candidate_cache)
 
     def test_cache_transparency(self, mock_backend):
         texts = ["Der Patient.", "Die Entlassung."]
         cold = EmbeddingCache(mock_backend)
-        score_cold = corpus_score("Befund da.", make_corpus(cold, texts), cold)
+        score_cold = corpus_score("Befund da.", make_corpus(cold, texts).centroid, cold)
         warm = EmbeddingCache(mock_backend)
         corpus = make_corpus(warm, texts)
-        first = corpus_score("Befund da.", corpus, warm)
-        second = corpus_score("Befund da.", corpus, warm)
+        first = corpus_score("Befund da.", corpus.centroid, warm)
+        second = corpus_score("Befund da.", corpus.centroid, warm)
         assert score_cold == first == second
 
     def test_cache_hit_identical_to_fresh_embed(self, mock_backend):
@@ -340,5 +340,5 @@ class TestBatchedEmbedding:
 class TestEvaluator:
     def test_score_equals_corpus_score(self, cache):
         corpus = make_corpus(cache, [DOC_COS_08, DOC_COS_06])
-        evaluator = CorpusEvaluator(corpus, cache)
-        assert evaluator.score_batch(["aaa"]) == [corpus_score("aaa", corpus, cache)] == [0.7]
+        evaluator = CorpusEvaluator(corpus.centroid, cache)
+        assert evaluator.score_batch(["aaa"]) == [corpus_score("aaa", corpus.centroid, cache)] == [0.7]
