@@ -290,14 +290,16 @@ class Engine:
         log_path,
         config_digest: str,
         corpus_digest: str,
+        expected_task_prompt: str | None = None,
     ) -> "Engine":
         """Rebuild an engine from a log: lock it, replay it to the last commit
-        point, verify the digests and that the log's RunStarted is the one
-        this config writes, then take the scorer ``evaluator_for(centroid)``
-        makes of the manifest's corpus centroid (None in a log without one)
-        and cut off any uncommitted tail. The log is checked before
-        ``evaluator_for`` is called. The replayed state carries each role's
-        call count as of the commit."""
+        point, verify the digests, the task prompt (if ``expected_task_prompt``
+        is given) and that the log's RunStarted is the one this config
+        writes, then take the scorer ``evaluator_for(centroid)`` makes of the
+        manifest's corpus centroid (None in a log without one) and cut off
+        any uncommitted tail. The log is checked before ``evaluator_for`` is
+        called, and a refusal leaves it as it was. The replayed state carries
+        each role's call count as of the commit."""
         log = runstore.EventLog(log_path)
         log.lock()
         try:
@@ -308,6 +310,8 @@ class Engine:
                     raise DigestMismatchError(
                         f"{name} digest mismatch: log has {logged}, supplied {name} digests to {supplied}"
                     )
+            if expected_task_prompt is not None and expected_task_prompt != result.state.task_prompt:
+                raise ConfigError("the given prompt differs from the task prompt recorded in the log")
             run_id = result.manifest["run_id"]
             engine = cls(gateway, None, config, log, result.state.task_prompt)
             if result.run_started != engine._run_started(run_id):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .config import CliConfig, config_digest, corpus_digest, run_id_for
 from .engine import Engine
-from .errors import ConfigError
+from .errors import ConfigError, LogError
 from .gateway import HttpBackend, MockBackend
 from .runstore import EventLog, build_manifest
 from .scoring import CorpusEvaluator, EmbeddingCache, embed_corpus, load_corpus, read_corpus
@@ -114,7 +114,8 @@ def resume_optimization(
     it must match. Config and corpus must digest to the manifest's values.
     The corpus is read only for its digest: scores use the centroid the
     manifest records, so the log is checked before any backend request and
-    the corpus is not embedded again. A log without a centroid gets the one
+    the corpus is not embedded again. A mock backend's centroid must have
+    ``mock_embedding_dim`` values. A log without a centroid gets the one
     setup would build.
     """
     _check_corpus_path(config, corpus_texts)
@@ -125,6 +126,11 @@ def resume_optimization(
     def evaluator_for(centroid):
         if centroid is None:
             centroid = embed_corpus(documents, cache).centroid
+        elif config.backend.kind == "mock" and len(centroid) != config.backend.mock_embedding_dim:
+            raise LogError(
+                f"log {log_path}: its corpus centroid has {len(centroid)} values,"
+                f" the mock backend embeds in {config.backend.mock_embedding_dim}"
+            )
         return CorpusEvaluator(centroid, cache)
 
     engine = Engine.resumed(
@@ -134,12 +140,8 @@ def resume_optimization(
         log_path,
         config_digest(config),
         corpus_digest(documents),
+        expected_task_prompt,
     )
-    if expected_task_prompt is not None and expected_task_prompt != engine.task_prompt:
-        engine.log.close()
-        raise ConfigError(
-            "the given prompt differs from the task prompt recorded in the log"
-        )
     try:
         engine.resume()
     finally:

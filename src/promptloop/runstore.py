@@ -25,10 +25,14 @@ from .state import COMMIT_KINDS, MUTATION_KINDS, PAYLOAD_FIELDS, EngineState, ap
 ARTIFACT_VERSION = "0.2.0"
 
 
-def canonical_json(value) -> str:
-    return json.dumps(
-        value, sort_keys=True, ensure_ascii=False, separators=(",", ":"), allow_nan=False
-    )
+#: A value's canonical JSON text: sorted keys, compact separators, non-ASCII
+#: kept as is, shortest round-trip decimals, and ValueError on NaN or an
+#: infinity. One encoder serves every call (each event line, the manifest,
+#: and the config, corpus and run-id digests); ``json.dumps`` with the same
+#: options would build a new one per call and give the same text.
+canonical_json = json.JSONEncoder(
+    sort_keys=True, ensure_ascii=False, separators=(",", ":"), allow_nan=False
+).encode
 
 
 @dataclass(slots=True)
@@ -39,7 +43,15 @@ class RunEvent:
     payload: dict
 
     def to_line(self) -> str:
-        return canonical_json({"seq": self.seq, "ts": self.ts, "kind": self.kind, "payload": self.payload})
+        """The event's log line: ``canonical_json`` of its four fields. The
+        envelope's keys are written in their sorted order around the
+        encoded kind and payload, so only those two go through the encoder;
+        ``seq`` and ``ts`` are ints, as :func:`check_next` requires of
+        every event written or read."""
+        return (
+            f'{{"kind":{canonical_json(self.kind)},"payload":{canonical_json(self.payload)},'
+            f'"seq":{self.seq},"ts":{self.ts}}}'
+        )
 
     @classmethod
     def from_line(cls, line: str) -> "RunEvent":
@@ -125,10 +137,13 @@ class EventLog:
     ``lock`` opens the file and takes an exclusive ``flock`` on it, so one
     EventLog, in this process or another, appends to a file at a time; the
     lock holds until :meth:`close`. ``start`` creates the file with the
-    manifest line, replacing an earlier log only if that run finished;
-    ``emit`` appends the next event and flushes before returning, so the
-    engine never advances past an unwritten event. Each event must pass
-    :func:`check_next` after the last event written.
+    manifest line, replacing an earlier log only if that run finished or
+    never started (no complete RunStarted line, so no backend output).
+    ``emit`` encodes the next event once and appends its UTF-8 bytes with
+    one unbuffered write (repeated only for the rest of a partial write)
+    before returning, so the engine never advances past an event the OS has
+    not been given. Each event must pass :func:`check_next` after the last
+    event written.
     """
 
     def __init__(self, path) -> None:
@@ -145,7 +160,7 @@ class EventLog:
             fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | (os.O_CREAT if create else 0), 0o666)
         except OSError as exc:
             raise LogError(f"cannot open log {self.path}: {exc}") from exc
-        handle = open(fd, "a", encoding="utf-8", newline="\n")
+        handle = open(fd, "ab", buffering=0)
         try:
             fcntl.flock(handle, fcntl.LOCK_EX | fcntl.LOCK_NB)
         except OSError as exc:
@@ -155,15 +170,14 @@ class EventLog:
 
     def start(self, manifest: dict) -> None:
         self.lock(create=True)
-        if os.fstat(self._handle.fileno()).st_size and not _finished(self.path):
+        if os.fstat(self._handle.fileno()).st_size and not _finished(self.path) and _started(self.path):
             self.close()
             raise LogError(
                 f"{self.path} holds an unfinished run; continue it with --resume,"
                 " or remove the file to start over"
             )
         self._handle.truncate(0)
-        self._handle.write(canonical_json(manifest) + "\n")
-        self._handle.flush()
+        self._append(canonical_json(manifest) + "\n")
 
     def resume_at(self, end: int, last: RunEvent) -> None:
         """Append after ``last``, the event whose line ends at byte ``end``
@@ -180,8 +194,7 @@ class EventLog:
         if end < os.fstat(self._handle.fileno()).st_size:
             self._handle.truncate(end + 1)  # the kept line's newline is the byte at ``end``
         else:
-            self._handle.write("\n")
-            self._handle.flush()
+            self._append("\n")
         self._last = last
 
     def emit(self, kind: str, payload: dict) -> RunEvent:
@@ -192,17 +205,40 @@ class EventLog:
         event = RunEvent(seq=seq, ts=seq, kind=kind, payload=payload)
         check_next(self._last, event)
         try:
-            self._handle.write(event.to_line() + "\n")
-            self._handle.flush()
+            self._append(event.to_line() + "\n")
         except OSError as exc:
             raise LogError(f"cannot append to {self.path}: {exc}") from exc
         self._last = event
         return event
 
+    def _append(self, text: str) -> None:
+        """Hand ``text``'s UTF-8 bytes to the OS, writing again after a
+        partial write until all of them are written."""
+        data = memoryview(text.encode("utf-8"))
+        while data:
+            data = data[self._handle.write(data):]
+
     def close(self) -> None:
         if self._handle is not None:
             self._handle.close()
             self._handle = None
+
+
+def _started(path) -> bool:
+    """Whether the log holds a line after its manifest, which RunStarted
+    must be. A second line that is missing, or torn (unterminated and not an
+    event, so :func:`read_log` drops it), means the run crashed before its
+    first event, with no backend output. Only the first two lines are read."""
+    with open(path, "rb") as handle:
+        handle.readline()
+        line = handle.readline()
+    if line.endswith(b"\n"):
+        return True
+    try:
+        _parse_event(line)
+    except LogError:
+        return False
+    return True
 
 
 def _finished(path) -> bool:

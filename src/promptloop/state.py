@@ -15,6 +15,7 @@ from __future__ import annotations
 import bisect
 import sys
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from .errors import LogError
 from .roles import ModelRole
@@ -99,6 +100,13 @@ class ArchiveEntry:
     step_plan: str
     score: float
     arrival: int
+
+    @cached_property
+    def listing(self) -> str:
+        """``(score=…) step_plan``, the entry's line in a prompting request
+        (see :func:`promptloop.templates.compose_step_plan_request`),
+        rendered on first use and kept as long as the entry is."""
+        return f"(score={self.score!r}) {self.step_plan}"
 
 
 class PromptArchive:
@@ -332,6 +340,9 @@ def apply(state: EngineState, event, picks: Picks | None = None) -> None:
     expected = payload.get("from") if kind == "PhaseTransition" else _PHASE_OF.get(kind, state.phase)
     if expected != state.phase:
         raise LogError(f"event {event.seq}: {kind} in phase {state.phase!r}, expected {expected!r}")
+    if kind in ("PromptRegenerated", "MutationApplied") and not payload["step_plan"].strip():
+        # Both backends refuse a blank reply, and a mutation step could pick no sentence of it.
+        raise LogError(f"event {event.seq}: {kind} step_plan is blank")
     if kind == "RunStarted":
         state.task_prompt = payload["task_prompt"]
     elif kind == "RoundStarted":

@@ -18,7 +18,8 @@ def compose_step_plan_request(
 ) -> str:
     """Context for the prompting role: the task, the latest feedback summary,
     and the archived prompts with scores (best before worst, each exactly
-    once). With no summary and empty archives this is the task alone."""
+    once, as the entry's ``listing``: ``(score=…) step_plan``). With no
+    summary and empty archives this is the task alone."""
     parts = [task_prompt]
     if feedback_summary is not None:
         parts.append("Feedback summary of the last round:\n" + feedback_summary)
@@ -35,10 +36,8 @@ def compose_step_plan_request(
 
 
 def _entry_block(entries: Iterable) -> str:
-    return "\n".join(
-        f"{i}. (score={entry.score!r}) {entry.step_plan}"
-        for i, entry in enumerate(entries, start=1)
-    )
+    """One numbered line per entry, its ``listing`` rendered once per entry."""
+    return "\n".join(f"{i}. {entry.listing}" for i, entry in enumerate(entries, start=1))
 
 
 def compose_feedback_request(step_plan: str, output_text: str, score: float) -> str:

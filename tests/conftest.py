@@ -1,7 +1,9 @@
 import hashlib
 import json
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
+from unittest import mock
 from urllib.parse import urlsplit
 
 import numpy as np
@@ -61,6 +63,26 @@ class RecordingBackend(MockBackend):
     def chat(self, exchange, params):
         self.calls.append(RecordedCall(exchange.role, params, exchange.system_prompt, exchange.messages))
         return super().chat(exchange, params)
+
+
+@contextmanager
+def mock_requests():
+    """The chat and embed calls every MockBackend gets inside the block, in
+    order, as ("chat", role) and ("embed", text count). A context manager
+    rather than a fixture, so a Hypothesis example can take a fresh one."""
+    seen = []
+    chat, embed = MockBackend.chat, MockBackend.embed
+
+    def counted_chat(self, exchange, params):
+        seen.append(("chat", exchange.role))
+        return chat(self, exchange, params)
+
+    def counted_embed(self, texts):
+        seen.append(("embed", len(texts)))
+        return embed(self, texts)
+
+    with mock.patch.object(MockBackend, "chat", counted_chat), mock.patch.object(MockBackend, "embed", counted_embed):
+        yield seen
 
 
 @pytest.fixture

@@ -577,6 +577,26 @@ class TestReportAndDemo:
         assert len(means) >= 3
         assert all(b > a for a, b in zip(means, means[1:]))
 
+    @pytest.mark.parametrize("cut", ["manifest only", "torn manifest", "torn RunStarted"])
+    def test_demo_over_a_log_without_a_run_started(self, runner, tmp_path, cut):
+        """A crash between the manifest and RunStarted leaves nothing to
+        resume: the next demo starts over instead of pointing to --resume."""
+        fixture = (Path(__file__).parent / "fixtures" / "demo-0.2.0.jsonl").read_bytes()
+        manifest, started = fixture.split(b"\n")[:2]
+        prefix = {
+            "manifest only": manifest + b"\n",
+            "torn manifest": manifest[: len(manifest) // 2],
+            "torn RunStarted": manifest + b"\n" + started[: len(started) // 2],
+        }[cut]
+        out_dir = tmp_path / "demo"
+        out_dir.mkdir()
+        log = out_dir / "32e6351267ef29a6.jsonl"
+        log.write_bytes(prefix)
+        result = runner.invoke(main, ["demo", "--output-dir", str(out_dir)])
+        assert result.exit_code == 0, result.output + repr(result.exception)
+        assert "--resume" not in result.output + result.stderr
+        assert log.read_bytes().split(b"\n")[1:] == fixture.split(b"\n")[1:]
+
     def test_report_json_on_demo_log(self, runner, tmp_path):
         out_dir = os.path.join(tmp_path, "demo")
         assert runner.invoke(main, ["demo", "--output-dir", out_dir]).exit_code == 0

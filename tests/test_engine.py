@@ -186,6 +186,11 @@ class TestCheckTransition:
         assert check_transition(state, EngineConfig(max_rounds=10, best_capacity=3)) == "feedback_loop"
 
 
+#: The prompting request of ``test_full_archives_request_is_the_formula``,
+#: as the per-request rendering of every archived prompt wrote it.
+FULL_ARCHIVES_REQUEST_SHA256 = "e93927fd21834614cc3264e03f711d3ba3a06a7ac73268ab3b0378454ccdfe37"
+
+
 class TestGenerateStepPlan:
     def test_round_zero_composition_is_task_alone(self, tmp_path):
         h = make_harness(tmp_path)
@@ -213,6 +218,34 @@ class TestGenerateStepPlan:
         assert message.index("Guter Plan B.") < message.index("Schwacher Plan C.")
         assert "Zusammenfassung X" in message
         assert message.count(h.task) == 1
+
+    def test_full_archives_request_is_the_formula(self, tmp_path):
+        """Sixty best and sixty worst archived prompts of about 1 KB: every
+        request lists each as ``{i}. (score={score!r}) {plan}``, whether its
+        line was rendered for an earlier request or not."""
+        h = make_harness(tmp_path)
+        state = h.engine.state
+        state.best, state.worst = PromptArchive(60, keep="best"), PromptArchive(60, keep="worst")
+        for arrival in range(1, 121):
+            plan = f"Plan {arrival}. " + "Nenne Zustand, Medikation und Entlassung. " * 24
+            entry = ArchiveEntry(f"cand-{arrival:04d}", plan, (arrival * 0.1) % 1 + 1 / 3, arrival)
+            (state.best if arrival % 2 else state.worst).offer(entry)
+
+        def block(entries):
+            return "\n".join(f"{i}. (score={e.score!r}) {e.step_plan}" for i, e in enumerate(entries, start=1))
+
+        for summary in ("Zusammenfassung 1", "Zusammenfassung 2"):
+            h.engine.generate_step_plan(summary)
+            assert h.backend.calls[-1].messages[-1][1] == "\n\n".join([
+                h.task,
+                "Feedback summary of the last round:\n" + summary,
+                "Highest-scoring prompts so far:\n" + block(state.best.entries),
+                "Lowest-scoring prompts so far:\n" + block(state.worst.entries),
+                "Write an improved step-by-step prompt that keeps what worked and fixes what fell short.",
+            ])
+        message = h.backend.calls[-1].messages[-1][1]
+        assert len(message) > 120_000
+        assert hashlib.sha256(message.encode("utf-8")).hexdigest() == FULL_ARCHIVES_REQUEST_SHA256
 
     def test_prompting_params_are_role_defaults(self, tmp_path):
         h = make_harness(tmp_path)

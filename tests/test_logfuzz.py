@@ -10,6 +10,9 @@ The logs are the committed demo log of format 0.1.0, the demo log this
 version writes, and a small log shaped like the ``resume-long`` benchmark
 workload (a full archive after a few rounds, then as many mutation steps,
 over a pool of repeating samples).
+
+A resume of an edited log, cut after any line, either completes or refuses
+with the file as it was and no backend request sent.
 """
 
 import json
@@ -22,11 +25,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import make_harness, scripted_plans
-from promptloop.demo import run_demo
-from promptloop.errors import LogError
+from conftest import CORPUS_TEXTS, make_harness, mock_requests, scripted_plans
+from promptloop.config import resolve_config
+from promptloop.demo import DEMO_CONFIG_DOC, DEMO_CORPUS, run_demo
+from promptloop.errors import ConfigError, DigestMismatchError, LogError
+from promptloop.pipeline import resume_optimization
 from promptloop.roles import ModelRole
-from promptloop.runstore import RunEvent, check_next, emit_report, read_log, replay_log
+from promptloop.runstore import RunEvent, canonical_json, check_next, emit_report, read_log, replay_log
 from promptloop.state import COMMIT_KINDS, PAYLOAD_FIELDS
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -64,13 +69,12 @@ MEAN_FIELDS = {
 }
 
 
-def long_log(directory):
-    """A finished run shaped like ``resume-long``: six rounds fill both
-    archives, then six mutation steps, four samples each from a pool of six
-    actor outputs."""
+def long_harness(directory):
+    """A run shaped like ``resume-long``: six rounds fill both archives, then
+    six mutation steps, four samples each from a pool of six actor outputs."""
     rounds = budget = 6
     pool = [f"Ausgabe {i}: Der Patient ist stabil. Die Medikation bleibt." for i in range(6)]
-    h = make_harness(
+    return make_harness(
         directory,
         engine={"samples_per_round": 4, "best_capacity": rounds, "worst_capacity": rounds,
                 "max_rounds": rounds + 1, "mutation_budget": budget, "seed": 1},
@@ -81,6 +85,10 @@ def long_log(directory):
         },
         name="long",
     )
+
+
+def long_log(directory):
+    h = long_harness(directory)
     h.run()
     return Path(h.log_path)
 
@@ -107,6 +115,19 @@ def logs(tmp_path_factory):
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("edited")
+
+
+@pytest.fixture(scope="module")
+def resume_inputs(tmp_path_factory):
+    """name -> the config and corpus whose digests a resume of that log
+    checks against its manifest."""
+    directory = tmp_path_factory.mktemp("configs")
+    demo = resolve_config(dict(DEMO_CONFIG_DOC, output_dir=str(directory)), env={})
+    return {
+        "demo-0.1.0": (demo, DEMO_CORPUS),
+        "demo": (demo, DEMO_CORPUS),
+        "long": (long_harness(directory).config, CORPUS_TEXTS),
+    }
 
 
 def paths_in(value, prefix=()):
@@ -229,10 +250,10 @@ READERS = (
 )
 
 
-@pytest.mark.parametrize("name", ["demo-0.1.0", "demo", "long"])
-@given(data=st.data())
-def test_single_value_edit_is_a_log_error_or_harmless(logs, workdir, name, data):
-    lines = logs[name]
+def draw_edit(data, lines):
+    """Draw one single-value edit of ``lines``; returns the parsed lines,
+    the edited line's index, the path into it, the old and new values, and
+    the edited lines."""
     parsed = [json.loads(line) for line in lines]
     log_scalars = sorted(
         {(type(v).__name__, repr(v)): v for line in parsed for v in scalars_in(line)}.items()
@@ -243,6 +264,13 @@ def test_single_value_edit_is_a_log_error_or_harmless(logs, workdir, name, data)
     new = data.draw(replacements(old, [v for _, v in log_scalars]), label="new")
     edited = list(lines)
     edited[index] = json.dumps(replaced(parsed[index], path, new), ensure_ascii=False)
+    return parsed, index, path, old, new, edited
+
+
+@pytest.mark.parametrize("name", ["demo-0.1.0", "demo", "long"])
+@given(data=st.data())
+def test_single_value_edit_is_a_log_error_or_harmless(logs, workdir, name, data):
+    parsed, index, path, old, new, edited = draw_edit(data, logs[name])
     log = workdir / f"{name}.jsonl"
     log.write_text("\n".join(edited) + "\n", encoding="utf-8")
 
@@ -254,6 +282,28 @@ def test_single_value_edit_is_a_log_error_or_harmless(logs, workdir, name, data)
             replay_rejected = replay_rejected or read is replay_log
     if cross_checked(parsed[1:], index, path, new):
         assert replay_rejected, f"line {index + 1} at {path}: {old!r} -> {new!r} replays"
+
+
+@pytest.mark.parametrize("name", ["demo-0.1.0", "demo", "long"])
+@given(data=st.data())
+def test_resume_of_an_edited_cut_completes_or_leaves_it_untouched(logs, workdir, resume_inputs, name, data):
+    """The log cut after a drawn line, then one value of it edited: a resume
+    runs it to RunFinished, or refuses it before it writes a byte or sends
+    a request."""
+    keep = data.draw(st.integers(min_value=1, max_value=len(logs[name])), label="lines kept")
+    *_, edited = draw_edit(data, logs[name][:keep])
+    log = workdir / f"{name}-resumed.jsonl"
+    log.write_text("\n".join(edited) + "\n", encoding="utf-8")
+    before = log.read_bytes()
+    config, corpus = resume_inputs[name]
+    with mock_requests() as sent:
+        try:
+            resume_optimization(config, log, corpus_texts=corpus)
+        except (LogError, DigestMismatchError, ConfigError):
+            assert log.read_bytes() == before
+            assert sent == []
+            return
+    assert read_log(log)[1][-1].kind == "RunFinished"
 
 
 def test_blank_mutant_plan_is_a_log_error(logs, workdir):
@@ -273,6 +323,22 @@ def test_blank_mutant_plan_is_a_log_error(logs, workdir):
         except LogError:
             rejected += 1
     assert rejected
+
+
+def test_blank_last_plan_is_a_log_error(logs, workdir):
+    """The last plan of a cut log, which no logged round has run: blank, it
+    once replayed, and the resumed run archived it and failed in the
+    mutation phase after writing events (found by the resume property)."""
+    lines = logs["demo"]
+    regenerated = [i for i, line in enumerate(lines) if '"PromptRegenerated"' in line]
+    assert regenerated
+    for index in regenerated:
+        event = json.loads(lines[index])
+        event["payload"]["step_plan"] = ""
+        log = workdir / "blank-plan.jsonl"
+        log.write_text("\n".join(lines[:index] + [json.dumps(event, ensure_ascii=False)]) + "\n", encoding="utf-8")
+        with pytest.raises(LogError, match="PromptRegenerated step_plan is blank"):
+            replay_log(log)
 
 
 def test_the_logs_replay_unedited(logs, workdir):
@@ -299,3 +365,15 @@ def test_check_next_rejects_a_kind_the_table_lacks(logs):
     second.kind = "SampleDiscarded"
     with pytest.raises(LogError, match="unknown event kind 'SampleDiscarded'"):
         check_next(first, second)
+
+
+@pytest.mark.parametrize("name", ["demo-0.2.0", "demo-0.1.0", "demo", "long"])
+def test_to_line_is_the_canonical_json_of_the_event(logs, name):
+    """``to_line`` writes the envelope around the encoded kind and payload
+    by hand; it must be the canonical JSON of all four fields, which is
+    what every line these logs hold is."""
+    lines = logs[name] if name in logs else (FIXTURES / f"{name}.jsonl").read_text(encoding="utf-8").splitlines()
+    for line in lines[1:]:
+        event = RunEvent.from_line(line)
+        fields = {"seq": event.seq, "ts": event.ts, "kind": event.kind, "payload": event.payload}
+        assert event.to_line() == canonical_json(fields) == line

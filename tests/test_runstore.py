@@ -15,6 +15,7 @@ from conftest import (
     OneShotFault,
     events_by_kind,
     make_harness,
+    mock_requests,
     scripted_plans,
 )
 from promptloop import pipeline
@@ -24,6 +25,7 @@ from promptloop.engine import Engine
 from promptloop.errors import (
     BackendUnavailableError,
     DigestMismatchError,
+    ConfigError,
     LogError,
     ProtocolError,
     RunAbortedError,
@@ -36,6 +38,7 @@ from promptloop.runstore import (
     RunEvent,
     _parse_event,
     build_manifest,
+    canonical_json,
     check_next,
     decode_centroid,
     emit_report,
@@ -95,6 +98,22 @@ class TestAppendRules:
         with pytest.raises(LogError):
             log.emit("RunStarted", {})
 
+    def test_a_partial_write_is_completed(self, tmp_path):
+        """The OS may take fewer bytes than it is given: emit writes the
+        rest, here through a handle that takes 7 bytes a call."""
+        log = started_log(tmp_path)
+        handle = log._handle
+
+        class Trickle:
+            def write(self, data):
+                return handle.write(data[:7])
+
+        log._handle = Trickle()
+        log.emit("RunStarted", {"task_prompt": "Zustand ü" * 5})
+        log._handle = handle
+        log.close()
+        assert read_log(log.path)[1][0].payload == {"task_prompt": "Zustand ü" * 5}
+
 
 class TestStart:
     def test_unfinished_log_is_kept(self, tmp_path):
@@ -114,6 +133,36 @@ class TestStart:
             handle.write('{"kind":"RunFinished","payload":{')
         with pytest.raises(LogError, match="unfinished"):
             EventLog(log.path).start(manifest())
+
+    @pytest.mark.parametrize("tail", [b"\n", b"", b'\n{"kind":"RunStarted","payload":{"se'],
+                             ids=["manifest only", "torn manifest", "torn RunStarted"])
+    def test_log_without_a_run_started_is_replaced(self, tmp_path, tail):
+        """A crash before RunStarted was written leaves no backend output,
+        so there is nothing to resume: a fresh start replaces the log."""
+        path = tmp_path / "log.jsonl"
+        line = canonical_json(manifest()).encode("utf-8")
+        path.write_bytes(line if tail else line[: len(line) // 2])
+        with open(path, "ab") as handle:
+            handle.write(tail)
+        log = EventLog(path)
+        log.start(manifest())
+        log.emit("RunStarted", {"task_prompt": "t"})
+        log.close()
+        started = RunEvent(1, 1, "RunStarted", {"task_prompt": "t"}).to_line().encode("utf-8")
+        assert path.read_bytes() == line + b"\n" + started + b"\n"
+
+    def test_unterminated_run_started_is_kept(self, tmp_path):
+        """A RunStarted line that lacks only its newline is an event a
+        resume continues from."""
+        log = started_log(tmp_path)
+        log.emit("RunStarted", {"task_prompt": "t"})
+        log.close()
+        path = Path(log.path)
+        path.write_bytes(path.read_bytes()[:-1])
+        before = path.read_bytes()
+        with pytest.raises(LogError, match="unfinished"):
+            EventLog(log.path).start(manifest())
+        assert path.read_bytes() == before
 
     def test_finished_log_is_replaced(self, tmp_path):
         log = started_log(tmp_path)
@@ -1162,3 +1211,46 @@ class TestLoggedCentroid:
         with pytest.raises(LogError, match=message):
             resume_optimization(demo_config(tmp_path), cut, corpus_texts=DEMO_CORPUS)
         assert cut.read_bytes() == before
+
+
+class TestRefusedResumeLeavesTheLog:
+    """A resume that refuses a log does so before it cuts the log's
+    uncommitted tail and before any backend request."""
+
+    def cut(self, tmp_path, centroid=None):
+        """The demo log cut after round 1's first SampleScored, its manifest
+        recording ``centroid`` if one is given."""
+        lines = Path(run_demo(tmp_path / "demo")).read_text(encoding="utf-8").splitlines()
+        if centroid is not None:
+            manifest = json.loads(lines[0])
+            manifest["corpus_centroid"] = encode_centroid(centroid)
+            lines[0] = json.dumps(manifest, ensure_ascii=False)
+        at = next(i for i, line in enumerate(lines) if '"SampleScored"' in line)
+        cut = tmp_path / "cut.jsonl"
+        cut.write_text("\n".join(lines[: at + 1]) + "\n", encoding="utf-8")
+        assert replay_log(cut).committed_end < len(cut.read_bytes()) - 1  # an uncommitted tail
+        return cut
+
+    def test_foreign_task_prompt(self, tmp_path):
+        cut = self.cut(tmp_path)
+        before = cut.read_bytes()
+        with mock_requests() as sent, pytest.raises(ConfigError, match="differs from the task prompt"):
+            resume_optimization(demo_config(tmp_path), cut, corpus_texts=DEMO_CORPUS,
+                                expected_task_prompt="Andere Aufgabe")
+        assert cut.read_bytes() == before
+        assert sent == []
+
+    def test_mock_centroid_of_another_length(self, tmp_path):
+        """Eight values where the mock embeds in 64: the log is wrong, not
+        the backend, so no BackendFailure is logged."""
+        cut = self.cut(tmp_path, centroid=np.ones(8))
+        before = cut.read_bytes()
+        with mock_requests() as sent, pytest.raises(LogError, match=f"{cut}: its corpus centroid has 8 values"):
+            resume_optimization(demo_config(tmp_path), cut, corpus_texts=DEMO_CORPUS)
+        assert cut.read_bytes() == before
+        assert sent == []
+
+    def test_mock_centroid_of_the_right_length_resumes(self, tmp_path):
+        cut = self.cut(tmp_path, centroid=np.ones(64))
+        resume_optimization(demo_config(tmp_path), cut, corpus_texts=DEMO_CORPUS)
+        assert read_log(cut)[1][-1].kind == "RunFinished"
