@@ -12,7 +12,8 @@ from __future__ import annotations
 import os
 
 from .config import resolve_config
-from .pipeline import run_optimization
+from .errors import UnfinishedLogError
+from .pipeline import resume_optimization, run_optimization
 from .roles import ModelRole
 
 DEMO_TASK_PROMPT = "Schreibe einen realistischen Arztbrief aus der Kardiologie."
@@ -95,8 +96,14 @@ DEMO_CONFIG_DOC = {
 
 
 def run_demo(output_dir) -> str:
-    """Run the bundled scenario into ``output_dir``; returns the log path."""
+    """Run the bundled scenario into ``output_dir``; returns the log path.
+    A demo log there that holds an unfinished run is continued instead."""
     doc = dict(DEMO_CONFIG_DOC)
     doc["output_dir"] = os.fspath(output_dir)
     cli_config = resolve_config(doc, env={})
-    return run_optimization(cli_config, DEMO_TASK_PROMPT, corpus_texts=DEMO_CORPUS)
+    try:
+        return run_optimization(cli_config, DEMO_TASK_PROMPT, corpus_texts=DEMO_CORPUS)
+    except UnfinishedLogError as exc:
+        return resume_optimization(
+            cli_config, exc.path, corpus_texts=DEMO_CORPUS, expected_task_prompt=DEMO_TASK_PROMPT
+        )

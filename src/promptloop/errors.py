@@ -41,6 +41,14 @@ class LogError(PromptloopError):
     """Event log violates ordering, format, or replay constraints."""
 
 
+class UnfinishedLogError(LogError):
+    """A fresh start found its log holding an unfinished run, and kept it."""
+
+    def __init__(self, path: str) -> None:
+        super().__init__(f"{path} holds an unfinished run; continue it with --resume, or remove the file to start over")
+        self.path = path
+
+
 class DigestMismatchError(LogError):
     """Resume attempted with a config or corpus that does not match the log."""
 

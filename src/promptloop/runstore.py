@@ -18,21 +18,30 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .errors import DegenerateInputError, LogError
+from .errors import DegenerateInputError, LogError, UnfinishedLogError
 from .mutation import draw_picks
 from .state import COMMIT_KINDS, MUTATION_KINDS, PAYLOAD_FIELDS, EngineState, apply, check_payload
 
 ARTIFACT_VERSION = "0.2.0"
 
 
-#: A value's canonical JSON text: sorted keys, compact separators, non-ASCII
-#: kept as is, shortest round-trip decimals, and ValueError on NaN or an
-#: infinity. One encoder serves every call (each event line, the manifest,
-#: and the config, corpus and run-id digests); ``json.dumps`` with the same
-#: options would build a new one per call and give the same text.
-canonical_json = json.JSONEncoder(
-    sort_keys=True, ensure_ascii=False, separators=(",", ":"), allow_nan=False
-).encode
+#: CPython's C encoder with ``json.dumps``'s options ``sort_keys=True,
+#: ensure_ascii=False, separators=(",", ":"), allow_nan=False``, built once:
+#: ``JSONEncoder.encode`` builds a new one, a markers dict and a float
+#: formatter on every call. Without markers (None) it keeps no state between
+#: calls, so threads may share it; a value containing itself is not detected.
+_encode = json.encoder.c_make_encoder(
+    None, json.JSONEncoder().default, json.encoder.encode_basestring, None, ":", ",", True, False, False
+)
+
+
+def canonical_json(value) -> str:
+    """``value``'s canonical JSON text, the text ``json.dumps`` gives with
+    the options above: sorted keys, compact separators, non-ASCII kept as
+    is, shortest round-trip decimals, ValueError on NaN or an infinity and
+    TypeError on a value JSON cannot hold. It encodes each event line, the
+    manifest, and the config, corpus and run-id digests."""
+    return "".join(_encode(value, 0))
 
 
 @dataclass(slots=True)
@@ -172,10 +181,7 @@ class EventLog:
         self.lock(create=True)
         if os.fstat(self._handle.fileno()).st_size and not _finished(self.path) and _started(self.path):
             self.close()
-            raise LogError(
-                f"{self.path} holds an unfinished run; continue it with --resume,"
-                " or remove the file to start over"
-            )
+            raise UnfinishedLogError(self.path)
         self._handle.truncate(0)
         self._append(canonical_json(manifest) + "\n")
 
@@ -212,11 +218,12 @@ class EventLog:
         return event
 
     def _append(self, text: str) -> None:
-        """Hand ``text``'s UTF-8 bytes to the OS, writing again after a
-        partial write until all of them are written."""
-        data = memoryview(text.encode("utf-8"))
-        while data:
-            data = data[self._handle.write(data):]
+        """Hand ``text``'s UTF-8 bytes to the OS in one write, writing the
+        rest again after a partial write until all of them are written."""
+        data = text.encode("utf-8")
+        rest = len(data) - self._handle.write(data)
+        while rest:
+            rest -= self._handle.write(memoryview(data)[-rest:])
 
     def close(self) -> None:
         if self._handle is not None:

@@ -45,7 +45,10 @@ class EmbeddingCache:
         self._vectors: dict[str, np.ndarray] = {}
 
     def embed_one(self, text: str) -> np.ndarray:
-        return self.embed_many([text])[0]
+        """``text``'s vector: a hit is one dict lookup, a miss goes through
+        :meth:`embed_many`."""
+        vector = self._vectors.get(text)
+        return self.embed_many([text])[0] if vector is None else vector
 
     def embed_many(self, texts: Sequence[str]) -> list[np.ndarray]:
         """Vectors of ``texts``, in input order. The texts not cached yet go

@@ -597,6 +597,23 @@ class TestReportAndDemo:
         assert "--resume" not in result.output + result.stderr
         assert log.read_bytes().split(b"\n")[1:] == fixture.split(b"\n")[1:]
 
+    def test_demo_continues_its_unfinished_log(self, runner, tmp_path):
+        """A demo log cut after round 1's PromptRegenerated holds an
+        unfinished run: the next demo continues it to the fixture's events
+        instead of pointing to an option demo does not have."""
+        fixture = (Path(__file__).parent / "fixtures" / "demo-0.2.0.jsonl").read_bytes()
+        lines = fixture.split(b"\n")
+        # Round 0's initial plan, then round 1's refined one.
+        at = [i for i, line in enumerate(lines) if b'"kind":"PromptRegenerated"' in line][1]
+        out_dir = tmp_path / "demo"
+        out_dir.mkdir()
+        log = out_dir / "32e6351267ef29a6.jsonl"
+        log.write_bytes(b"\n".join(lines[: at + 1]) + b"\n")
+        result = runner.invoke(main, ["demo", "--output-dir", str(out_dir)])
+        assert result.exit_code == 0, result.output + repr(result.exception)
+        assert "--resume" not in result.output + result.stderr
+        assert log.read_bytes().split(b"\n")[1:] == lines[1:]
+
     def test_report_json_on_demo_log(self, runner, tmp_path):
         out_dir = os.path.join(tmp_path, "demo")
         assert runner.invoke(main, ["demo", "--output-dir", out_dir]).exit_code == 0

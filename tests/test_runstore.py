@@ -4,10 +4,13 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import (
     FIXED_CREATED_AT,
@@ -114,6 +117,26 @@ class TestAppendRules:
         log.close()
         assert read_log(log.path)[1][0].payload == {"task_prompt": "Zustand ü" * 5}
 
+    def test_one_write_per_event(self, tmp_path):
+        """When the OS takes the whole line, each emit is one write call
+        with that line, and nothing else is called on the handle."""
+        log = started_log(tmp_path)
+        handle = log._handle
+        calls = []
+
+        class Recorder:
+            def write(self, data):
+                calls.append(("write", bytes(data)))
+                return handle.write(data)
+
+        log._handle = Recorder()
+        log.emit("RunStarted", {"task_prompt": "Zustand ü"})
+        log.emit("SampleGenerated", {"text": "Der Patient ist stabil."})
+        log._handle = handle
+        log.close()
+        lines = Path(log.path).read_bytes().split(b"\n")[1:-1]
+        assert calls == [("write", line + b"\n") for line in lines]
+
 
 class TestStart:
     def test_unfinished_log_is_kept(self, tmp_path):
@@ -197,6 +220,74 @@ class TestCanonicalSerialization:
     def test_non_ascii_stays_readable(self):
         event = RunEvent(seq=1, ts=1, kind="RoundSummarized", payload={"text": "unverändert"})
         assert "unverändert" in event.to_line()
+
+
+def dumps_canonical(value):
+    return json.dumps(value, sort_keys=True, ensure_ascii=False, separators=(",", ":"), allow_nan=False)
+
+
+#: JSON values: nested objects and arrays of strings (``st.text()`` draws
+#: control characters in about 40% of them and non-ASCII in about 90%), ints
+#: far past 64 bits, and floats with their edge cases.
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**60), max_value=10**60)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([-0.0, 5e-324, 1e308])
+    | st.text(),
+    lambda children: st.lists(children, max_size=5) | st.dictionaries(st.text(), children, max_size=5),
+    max_leaves=10,
+)
+
+
+class TestCanonicalJsonIsJsonDumps:
+    @given(json_values)
+    def test_same_text(self, value):
+        assert canonical_json(value) == dumps_canonical(value)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), {"a": [1, float("nan")]}])
+    def test_non_finite_float_is_a_value_error(self, value):
+        for encode in (canonical_json, dumps_canonical):
+            with pytest.raises(ValueError):
+                encode(value)
+
+    @pytest.mark.parametrize("value", [object(), {"a": {1, 2}}, [b"bytes"]])
+    def test_unsupported_object_is_a_type_error(self, value):
+        for encode in (canonical_json, dumps_canonical):
+            with pytest.raises(TypeError):
+                encode(value)
+
+    def test_two_threads_encode_one_dict(self):
+        """The one encoder keeps no state between calls: two threads
+        encoding one shared dict at once both get its text. Its keys compare
+        in Python code, so a thread may switch while the encoder sorts them."""
+
+        class Key(str):
+            def __lt__(self, other):
+                return str.__lt__(self, other)
+
+        shared = {Key(f"key {i}"): [i, "ü", {"nested": i / 7}] for i in range(20_000)}
+        expected = dumps_canonical(shared)
+        start = threading.Barrier(2)
+        results, errors = [], []
+
+        def encode():
+            start.wait()
+            for _ in range(3):
+                try:
+                    results.append(canonical_json(shared))
+                except ValueError as exc:  # "Circular reference detected"
+                    errors.append(exc)
+
+        threads = [threading.Thread(target=encode) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert errors == []
+        assert results == [expected] * 6
 
 
 class TestReadLog:
