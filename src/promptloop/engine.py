@@ -9,7 +9,7 @@ Once the best archive is full the run switches to the guided mutation phase.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import mutation, runstore, templates
 from .errors import (BACKEND_ERRORS, BackendUnavailableError, ConfigError, DigestMismatchError, LogError,
@@ -59,6 +59,13 @@ def check_transition(state: EngineState, config: EngineConfig) -> str:
     return "feedback_loop"
 
 
+def _reply(outcome: str | Exception) -> str:
+    """A batch outcome's reply; a backend error is raised."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
 class Engine:
     """State machine driving one optimization run.
 
@@ -74,6 +81,12 @@ class Engine:
     sample-index order. The engine changes the run state only by logging an
     event and applying it (:meth:`record`), through the same function replay
     folds a log with.
+
+    The last feedback round's plan request goes out in one batch with
+    mutation step 1's rewrite request, whose picks are fixed once the round
+    has archived its prompt. The rewrite is counted, and its reply or error
+    handed out, only when step 1 asks :meth:`_chat` for that very call; any
+    other call goes to the backend as usual.
     """
 
     def __init__(self, gateway, evaluator, config: EngineConfig, log: runstore.EventLog, task_prompt: str) -> None:
@@ -85,6 +98,10 @@ class Engine:
         self.log = log
         self.task_prompt = task_prompt
         self.state = EngineState.initial(config.seed, config.best_capacity, config.worst_capacity)
+        #: A chat call sent ahead of its turn, with its reply or backend
+        #: error; the next :meth:`_chat` takes it, and uses it only if it
+        #: makes that very call.
+        self._ahead: tuple[ChatCall, str | Exception] | None = None
 
     def record(self, kind: str, payload: dict, picks=None) -> None:
         """Log one event, then apply it to the run state."""
@@ -92,34 +109,48 @@ class Engine:
 
     # ------------------------------------------------------------------ chat
 
-    def _call(self, role: ModelRole, user_message: str) -> ChatCall:
-        """Build one chat request and count it against its role in the state."""
+    def _request(self, role: ModelRole, user_message: str) -> ChatCall:
+        """Build one chat request at its role's current call index."""
         messages = tuple(self.config.example_messages.get(role, ())) + (("user", user_message),)
-        calls = self.state.chat_calls
         exchange = ChatExchange(
             role=role,
-            index=calls[role.value],
+            index=self.state.chat_calls[role.value],
             system_prompt=self.config.system_prompts[role],
             messages=messages,
         )
-        calls[role.value] += 1
         return exchange, self.config.role_params[role]
 
+    def _call(self, role: ModelRole, user_message: str) -> ChatCall:
+        """Build one chat request and count it against its role in the state."""
+        call = self._request(role, user_message)
+        self.state.chat_calls[role.value] += 1
+        return call
+
     def _chat(self, role: ModelRole, user_message: str) -> str:
-        return self.gateway.chat(*self._call(role, user_message))
+        """One chat call. If it is the call sent ahead, its outcome is the
+        one that call got, and no request goes out."""
+        call = self._call(role, user_message)
+        ahead, self._ahead = self._ahead, None
+        if ahead is not None and ahead[0] == call:
+            return _reply(ahead[1])
+        return self.gateway.chat(*call)
 
     def _chat_many(self, requests: list[tuple[ModelRole, str]]) -> list[str]:
-        """Send independent requests as one batch. Every request is counted
-        when the batch is built, so the indices stay aligned after a failure."""
-        return self.gateway.chat_many([self._call(role, message) for role, message in requests])
+        """Send independent requests as one batch; the replies, or the first
+        failure in input order raised. Every request is counted when the
+        batch is built, so the indices stay aligned after a failure."""
+        outcomes = self.gateway.chat_many([self._call(role, message) for role, message in requests])
+        return [_reply(outcome) for outcome in outcomes]
 
     # ------------------------------------------------------------- round ops
 
-    def generate_step_plan(self, feedback_summary: str | None) -> str:
-        request = templates.compose_step_plan_request(
+    def _plan_request(self, feedback_summary: str | None) -> str:
+        return templates.compose_step_plan_request(
             self.task_prompt, feedback_summary, self.state.best.entries, self.state.worst.entries
         )
-        return self._chat(ModelRole.PROMPTING, request)
+
+    def generate_step_plan(self, feedback_summary: str | None) -> str:
+        return self._chat(ModelRole.PROMPTING, self._plan_request(feedback_summary))
 
     def draw_samples(self, candidate_id: str, step_plan: str) -> list[tuple[str, float]]:
         """Send the actor calls for one prompt as a batch and score the
@@ -213,7 +244,27 @@ class Engine:
             )
 
         self.record("ArchivesUpdated", {"round": round_no, "candidate_id": candidate.id, "score": mean})
-        self._publish_plan(round_no, self.generate_step_plan(summary))
+        self._publish_plan(round_no, self._next_plan(round_no, summary))
+
+    def _next_plan(self, round_no: int, summary: str) -> str:
+        """The plan the round after ``round_no`` would run. When the run
+        turns to mutation after this round and the phase runs a step, step
+        1's rewrite request goes out in one batch with the plan request: its
+        picks are fixed once the round has archived its prompt. The
+        rewrite's outcome waits for step 1 (see :meth:`_chat`); a failed plan
+        request is raised as the lone call's would be."""
+        # The state as this round's commit leaves it, in all the checks read.
+        committed = replace(self.state, round=round_no)
+        if check_transition(committed, self.config) != "mutation" or not mutation.step_due(committed, self.config):
+            return self.generate_step_plan(summary)
+        picks = mutation.draw_picks(self.state)
+        rewrite = self._request(
+            ModelRole.MUTATOR, templates.compose_mutation_request(picks.source.step_plan, picks.original)
+        )
+        plan_call = self._call(ModelRole.PROMPTING, self._plan_request(summary))
+        plan, outcome = self.gateway.chat_many([plan_call, rewrite])
+        self._ahead = (rewrite, outcome)
+        return _reply(plan)
 
     def _publish_plan(self, round_no: int, plan: str) -> None:
         """Log the prompt the next round runs; this commits the round."""

@@ -10,13 +10,16 @@ The mock looks its reply up by that index, and the HTTP backend derives the
 request's sampling seed from it, so a resumed run repeats exactly the calls
 of the uninterrupted one.
 
-``chat_many`` sends a batch of independent calls and returns the replies in
-input order; ``embed`` does the same for texts. Over HTTP the chat calls and
-the embed requests of :data:`EMBED_BATCH` texts each run concurrently, at
-most :data:`MAX_IN_FLIGHT` at a time; every one is issued, and the first
-failure in input order is raised once the whole batch is done; a batch of one
+``chat_many`` sends a batch of independent calls, every one of them, and
+returns each call's outcome in input order: its reply, or the backend error
+it failed with (an instance of :data:`~promptloop.errors.BACKEND_ERRORS`;
+any other exception propagates). The caller decides what a failure means.
+``embed`` returns the vectors of its texts in input order and raises the
+first failure in input order once all its requests are done. Over HTTP the
+chat calls and the embed requests of :data:`EMBED_BATCH` texts each run
+concurrently, at most :data:`MAX_IN_FLIGHT` at a time, and a batch of one
 request is sent on the calling thread. The mock runs chat calls in index
-order and raises at the first failure.
+order.
 
 The HTTP client, ``requests``, is imported only when an :class:`HttpBackend`
 is built, so mock runs, reports and config checks never load it.
@@ -32,7 +35,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .errors import BackendUnavailableError, EmptyResponseError, ProtocolError
+from .errors import BACKEND_ERRORS, BackendUnavailableError, EmptyResponseError, ProtocolError
 from .roles import ModelRole, SamplingParams
 from .state import SplitMix64
 
@@ -117,6 +120,14 @@ class ChatExchange:
 ChatCall = tuple[ChatExchange, SamplingParams]
 
 
+def _outcome(chat, call: ChatCall) -> str | Exception:
+    """``chat`` of one call: its reply, or the backend error it raised."""
+    try:
+        return chat(*call)
+    except BACKEND_ERRORS as exc:
+        return exc
+
+
 @dataclass(frozen=True)
 class BackendDescriptor:
     """Where and how to reach the chat/embedding backend."""
@@ -167,10 +178,10 @@ class MockBackend:
             raise EmptyResponseError(f"empty completion for role {exchange.role.value}")
         return text
 
-    def chat_many(self, calls: Sequence[ChatCall]) -> list[str]:
-        """Run the calls one after another in index order, through :meth:`chat`;
-        the first failure ends the batch."""
-        return [self.chat(exchange, params) for exchange, params in calls]
+    def chat_many(self, calls: Sequence[ChatCall]) -> list[str | Exception]:
+        """Run every call through :meth:`chat`, one after another in input
+        order; each call's reply or backend error, in that order."""
+        return [_outcome(self.chat, call) for call in calls]
 
     def embed(self, texts: Sequence[str]) -> list[np.ndarray]:
         if not texts:
@@ -244,10 +255,11 @@ class HttpBackend:
             raise EmptyResponseError(f"empty completion for role {exchange.role.value}")
         return content
 
-    def chat_many(self, calls: Sequence[ChatCall]) -> list[str]:
-        """Run the calls concurrently through :meth:`chat`, all sharing this
-        backend's session."""
-        return self._in_flight(lambda call: self.chat(*call), calls)
+    def chat_many(self, calls: Sequence[ChatCall]) -> list[str | Exception]:
+        """Run every call concurrently through :meth:`chat`, all sharing this
+        backend's session; each call's reply or backend error, in input
+        order."""
+        return self._in_flight(functools.partial(_outcome, self.chat), calls)
 
     def embed(self, texts: Sequence[str]) -> list[np.ndarray]:
         """Vectors of ``texts`` in input order, embedded :data:`EMBED_BATCH`
@@ -264,9 +276,9 @@ class HttpBackend:
     def _in_flight(self, send, items: Sequence) -> list:
         """``send`` of every item on a pool of at most :data:`MAX_IN_FLIGHT`
         threads; the results in input order. Every item is sent, and the
-        first failure in input order is raised once all have finished. A
-        single item is sent on the calling thread, which a pool would only
-        keep waiting."""
+        first exception ``send`` raised, in input order, is raised once all
+        have finished. A single item is sent on the calling thread, which a
+        pool would only keep waiting."""
         if len(items) <= 1:
             return [send(item) for item in items]
         pool = ThreadPoolExecutor(

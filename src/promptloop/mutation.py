@@ -71,6 +71,12 @@ def draw_picks(state) -> Picks:
     return Picks(state.mutation_step + 1, source, archive_index, sentence_index, rng.state, sentences)
 
 
+def step_due(state, config) -> bool:
+    """Whether the mutation phase runs another step: budget is left and the
+    score target is not reached."""
+    return state.mutation_step < config.mutation_budget and not state.reached(config.score_target)
+
+
 def run_mutation_phase(engine) -> None:
     """Drive the whole mutation phase on the engine.
 
@@ -81,7 +87,7 @@ def run_mutation_phase(engine) -> None:
     """
     state = engine.state
     config = engine.config
-    while state.mutation_step < config.mutation_budget and not state.reached(config.score_target):
+    while step_due(state, config):
         picks = draw_picks(state)
         mutant_id = f"mut-{picks.step:04d}"
 

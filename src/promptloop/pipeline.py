@@ -78,14 +78,15 @@ def run_optimization(
 
     The log lands at ``output_dir/<run_id>.jsonl``; the run id is a digest
     of config, corpus, and prompt, so repeated identical runs share a name
-    and identical event bytes.
+    and identical event bytes. ``output_dir`` is made, or refused, before
+    any backend request.
     """
-    runtime = build_runtime(config, corpus_texts)
-    run_id = run_id_for(runtime.config_digest, runtime.corpus_digest, task_prompt)
     try:
         os.makedirs(config.output_dir, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output_dir {config.output_dir}: {exc}") from exc
+    runtime = build_runtime(config, corpus_texts)
+    run_id = run_id_for(runtime.config_digest, runtime.corpus_digest, task_prompt)
     log_path = os.path.join(config.output_dir, f"{run_id}.jsonl")
     manifest = build_manifest(
         run_id=run_id,

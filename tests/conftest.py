@@ -19,7 +19,7 @@ from promptloop.config import (
     run_id_for,
 )
 from promptloop.engine import Engine
-from promptloop.errors import BackendUnavailableError, PromptloopError
+from promptloop.errors import BACKEND_ERRORS, BackendUnavailableError
 from promptloop.gateway import BackendDescriptor, MockBackend
 from promptloop.mutation import draw_picks
 from promptloop.roles import ModelRole, SamplingParams
@@ -219,8 +219,8 @@ class OneShotFault:
     that fails after the server answered, and then raises ``error``.
     ``at=None`` only counts calls.
 
-    A batch issues every call and raises its first failure afterwards, the
-    way the HTTP backend does.
+    A batch issues every call and returns each call's reply or backend
+    error, the way both backends do.
     """
 
     def __init__(self, backend, op="chat", at=None, error=BackendUnavailableError):
@@ -244,15 +244,13 @@ class OneShotFault:
         return reply
 
     def chat_many(self, calls):
-        replies, failures = [], []
+        outcomes = []
         for exchange, params in calls:
             try:
-                replies.append(self.chat(exchange, params))
-            except PromptloopError as exc:
-                failures.append(exc)
-        if failures:
-            raise failures[0]
-        return replies
+                outcomes.append(self.chat(exchange, params))
+            except BACKEND_ERRORS as exc:
+                outcomes.append(exc)
+        return outcomes
 
     def embed(self, texts):
         vectors = self.backend.embed(texts)

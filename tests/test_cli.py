@@ -129,6 +129,16 @@ class TestOptimize:
         assert taken.read_text() == "not a directory"
         assert not list(tmp_path.rglob("*.tmp"))
 
+    def test_output_dir_that_is_a_file_exits_two_before_any_request(self, runner, tmp_path, ollama):
+        # the corpus is not embedded for a run that cannot write its log
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory")
+        config = small_config(tmp_path, output_dir=str(taken), backend={"kind": "http", "base_url": "http://stub"})
+        result = runner.invoke(main, ["optimize", config, "--prompt", "Aufgabe"])
+        assert result.exit_code == 2, result.output + repr(result.exception)
+        assert f"cannot create output_dir {taken}" in result.stderr
+        assert ollama.requests == []
+
     def test_empty_prompt_rejected(self, runner, tmp_path):
         config = small_config(tmp_path)
         result = runner.invoke(main, ["optimize", config, "--prompt", "   "])

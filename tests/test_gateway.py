@@ -88,9 +88,11 @@ class TestMockChat:
         backend = RecordingBackend(
             BackendDescriptor(), {ModelRole.ACTOR: ["a", FAILURE_MARKER, "", "d"]}
         )
-        with pytest.raises(BackendUnavailableError):
-            backend.chat_many([(exchange(index=i), PARAMS) for i in range(4)])
-        assert len(backend.calls) == 2  # a mock batch stops at its first failure
+        a, failed, empty, d = backend.chat_many([(exchange(index=i), PARAMS) for i in range(4)])
+        assert (a, d) == ("a", "d")
+        assert type(failed) is BackendUnavailableError and str(failed) == "scripted failure for role actor"
+        assert type(empty) is EmptyResponseError and str(empty) == "empty completion for role actor"
+        assert len(backend.calls) == 4  # a mock batch issues every call
         assert backend.chat(exchange(index=3), PARAMS) == "d"
         assert backend.chat(exchange(index=0), PARAMS) == "a"
         assert backend.chat(exchange(index=4), PARAMS) == "ECHO: Schreib einen Brief"
@@ -102,8 +104,8 @@ class TestMockChat:
         # it gets the reply at its index however far the batch got
         script = ["a", FAILURE_MARKER, "", "d", "e"]
         backend = MockBackend(BackendDescriptor(), {ModelRole.ACTOR: script})
-        with pytest.raises(BackendUnavailableError):
-            backend.chat_many([(exchange(index=i), PARAMS) for i in range(4)])
+        outcomes = backend.chat_many([(exchange(index=i), PARAMS) for i in range(4)])
+        assert [type(outcome) for outcome in outcomes] == [str, BackendUnavailableError, EmptyResponseError, str]
         assert backend.chat(exchange(index=4), PARAMS) == "e"
         fresh = MockBackend(BackendDescriptor(), {ModelRole.ACTOR: script})
         assert fresh.chat(exchange(index=4), PARAMS) == "e"
@@ -113,6 +115,14 @@ class TestMockChat:
         backend = MockBackend(BackendDescriptor(), {ModelRole.ACTOR: ["a", "b", "c"]})
         assert backend.chat(exchange(index=2), PARAMS) == "c"
         assert backend.chat(exchange(index=7), PARAMS).startswith("ECHO: ")  # past the end
+
+    def test_batch_propagates_an_error_that_is_not_the_backends(self):
+        class Broken(MockBackend):
+            def chat(self, exchange, params):
+                raise RuntimeError("bug")
+
+        with pytest.raises(RuntimeError, match="bug"):
+            Broken(BackendDescriptor()).chat_many([(exchange(), PARAMS)])
 
     def test_repeat_calls_deterministic(self):
         first = MockBackend(BackendDescriptor(), {ModelRole.ACTOR: ["a", "b"]})
@@ -387,12 +397,15 @@ class TestHttpChatMany:
         assert backend.chat_many(calls) == [f"reply {i}" for i in range(4)]
         assert session.completed == [3, 2, 1, 0]
 
-    def test_failed_batch_issues_every_call_and_raises_first_failure(self):
+    def test_failed_batch_issues_every_call_and_returns_each_failure(self):
         session = ReverseOrderSession(4, statuses={1: 404, 3: 400})
         backend = HttpBackend(http_descriptor(), session)
         calls = [(exchange(text=f"call {i}"), PARAMS) for i in range(4)]
-        with pytest.raises(BackendUnavailableError, match="404"):
-            backend.chat_many(calls)
+        first, not_found, third, refused = backend.chat_many(calls)
+        assert (first, third) == ("reply 0", "reply 2")
+        for error, status in ((not_found, 404), (refused, 400)):
+            assert type(error) is BackendUnavailableError
+            assert str(error) == f"http://localhost:11434/api/chat answered HTTP {status}; not retried"
         assert session.completed == [3, 2, 1, 0]
 
     def test_batch_wider_than_the_pool_keeps_input_order(self):

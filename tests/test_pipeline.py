@@ -1,14 +1,19 @@
 import json
 import os
+import threading
 from pathlib import Path
 
 import pytest
 import requests
 
 from conftest import FakeResponse, write_config_file, write_corpus_file
+from promptloop import pipeline
 from promptloop.config import corpus_digest, load_config
-from promptloop.errors import ConfigError, ProtocolError
+from promptloop.demo import run_demo
+from promptloop.engine import Engine
+from promptloop.errors import ConfigError, ProtocolError, RunAbortedError
 from promptloop.pipeline import build_runtime, resume_optimization, run_optimization
+from promptloop.roles import DEFAULT_SYSTEM_PROMPTS, ModelRole
 from promptloop.runstore import canonical_json, read_log
 
 CORPUS = [
@@ -196,3 +201,179 @@ class TestResumeRequests:
         assert ollama.bodies("/api/embed") == [fresh_embeds[-1]]
         assert len(fresh_embeds[-1]["input"]) == 2
         assert len(ollama.requests) == round_calls + 1
+
+
+class StageCounter:
+    """Backend proxy counting each top-level ``chat`` or ``chat_many`` call
+    as one sequential stage of the run's critical path, and the chat calls
+    of all of them."""
+
+    def __init__(self, backend):
+        self.backend = backend
+        self.stages = 0
+        self.chats = 0
+
+    def __getattr__(self, name):
+        return getattr(self.backend, name)
+
+    def chat(self, exchange, params):
+        self.stages += 1
+        self.chats += 1
+        return self.backend.chat(exchange, params)
+
+    def chat_many(self, calls):
+        self.stages += 1
+        self.chats += len(calls)
+        return self.backend.chat_many(calls)
+
+
+class TestCriticalPath:
+    """Sequential chat stages per run: an initial plan, 4 per feedback round
+    (actors, feedback, summary, plan) and 2 per mutation step (rewrite,
+    actors), less one: step 1's rewrite goes out with the last round's
+    plan."""
+
+    @pytest.fixture
+    def counters(self, monkeypatch):
+        counters, backend = [], pipeline._backend
+
+        def counted(config):
+            counters.append(StageCounter(backend(config)))
+            return counters[-1]
+
+        monkeypatch.setattr(pipeline, "_backend", counted)
+        return counters
+
+    def test_demo(self, tmp_path, counters):
+        run_demo(tmp_path)
+        [counter] = counters
+        assert (counter.stages, counter.chats) == (1 + 3 * 4 + 2 * 2 - 1, 25)
+
+    def test_latency_http_shape(self, tmp_path, counters):
+        engine = {"samples_per_round": 4, "best_capacity": 4, "worst_capacity": 4,
+                  "max_rounds": 5, "mutation_budget": 4, "seed": 42}
+        log = run_optimization(library_config(tmp_path, engine=engine), "Schreibe einen Arztbrief.")
+        [counter] = counters
+        assert (counter.stages, counter.chats) == (1 + 4 * 4 + 4 * 2 - 1, 61)
+        assert read_log(log)[1][-1].payload["rounds"] == 4
+
+
+ROLE_OF = {prompt: role for role, prompt in DEFAULT_SYSTEM_PROMPTS.items()}
+
+
+def role_of(body):
+    """The role of a chat request body (by its system prompt); None for an
+    embed request."""
+    messages = body.get("messages") if body else None
+    return ROLE_OF.get(messages[0]["content"]) if messages else None
+
+
+def answer(stub, role, nth, reply):
+    """Make ``stub`` answer the ``nth`` distinct request of ``role`` (from 1),
+    and every retry of it, with ``reply``."""
+    post, seen = stub.post, []
+
+    def post_with_fault(url, json=None, timeout=None):
+        if role_of(json) is role:
+            if json not in seen:
+                seen.append(json)
+            if seen.index(json) + 1 == nth:
+                return reply
+        return post(url, json=json, timeout=timeout)
+
+    stub.post = post_with_fault
+
+
+def sequential_next_plan(engine, round_no, summary):
+    """The last round's plan request sent on its own, as every other."""
+    return engine.generate_step_plan(summary)
+
+
+def event_lines(path):
+    return Path(path).read_text(encoding="utf-8").splitlines()[1:]
+
+
+class TestFirstRewriteAhead:
+    """The last feedback round's plan request and mutation step 1's rewrite
+    request go out together over HTTP; each outcome lands where the lone
+    call's would. The reference is the same run with the plan request sent
+    alone."""
+
+    ENGINE = {"samples_per_round": 2, "best_capacity": 2, "worst_capacity": 2,
+              "max_rounds": 3, "mutation_budget": 2, "seed": 42}
+    TASK = "Schreibe einen Arztbrief."
+    FAILING = FakeResponse({"error": "overloaded"}, 500)
+
+    def config(self, tmp_path, name):
+        return library_config(tmp_path, backend=HTTP_BACKEND, engine=self.ENGINE,
+                              output_dir=os.path.join(tmp_path, name))
+
+    def both_runs(self, tmp_path, monkeypatch, stub, role, nth, reply):
+        """Event lines of the run with the pair, then with the plan alone,
+        both under the same fault; the first run's log path."""
+        logs = []
+        for name in ("paired", "sequential"):
+            answer(stub, role, nth, reply)
+            with monkeypatch.context() as patch:
+                if name == "sequential":
+                    patch.setattr(Engine, "_next_plan", sequential_next_plan)
+                try:
+                    run_optimization(self.config(tmp_path, name), self.TASK)
+                except RunAbortedError:
+                    pass
+            del stub.post
+            [log] = (tmp_path / name).glob("*.jsonl")
+            logs.append(log)
+        assert event_lines(logs[0]) == event_lines(logs[1])
+        return logs[0]
+
+    @pytest.mark.parametrize(
+        "reply, kinds, message",
+        [
+            (FakeResponse({"message": {}}), ["BackendFailure", "MutationRejected"],
+             "chat response missing message.content: {'message': {}}"),
+            (FakeResponse({"message": {"content": " \n "}}), ["MutationRejected"], None),
+            (FAILING, ["BackendFailure", "MutationRejected"],
+             "http://stub/api/chat unreachable after 3 attempts: status 500"),
+        ],
+        ids=["malformed", "empty", "failing"],
+    )
+    def test_failed_rewrite_costs_step_one_only(self, tmp_path, monkeypatch, ollama, reply, kinds, message):
+        log = self.both_runs(tmp_path, monkeypatch, ollama, ModelRole.MUTATOR, 1, reply)
+        events = read_log(log)[1]
+        turn = next(i for i, e in enumerate(events) if e.kind == "PhaseTransition" and e.payload["to"] == "mutation")
+        assert [e.kind for e in events[turn - 1 : turn + 1 + len(kinds)]] == ["PromptRegenerated", "PhaseTransition", *kinds]
+        assert not [e for e in events[:turn] if e.kind == "BackendFailure"]
+        assert events[turn - 1].payload["round"] == 2
+        step_one = events[turn + len(kinds)].payload
+        assert (step_one["step"], step_one["reason"]) == (1, "backend-failure" if message else "empty-rewrite")
+        if message:
+            assert events[turn + 1].payload == {"phase": "mutation", "step": 1, "message": message}
+        assert events[-1].kind == "RunFinished"
+
+    def test_failed_plan_aborts_the_round_and_resumes_to_the_full_run(self, tmp_path, monkeypatch, ollama):
+        full = run_optimization(self.config(tmp_path, "full"), self.TASK)
+        # prompting requests: the initial plan, round 1's, then round 2's
+        log = self.both_runs(tmp_path, monkeypatch, ollama, ModelRole.PROMPTING, 3, self.FAILING)
+        last = read_log(log)[1][-1]
+        assert (last.kind, last.payload["phase"], last.payload["round"]) == ("BackendFailure", "feedback_loop", 2)
+        resume_optimization(self.config(tmp_path, "paired"), log)
+        assert event_lines(log) == event_lines(full)
+
+    def test_plan_and_rewrite_are_in_flight_together(self, tmp_path, ollama):
+        post, plans, overlapped = ollama.post, [], []
+        rewrite_arrived = threading.Event()
+
+        def post_holding_the_last_plan(url, json=None, timeout=None):
+            role = role_of(json)
+            if role is ModelRole.MUTATOR:
+                rewrite_arrived.set()
+            elif role is ModelRole.PROMPTING:
+                plans.append(json)
+                if len(plans) == 3:  # round 2's plan waits, at most 5 s, for the rewrite
+                    overlapped.append(rewrite_arrived.wait(5))
+            return post(url, json=json, timeout=timeout)
+
+        ollama.post = post_holding_the_last_plan
+        run_optimization(self.config(tmp_path, "paired"), self.TASK)
+        assert overlapped == [True]
