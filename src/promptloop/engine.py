@@ -80,7 +80,9 @@ class Engine:
     every event happen on the calling thread after the batch returns, in
     sample-index order. The engine changes the run state only by logging an
     event and applying it (:meth:`record`), through the same function replay
-    folds a log with.
+    folds a log with. Each role's name, system prompt, example turns and
+    sampling params are resolved from the config once, into a per-role
+    table, so building a request takes one lookup in it.
 
     The last feedback round's plan request goes out in one batch with
     mutation step 1's rewrite request, whose picks are fixed once the round
@@ -98,6 +100,17 @@ class Engine:
         self.log = log
         self.task_prompt = task_prompt
         self.state = EngineState.initial(config.seed, config.best_capacity, config.worst_capacity)
+        #: Per role: its key in ``chat_calls``, system prompt, example turns
+        #: and sampling params, fixed for the run.
+        self._roles = {
+            role: (
+                role.value,
+                config.system_prompts[role],
+                tuple(config.example_messages.get(role, ())),
+                config.role_params[role],
+            )
+            for role in ModelRole
+        }
         #: A chat call sent ahead of its turn, with its reply or backend
         #: error; the next :meth:`_chat` takes it, and uses it only if it
         #: makes that very call.
@@ -111,19 +124,19 @@ class Engine:
 
     def _request(self, role: ModelRole, user_message: str) -> ChatCall:
         """Build one chat request at its role's current call index."""
-        messages = tuple(self.config.example_messages.get(role, ())) + (("user", user_message),)
+        name, system_prompt, examples, params = self._roles[role]
         exchange = ChatExchange(
             role=role,
-            index=self.state.chat_calls[role.value],
-            system_prompt=self.config.system_prompts[role],
-            messages=messages,
+            index=self.state.chat_calls[name],
+            system_prompt=system_prompt,
+            messages=examples + (("user", user_message),),
         )
-        return exchange, self.config.role_params[role]
+        return exchange, params
 
     def _call(self, role: ModelRole, user_message: str) -> ChatCall:
         """Build one chat request and count it against its role in the state."""
         call = self._request(role, user_message)
-        self.state.chat_calls[role.value] += 1
+        self.state.chat_calls[self._roles[role][0]] += 1
         return call
 
     def _chat(self, role: ModelRole, user_message: str) -> str:

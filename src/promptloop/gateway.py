@@ -31,7 +31,7 @@ import functools
 import time
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
@@ -99,8 +99,7 @@ def call_seed(base: int, role: ModelRole, index: int) -> int:
     return SplitMix64(key).next_u64() >> 33
 
 
-@dataclass(frozen=True)
-class ChatExchange:
+class ChatExchange(NamedTuple):
     """One chat request: a role, the role's call index, its system prompt,
     and the message history.
 
@@ -108,6 +107,10 @@ class ChatExchange:
     is an ordered tuple of (speaker, text) pairs with speakers "user" or
     "assistant" (the config checks the example turns), ending in the user
     message the engine adds.
+
+    A NamedTuple: immutable, compared by value, and built as one tuple
+    allocation, which the engine does for every call. Being a tuple, it
+    also equals a plain tuple of its four fields.
     """
 
     role: ModelRole

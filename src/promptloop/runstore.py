@@ -54,11 +54,14 @@ class RunEvent:
     def to_line(self) -> str:
         """The event's log line: ``canonical_json`` of its four fields. The
         envelope's keys are written in their sorted order around the
-        encoded kind and payload, so only those two go through the encoder;
-        ``seq`` and ``ts`` are ints, as :func:`check_next` requires of
-        every event written or read."""
+        encoded payload, which alone goes through the encoder. ``seq`` and
+        ``ts`` are ints, and ``kind`` is a key of
+        :data:`promptloop.state.PAYLOAD_FIELDS`, as :func:`check_next`
+        requires of every event written or read; those keys are ASCII
+        identifiers, whose canonical JSON is the name in double quotes, so
+        the kind is written as it is."""
         return (
-            f'{{"kind":{canonical_json(self.kind)},"payload":{canonical_json(self.payload)},'
+            f'{{"kind":"{self.kind}","payload":{canonical_json(self.payload)},'
             f'"seq":{self.seq},"ts":{self.ts}}}'
         )
 

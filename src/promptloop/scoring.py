@@ -11,6 +11,7 @@ the score is independent of corpus document order down to the last bit.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import InitVar, dataclass, field
 from typing import Sequence
 
@@ -141,7 +142,9 @@ def corpus_score(candidate_text: str, centroid: np.ndarray, cache: EmbeddingCach
     if not candidate_text:
         raise DegenerateInputError("candidate text is empty")
     candidate = cache.embed_one(candidate_text)
-    norm = float(np.linalg.norm(candidate))
+    # numpy.linalg.norm's own formula for a 1-D real vector, without its
+    # Python wrapper: the same bits (pinned in tests/test_scoring.py).
+    norm = math.sqrt(candidate.dot(candidate))
     if norm == 0.0:
         raise DegenerateInputError("candidate text embeds to the zero vector")
     if candidate.shape != centroid.shape:

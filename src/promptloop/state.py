@@ -305,6 +305,8 @@ PAYLOAD_FIELDS = {
         "rounds": _INT, "mutations_applied": _INT, "mutations_rejected": _INT,
     },
 }
+#: The kinds with no such field, which :func:`apply` leaves the state as it is for.
+_TEXT_ONLY = frozenset(kind for kind, fields in PAYLOAD_FIELDS.items() if not fields)
 
 
 def check_payload(event) -> dict:
@@ -334,12 +336,15 @@ def apply(state: EngineState, event, picks: Picks | None = None) -> None:
     ``picks`` are the RNG draws of the mutation step a MutationApplied or
     MutationRejected event closes; the event must record the same ones.
     Events that only carry text (samples, feedback, summaries, failures)
-    leave the state as it is.
+    leave the state as it is: they return right after the phase check,
+    without walking the kind chain below.
     """
     kind, payload = event.kind, check_payload(event)
     expected = payload.get("from") if kind == "PhaseTransition" else _PHASE_OF.get(kind, state.phase)
     if expected != state.phase:
         raise LogError(f"event {event.seq}: {kind} in phase {state.phase!r}, expected {expected!r}")
+    if kind in _TEXT_ONLY:
+        return
     if kind in ("PromptRegenerated", "MutationApplied") and not payload["step_plan"].strip():
         # Both backends refuse a blank reply, and a mutation step could pick no sentence of it.
         raise LogError(f"event {event.seq}: {kind} step_plan is blank")

@@ -367,12 +367,27 @@ def test_check_next_rejects_a_kind_the_table_lacks(logs):
         check_next(first, second)
 
 
-@pytest.mark.parametrize("name", ["demo-0.2.0", "demo-0.1.0", "demo", "long"])
+#: A manifest stand-in, then a BackendFailure event line, which no fixture
+#: log holds, in canonical JSON: its message carries quotes, a backslash and
+#: a non-ASCII character.
+BACKEND_FAILURE_LINES = [
+    "{}",
+    '{"kind":"BackendFailure","payload":{"message":"http://stub/api/chat answered HTTP 400; not retried:'
+    ' \\"Modell \\\\ überlastet\\"","phase":"feedback_loop","round":2},"seq":41,"ts":41}',
+]
+
+
+@pytest.mark.parametrize("name", ["demo-0.2.0", "demo-0.1.0", "demo", "long", "backend-failure"])
 def test_to_line_is_the_canonical_json_of_the_event(logs, name):
-    """``to_line`` writes the envelope around the encoded kind and payload
-    by hand; it must be the canonical JSON of all four fields, which is
-    what every line these logs hold is."""
-    lines = logs[name] if name in logs else (FIXTURES / f"{name}.jsonl").read_text(encoding="utf-8").splitlines()
+    """``to_line`` writes the envelope and the kind around the encoded
+    payload by hand; it must be the canonical JSON of all four fields, which
+    is what every line these logs hold is."""
+    if name == "backend-failure":
+        lines = BACKEND_FAILURE_LINES
+    elif name in logs:
+        lines = logs[name]
+    else:
+        lines = (FIXTURES / f"{name}.jsonl").read_text(encoding="utf-8").splitlines()
     for line in lines[1:]:
         event = RunEvent.from_line(line)
         fields = {"seq": event.seq, "ts": event.ts, "kind": event.kind, "payload": event.payload}

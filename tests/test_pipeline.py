@@ -12,8 +12,9 @@ from promptloop.config import corpus_digest, load_config
 from promptloop.demo import run_demo
 from promptloop.engine import Engine
 from promptloop.errors import ConfigError, ProtocolError, RunAbortedError
+from promptloop.gateway import call_seed
 from promptloop.pipeline import build_runtime, resume_optimization, run_optimization
-from promptloop.roles import DEFAULT_SYSTEM_PROMPTS, ModelRole
+from promptloop.roles import DEFAULT_ROLE_PARAMS, DEFAULT_SYSTEM_PROMPTS, ModelRole, SamplingParams
 from promptloop.runstore import canonical_json, read_log
 
 CORPUS = [
@@ -377,3 +378,52 @@ class TestFirstRewriteAhead:
         ollama.post = post_holding_the_last_plan
         run_optimization(self.config(tmp_path, "paired"), self.TASK)
         assert overlapped == [True]
+
+
+class TestRoleConfigReachesRequests:
+    """Each role's system prompt, example turns and sampling params, as the
+    config sets them, reach every ``/api/chat`` body of that role, around
+    the user message the engine built for that call."""
+
+    ENGINE = {"samples_per_round": 2, "best_capacity": 2, "worst_capacity": 2,
+              "max_rounds": 3, "mutation_budget": 2, "seed": 42,
+              "role_params": {"summarizer": {"temperature": 0.15, "top_k": 7, "top_p": 0.6, "seed": 9}}}
+    ACTOR_SYSTEM = "Du schreibst Arztbriefe nach Anweisung."
+    MUTATOR_TURNS = [["user", "Formuliere um: Der Patient ist stabil."],
+                     ["assistant", "Der Zustand des Patienten ist stabil."]]
+
+    def test_every_body_carries_its_roles_config(self, tmp_path, monkeypatch, ollama):
+        config = library_config(
+            tmp_path, backend=HTTP_BACKEND, engine=self.ENGINE,
+            prompts={"system": {"actor": self.ACTOR_SYSTEM}, "examples": {"mutator": self.MUTATOR_TURNS}},
+        )
+        built, request = set(), Engine._request
+
+        def recording_request(engine, role, user_message):
+            built.add((role, user_message))
+            return request(engine, role, user_message)
+
+        monkeypatch.setattr(Engine, "_request", recording_request)
+        run_optimization(config, "Schreibe einen Arztbrief.")
+
+        systems = {**DEFAULT_SYSTEM_PROMPTS, ModelRole.ACTOR: self.ACTOR_SYSTEM}
+        role_by_system = {prompt: role for role, prompt in systems.items()}
+        params = {**DEFAULT_ROLE_PARAMS, ModelRole.SUMMARIZER: SamplingParams(0.15, 7, 0.6, seed=9)}
+        seeds = {role: [] for role in ModelRole}
+        for body in ollama.bodies("/api/chat"):
+            system, *turns, user = body["messages"]
+            role = role_by_system[system["content"]]
+            assert system["role"] == "system"
+            examples = self.MUTATOR_TURNS if role is ModelRole.MUTATOR else []
+            assert [[turn["role"], turn["content"]] for turn in turns] == examples
+            assert user["role"] == "user" and (role, user["content"]) in built
+            options = body["options"]
+            expected = params[role]
+            assert (options["temperature"], options["top_k"], options["top_p"]) == (
+                expected.temperature, expected.top_k, expected.top_p
+            )
+            seeds[role].append(options["seed"])
+        for role, sent in seeds.items():
+            assert sent, f"no request of role {role.value}"
+            base = params[role].seed
+            assert sorted(sent) == sorted(call_seed(base, role, index) for index in range(len(sent)))

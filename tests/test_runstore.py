@@ -89,11 +89,17 @@ class TestAppendRules:
         with pytest.raises(LogError):
             check_next(started, RunEvent(seq=2, ts=7, kind="RoundStarted", payload={}))
 
-    def test_unknown_kind_rejected(self, tmp_path):
+    @pytest.mark.parametrize("kind", ["SomethingElse", 'RunFinished","x":"', "Sample\"Generated"])
+    def test_unknown_kind_rejected(self, tmp_path, kind):
+        """``to_line`` writes the kind verbatim, so only a kind of the
+        payload table may reach it: one holding a quote is refused, and no
+        byte of it is written."""
         log = started_log(tmp_path)
         log.emit("RunStarted", {})
-        with pytest.raises(LogError):
-            log.emit("SomethingElse", {})
+        before = Path(log.path).read_bytes()
+        with pytest.raises(LogError, match="unknown event kind"):
+            log.emit(kind, {})
+        assert Path(log.path).read_bytes() == before
 
     def test_duplicate_run_started_rejected(self, tmp_path):
         log = started_log(tmp_path)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import FakeResponse, make_corpus, write_corpus_file
 from oracle import corpus_score_ref, embed_ref
@@ -98,6 +99,30 @@ class TestCosine:
         base = cosine(u, v)
         scaled = cosine([a * x for x in u], [b * x for x in v])
         assert scaled == pytest.approx(base, abs=1e-9)
+
+
+@st.composite
+def norm_vectors(draw):
+    """float64 vectors of 1 to 1,024 components, each a mantissa of 0.5 to
+    1 in magnitude times 2**e, with e at most 8 below a top exponent drawn
+    from -1,074 (subnormal) to 511, or from near the top, where 2**511 is
+    about 6.7e153 and the dot product of the larger vectors overflows."""
+    size = draw(st.integers(1, 1024))
+    top = draw(st.integers(-1074, 511) | st.integers(504, 511))
+    mantissas = draw(arrays(np.float64, size, elements=st.floats(0.5, 1.0) | st.floats(-1.0, -0.5)))
+    exponents = draw(arrays(np.int32, size, elements=st.integers(top - 8, top)))
+    return np.ldexp(mantissas, exponents)
+
+
+@given(norm_vectors())
+def test_sqrt_of_the_dot_is_numpys_norm(vector):
+    """``corpus_score`` takes ``|c|`` as ``math.sqrt(c.dot(c))``, numpy's own
+    formula for a 1-D real vector's 2-norm; a numpy whose ``norm`` differs
+    by a bit would move every score."""
+    # No @settings: CI runs this under the "kernels" profile, which a
+    # max_examples here would override.
+    with np.errstate(over="ignore"):  # the overflowing dot products are drawn on purpose
+        assert math.sqrt(vector.dot(vector)).hex() == float(np.linalg.norm(vector)).hex()
 
 
 class TestCorpusScore:
