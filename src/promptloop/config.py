@@ -209,7 +209,7 @@ def resolve_config(raw: dict, env: dict | None = None) -> CliConfig:
     )
 
 
-def load_config(path, env: dict | None = None) -> CliConfig:
+def load_config(path) -> CliConfig:
     try:
         with open(path, encoding="utf-8") as handle:
             raw = json.load(handle)
@@ -217,7 +217,7 @@ def load_config(path, env: dict | None = None) -> CliConfig:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, an int past the digit limit
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-    return resolve_config(raw, env)
+    return resolve_config(raw)
 
 
 def normalize_config(config: CliConfig) -> dict:

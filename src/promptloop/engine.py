@@ -22,7 +22,7 @@ from .roles import (
     ModelRole,
     SamplingParams,
 )
-from .state import EngineState, apply, round_mean
+from .state import EngineState, apply, prompt_regenerated, round_ids, round_mean, round_started, threshold_update
 
 
 @dataclass
@@ -82,7 +82,8 @@ class Engine:
     event and applying it (:meth:`record`), through the same function replay
     folds a log with. Each role's name, system prompt, example turns and
     sampling params are resolved from the config once, into a per-role
-    table, so building a request takes one lookup in it.
+    table, so building a request takes one lookup in it. Each value an event
+    repeats comes from its one derivation in :mod:`promptloop.state`.
 
     The last feedback round's plan request goes out in one batch with
     mutation step 1's rewrite request, whose picks are fixed once the round
@@ -200,7 +201,7 @@ class Engine:
         round_no = self.state.round + 1
         committed = self.state.clone()
         try:
-            self._run_round_inner(round_no)
+            self._run_round_inner()
         except BACKEND_ERRORS as exc:
             self.state = committed
             self.record(
@@ -209,55 +210,33 @@ class Engine:
             )
             raise RunAbortedError(f"round {round_no} aborted: {exc}") from exc
 
-    def _run_round_inner(self, round_no: int) -> None:
+    def _run_round_inner(self) -> None:
         state = self.state
-        candidate = state.current
-        self.record(
-            "RoundStarted",
-            {
-                "round": round_no,
-                "candidate_id": candidate.id,
-                "step_plan": candidate.step_plan,
-                "origin": candidate.origin,
-            },
-        )
+        ids, step_plan = round_ids(state), state.current.step_plan
+        self.record("RoundStarted", round_started(state))
 
-        samples = self.draw_samples(candidate.id, candidate.step_plan)
+        samples = self.draw_samples(ids["candidate_id"], step_plan)
         mean = round_mean([score for _, score in samples])
 
         # Round 1 defines the threshold before any routing happens.
         if state.threshold is None:
-            self.record("ThresholdUpdated", {"round": round_no, "previous": None, "value": mean})
+            self.record("ThresholdUpdated", threshold_update(state, mean))
 
         routes = [route_feedback(score, state.threshold) for _, score in samples]
-        feedbacks = self.collect_feedback(samples, routes, candidate.step_plan)
+        feedbacks = self.collect_feedback(samples, routes, step_plan)
         for index, (route, feedback) in enumerate(zip(routes, feedbacks)):
-            self.record(
-                "FeedbackIssued",
-                {
-                    "round": round_no,
-                    "candidate_id": candidate.id,
-                    "sample_index": index,
-                    "route": route,
-                    "text": feedback,
-                },
-            )
+            self.record("FeedbackIssued", {**ids, "sample_index": index, "route": route, "text": feedback})
 
         summary = self._chat(ModelRole.SUMMARIZER, templates.compose_summary_request(feedbacks))
-        self.record(
-            "RoundSummarized",
-            {"round": round_no, "candidate_id": candidate.id, "text": summary},
-        )
+        self.record("RoundSummarized", {**ids, "text": summary})
 
         # Later rounds raise the threshold only if the new mean beats it.
-        if mean > state.threshold:
-            self.record(
-                "ThresholdUpdated",
-                {"round": round_no, "previous": state.threshold, "value": mean},
-            )
+        update = threshold_update(state, mean)
+        if update is not None:
+            self.record("ThresholdUpdated", update)
 
-        self.record("ArchivesUpdated", {"round": round_no, "candidate_id": candidate.id, "score": mean})
-        self._publish_plan(round_no, self._next_plan(round_no, summary))
+        self.record("ArchivesUpdated", {**ids, "score": mean})
+        self._publish_plan(self._next_plan(ids["round"], summary))
 
     def _next_plan(self, round_no: int, summary: str) -> str:
         """The plan the round after ``round_no`` would run. When the run
@@ -270,27 +249,17 @@ class Engine:
         committed = replace(self.state, round=round_no)
         if check_transition(committed, self.config) != "mutation" or not mutation.step_due(committed, self.config):
             return self.generate_step_plan(summary)
-        picks = mutation.draw_picks(self.state)
-        rewrite = self._request(
-            ModelRole.MUTATOR, templates.compose_mutation_request(picks.source.step_plan, picks.original)
-        )
+        rewrite = self._request(*mutation.rewrite_request(mutation.draw_picks(self.state)))
         plan_call = self._call(ModelRole.PROMPTING, self._plan_request(summary))
         plan, outcome = self.gateway.chat_many([plan_call, rewrite])
         self._ahead = (rewrite, outcome)
         return _reply(plan)
 
-    def _publish_plan(self, round_no: int, plan: str) -> None:
+    def _publish_plan(self, plan: str) -> None:
         """Log the prompt the next round runs; this commits the round."""
         self.record(
             "PromptRegenerated",
-            {
-                "round": round_no,
-                "candidate_id": f"cand-{round_no + 1:04d}",
-                "origin": "refined" if round_no else "initial",
-                "step_plan": plan,
-                "for_round": round_no + 1,
-                "chat_calls": dict(self.state.chat_calls),
-            },
+            {**prompt_regenerated(self.state), "step_plan": plan, "chat_calls": dict(self.state.chat_calls)},
         )
 
     # ------------------------------------------------------------ run driver
@@ -304,7 +273,7 @@ class Engine:
                 {"phase": "feedback_loop", "round": 1, "message": str(exc)},
             )
             raise RunAbortedError(f"initial plan generation failed: {exc}") from exc
-        self._publish_plan(0, plan)
+        self._publish_plan(plan)
 
     def resume(self) -> EngineState:
         """Drive the phases from the current state to RunFinished; returns

@@ -44,11 +44,17 @@ def segment_sentences(text: str) -> tuple[str, ...]:
     return tuple(sentences)
 
 
-def rewrite_sentence(chat: Callable[[ModelRole, str], str], step_plan: str, sentence: str) -> str:
-    """Ask the mutator role for a meaning-preserving rewrite; empty or
-    whitespace-only rewrites raise MutationRejectedError."""
+def rewrite_request(picks: Picks) -> tuple[ModelRole, str]:
+    """A mutation step's rewrite request: the mutator role, asked about the
+    picked prompt and its picked sentence."""
+    return ModelRole.MUTATOR, templates.compose_mutation_request(picks.source.step_plan, picks.original)
+
+
+def rewrite_sentence(chat: Callable[[ModelRole, str], str], picks: Picks) -> str:
+    """Ask the mutator role for a meaning-preserving rewrite of the picked
+    sentence; empty or whitespace-only rewrites raise MutationRejectedError."""
     try:
-        rewritten = chat(ModelRole.MUTATOR, templates.compose_mutation_request(step_plan, sentence))
+        rewritten = chat(*rewrite_request(picks))
     except EmptyResponseError as exc:
         raise MutationRejectedError("mutator returned an empty rewrite") from exc
     if not rewritten.strip():
@@ -89,16 +95,14 @@ def run_mutation_phase(engine) -> None:
     config = engine.config
     while step_due(state, config):
         picks = draw_picks(state)
-        mutant_id = f"mut-{picks.step:04d}"
 
         def finish(kind: str, fields: dict) -> None:
             payload = {**picks.payload(), **fields, "chat_calls": dict(state.chat_calls)}
             engine.record(kind, payload, picks)
 
         try:
-            rewritten = rewrite_sentence(engine._chat, picks.source.step_plan, picks.original)
-            step_plan = picks.mutant(rewritten)
-            samples = engine.draw_samples(mutant_id, step_plan)
+            mutant = picks.applied(rewrite_sentence(engine._chat, picks))
+            samples = engine.draw_samples(mutant["candidate_id"], mutant["step_plan"])
         except MutationRejectedError:
             finish("MutationRejected", {"reason": "empty-rewrite"})
             continue
@@ -112,21 +116,12 @@ def run_mutation_phase(engine) -> None:
         score = round_mean([score for _, score in samples])
         inserted, evicted = state.best.admits(score)
         if inserted:
-            finish(
-                "MutationApplied",
-                {
-                    "original_sentence": picks.original,
-                    "rewritten_sentence": rewritten,
-                    "candidate_id": mutant_id,
-                    "step_plan": step_plan,
-                    "score": score,
-                    "evicted_candidate_id": evicted.candidate_id if evicted else None,
-                },
-            )
+            evicted_id = evicted.candidate_id if evicted else None
+            finish("MutationApplied", {**mutant, "score": score, "evicted_candidate_id": evicted_id})
         else:
             finish(
                 "MutationRejected",
-                {"reason": "below-archive-minimum", "candidate_id": mutant_id, "score": score},
+                {"reason": "below-archive-minimum", "candidate_id": picks.mutant_id, "score": score},
             )
     engine.record(
         "PhaseTransition", {"round": state.round, "from": "mutation", "to": "finished"}

@@ -1,13 +1,13 @@
-"""Run state and the one function that changes it.
+"""Run state, the one derivation of each value its events repeat, and the
+one function that changes it.
 
 :func:`apply` takes the state and one logged event and moves the state on.
 The engine applies every event it emits, and replay folds a log through the
 same function, so a resumed run restarts from exactly the state the live run
-had, and it is the only code that changes an archive. Events repeat values
-the engine derived (round means, RNG picks, a mutant's text, the entry a
-mutant evicts); ``apply`` recomputes each one and raises :class:`LogError`
-when the event disagrees, so a tampered or corrupt log is rejected rather
-than replayed.
+had, and it is the only code that changes an archive. The engine writes each
+repeated value (round numbers, ids, origins, the threshold a round's mean
+calls for, a mutant's text) with its derivation here, and ``apply`` derives
+it again and raises :class:`LogError` when the event disagrees.
 """
 
 from __future__ import annotations
@@ -186,10 +186,20 @@ class Picks:
         """The picked sentence."""
         return self.sentences[self.sentence_index]
 
-    def mutant(self, rewritten: str) -> str:
-        """The step's mutant: the picked prompt with the picked sentence
-        replaced by ``rewritten``."""
-        return " ".join(apply_rewrite(self.sentences, self.sentence_index, rewritten))
+    @property
+    def mutant_id(self) -> str:
+        """The candidate id of the step's mutant."""
+        return f"mut-{self.step:04d}"
+
+    def applied(self, rewritten: str) -> dict:
+        """MutationApplied's fields the rewrite fixes; ``step_plan`` is the
+        picked prompt with the picked sentence replaced by ``rewritten``."""
+        return {
+            "candidate_id": self.mutant_id,
+            "original_sentence": self.original,
+            "rewritten_sentence": rewritten,
+            "step_plan": " ".join(apply_rewrite(self.sentences, self.sentence_index, rewritten)),
+        }
 
     def payload(self) -> dict:
         """The picks as the step's event records them."""
@@ -264,6 +274,36 @@ class EngineState:
         )
 
 
+def round_ids(state: EngineState) -> dict:
+    """The open round's number and the id of the prompt it runs, as each of
+    the round's events records them."""
+    return {"round": state.round + 1, "candidate_id": state.current.id}
+
+
+def round_started(state: EngineState) -> dict:
+    """RoundStarted's payload: the round after the last one runs the current
+    prompt."""
+    current = state.current
+    return {**round_ids(state), "step_plan": current.step_plan, "origin": current.origin}
+
+
+def threshold_update(state: EngineState, mean: float) -> dict | None:
+    """The ThresholdUpdated payload the open round's ``mean`` calls for, or
+    None: round 1 sets the threshold, and a later round raises it only when
+    its mean strictly beats it."""
+    if state.threshold is not None and mean <= state.threshold:
+        return None
+    return {"round": state.round + 1, "previous": state.threshold, "value": mean}
+
+
+def prompt_regenerated(state: EngineState) -> dict:
+    """PromptRegenerated's fields other than the plan and the call counts.
+    The initial plan is round 0's; each later one closes the open round."""
+    round_no = 0 if state.current is None else state.round + 1
+    origin = "refined" if round_no else "initial"
+    return {"round": round_no, "candidate_id": f"cand-{round_no + 1:04d}", "for_round": round_no + 1, "origin": origin}
+
+
 #: The phase an event of each kind may occur in. A PhaseTransition must start
 #: from the current phase and go to one of its successors.
 _PHASE_OF = {
@@ -323,18 +363,19 @@ def check_payload(event) -> dict:
     return payload
 
 
-def _check_mean(event, scores: list[float], value: float) -> None:
-    if not scores or value != round_mean(scores):
-        raise LogError(
-            f"event {event.seq}: {event.kind} score {value!r} is not the mean of its logged samples"
-        )
+def _mean(event, scores: list[float]) -> float:
+    """The mean of the open round's or step's logged scores."""
+    if not scores:
+        raise LogError(f"event {event.seq}: {event.kind} has no logged samples to average")
+    return round_mean(scores)
 
 
 def apply(state: EngineState, event, picks: Picks | None = None) -> None:
     """Move the state on by one logged event.
 
     ``picks`` are the RNG draws of the mutation step a MutationApplied or
-    MutationRejected event closes; the event must record the same ones.
+    MutationRejected event closes. The fields an event repeats are compared
+    with their derivations from the state and the picks in one check.
     Events that only carry text (samples, feedback, summaries, failures)
     leave the state as it is: they return right after the phase check,
     without walking the kind chain below.
@@ -348,78 +389,68 @@ def apply(state: EngineState, event, picks: Picks | None = None) -> None:
     if kind in ("PromptRegenerated", "MutationApplied") and not payload["step_plan"].strip():
         # Both backends refuse a blank reply, and a mutation step could pick no sentence of it.
         raise LogError(f"event {event.seq}: {kind} step_plan is blank")
-    if kind == "RunStarted":
-        state.task_prompt = payload["task_prompt"]
-    elif kind == "RoundStarted":
-        current = state.current
-        if current is None or (
-            payload["round"], payload["candidate_id"], payload["step_plan"], payload["origin"]
-        ) != (state.round + 1, current.id, current.step_plan, current.origin):
-            raise LogError(f"event {event.seq}: round {state.round + 1} does not run the current prompt")
-    elif kind == "SampleScored":
+    derived = None
+    if kind == "SampleScored":
         score = payload["score"]
         # NaN fails the comparison, and an int is finite only within float range.
         if not abs(score) <= _FLOAT_MAX:
             raise LogError(f"event {event.seq}: SampleScored score {score!r} is not a finite number")
         state.scores.append(score)
+    elif kind == "RunStarted":
+        if not payload["task_prompt"]:
+            raise LogError(f"event {event.seq}: RunStarted task_prompt is empty")
+        state.task_prompt = payload["task_prompt"]
+    elif kind in ("RoundStarted", "ArchivesUpdated") and state.current is None:
+        raise LogError(f"event {event.seq}: {kind} before the run's first plan")
+    elif kind == "RoundStarted":
+        derived = round_started(state)
     elif kind == "ThresholdUpdated":
-        value = payload["value"]
-        if (payload["round"], payload["previous"]) != (state.round + 1, state.threshold):
-            raise LogError(f"event {event.seq}: not round {state.round + 1}'s update of the threshold")
-        _check_mean(event, state.scores, value)
-        if state.threshold is not None and value < state.threshold:
-            raise LogError(f"event {event.seq}: threshold decreased")
-        state.threshold = value
+        derived = threshold_update(state, _mean(event, state.scores))
+        if derived is None:
+            raise LogError(f"event {event.seq}: round {state.round + 1}'s mean does not raise the threshold")
+        state.threshold = derived["value"]
     elif kind == "ArchivesUpdated":
-        current = state.current
-        if current is None or (payload["round"], payload["candidate_id"]) != (state.round + 1, current.id):
-            raise LogError(f"event {event.seq}: round {state.round + 1} did not archive that prompt")
-        _check_mean(event, state.scores, payload["score"])
-        if state.threshold is None or payload["score"] > state.threshold:
+        mean = _mean(event, state.scores)
+        if threshold_update(state, mean) is not None:
             raise LogError(f"event {event.seq}: the round's threshold update is missing")
-        entry = state.arrive(current.id, current.step_plan, payload["score"])
+        derived = {**round_ids(state), "score": mean}
+        entry = state.arrive(state.current.id, state.current.step_plan, mean)
         state.best.offer(entry)
         state.worst.offer(entry)
     elif kind == "PromptRegenerated":
-        # The initial plan is round 0's; each later one closes the open round.
-        round_no = 0 if state.current is None else state.round + 1
-        if (payload["round"], payload["candidate_id"], payload["for_round"], payload["origin"]) != (
-            round_no, f"cand-{round_no + 1:04d}", round_no + 1, "refined" if round_no else "initial"
-        ):
-            raise LogError(f"event {event.seq}: PromptRegenerated is not the plan round {round_no} makes")
-        state.current = PromptCandidate(
-            id=payload["candidate_id"], step_plan=payload["step_plan"], origin=payload["origin"]
-        )
-        state.round = round_no
+        derived = prompt_regenerated(state)
+        state.current = PromptCandidate(derived["candidate_id"], payload["step_plan"], derived["origin"])
+        state.round = derived["round"]
     elif kind == "PhaseTransition":
         if payload["to"] not in _SUCCESSORS.get(state.phase, ()):
             raise LogError(f"event {event.seq}: no transition from {state.phase!r} to {payload['to']!r}")
         state.phase = payload["to"]
     elif kind in MUTATION_KINDS:
-        if picks is None or any(payload.get(key) != value for key, value in picks.payload().items()):
-            raise LogError(f"event {event.seq}: RNG draws do not match the recorded picks")
-        state.rng.state = picks.rng_after
+        derived = picks.payload()
         if "score" in payload:
-            _check_mean(event, state.scores, payload["score"])
+            derived["score"] = _mean(event, state.scores)
+        state.rng.state = picks.rng_after
         if kind == "MutationApplied":
-            if (payload["candidate_id"], payload["original_sentence"], payload["step_plan"]) != (
-                f"mut-{picks.step:04d}", picks.original, picks.mutant(payload["rewritten_sentence"])
-            ):
-                raise LogError(f"event {event.seq}: not step {picks.step}'s mutant of the picked sentence")
-            entry = state.arrive(payload["candidate_id"], payload["step_plan"], payload["score"])
+            derived.update(picks.applied(payload["rewritten_sentence"]))
+            entry = state.arrive(derived["candidate_id"], derived["step_plan"], derived["score"])
             inserted, evicted = state.best.offer(entry)
-            if not inserted or payload["evicted_candidate_id"] != (evicted.candidate_id if evicted else None):
-                raise LogError(f"event {event.seq}: the best archive does not take the mutant that way")
+            if not inserted:
+                raise LogError(f"event {event.seq}: the best archive does not take the mutant")
+            derived["evicted_candidate_id"] = evicted.candidate_id if evicted else None
             state.mutations_applied += 1
         else:
-            if "score" in payload and state.best.admits(payload["score"])[0]:
-                raise LogError(f"event {event.seq}: the best archive would take the rejected mutant")
+            if "score" in payload:  # a scored mutant, too weak for the best archive
+                derived["candidate_id"] = picks.mutant_id
+                if state.best.admits(derived["score"])[0]:
+                    raise LogError(f"event {event.seq}: the best archive would take the rejected mutant")
             state.mutations_rejected += 1
-        state.mutation_step = payload["step"]
+        state.mutation_step = picks.step
     elif kind == "RunFinished":
-        if any(payload[key] != value for key, value in state.totals().items()):
-            raise LogError(f"event {event.seq}: RunFinished does not record the replayed run")
+        derived = state.totals()
         state.phase = "finished"
+    if derived is not None and not derived.items() <= payload.items():
+        wrong = ", ".join(key for key, value in derived.items() if payload.get(key) != value)
+        raise LogError(f"event {event.seq}: {kind} does not record the derived {wrong}")
     if kind in COMMIT_KINDS:
         state.scores = []
         if "chat_calls" in PAYLOAD_FIELDS[kind]:

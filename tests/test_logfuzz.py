@@ -51,7 +51,7 @@ CHECKED = {
         "score", "evicted_candidate_id", "chat_calls",
     },
     "MutationRejected": {
-        "step", "source_candidate_id", "archive_index", "sentence_index", "score", "chat_calls",
+        "step", "source_candidate_id", "archive_index", "sentence_index", "candidate_id", "score", "chat_calls",
     },
     "RunFinished": {
         "best_candidate_id", "best_score", "best_step_plan",

@@ -127,8 +127,7 @@ def mutate(plan, seed, rewrites):
     state = EngineState.initial(seed, best_capacity=1, worst_capacity=5)
     state.best.offer(ArchiveEntry("cand-0003", plan, 0.5, 1))
     picks = draw_picks(state)
-    sentence = picks.sentences[picks.sentence_index]
-    rewritten = rewrite_sentence(chat_with_script(rewrites), plan, sentence)
+    rewritten = rewrite_sentence(chat_with_script(rewrites), picks)
     return picks, apply_rewrite(picks.sentences, picks.sentence_index, rewritten)
 
 

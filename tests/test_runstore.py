@@ -489,6 +489,10 @@ TAMPERS = {
         }.items()
     },
     "rejected-sentence-index": _edit_first(_kind("MutationRejected"), _bump("sentence_index", 1)),
+    "rejected-mutant-id": _edit_first(
+        lambda e: e["kind"] == "MutationRejected" and "score" in e["payload"],
+        lambda p: p.update(candidate_id="mut-0001"),
+    ),
     "chat-calls-negative": _edit_and_cut(
         lambda e: e["kind"] == "PromptRegenerated" and e["payload"]["round"] == 2,
         lambda p: p["chat_calls"].update(actor=-2),
@@ -526,6 +530,7 @@ TAMPERS = {
         }.items()
     },
     "sample-score-missing": _edit_first(_kind("SampleScored"), lambda p: p.pop("score")),
+    "run-started-task-prompt-empty": _edit_first(_kind("RunStarted"), lambda p: p.update(task_prompt="")),
     "payload-not-object": lambda events: [
         {**e, "payload": []} if e["kind"] == "SampleScored" else e for e in events
     ],
@@ -675,14 +680,15 @@ class TestResume:
             replay_log(h.log_path)
 
 
-    def _rewritten(self, tmp_path, edit):
+    def _rewritten(self, tmp_path, edit, max_rounds=5,
+                   scores=(0.2, 0.2, 0.6, 0.6, 0.3, 0.3, 0.5, 0.5, 0.1, 0.1)):
         """A finished run whose event lines ``edit`` rewrites, renumbered."""
         h = make_harness(
             tmp_path,
             engine={"samples_per_round": 2, "best_capacity": 3, "worst_capacity": 3,
-                    "max_rounds": 5, "mutation_budget": 2},
+                    "max_rounds": max_rounds, "mutation_budget": 2},
             scripts={ModelRole.PROMPTING: scripted_plans(5)},
-            evaluator=FakeEvaluator([0.2, 0.2, 0.6, 0.6, 0.3, 0.3, 0.5, 0.5, 0.1, 0.1]),
+            evaluator=FakeEvaluator(scores),
             name="rewritten",
         )
         h.run()
@@ -701,6 +707,18 @@ class TestResume:
             if not (e["kind"] == "ThresholdUpdated" and e["payload"]["round"] == 2)
         ])
         with pytest.raises(LogError, match="threshold update is missing"):
+            replay_log(h.log_path)
+
+    def test_threshold_update_that_does_not_raise_it_detected(self, tmp_path):
+        # every round's mean is 0.6, so round 1 sets the threshold and no later round raises it
+        def insert(events):
+            at = next(i for i, e in enumerate(events)
+                      if e["kind"] == "ArchivesUpdated" and e["payload"]["round"] == 2)
+            update = {"kind": "ThresholdUpdated", "payload": {"round": 2, "previous": 0.6, "value": 0.6}}
+            return events[:at] + [update] + events[at:]
+
+        h = self._rewritten(tmp_path, insert, max_rounds=3, scores=[0.6] * 6)
+        with pytest.raises(LogError, match="does not raise the threshold"):
             replay_log(h.log_path)
 
     def test_second_run_started_detected(self, tmp_path):
