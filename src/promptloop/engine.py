@@ -87,9 +87,10 @@ class Engine:
 
     The last feedback round's plan request goes out in one batch with
     mutation step 1's rewrite request, whose picks are fixed once the round
-    has archived its prompt. The rewrite is counted, and its reply or error
-    handed out, only when step 1 asks :meth:`_chat` for that very call; any
-    other call goes to the backend as usual.
+    has archived its prompt; step 1 takes them from the ahead slot. The
+    rewrite is counted, and its reply or error handed out, only when step 1
+    asks :meth:`_chat` for that very call; any other call goes to the
+    backend as usual.
     """
 
     def __init__(self, gateway, evaluator, config: EngineConfig, log: runstore.EventLog, task_prompt: str) -> None:
@@ -112,10 +113,10 @@ class Engine:
             )
             for role in ModelRole
         }
-        #: A chat call sent ahead of its turn, with its reply or backend
-        #: error; the next :meth:`_chat` takes it, and uses it only if it
-        #: makes that very call.
-        self._ahead: tuple[ChatCall, str | Exception] | None = None
+        #: Mutation step 1's picks and its rewrite call, sent ahead of its
+        #: turn, with the call's reply or backend error; the next
+        #: :meth:`_chat` takes it, and uses it only if it makes that very call.
+        self._ahead: tuple[mutation.Picks, ChatCall, str | Exception] | None = None
 
     def record(self, kind: str, payload: dict, picks=None) -> None:
         """Log one event, then apply it to the run state."""
@@ -145,8 +146,8 @@ class Engine:
         one that call got, and no request goes out."""
         call = self._call(role, user_message)
         ahead, self._ahead = self._ahead, None
-        if ahead is not None and ahead[0] == call:
-            return _reply(ahead[1])
+        if ahead is not None and ahead[1] == call:
+            return _reply(ahead[2])
         return self.gateway.chat(*call)
 
     def _chat_many(self, requests: list[tuple[ModelRole, str]]) -> list[str]:
@@ -243,16 +244,17 @@ class Engine:
         turns to mutation after this round and the phase runs a step, step
         1's rewrite request goes out in one batch with the plan request: its
         picks are fixed once the round has archived its prompt. The
-        rewrite's outcome waits for step 1 (see :meth:`_chat`); a failed plan
-        request is raised as the lone call's would be."""
+        picks and the rewrite's outcome wait for step 1 (see :meth:`_chat`);
+        a failed plan request is raised as the lone call's would be."""
         # The state as this round's commit leaves it, in all the checks read.
         committed = replace(self.state, round=round_no)
         if check_transition(committed, self.config) != "mutation" or not mutation.step_due(committed, self.config):
             return self.generate_step_plan(summary)
-        rewrite = self._request(*mutation.rewrite_request(mutation.draw_picks(self.state)))
+        picks = mutation.draw_picks(self.state)
+        rewrite = self._request(*mutation.rewrite_request(picks))
         plan_call = self._call(ModelRole.PROMPTING, self._plan_request(summary))
         plan, outcome = self.gateway.chat_many([plan_call, rewrite])
-        self._ahead = (rewrite, outcome)
+        self._ahead = (picks, rewrite, outcome)
         return _reply(plan)
 
     def _publish_plan(self, plan: str) -> None:

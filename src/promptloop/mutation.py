@@ -14,7 +14,7 @@ from typing import Callable
 from . import templates
 from .errors import BACKEND_ERRORS, DegenerateInputError, EmptyResponseError, MutationRejectedError
 from .roles import ModelRole
-from .state import Picks, SplitMix64, round_mean
+from .state import Picks, SplitMix64, step_closing
 
 #: A terminator and the whitespace after it. For str patterns ``\s`` is
 #: exactly ``str.isspace``; the test on the character that follows stays in
@@ -87,42 +87,24 @@ def run_mutation_phase(engine) -> None:
     """Drive the whole mutation phase on the engine.
 
     Each step: pick an archive prompt and a sentence (two RNG draws, in that
-    order), rewrite, evaluate the mutant with the usual per-round sampling,
-    and replace the archive minimum when strictly beaten. Backend failures
-    skip the step; the phase itself never aborts the run.
+    order; step 1's come with its rewrite sent ahead), rewrite, evaluate the
+    mutant, and log the event :func:`promptloop.state.step_closing` derives.
+    A backend failure is logged and ends the step; the run goes on.
     """
     state = engine.state
     config = engine.config
     while step_due(state, config):
-        picks = draw_picks(state)
-
-        def finish(kind: str, fields: dict) -> None:
-            payload = {**picks.payload(), **fields, "chat_calls": dict(state.chat_calls)}
-            engine.record(kind, payload, picks)
-
+        picks = engine._ahead[0] if engine._ahead else draw_picks(state)
+        rewritten = None
         try:
-            mutant = picks.applied(rewrite_sentence(engine._chat, picks))
-            samples = engine.draw_samples(mutant["candidate_id"], mutant["step_plan"])
+            rewritten = rewrite_sentence(engine._chat, picks)
+            engine.draw_samples(picks.mutant_id, picks.applied(rewritten)["step_plan"])
         except MutationRejectedError:
-            finish("MutationRejected", {"reason": "empty-rewrite"})
-            continue
+            pass
         except BACKEND_ERRORS as exc:
-            engine.record(
-                "BackendFailure", {"phase": "mutation", "step": picks.step, "message": str(exc)}
-            )
-            finish("MutationRejected", {"reason": "backend-failure"})
-            continue
-
-        score = round_mean([score for _, score in samples])
-        inserted, evicted = state.best.admits(score)
-        if inserted:
-            evicted_id = evicted.candidate_id if evicted else None
-            finish("MutationApplied", {**mutant, "score": score, "evicted_candidate_id": evicted_id})
-        else:
-            finish(
-                "MutationRejected",
-                {"reason": "below-archive-minimum", "candidate_id": picks.mutant_id, "score": score},
-            )
+            engine.record("BackendFailure", {"phase": "mutation", "step": picks.step, "message": str(exc)})
+        kind, payload = step_closing(state, picks, rewritten)
+        engine.record(kind, {**payload, "chat_calls": dict(state.chat_calls)}, picks)
     engine.record(
         "PhaseTransition", {"round": state.round, "from": "mutation", "to": "finished"}
     )

@@ -6,8 +6,9 @@ The engine applies every event it emits, and replay folds a log through the
 same function, so a resumed run restarts from exactly the state the live run
 had, and it is the only code that changes an archive. The engine writes each
 repeated value (round numbers, ids, origins, the threshold a round's mean
-calls for, a mutant's text) with its derivation here, and ``apply`` derives
-it again and raises :class:`LogError` when the event disagrees.
+calls for, a mutation step's closing event) with its derivation here, and
+``apply`` derives it again and raises :class:`LogError` when the event
+disagrees.
 """
 
 from __future__ import annotations
@@ -230,6 +231,8 @@ class EngineState:
     chat_calls: dict[str, int] = field(default_factory=lambda: {role.value: 0 for role in ModelRole})
     #: Scores logged since the latest commit event (the open round or step).
     scores: list[float] = field(default_factory=list)
+    #: Whether a BackendFailure was logged since the latest commit event.
+    failed: bool = False
 
     @classmethod
     def initial(cls, seed: int, best_capacity: int, worst_capacity: int) -> "EngineState":
@@ -302,6 +305,22 @@ def prompt_regenerated(state: EngineState) -> dict:
     round_no = 0 if state.current is None else state.round + 1
     origin = "refined" if round_no else "initial"
     return {"round": round_no, "candidate_id": f"cand-{round_no + 1:04d}", "for_round": round_no + 1, "origin": origin}
+
+
+def step_closing(state: EngineState, picks: Picks, rewritten: str | None) -> tuple[str, dict]:
+    """The kind and payload, but ``chat_calls``, of the event that closes the
+    open mutation step. Unscored, it is a rejection: ``backend-failure`` if
+    it logged a BackendFailure, else ``empty-rewrite``. Scored, it applies
+    the mutant ``rewritten`` makes if the best archive would take its mean."""
+    fields = picks.payload()
+    if not state.scores:
+        return "MutationRejected", {**fields, "reason": "backend-failure" if state.failed else "empty-rewrite"}
+    fields["score"] = round_mean(state.scores)
+    inserted, evicted = state.best.admits(fields["score"])
+    if not inserted:
+        return "MutationRejected", {**fields, "reason": "below-archive-minimum", "candidate_id": picks.mutant_id}
+    evicted_id = evicted.candidate_id if evicted else None
+    return "MutationApplied", {**fields, **picks.applied(rewritten), "evicted_candidate_id": evicted_id}
 
 
 #: The phase an event of each kind may occur in. A PhaseTransition must start
@@ -385,6 +404,7 @@ def apply(state: EngineState, event, picks: Picks | None = None) -> None:
     if expected != state.phase:
         raise LogError(f"event {event.seq}: {kind} in phase {state.phase!r}, expected {expected!r}")
     if kind in _TEXT_ONLY:
+        state.failed |= kind == "BackendFailure"
         return
     if kind in ("PromptRegenerated", "MutationApplied") and not payload["step_plan"].strip():
         # Both backends refuse a blank reply, and a mutation step could pick no sentence of it.
@@ -426,25 +446,18 @@ def apply(state: EngineState, event, picks: Picks | None = None) -> None:
             raise LogError(f"event {event.seq}: no transition from {state.phase!r} to {payload['to']!r}")
         state.phase = payload["to"]
     elif kind in MUTATION_KINDS:
-        derived = picks.payload()
-        if "score" in payload:
-            derived["score"] = _mean(event, state.scores)
+        rewritten = payload["rewritten_sentence"] if kind == "MutationApplied" else ""
+        closing, derived = step_closing(state, picks, rewritten)
+        if (kind, "score" in payload) != (closing, bool(state.scores)):
+            scored = "a scored" if state.scores else "an unscored"
+            raise LogError(f"event {event.seq}: the step's logged samples make it {scored} {closing}, not this {kind}")
         state.rng.state = picks.rng_after
+        state.mutation_step = picks.step
         if kind == "MutationApplied":
-            derived.update(picks.applied(payload["rewritten_sentence"]))
-            entry = state.arrive(derived["candidate_id"], derived["step_plan"], derived["score"])
-            inserted, evicted = state.best.offer(entry)
-            if not inserted:
-                raise LogError(f"event {event.seq}: the best archive does not take the mutant")
-            derived["evicted_candidate_id"] = evicted.candidate_id if evicted else None
+            state.best.offer(state.arrive(derived["candidate_id"], derived["step_plan"], derived["score"]))
             state.mutations_applied += 1
         else:
-            if "score" in payload:  # a scored mutant, too weak for the best archive
-                derived["candidate_id"] = picks.mutant_id
-                if state.best.admits(derived["score"])[0]:
-                    raise LogError(f"event {event.seq}: the best archive would take the rejected mutant")
             state.mutations_rejected += 1
-        state.mutation_step = picks.step
     elif kind == "RunFinished":
         derived = state.totals()
         state.phase = "finished"
@@ -453,6 +466,7 @@ def apply(state: EngineState, event, picks: Picks | None = None) -> None:
         raise LogError(f"event {event.seq}: {kind} does not record the derived {wrong}")
     if kind in COMMIT_KINDS:
         state.scores = []
+        state.failed = False
         if "chat_calls" in PAYLOAD_FIELDS[kind]:
             calls = payload["chat_calls"]
             if calls.keys() != _ROLES or any(type(n) is not int or n < 0 for n in calls.values()):

@@ -29,6 +29,7 @@ from conftest import CORPUS_TEXTS, make_harness, mock_requests, scripted_plans
 from promptloop.config import resolve_config
 from promptloop.demo import DEMO_CONFIG_DOC, DEMO_CORPUS, run_demo
 from promptloop.errors import ConfigError, DigestMismatchError, LogError
+from promptloop.gateway import FAILURE_MARKER
 from promptloop.pipeline import resume_optimization
 from promptloop.roles import ModelRole
 from promptloop.runstore import RunEvent, canonical_json, check_next, emit_report, read_log, replay_log
@@ -51,7 +52,8 @@ CHECKED = {
         "score", "evicted_candidate_id", "chat_calls",
     },
     "MutationRejected": {
-        "step", "source_candidate_id", "archive_index", "sentence_index", "candidate_id", "score", "chat_calls",
+        "step", "source_candidate_id", "archive_index", "sentence_index", "candidate_id", "score", "reason",
+        "chat_calls",
     },
     "RunFinished": {
         "best_candidate_id", "best_score", "best_step_plan",
@@ -93,6 +95,20 @@ def long_log(directory):
     return Path(h.log_path)
 
 
+def failure_log(directory):
+    """A run whose two mutation steps are both rejected unscored: step 1's
+    rewrite request fails, step 2's rewrite is blank."""
+    h = make_harness(
+        directory,
+        engine={"samples_per_round": 2, "best_capacity": 3, "worst_capacity": 3,
+                "max_rounds": 4, "mutation_budget": 2},
+        scripts={ModelRole.PROMPTING: scripted_plans(4), ModelRole.MUTATOR: [FAILURE_MARKER, "   "]},
+        name="backend-failure",
+    )
+    h.run()
+    return Path(h.log_path)
+
+
 class Logs(dict):
     def __repr__(self):  # a falsifying example names the log, not its lines
         return f"Logs({sorted(self)})"
@@ -106,6 +122,7 @@ def logs(tmp_path_factory):
         "demo-0.1.0": FIXTURES / "demo-0.1.0.jsonl",
         "demo": Path(run_demo(directory / "demo")),
         "long": long_log(directory),
+        "backend-failure": failure_log(directory),
     }
     return Logs(
         (name, path.read_text(encoding="utf-8").split("\n")[:-1]) for name, path in paths.items()
@@ -339,6 +356,29 @@ def test_blank_last_plan_is_a_log_error(logs, workdir):
         log.write_text("\n".join(lines[:index] + [json.dumps(event, ensure_ascii=False)]) + "\n", encoding="utf-8")
         with pytest.raises(LogError, match="PromptRegenerated step_plan is blank"):
             replay_log(log)
+
+
+def test_unscored_rejection_edits_are_log_errors(logs, workdir):
+    """An unscored step's reason follows from its events: backend-failure
+    after the step's BackendFailure, empty-rewrite without one. Swapped,
+    either is a LogError that names the reason, and so is a score."""
+    swap = {"backend-failure": "empty-rewrite", "empty-rewrite": "backend-failure"}
+    edits = {
+        "derived reason": lambda p: p.update(reason=swap[p["reason"]]),
+        "an unscored MutationRejected": lambda p: p.update(score=0.5),
+    }
+    lines = logs["backend-failure"]
+    rejected = [i for i, line in enumerate(lines) if '"MutationRejected"' in line]
+    assert [json.loads(lines[i])["payload"]["reason"] for i in rejected] == ["backend-failure", "empty-rewrite"]
+    for index in rejected:
+        for message, edit in edits.items():
+            event = json.loads(lines[index])
+            edit(event["payload"])
+            log = workdir / "unscored.jsonl"
+            edited = lines[:index] + [json.dumps(event, ensure_ascii=False)] + lines[index + 1:]
+            log.write_text("\n".join(edited) + "\n", encoding="utf-8")
+            with pytest.raises(LogError, match=message):
+                replay_log(log)
 
 
 def test_the_logs_replay_unedited(logs, workdir):

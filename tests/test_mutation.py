@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from conftest import FakeEvaluator, events_by_kind, fold_best_floors, make_harness, scripted_plans
 from oracle import segment_ref
+from promptloop import mutation
+from promptloop.demo import run_demo
 from promptloop.errors import DegenerateInputError, MutationRejectedError
 from promptloop.gateway import FAILURE_MARKER
 from promptloop.mutation import draw_picks, rewrite_sentence, run_mutation_phase, segment_sentences
@@ -346,3 +348,17 @@ class TestMutationPhase:
             runs.append(picks)
         assert runs[0] == runs[1]
         assert len(runs[0]) == 3
+
+    def test_a_run_draws_each_steps_picks_once(self, tmp_path, monkeypatch):
+        """Step 1's picks come with the rewrite sent ahead with the last
+        round's plan request, so the demo's two steps segment a picked prompt
+        once each."""
+        segmented = []
+
+        def counted(text):
+            segmented.append(text)
+            return segment_sentences(text)
+
+        monkeypatch.setattr(mutation, "segment_sentences", counted)
+        run_demo(tmp_path)
+        assert len(segmented) == 2

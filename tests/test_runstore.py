@@ -441,6 +441,10 @@ def _rejected_mutant_scores(value):
     return edit
 
 
+def _scored_rejection(event):
+    return event["kind"] == "MutationRejected" and "score" in event["payload"]
+
+
 #: name -> an edit of a finished log's events; the test renumbers them after
 TAMPERS = {
     "threshold-value": _edit_first(_kind("ThresholdUpdated"), _bump("value")),
@@ -489,9 +493,10 @@ TAMPERS = {
         }.items()
     },
     "rejected-sentence-index": _edit_first(_kind("MutationRejected"), _bump("sentence_index", 1)),
-    "rejected-mutant-id": _edit_first(
-        lambda e: e["kind"] == "MutationRejected" and "score" in e["payload"],
-        lambda p: p.update(candidate_id="mut-0001"),
+    "rejected-mutant-id": _edit_first(_scored_rejection, lambda p: p.update(candidate_id="mut-0001")),
+    "rejected-reason": _edit_first(_scored_rejection, lambda p: p.update(reason="bogus")),
+    "rejected-unscored": _edit_first(
+        _scored_rejection, lambda p: [p.pop(key) for key in ("score", "candidate_id")]
     ),
     "chat-calls-negative": _edit_and_cut(
         lambda e: e["kind"] == "PromptRegenerated" and e["payload"]["round"] == 2,
