@@ -22,7 +22,8 @@ from .roles import (
     ModelRole,
     SamplingParams,
 )
-from .state import EngineState, apply, prompt_regenerated, round_ids, round_mean, round_started, threshold_update
+from .state import (EngineState, apply, backend_failure, prompt_regenerated, round_ids, round_mean, round_started,
+                    threshold_update)
 
 
 @dataclass
@@ -83,7 +84,10 @@ class Engine:
     folds a log with. Each role's name, system prompt, example turns and
     sampling params are resolved from the config once, into a per-role
     table, so building a request takes one lookup in it. Each value an event
-    repeats comes from its one derivation in :mod:`promptloop.state`.
+    repeats comes from its one derivation in :mod:`promptloop.state`, a
+    BackendFailure's round or step among them. A backend failure aborts the
+    run from one place, :meth:`_atomically`, which the initial plan and
+    every round run through; in the mutation phase it only closes its step.
 
     The last feedback round's plan request goes out in one batch with
     mutation step 1's rewrite request, whose picks are fixed once the round
@@ -192,24 +196,23 @@ class Engine:
             requests.append((role, templates.compose_feedback_request(step_plan, text, score)))
         return self._chat_many(requests)
 
-    def run_round(self) -> None:
-        """Execute one feedback round atomically.
-
-        Any backend failure rolls the state back to the round's start (a
-        commit point), logs a BackendFailure event, and aborts the run (the
-        log stays resumable).
-        """
-        round_no = self.state.round + 1
+    def _atomically(self, body) -> None:
+        """Run ``body``, a round or the initial plan (round 1's), atomically.
+        A backend failure rolls the state back to the commit point it started
+        from, logs a BackendFailure of the open round, and aborts the run
+        (the log stays resumable)."""
         committed = self.state.clone()
         try:
-            self._run_round_inner()
+            body()
         except BACKEND_ERRORS as exc:
             self.state = committed
-            self.record(
-                "BackendFailure",
-                {"phase": "feedback_loop", "round": round_no, "message": str(exc)},
-            )
-            raise RunAbortedError(f"round {round_no} aborted: {exc}") from exc
+            failure = backend_failure(committed)
+            self.record("BackendFailure", {**failure, "message": str(exc)})
+            raise RunAbortedError(f"round {failure['round']} aborted: {exc}") from exc
+
+    def run_round(self) -> None:
+        """Execute one feedback round atomically (see :meth:`_atomically`)."""
+        self._atomically(self._run_round_inner)
 
     def _run_round_inner(self) -> None:
         state = self.state
@@ -267,15 +270,8 @@ class Engine:
     # ------------------------------------------------------------ run driver
 
     def _generate_initial_plan(self) -> None:
-        try:
-            plan = self.generate_step_plan(None)
-        except BACKEND_ERRORS as exc:
-            self.record(
-                "BackendFailure",
-                {"phase": "feedback_loop", "round": 1, "message": str(exc)},
-            )
-            raise RunAbortedError(f"initial plan generation failed: {exc}") from exc
-        self._publish_plan(plan)
+        """Log the plan round 1 runs, atomically (see :meth:`_atomically`)."""
+        self._atomically(lambda: self._publish_plan(self.generate_step_plan(None)))
 
     def resume(self) -> EngineState:
         """Drive the phases from the current state to RunFinished; returns

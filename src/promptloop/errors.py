@@ -33,10 +33,6 @@ class CorpusError(PromptloopError):
     """Reference corpus file is unreadable, malformed, or empty."""
 
 
-class MutationRejectedError(PromptloopError):
-    """The mutator produced no usable rewrite; the candidate is unchanged."""
-
-
 class LogError(PromptloopError):
     """Event log violates ordering, format, or replay constraints."""
 

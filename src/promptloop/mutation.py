@@ -12,9 +12,9 @@ import re
 from typing import Callable
 
 from . import templates
-from .errors import BACKEND_ERRORS, DegenerateInputError, EmptyResponseError, MutationRejectedError
+from .errors import BACKEND_ERRORS, DegenerateInputError, EmptyResponseError
 from .roles import ModelRole
-from .state import Picks, SplitMix64, step_closing
+from .state import Picks, SplitMix64, backend_failure, step_closing
 
 #: A terminator and the whitespace after it. For str patterns ``\s`` is
 #: exactly ``str.isspace``; the test on the character that follows stays in
@@ -50,16 +50,15 @@ def rewrite_request(picks: Picks) -> tuple[ModelRole, str]:
     return ModelRole.MUTATOR, templates.compose_mutation_request(picks.source.step_plan, picks.original)
 
 
-def rewrite_sentence(chat: Callable[[ModelRole, str], str], picks: Picks) -> str:
+def rewrite_sentence(chat: Callable[[ModelRole, str], str], picks: Picks) -> str | None:
     """Ask the mutator role for a meaning-preserving rewrite of the picked
-    sentence; empty or whitespace-only rewrites raise MutationRejectedError."""
+    sentence; None for an empty or whitespace-only one. Any other backend
+    error is raised."""
     try:
         rewritten = chat(*rewrite_request(picks))
-    except EmptyResponseError as exc:
-        raise MutationRejectedError("mutator returned an empty rewrite") from exc
-    if not rewritten.strip():
-        raise MutationRejectedError("mutator returned a whitespace-only rewrite")
-    return rewritten
+    except EmptyResponseError:
+        return None
+    return rewritten if rewritten.strip() else None
 
 
 def draw_picks(state) -> Picks:
@@ -89,7 +88,9 @@ def run_mutation_phase(engine) -> None:
     Each step: pick an archive prompt and a sentence (two RNG draws, in that
     order; step 1's come with its rewrite sent ahead), rewrite, evaluate the
     mutant, and log the event :func:`promptloop.state.step_closing` derives.
-    A backend failure is logged and ends the step; the run goes on.
+    A step's rewrite is a text, None (no usable rewrite, so nothing to
+    evaluate) or a backend error, which is logged and ends the step; the run
+    goes on.
     """
     state = engine.state
     config = engine.config
@@ -98,11 +99,10 @@ def run_mutation_phase(engine) -> None:
         rewritten = None
         try:
             rewritten = rewrite_sentence(engine._chat, picks)
-            engine.draw_samples(picks.mutant_id, picks.applied(rewritten)["step_plan"])
-        except MutationRejectedError:
-            pass
+            if rewritten is not None:
+                engine.draw_samples(picks.mutant_id, picks.applied(rewritten)["step_plan"])
         except BACKEND_ERRORS as exc:
-            engine.record("BackendFailure", {"phase": "mutation", "step": picks.step, "message": str(exc)})
+            engine.record("BackendFailure", {**backend_failure(state), "message": str(exc)})
         kind, payload = step_closing(state, picks, rewritten)
         engine.record(kind, {**payload, "chat_calls": dict(state.chat_calls)}, picks)
     engine.record(

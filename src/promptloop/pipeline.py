@@ -116,8 +116,9 @@ def resume_optimization(
     The corpus is read only for its digest: scores use the centroid the
     manifest records, so the log is checked before any backend request and
     the corpus is not embedded again. A mock backend's centroid must have
-    ``mock_embedding_dim`` values. A log without a centroid gets the one
-    setup would build.
+    ``mock_embedding_dim`` values; an ``http`` one is checked against the
+    first scored batch (see :class:`CorpusEvaluator`). A log without a
+    centroid gets the one setup would build.
     """
     _check_corpus_path(config, corpus_texts)
     documents = read_corpus(config.corpus_path, config.max_documents) if corpus_texts is None else list(corpus_texts)
@@ -126,13 +127,13 @@ def resume_optimization(
 
     def evaluator_for(centroid):
         if centroid is None:
-            centroid = embed_corpus(documents, cache).centroid
-        elif config.backend.kind == "mock" and len(centroid) != config.backend.mock_embedding_dim:
+            return CorpusEvaluator(embed_corpus(documents, cache).centroid, cache)
+        if config.backend.kind == "mock" and len(centroid) != config.backend.mock_embedding_dim:
             raise LogError(
                 f"log {log_path}: its corpus centroid has {len(centroid)} values,"
                 f" the mock backend embeds in {config.backend.mock_embedding_dim}"
             )
-        return CorpusEvaluator(centroid, cache)
+        return CorpusEvaluator(centroid, cache, os.fspath(log_path))
 
     engine = Engine.resumed(
         backend,

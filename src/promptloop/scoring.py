@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CorpusError, DegenerateInputError, DimensionMismatchError
+from .errors import CorpusError, DegenerateInputError, DimensionMismatchError, LogError
 
 
 def cosine(u, v) -> float:
@@ -155,15 +155,23 @@ def corpus_score(candidate_text: str, centroid: np.ndarray, cache: EmbeddingCach
 class CorpusEvaluator:
     """Binds a corpus centroid and a cache into the batch scorer the
     optimization engine consumes. The centroid is all of the corpus that
-    scoring needs, so a resumed run takes it from its log."""
+    scoring needs, so a resumed run takes it from its log, which ``log``
+    then names: until a batch shows the backend's dimension, a centroid of
+    another length is the log's fault, a LogError, not the backend's."""
 
-    def __init__(self, centroid: np.ndarray, cache: EmbeddingCache) -> None:
+    def __init__(self, centroid: np.ndarray, cache: EmbeddingCache, log: str | None = None) -> None:
         self.centroid = centroid
         self.cache = cache
+        self.log = log
 
     def score_batch(self, texts: Sequence[str]) -> list[float]:
         """Corpus scores of ``texts``, in input order. The texts not cached
         yet go to the backend in one ``embed_many`` call; an empty text is
         left to :func:`corpus_score` to reject."""
-        self.cache.embed_many([text for text in texts if text])
+        vectors = self.cache.embed_many([text for text in texts if text])
+        if self.log is not None and vectors:
+            if len(vectors[0]) != len(self.centroid):
+                raise LogError(f"log {self.log}: its corpus centroid has {len(self.centroid)} values,"
+                               f" the backend embeds in {len(vectors[0])}")
+            self.log = None
         return [corpus_score(text, self.centroid, self.cache) for text in texts]

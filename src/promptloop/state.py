@@ -6,7 +6,8 @@ The engine applies every event it emits, and replay folds a log through the
 same function, so a resumed run restarts from exactly the state the live run
 had, and it is the only code that changes an archive. The engine writes each
 repeated value (round numbers, ids, origins, the threshold a round's mean
-calls for, a mutation step's closing event) with its derivation here, and
+calls for, a mutation step's closing event, the round or step a backend
+failure ends) with its derivation here, and
 ``apply`` derives it again and raises :class:`LogError` when the event
 disagrees.
 """
@@ -307,6 +308,14 @@ def prompt_regenerated(state: EngineState) -> dict:
     return {"round": round_no, "candidate_id": f"cand-{round_no + 1:04d}", "for_round": round_no + 1, "origin": origin}
 
 
+def backend_failure(state: EngineState) -> dict:
+    """BackendFailure's payload but its ``message``: the phase, and the open
+    round of the feedback loop or the open step of the mutation phase."""
+    if state.phase == "mutation":
+        return {"phase": "mutation", "step": state.mutation_step + 1}
+    return {"phase": state.phase, "round": state.round + 1}
+
+
 def step_closing(state: EngineState, picks: Picks, rewritten: str | None) -> tuple[str, dict]:
     """The kind and payload, but ``chat_calls``, of the event that closes the
     open mutation step. Unscored, it is a rejection: ``backend-failure`` if
@@ -358,7 +367,7 @@ PAYLOAD_FIELDS = {
         "chat_calls": _OBJECT,
     },
     "MutationRejected": {"step": _INT, "chat_calls": _OBJECT},
-    "BackendFailure": {},
+    "BackendFailure": {"phase": _TEXT},
     "RunFinished": {
         "best_candidate_id": _TEXT + _NONE, "best_score": _NUMBER + _NONE, "best_step_plan": _TEXT + _NONE,
         "rounds": _INT, "mutations_applied": _INT, "mutations_rejected": _INT,
@@ -395,16 +404,20 @@ def apply(state: EngineState, event, picks: Picks | None = None) -> None:
     ``picks`` are the RNG draws of the mutation step a MutationApplied or
     MutationRejected event closes. The fields an event repeats are compared
     with their derivations from the state and the picks in one check.
-    Events that only carry text (samples, feedback, summaries, failures)
-    leave the state as it is: they return right after the phase check,
-    without walking the kind chain below.
+    Events that only carry text (samples, feedback, summaries) leave the
+    state as it is: they return right after the phase and failure checks,
+    without walking the kind chain below. A BackendFailure ends its round
+    or step: it comes before any sample of a mutation step is logged, at
+    most once per step, and only the step's closing event may follow it,
+    so nothing follows one in the feedback loop.
     """
     kind, payload = event.kind, check_payload(event)
     expected = payload.get("from") if kind == "PhaseTransition" else _PHASE_OF.get(kind, state.phase)
     if expected != state.phase:
         raise LogError(f"event {event.seq}: {kind} in phase {state.phase!r}, expected {expected!r}")
+    if state.failed and kind not in MUTATION_KINDS:
+        raise LogError(f"event {event.seq}: {kind} after a BackendFailure, which only a step's closing event follows")
     if kind in _TEXT_ONLY:
-        state.failed |= kind == "BackendFailure"
         return
     if kind in ("PromptRegenerated", "MutationApplied") and not payload["step_plan"].strip():
         # Both backends refuse a blank reply, and a mutation step could pick no sentence of it.
@@ -416,6 +429,11 @@ def apply(state: EngineState, event, picks: Picks | None = None) -> None:
         if not abs(score) <= _FLOAT_MAX:
             raise LogError(f"event {event.seq}: SampleScored score {score!r} is not a finite number")
         state.scores.append(score)
+    elif kind == "BackendFailure":
+        if state.phase == "mutation" and state.scores:
+            raise LogError(f"event {event.seq}: BackendFailure after its step's logged samples")
+        derived = backend_failure(state)
+        state.failed = True
     elif kind == "RunStarted":
         if not payload["task_prompt"]:
             raise LogError(f"event {event.seq}: RunStarted task_prompt is empty")

@@ -7,9 +7,10 @@ reporting the edited log may fail only with :class:`LogError`, and replay
 must reject every edit to a value it cross-checks against one it derives.
 
 The logs are the committed demo log of format 0.1.0, the demo log this
-version writes, and a small log shaped like the ``resume-long`` benchmark
+version writes, a small log shaped like the ``resume-long`` benchmark
 workload (a full archive after a few rounds, then as many mutation steps,
-over a pool of repeating samples).
+over a pool of repeating samples), and, for the single-value edits, a log
+whose mutation steps end in a BackendFailure and a blank rewrite.
 
 A resume of an edited log, cut after any line, either completes or refuses
 with the file as it was and no backend request sent.
@@ -59,6 +60,7 @@ CHECKED = {
         "best_candidate_id", "best_score", "best_step_plan",
         "rounds", "mutations_applied", "mutations_rejected",
     },
+    "BackendFailure": {"phase", "round", "step"},
 }
 
 #: Where each kind of event records the mean of the scores logged since the
@@ -284,7 +286,7 @@ def draw_edit(data, lines):
     return parsed, index, path, old, new, edited
 
 
-@pytest.mark.parametrize("name", ["demo-0.1.0", "demo", "long"])
+@pytest.mark.parametrize("name", ["demo-0.1.0", "demo", "long", "backend-failure"])
 @given(data=st.data())
 def test_single_value_edit_is_a_log_error_or_harmless(logs, workdir, name, data):
     parsed, index, path, old, new, edited = draw_edit(data, logs[name])

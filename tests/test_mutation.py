@@ -8,7 +8,7 @@ from conftest import FakeEvaluator, events_by_kind, fold_best_floors, make_harne
 from oracle import segment_ref
 from promptloop import mutation
 from promptloop.demo import run_demo
-from promptloop.errors import DegenerateInputError, MutationRejectedError
+from promptloop.errors import DegenerateInputError, EmptyResponseError
 from promptloop.gateway import FAILURE_MARKER
 from promptloop.mutation import draw_picks, rewrite_sentence, run_mutation_phase, segment_sentences
 from promptloop.roles import ModelRole
@@ -158,8 +158,16 @@ class TestMutateOnce:
         assert "Neu. Und noch neuer." in outcome
 
     def test_empty_rewrite_rejected(self):
-        with pytest.raises(MutationRejectedError):
-            mutate("Satz eins. Satz zwei.", 1, ["   "])
+        picks, _ = mutate("Satz eins. Satz zwei.", 1, ["Neu."])
+        assert rewrite_sentence(chat_with_script(["   "]), picks) is None
+
+    def test_empty_completion_is_no_rewrite(self):
+        picks, _ = mutate("Satz eins. Satz zwei.", 1, ["Neu."])
+
+        def empty(role, message):
+            raise EmptyResponseError("empty completion for role mutator")
+
+        assert rewrite_sentence(empty, picks) is None
 
     @settings(max_examples=500, deadline=None)
     @given(

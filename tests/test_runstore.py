@@ -2,6 +2,7 @@ import base64
 import builtins
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -445,6 +446,44 @@ def _scored_rejection(event):
     return event["kind"] == "MutationRejected" and "score" in event["payload"]
 
 
+def _round_two_sample(event):
+    return event["kind"] == "SampleGenerated" and event["payload"]["candidate_id"] == "cand-0002"
+
+
+def _failure(payload):
+    return {"kind": "BackendFailure", "payload": {**payload, "message": "status 500"}}
+
+
+def _failure_before(picked, payload, cut=False):
+    """Insert a BackendFailure of ``payload`` before the first event
+    ``picked`` selects; with ``cut``, drop that event and the ones after."""
+    def edit(events):
+        index = next(i for i, e in enumerate(events) if picked(e))
+        return events[:index] + [_failure(payload)] + ([] if cut else events[index:])
+    return edit
+
+
+def _step_one_failing(*payloads):
+    """Mutation step 1 closed as a backend-failure rejection with its picks,
+    after a BackendFailure of each of ``payloads``; the log ends there."""
+    def edit(events):
+        start = next(i for i, e in enumerate(events) if e["kind"] == "PhaseTransition")
+        applied = next(e for e in events if e["kind"] == "MutationApplied")["payload"]
+        picks = {key: applied[key] for key in
+                 ("step", "source_candidate_id", "archive_index", "sentence_index", "chat_calls")}
+        rejected = {"kind": "MutationRejected", "payload": {**picks, "reason": "backend-failure"}}
+        return events[: start + 1] + [_failure(payload) for payload in payloads] + [rejected]
+    return edit
+
+
+#: Edits that keep the BackendFailure events of a log where the engine could
+#: have written them; the log replays.
+FAILURES_IN_PLACE = {
+    "round-two": _failure_before(_round_two_sample, {"phase": "feedback_loop", "round": 2}, cut=True),
+    "step-one": _step_one_failing({"phase": "mutation", "step": 1}),
+}
+
+
 #: name -> an edit of a finished log's events; the test renumbers them after
 TAMPERS = {
     "threshold-value": _edit_first(_kind("ThresholdUpdated"), _bump("value")),
@@ -539,6 +578,15 @@ TAMPERS = {
     "payload-not-object": lambda events: [
         {**e, "payload": []} if e["kind"] == "SampleScored" else e for e in events
     ],
+    # A step's samples are logged only once the whole batch is scored, so no
+    # backend call of a step whose samples are logged failed.
+    "failure-after-scored-samples": _failure_before(_scored_rejection, {"phase": "mutation", "step": 2}),
+    "failure-in-the-wrong-phase": _failure_before(_scored_rejection, {"phase": "feedback_loop", "step": 7}),
+    "failure-round-off-by-one": _failure_before(_round_two_sample, {"phase": "feedback_loop", "round": 3}, cut=True),
+    "failure-step-off-by-one": _step_one_failing({"phase": "mutation", "step": 2}),
+    "failure-phase-missing": _step_one_failing({"step": 1}),
+    "failure-then-the-round-goes-on": _failure_before(_round_two_sample, {"phase": "feedback_loop", "round": 2}),
+    "failure-twice-in-a-step": _step_one_failing({"phase": "mutation", "step": 1}, {"phase": "mutation", "step": 1}),
 }
 
 
@@ -1225,6 +1273,78 @@ class TestBackendFaultSweep:
                 assert events[-1].kind == "RunFinished", at
 
 
+class TestBackendFailureEvents:
+    """Replay derives a BackendFailure's phase and its round or step, and
+    nothing but its step's closing event may follow one."""
+
+    def tamper_log(self, tmp_path, edit):
+        """The tamper test's finished run, its events rewritten by ``edit``."""
+        h = make_harness(
+            tmp_path,
+            engine={"samples_per_round": 2, "best_capacity": 3, "worst_capacity": 3,
+                    "max_rounds": 5, "mutation_budget": 2},
+            scripts={ModelRole.PROMPTING: scripted_plans(5)},
+            evaluator=FakeEvaluator([0.6, 0.6, 0.2, 0.2, 0.3, 0.3, 0.5, 0.5, 0.1, 0.1]),
+            name="failures",
+        )
+        h.run()
+        lines = open(h.log_path).read().splitlines()
+        events = edit([json.loads(line) for line in lines[1:]])
+        for seq, event in enumerate(events, start=1):
+            event["seq"] = event["ts"] = seq
+        open(h.log_path, "w").write("\n".join([lines[0]] + [canonical_json(e) for e in events]) + "\n")
+        return h.log_path
+
+    @pytest.mark.parametrize("edit", sorted(FAILURES_IN_PLACE))
+    def test_failure_where_the_engine_writes_one_replays(self, tmp_path, edit):
+        replay = replay_log(self.tamper_log(tmp_path, FAILURES_IN_PLACE[edit]))
+        assert not replay.finished
+
+    ENGINE = {"samples_per_round": 2, "best_capacity": 2, "worst_capacity": 2, "max_rounds": 3, "mutation_budget": 1}
+
+    def harness(self, tmp_path, name, failing=None):
+        """A run of three rounds and one mutation step; ``failing`` is the
+        role and call index whose scripted reply is FAILURE_MARKER."""
+        scripts = {
+            ModelRole.PROMPTING: scripted_plans(3),
+            ModelRole.ACTOR: [f"Ausgabe {i}: Der Patient ist stabil." for i in range(8)],
+        }
+        if failing is not None:
+            role, index = failing
+            scripts[role][index] = FAILURE_MARKER
+        return make_harness(tmp_path, engine=self.ENGINE, scripts=scripts, name=name)
+
+    @pytest.mark.parametrize(
+        "role, index, round_no",
+        [(ModelRole.PROMPTING, 0, 1), (ModelRole.ACTOR, 2, 2)],
+        ids=["initial-plan", "round-2-actor"],
+    )
+    def test_aborted_log_replays_and_its_resume_cuts_the_failure(self, tmp_path, role, index, round_no):
+        full = self.harness(tmp_path, "full")
+        full.run()
+        h = self.harness(tmp_path, "aborted", (role, index))
+        with pytest.raises(RunAbortedError, match="aborted"):
+            h.run()
+        h.engine.log.close()
+        events = h.events()
+        failure = events[-1]
+        assert failure.kind == "BackendFailure"
+        assert failure.payload.keys() - {"message"} == {"phase", "round"}
+        assert (failure.payload["phase"], failure.payload["round"]) == ("feedback_loop", round_no)
+        replay = replay_log(h.log_path)
+        assert replay.state.round == round_no - 1
+        assert replay.committed.kind == ("RunStarted" if round_no == 1 else "PromptRegenerated")
+
+        fresh = self.harness(tmp_path, "fresh")
+        resumed = Engine.resumed(fresh.backend, fresh.evaluator_for, fresh.config.engine,
+                                 h.log_path, h.config_digest, h.corpus_digest)
+        resumed.resume()
+        resumed.log.close()
+        # The scripts are part of the config digest, so only the run ids differ.
+        assert event_lines(h.log_path)[1:] == event_lines(full.log_path)[1:]
+        assert not events_by_kind(h.events(), "BackendFailure")
+
+
 class TestResumeInPlace:
     def test_committed_prefix_keeps_its_bytes(self, tmp_path):
         h, _ = finished_run(tmp_path, name="spaced", max_rounds=5, budget=2, caps=(6, 6))
@@ -1331,6 +1451,35 @@ class TestLoggedCentroid:
         with pytest.raises(LogError, match=message):
             resume_optimization(demo_config(tmp_path), cut, corpus_texts=DEMO_CORPUS)
         assert cut.read_bytes() == before
+
+    def http_cut(self, tmp_path, centroid):
+        """The demo's engine over the ``ollama`` stub, whose vectors have 64
+        values: the config, and the log cut in round 2 with ``centroid`` in
+        its manifest."""
+        doc = {key: value for key, value in DEMO_CONFIG_DOC.items() if key != "scripts"}
+        doc.update(backend={"kind": "http", "base_url": "http://stub", "retry_backoff": 0.0},
+                   output_dir=os.fspath(tmp_path / "runs"))
+        config = resolve_config(doc, env={})
+        lines = Path(pipeline.run_optimization(config, DEMO_TASK_PROMPT, corpus_texts=DEMO_CORPUS)).read_text(
+            encoding="utf-8").splitlines()
+        manifest = json.loads(lines[0])
+        manifest["corpus_centroid"] = encode_centroid(centroid)
+        lines[0] = json.dumps(manifest, ensure_ascii=False)
+        return config, cut_in_round(lines, 2, tmp_path)
+
+    def test_http_centroid_of_another_length(self, tmp_path, ollama):
+        """Caught at the first scored batch, without a probe: the log is
+        wrong, not the backend, so no BackendFailure is logged."""
+        config, cut = self.http_cut(tmp_path, np.ones(8))
+        message = f"log {cut}: its corpus centroid has 8 values, the backend embeds in 64"
+        with pytest.raises(LogError, match=re.escape(message)):
+            resume_optimization(config, cut, corpus_texts=DEMO_CORPUS)
+        assert '"BackendFailure"' not in cut.read_text(encoding="utf-8")
+
+    def test_http_centroid_of_the_right_length_resumes(self, tmp_path, ollama):
+        config, cut = self.http_cut(tmp_path, np.ones(64))
+        resume_optimization(config, cut, corpus_texts=DEMO_CORPUS)
+        assert read_log(cut)[1][-1].kind == "RunFinished"
 
 
 class TestRefusedResumeLeavesTheLog:
