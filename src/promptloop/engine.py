@@ -22,8 +22,9 @@ from .roles import (
     ModelRole,
     SamplingParams,
 )
-from .state import (EngineState, apply, backend_failure, prompt_regenerated, round_ids, round_mean, round_started,
-                    threshold_update)
+from .state import (EngineState, apply, archives_updated, backend_failure, check_transition, feedback_issued,
+                    phase_transition, prompt_regenerated, round_ids, round_started, route_feedback, sample_ids,
+                    step_due, threshold_update)
 
 
 @dataclass
@@ -45,19 +46,9 @@ class EngineConfig:
     example_messages: dict[ModelRole, tuple[tuple[str, str], ...]] = field(default_factory=dict)
 
 
-def route_feedback(score: float, threshold: float) -> str:
-    """Diagnostic strictly below the threshold; general at or above it."""
-    return "diagnostic" if score < threshold else "general"
-
-
-def check_transition(state: EngineState, config: EngineConfig) -> str:
-    """The feedback loop's next phase: finished on budget or target,
-    mutation once the best archive is full, otherwise unchanged."""
-    if state.round >= config.max_rounds or state.reached(config.score_target):
-        return "finished"
-    if state.best.is_full:
-        return "mutation"
-    return "feedback_loop"
+#: The EngineConfig fields RunStarted records, with the task prompt and the run id.
+_SETTINGS = ("seed", "samples_per_round", "max_rounds", "best_capacity", "worst_capacity",
+             "mutation_budget", "score_target", "mutation_trigger")
 
 
 def _reply(outcome: str | Exception) -> str:
@@ -83,9 +74,11 @@ class Engine:
     event and applying it (:meth:`record`), through the same function replay
     folds a log with. Each role's name, system prompt, example turns and
     sampling params are resolved from the config once, into a per-role
-    table, so building a request takes one lookup in it. Each value an event
-    repeats comes from its one derivation in :mod:`promptloop.state`, a
-    BackendFailure's round or step among them. A backend failure aborts the
+    table, so building a request takes one lookup in it; the config's other
+    fields make the RunStarted payload, and the state, built from it, holds
+    the run's limits, which nothing reads from the config after that. Every
+    event is a derivation in :mod:`promptloop.state` plus free values: the
+    texts, the plan, a score, a failure's message. A backend failure aborts the
     run from one place, :meth:`_atomically`, which the initial plan and
     every round run through; in the mutation phase it only closes its step.
 
@@ -102,10 +95,10 @@ class Engine:
             raise ConfigError("task prompt must be non-empty")
         self.gateway = gateway
         self.evaluator = evaluator
-        self.config = config
         self.log = log
-        self.task_prompt = task_prompt
-        self.state = EngineState.initial(config.seed, config.best_capacity, config.worst_capacity)
+        #: RunStarted's payload but the run id; the state starts from it.
+        self._started = {"task_prompt": task_prompt, **{name: getattr(config, name) for name in _SETTINGS}}
+        self.state = EngineState.started(self._started)
         #: Per role: its key in ``chat_calls``, system prompt, example turns
         #: and sampling params, fixed for the run.
         self._roles = {
@@ -165,27 +158,22 @@ class Engine:
 
     def _plan_request(self, feedback_summary: str | None) -> str:
         return templates.compose_step_plan_request(
-            self.task_prompt, feedback_summary, self.state.best.entries, self.state.worst.entries
+            self.state.task_prompt, feedback_summary, self.state.best.entries, self.state.worst.entries
         )
 
     def generate_step_plan(self, feedback_summary: str | None) -> str:
         return self._chat(ModelRole.PROMPTING, self._plan_request(feedback_summary))
 
-    def draw_samples(self, candidate_id: str, step_plan: str) -> list[tuple[str, float]]:
+    def draw_samples(self, step_plan: str) -> list[tuple[str, float]]:
         """Send the actor calls for one prompt as a batch and score the
         samples as a batch, then log them in index order; returns
         (text, score) per sample. A failed scoring logs none of them."""
-        outputs = self._chat_many([(ModelRole.ACTOR, step_plan)] * self.config.samples_per_round)
+        outputs = self._chat_many([(ModelRole.ACTOR, step_plan)] * self.state.samples_per_round)
         samples = list(zip(outputs, self.evaluator.score_batch(outputs)))
-        for index, (output, score) in enumerate(samples):
-            self.record(
-                "SampleGenerated",
-                {"candidate_id": candidate_id, "sample_index": index, "text": output},
-            )
-            self.record(
-                "SampleScored",
-                {"candidate_id": candidate_id, "sample_index": index, "score": score},
-            )
+        for output, score in samples:
+            ids = sample_ids(self.state)
+            self.record("SampleGenerated", {**ids, "text": output})
+            self.record("SampleScored", {**ids, "score": score})
         return samples
 
     def collect_feedback(self, samples: list[tuple[str, float]], routes: list[str], step_plan: str) -> list[str]:
@@ -216,31 +204,30 @@ class Engine:
 
     def _run_round_inner(self) -> None:
         state = self.state
-        ids, step_plan = round_ids(state), state.current.step_plan
+        step_plan = state.current.step_plan
         self.record("RoundStarted", round_started(state))
 
-        samples = self.draw_samples(ids["candidate_id"], step_plan)
-        mean = round_mean([score for _, score in samples])
+        samples = self.draw_samples(step_plan)
 
         # Round 1 defines the threshold before any routing happens.
         if state.threshold is None:
-            self.record("ThresholdUpdated", threshold_update(state, mean))
+            self.record("ThresholdUpdated", threshold_update(state))
 
         routes = [route_feedback(score, state.threshold) for _, score in samples]
         feedbacks = self.collect_feedback(samples, routes, step_plan)
-        for index, (route, feedback) in enumerate(zip(routes, feedbacks)):
-            self.record("FeedbackIssued", {**ids, "sample_index": index, "route": route, "text": feedback})
+        for feedback in feedbacks:
+            self.record("FeedbackIssued", {**feedback_issued(state), "text": feedback})
 
         summary = self._chat(ModelRole.SUMMARIZER, templates.compose_summary_request(feedbacks))
-        self.record("RoundSummarized", {**ids, "text": summary})
+        self.record("RoundSummarized", {**round_ids(state), "text": summary})
 
         # Later rounds raise the threshold only if the new mean beats it.
-        update = threshold_update(state, mean)
+        update = threshold_update(state)
         if update is not None:
             self.record("ThresholdUpdated", update)
 
-        self.record("ArchivesUpdated", {**ids, "score": mean})
-        self._publish_plan(self._next_plan(ids["round"], summary))
+        self.record("ArchivesUpdated", archives_updated(state))
+        self._publish_plan(self._next_plan(round_ids(state)["round"], summary))
 
     def _next_plan(self, round_no: int, summary: str) -> str:
         """The plan the round after ``round_no`` would run. When the run
@@ -251,7 +238,7 @@ class Engine:
         a failed plan request is raised as the lone call's would be."""
         # The state as this round's commit leaves it, in all the checks read.
         committed = replace(self.state, round=round_no)
-        if check_transition(committed, self.config) != "mutation" or not mutation.step_due(committed, self.config):
+        if check_transition(committed) != "mutation" or not step_due(committed):
             return self.generate_step_plan(summary)
         picks = mutation.draw_picks(self.state)
         rewrite = self._request(*mutation.rewrite_request(picks))
@@ -262,10 +249,7 @@ class Engine:
 
     def _publish_plan(self, plan: str) -> None:
         """Log the prompt the next round runs; this commits the round."""
-        self.record(
-            "PromptRegenerated",
-            {**prompt_regenerated(self.state), "step_plan": plan, "chat_calls": dict(self.state.chat_calls)},
-        )
+        self.record("PromptRegenerated", {**prompt_regenerated(self.state), "step_plan": plan})
 
     # ------------------------------------------------------------ run driver
 
@@ -279,14 +263,11 @@ class Engine:
         if self.state.current is None and self.state.phase == "feedback_loop":
             self._generate_initial_plan()
         while self.state.phase == "feedback_loop":
-            next_phase = check_transition(self.state, self.config)
-            if next_phase != self.state.phase:
-                self.record(
-                    "PhaseTransition",
-                    {"round": self.state.round, "from": self.state.phase, "to": next_phase},
-                )
-                break
-            self.run_round()
+            transition = phase_transition(self.state)
+            if transition is None:
+                self.run_round()
+            else:
+                self.record("PhaseTransition", transition)
         if self.state.phase == "mutation":
             mutation.run_mutation_phase(self)
         self.record("RunFinished", self.state.totals())
@@ -302,15 +283,8 @@ class Engine:
         if cause is not None:
             raise BackendUnavailableError(f"backend unavailable: {cause}")
         self.log.start({**manifest, "corpus_centroid": runstore.encode_centroid(self.evaluator.centroid)})
-        self.record("RunStarted", self._run_started(manifest["run_id"]))
+        self.record("RunStarted", {"run_id": manifest["run_id"], **self._started})
         return self.resume()
-
-    def _run_started(self, run_id: str) -> dict:
-        """The RunStarted payload of this engine's config and task prompt."""
-        fields = ("seed", "samples_per_round", "max_rounds", "best_capacity", "worst_capacity",
-                  "mutation_budget", "score_target", "mutation_trigger")
-        payload = {name: getattr(self.config, name) for name in fields}
-        return {"run_id": run_id, "task_prompt": self.task_prompt, **payload}
 
     @classmethod
     def resumed(
@@ -345,7 +319,7 @@ class Engine:
                 raise ConfigError("the given prompt differs from the task prompt recorded in the log")
             run_id = result.manifest["run_id"]
             engine = cls(gateway, None, config, log, result.state.task_prompt)
-            if result.run_started != engine._run_started(run_id):
+            if result.run_started != {"run_id": run_id, **engine._started}:
                 raise LogError(f"run {run_id}: the log's RunStarted differs from the one this config writes")
             if result.finished:
                 raise LogError(f"run {run_id} is already finished")

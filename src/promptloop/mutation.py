@@ -14,7 +14,7 @@ from typing import Callable
 from . import templates
 from .errors import BACKEND_ERRORS, DegenerateInputError, EmptyResponseError
 from .roles import ModelRole
-from .state import Picks, SplitMix64, backend_failure, step_closing
+from .state import Picks, SplitMix64, backend_failure, phase_transition, step_closing, step_due
 
 #: A terminator and the whitespace after it. For str patterns ``\s`` is
 #: exactly ``str.isspace``; the test on the character that follows stays in
@@ -76,12 +76,6 @@ def draw_picks(state) -> Picks:
     return Picks(state.mutation_step + 1, source, archive_index, sentence_index, rng.state, sentences)
 
 
-def step_due(state, config) -> bool:
-    """Whether the mutation phase runs another step: budget is left and the
-    score target is not reached."""
-    return state.mutation_step < config.mutation_budget and not state.reached(config.score_target)
-
-
 def run_mutation_phase(engine) -> None:
     """Drive the whole mutation phase on the engine.
 
@@ -90,21 +84,18 @@ def run_mutation_phase(engine) -> None:
     mutant, and log the event :func:`promptloop.state.step_closing` derives.
     A step's rewrite is a text, None (no usable rewrite, so nothing to
     evaluate) or a backend error, which is logged and ends the step; the run
-    goes on.
+    goes on. The phase ends with the PhaseTransition
+    :func:`promptloop.state.phase_transition` derives once no step is due.
     """
     state = engine.state
-    config = engine.config
-    while step_due(state, config):
+    while step_due(state):
         picks = engine._ahead[0] if engine._ahead else draw_picks(state)
         rewritten = None
         try:
             rewritten = rewrite_sentence(engine._chat, picks)
             if rewritten is not None:
-                engine.draw_samples(picks.mutant_id, picks.applied(rewritten)["step_plan"])
+                engine.draw_samples(picks.applied(rewritten)["step_plan"])
         except BACKEND_ERRORS as exc:
             engine.record("BackendFailure", {**backend_failure(state), "message": str(exc)})
-        kind, payload = step_closing(state, picks, rewritten)
-        engine.record(kind, {**payload, "chat_calls": dict(state.chat_calls)}, picks)
-    engine.record(
-        "PhaseTransition", {"round": state.round, "from": "mutation", "to": "finished"}
-    )
+        engine.record(*step_closing(state, picks, rewritten), picks)
+    engine.record("PhaseTransition", phase_transition(state))

@@ -18,7 +18,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .errors import DegenerateInputError, LogError, UnfinishedLogError
+from .errors import LogError, UnfinishedLogError
 from .mutation import draw_picks
 from .state import COMMIT_KINDS, MUTATION_KINDS, PAYLOAD_FIELDS, EngineState, apply, check_payload
 
@@ -356,37 +356,32 @@ def replay_log(path) -> ReplayResult:
     """Fold a log through the engine's own transition function
     (:func:`promptloop.state.apply`) into the state at its last commit point.
 
-    The fold starts from the seed and archive capacities the log's
-    RunStarted records, so it needs nothing but the log. Each mutation
-    step's RNG picks are drawn again and must equal the logged ones;
-    ``apply`` checks every other value the log repeats, so a tampered or
-    corrupt log is rejected rather than replayed.
+    The fold starts from the state :meth:`EngineState.started` builds from
+    the log's RunStarted payload, the one the engine built its own from, so
+    it needs nothing but the log. Each mutation step's RNG picks are drawn
+    again and must equal the logged ones; ``apply`` checks every other field
+    but free text against its derivation, so a tampered or corrupt log is
+    rejected rather than replayed.
     """
     manifest, events, ends = read_log(path)
     if not events:
         raise LogError(f"log {path} has a manifest but no events")
     centroid = decode_centroid(manifest["corpus_centroid"]) if "corpus_centroid" in manifest else None
-    started = check_payload(events[0])
-    if min(started["best_capacity"], started["worst_capacity"]) < 1:
-        raise LogError("event 1: RunStarted archive capacities must be >= 1")
-    state = EngineState.initial(started["seed"], started["best_capacity"], started["worst_capacity"])
+    state = EngineState.started(events[0].payload)
     committed = next(e for e in reversed(events) if e.kind in COMMIT_KINDS)
     for event in events:
         picks = None
         if event.kind in MUTATION_KINDS:
             if not state.best.entries:
                 raise LogError(f"event {event.seq}: mutation step before any archived prompt")
-            try:
-                picks = draw_picks(state)
-            except DegenerateInputError as exc:  # only a logged prompt can be blank
-                raise LogError(f"event {event.seq}: the picked prompt has no sentence") from exc
+            picks = draw_picks(state)  # apply refuses a blank prompt, so each one has a sentence
         apply(state, event, picks)
         if event is committed:
             committed_state = state.clone()
     return ReplayResult(
         manifest=manifest,
         centroid=centroid,
-        run_started=started,
+        run_started=events[0].payload,
         state=committed_state,
         committed=committed,
         committed_end=ends[committed.seq - 1],
@@ -408,7 +403,7 @@ def summarize_log(path) -> dict:
     threshold: float | None = None
     best_max: float | None = None
     for event in events:
-        payload = check_payload(event)
+        payload = check_payload(event.kind, event.payload, event.seq)
         if event.kind in ("ArchivesUpdated", "MutationApplied"):
             # The best archive's top entry: only a strictly higher score displaces it.
             best_max = payload["score"] if best_max is None else max(best_max, payload["score"])

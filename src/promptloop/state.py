@@ -1,15 +1,16 @@
-"""Run state, the one derivation of each value its events repeat, and the
+"""Run state, the one derivation of each value its events record, and the
 one function that changes it.
 
+:meth:`EngineState.started` builds a run's state from its RunStarted payload:
+the archives, the generator, the task prompt and the run's limits.
 :func:`apply` takes the state and one logged event and moves the state on.
 The engine applies every event it emits, and replay folds a log through the
 same function, so a resumed run restarts from exactly the state the live run
-had, and it is the only code that changes an archive. The engine writes each
-repeated value (round numbers, ids, origins, the threshold a round's mean
-calls for, a mutation step's closing event, the round or step a backend
-failure ends) with its derivation here, and
+had, and it is the only code that changes an archive. The engine writes every
+event field but free text (sample, feedback and summary texts, plans, the
+rewritten sentence, failure messages) with its derivation here, and
 ``apply`` derives it again and raises :class:`LogError` when the event
-disagrees.
+disagrees in value or JSON type.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .errors import LogError
 from .roles import ModelRole
 
 _MASK64 = (1 << 64) - 1
-_ROLES = frozenset(role.value for role in ModelRole)
 _FLOAT_MAX = sys.float_info.max
 
 #: Event kinds at which the state is durably consistent: replay restores the
@@ -171,6 +171,11 @@ def apply_rewrite(sentences: tuple[str, ...], sentence_index: int, rewritten: st
     return tuple(updated)
 
 
+def _mutant_id(step: int) -> str:
+    """The candidate id of mutation step ``step``'s mutant."""
+    return f"mut-{step:04d}"
+
+
 @dataclass(frozen=True)
 class Picks:
     """The two RNG draws of one mutation step, with the generator state they
@@ -188,16 +193,11 @@ class Picks:
         """The picked sentence."""
         return self.sentences[self.sentence_index]
 
-    @property
-    def mutant_id(self) -> str:
-        """The candidate id of the step's mutant."""
-        return f"mut-{self.step:04d}"
-
     def applied(self, rewritten: str) -> dict:
         """MutationApplied's fields the rewrite fixes; ``step_plan`` is the
         picked prompt with the picked sentence replaced by ``rewritten``."""
         return {
-            "candidate_id": self.mutant_id,
+            "candidate_id": _mutant_id(self.step),
             "original_sentence": self.original,
             "rewritten_sentence": rewritten,
             "step_plan": " ".join(apply_rewrite(self.sentences, self.sentence_index, rewritten)),
@@ -213,12 +213,21 @@ class Picks:
         }
 
 
+#: RunStarted's fields the state holds as they are.
+_HELD = ("task_prompt", "samples_per_round", "max_rounds", "mutation_budget", "score_target")
+
+
 @dataclass
 class EngineState:
     best: PromptArchive
     worst: PromptArchive
     rng: SplitMix64
-    task_prompt: str = ""
+    task_prompt: str
+    #: The run's limits, as its RunStarted records them.
+    samples_per_round: int
+    max_rounds: int
+    mutation_budget: int
+    score_target: float | None
     round: int = 0
     threshold: float | None = None
     current: PromptCandidate | None = None
@@ -227,32 +236,44 @@ class EngineState:
     mutation_step: int = 0
     mutations_applied: int = 0
     mutations_rejected: int = 0
-    #: Chat calls per role: the engine counts each call here, and replay
-    #: takes the counts from each commit event that records them.
+    #: Chat calls per role: the engine counts each call here before it is
+    #: made, and each commit event that records them sets them.
     chat_calls: dict[str, int] = field(default_factory=lambda: {role.value: 0 for role in ModelRole})
+    #: The counts the latest commit event records, which replay derives the
+    #: next one's from.
+    committed_calls: dict[str, int] = field(default_factory=lambda: {role.value: 0 for role in ModelRole})
     #: Scores logged since the latest commit event (the open round or step).
     scores: list[float] = field(default_factory=list)
+    #: FeedbackIssued events logged since the latest commit event, and how
+    #: many of them took the diagnostic route.
+    feedbacks: int = 0
+    diagnostic: int = 0
     #: Whether a BackendFailure was logged since the latest commit event.
     failed: bool = False
 
     @classmethod
-    def initial(cls, seed: int, best_capacity: int, worst_capacity: int) -> "EngineState":
-        return cls(
-            best=PromptArchive(best_capacity, keep="best"),
-            worst=PromptArchive(worst_capacity, keep="worst"),
-            rng=SplitMix64(seed),
-        )
+    def started(cls, payload: dict) -> "EngineState":
+        """The state a run starts in, from its RunStarted payload: empty
+        archives of its capacities (each at least 1), the generator at its
+        seed, its task prompt and its limits."""
+        check_payload("RunStarted", payload)
+        if min(payload["best_capacity"], payload["worst_capacity"]) < 1:
+            raise LogError("event 1: RunStarted archive capacities must be >= 1")
+        if not payload["task_prompt"]:
+            raise LogError("event 1: RunStarted task_prompt is empty")
+        archives = PromptArchive(payload["best_capacity"], "best"), PromptArchive(payload["worst_capacity"], "worst")
+        return cls(*archives, SplitMix64(payload["seed"]), **{name: payload[name] for name in _HELD})
 
     def arrive(self, candidate_id: str, step_plan: str, score: float) -> ArchiveEntry:
         """The archive entry of the run's next scored prompt."""
         self.arrival_counter += 1
         return ArchiveEntry(candidate_id, step_plan, score, self.arrival_counter)
 
-    def reached(self, target: float | None) -> bool:
+    def reached(self) -> bool:
         """Whether the best archive's top score meets the score target (never
         without a target or an archived prompt)."""
         top = self.best.top_score()
-        return target is not None and top is not None and top >= target
+        return self.score_target is not None and top is not None and top >= self.score_target
 
     def totals(self) -> dict:
         """What RunFinished records: the best archive's top prompt and the
@@ -278,10 +299,65 @@ class EngineState:
         )
 
 
+def route_feedback(score: float, threshold: float) -> str:
+    """Diagnostic strictly below the threshold; general at or above it."""
+    return "diagnostic" if score < threshold else "general"
+
+
+def check_transition(state: EngineState) -> str:
+    """The feedback loop's next phase: finished on the round limit or the
+    score target, mutation once the best archive is full, otherwise
+    unchanged."""
+    if state.round >= state.max_rounds or state.reached():
+        return "finished"
+    if state.best.is_full:
+        return "mutation"
+    return "feedback_loop"
+
+
+def step_due(state: EngineState) -> bool:
+    """Whether the mutation phase runs another step: budget is left and the
+    score target is not reached."""
+    return state.mutation_step < state.mutation_budget and not state.reached()
+
+
+def phase_transition(state: EngineState) -> dict | None:
+    """The PhaseTransition payload that is due in the feedback loop or the
+    mutation phase, or None. One is due only between rounds or steps: the
+    feedback loop goes on to :func:`check_transition`'s phase, and the
+    mutation phase finishes once no step is due."""
+    to = check_transition(state) if state.phase == "feedback_loop" else ("mutation" if step_due(state) else "finished")
+    if to == state.phase or state.scores:
+        return None
+    return {"round": state.round, "from": state.phase, "to": to}
+
+
 def round_ids(state: EngineState) -> dict:
     """The open round's number and the id of the prompt it runs, as each of
     the round's events records them."""
     return {"round": state.round + 1, "candidate_id": state.current.id}
+
+
+def sample_ids(state: EngineState) -> dict:
+    """The ids a sample's SampleGenerated and SampleScored record: the open
+    round's prompt or the open step's mutant, and the number of samples
+    scored before it."""
+    candidate_id = _mutant_id(state.mutation_step + 1) if state.phase == "mutation" else state.current.id
+    return {"candidate_id": candidate_id, "sample_index": len(state.scores)}
+
+
+def feedback_issued(state: EngineState) -> dict:
+    """FeedbackIssued's fields but its text: the open round's ids, the index
+    of the sample it answers (the round's feedback so far) and its route,
+    from that sample's logged score and the threshold."""
+    index = state.feedbacks
+    return {**round_ids(state), "sample_index": index, "route": route_feedback(state.scores[index], state.threshold)}
+
+
+def archives_updated(state: EngineState) -> dict:
+    """ArchivesUpdated's payload: the open round's ids and the mean of its
+    logged scores, the score its prompt is archived with."""
+    return {**round_ids(state), "score": round_mean(state.scores)}
 
 
 def round_started(state: EngineState) -> dict:
@@ -291,21 +367,24 @@ def round_started(state: EngineState) -> dict:
     return {**round_ids(state), "step_plan": current.step_plan, "origin": current.origin}
 
 
-def threshold_update(state: EngineState, mean: float) -> dict | None:
-    """The ThresholdUpdated payload the open round's ``mean`` calls for, or
-    None: round 1 sets the threshold, and a later round raises it only when
-    its mean strictly beats it."""
+def threshold_update(state: EngineState) -> dict | None:
+    """The ThresholdUpdated payload the mean of the open round's logged
+    scores calls for, or None: round 1 sets the threshold, and a later round
+    raises it only when its mean strictly beats it."""
+    mean = round_mean(state.scores)
     if state.threshold is not None and mean <= state.threshold:
         return None
     return {"round": state.round + 1, "previous": state.threshold, "value": mean}
 
 
 def prompt_regenerated(state: EngineState) -> dict:
-    """PromptRegenerated's fields other than the plan and the call counts.
-    The initial plan is round 0's; each later one closes the open round."""
+    """PromptRegenerated's fields but the plan. The initial plan is round
+    0's; each later one closes the open round. ``chat_calls`` are the
+    engine's counts (see :func:`apply` for the rule replay checks them by)."""
     round_no = 0 if state.current is None else state.round + 1
     origin = "refined" if round_no else "initial"
-    return {"round": round_no, "candidate_id": f"cand-{round_no + 1:04d}", "for_round": round_no + 1, "origin": origin}
+    return {"round": round_no, "candidate_id": f"cand-{round_no + 1:04d}", "for_round": round_no + 1, "origin": origin,
+            "chat_calls": dict(state.chat_calls)}
 
 
 def backend_failure(state: EngineState) -> dict:
@@ -317,38 +396,45 @@ def backend_failure(state: EngineState) -> dict:
 
 
 def step_closing(state: EngineState, picks: Picks, rewritten: str | None) -> tuple[str, dict]:
-    """The kind and payload, but ``chat_calls``, of the event that closes the
-    open mutation step. Unscored, it is a rejection: ``backend-failure`` if
-    it logged a BackendFailure, else ``empty-rewrite``. Scored, it applies
-    the mutant ``rewritten`` makes if the best archive would take its mean."""
-    fields = picks.payload()
+    """The kind and payload of the event that closes the open mutation
+    step, with the engine's ``chat_calls``. Unscored, it is a rejection:
+    ``backend-failure`` if it logged a BackendFailure, else
+    ``empty-rewrite``. Scored, it applies the mutant ``rewritten`` makes if
+    the best archive would take its mean."""
+    fields = {**picks.payload(), "chat_calls": dict(state.chat_calls)}
     if not state.scores:
         return "MutationRejected", {**fields, "reason": "backend-failure" if state.failed else "empty-rewrite"}
     fields["score"] = round_mean(state.scores)
     inserted, evicted = state.best.admits(fields["score"])
     if not inserted:
-        return "MutationRejected", {**fields, "reason": "below-archive-minimum", "candidate_id": picks.mutant_id}
+        return "MutationRejected", {**fields, "reason": "below-archive-minimum", "candidate_id": _mutant_id(picks.step)}
     evicted_id = evicted.candidate_id if evicted else None
     return "MutationApplied", {**fields, **picks.applied(rewritten), "evicted_candidate_id": evicted_id}
 
 
-#: The phase an event of each kind may occur in. A PhaseTransition must start
-#: from the current phase and go to one of its successors.
-_PHASE_OF = {
-    "RoundStarted": "feedback_loop",
-    "MutationApplied": "mutation",
-    "MutationRejected": "mutation",
+_LOOP, _OPEN = ("feedback_loop",), ("feedback_loop", "mutation")
+
+#: The phases an event of each kind may occur in.
+_PHASES = {
+    "RunStarted": _LOOP, "RoundStarted": _LOOP, "FeedbackIssued": _LOOP, "RoundSummarized": _LOOP,
+    "ThresholdUpdated": _LOOP, "ArchivesUpdated": _LOOP, "PromptRegenerated": _LOOP,
+    "SampleGenerated": _OPEN, "SampleScored": _OPEN, "BackendFailure": _OPEN, "PhaseTransition": _OPEN,
+    "MutationApplied": ("mutation",), "MutationRejected": ("mutation",), "RunFinished": ("finished",),
 }
-_SUCCESSORS = {"feedback_loop": ("mutation", "finished"), "mutation": ("finished",)}
+#: The kinds the feedback loop may log before the run's first plan.
+_BEFORE_PLAN = ("RunStarted", "PromptRegenerated", "BackendFailure")
 
 
 _INT, _NUMBER, _TEXT, _NONE, _OBJECT = (int,), (int, float), (str,), (type(None),), (dict,)
 
 #: Every event kind, with the payload fields the fold or the report reads and
-#: the exact types each may hold (so a bool is not a number). The kinds that
-#: only carry text have none.
+#: the exact types each may hold (so a bool is not a number). The fields
+#: :func:`apply` only compares with a derivation are typed by that check.
 PAYLOAD_FIELDS = {
-    "RunStarted": {"task_prompt": _TEXT, "seed": _INT, "best_capacity": _INT, "worst_capacity": _INT},
+    "RunStarted": {
+        "task_prompt": _TEXT, "seed": _INT, "best_capacity": _INT, "worst_capacity": _INT,
+        "samples_per_round": _INT, "max_rounds": _INT, "mutation_budget": _INT, "score_target": _NUMBER + _NONE,
+    },
     "RoundStarted": {"round": _INT, "candidate_id": _TEXT, "step_plan": _TEXT, "origin": _TEXT},
     "SampleGenerated": {},
     "SampleScored": {"score": _NUMBER},
@@ -360,7 +446,7 @@ PAYLOAD_FIELDS = {
         "round": _INT, "candidate_id": _TEXT, "step_plan": _TEXT, "origin": _TEXT, "for_round": _INT,
         "chat_calls": _OBJECT,
     },
-    "PhaseTransition": {"to": _TEXT},
+    "PhaseTransition": {},
     "MutationApplied": {
         "step": _INT, "original_sentence": _TEXT, "rewritten_sentence": _TEXT,
         "candidate_id": _TEXT, "step_plan": _TEXT, "score": _NUMBER, "evicted_candidate_id": _TEXT + _NONE,
@@ -373,101 +459,151 @@ PAYLOAD_FIELDS = {
         "rounds": _INT, "mutations_applied": _INT, "mutations_rejected": _INT,
     },
 }
-#: The kinds with no such field, which :func:`apply` leaves the state as it is for.
-_TEXT_ONLY = frozenset(kind for kind, fields in PAYLOAD_FIELDS.items() if not fields)
 
 
-def check_payload(event) -> dict:
-    """Return the event's payload once each field :data:`PAYLOAD_FIELDS`
+def check_payload(kind: str, payload: dict, seq: int = 1) -> dict:
+    """Return event ``seq``'s payload once each field :data:`PAYLOAD_FIELDS`
     lists for its kind is present with one of its types."""
-    payload = event.payload
-    for key, types in PAYLOAD_FIELDS[event.kind].items():
+    for key, types in PAYLOAD_FIELDS[kind].items():
         if key not in payload:
-            raise LogError(f"event {event.seq}: {event.kind} payload has no {key!r}")
+            raise LogError(f"event {seq}: {kind} payload has no {key!r}")
         value = payload[key]
         if type(value) not in types:
             expected = " or ".join(t.__name__ for t in types)
-            raise LogError(f"event {event.seq}: {event.kind} {key} {value!r} is not {expected}")
+            raise LogError(f"event {seq}: {kind} {key} {value!r} is not {expected}")
     return payload
 
 
-def _mean(event, scores: list[float]) -> float:
-    """The mean of the open round's or step's logged scores."""
-    if not scores:
-        raise LogError(f"event {event.seq}: {event.kind} has no logged samples to average")
-    return round_mean(scores)
+def _take_calls(state: EngineState, event, derived: dict) -> None:
+    """Take a commit's ``chat_calls`` as the state's counts, in place of the
+    engine's ones in ``derived``; refuse them unless they are the counts the
+    rule in :func:`apply` derives from the latest commit's."""
+    del derived["chat_calls"]
+    calls = dict(state.committed_calls)
+    if event.kind == "PromptRegenerated":
+        calls["prompting"] += 1
+        if state.current is not None:
+            calls["summarizer"] += 1
+            calls["diagnostic_feedback"] += state.diagnostic
+            calls["general_feedback"] += state.feedbacks - state.diagnostic
+    else:
+        calls["mutator"] += 1
+    if state.scores:
+        calls["actor"] += state.samples_per_round
+    allowed = [calls, {**calls, "actor": calls["actor"] + state.samples_per_round}] if state.failed else [calls]
+    logged = event.payload["chat_calls"]
+    if logged not in allowed or any(type(n) is not int for n in logged.values()):
+        options = " or ".join(map(repr, allowed))
+        raise LogError(f"event {event.seq}: {event.kind} chat_calls {logged!r} are not the derived {options}")
+    state.committed_calls, state.chat_calls = logged, dict(logged)
+
+
+def _all_logged(event, count: int, wanted: int, what: str) -> None:
+    """Refuse an event that reads its round's or step's ``what`` unless
+    exactly ``wanted`` of them are logged."""
+    if count != wanted:
+        raise LogError(f"event {event.seq}: {event.kind} after {count} {what}, not RunStarted's {wanted}")
 
 
 def apply(state: EngineState, event, picks: Picks | None = None) -> None:
     """Move the state on by one logged event.
 
     ``picks`` are the RNG draws of the mutation step a MutationApplied or
-    MutationRejected event closes. The fields an event repeats are compared
-    with their derivations from the state and the picks in one check.
-    Events that only carry text (samples, feedback, summaries) leave the
-    state as it is: they return right after the phase and failure checks,
-    without walking the kind chain below. A BackendFailure ends its round
-    or step: it comes before any sample of a mutation step is logged, at
-    most once per step, and only the step's closing event may follow it,
-    so nothing follows one in the feedback loop.
+    MutationRejected event closes. Every payload field but free text is
+    compared with its derivation from the state and the picks, in value and
+    in JSON type, in one check; RunStarted's fields are the state's own, as
+    :meth:`EngineState.started` built it. Each commit's ``chat_calls`` must
+    be the latest commit's plus the calls its round or step made: the
+    plan's prompting call, a round's summarizer call and one feedback call
+    per FeedbackIssued on its route's role, a step's mutator call, and
+    ``samples_per_round`` actor calls for a batch of samples. A step that
+    logged a BackendFailure may have sent its actor batch or not, so both
+    counts pass.
+
+    Refused as well: an event outside its phase, or in the feedback loop
+    before the first plan; a PhaseTransition that is not due, and a
+    RoundStarted when one is; a step's closing event when no step is due;
+    a round or scored step with other than ``samples_per_round`` samples,
+    and a round with other than that many feedbacks. A BackendFailure ends
+    its round or step: it comes before any sample of a mutation step is
+    logged, at most once per step, and only the step's closing event may
+    follow it, so nothing follows one in the feedback loop.
     """
-    kind, payload = event.kind, check_payload(event)
-    expected = payload.get("from") if kind == "PhaseTransition" else _PHASE_OF.get(kind, state.phase)
-    if expected != state.phase:
-        raise LogError(f"event {event.seq}: {kind} in phase {state.phase!r}, expected {expected!r}")
+    kind, payload = event.kind, check_payload(event.kind, event.payload, event.seq)
+    if state.phase not in _PHASES[kind]:
+        raise LogError(f"event {event.seq}: {kind} in phase {state.phase!r}")
     if state.failed and kind not in MUTATION_KINDS:
         raise LogError(f"event {event.seq}: {kind} after a BackendFailure, which only a step's closing event follows")
-    if kind in _TEXT_ONLY:
-        return
+    if state.current is None and state.phase == "feedback_loop" and kind not in _BEFORE_PLAN:
+        raise LogError(f"event {event.seq}: {kind} before the run's first plan")
     if kind in ("PromptRegenerated", "MutationApplied") and not payload["step_plan"].strip():
         # Both backends refuse a blank reply, and a mutation step could pick no sentence of it.
         raise LogError(f"event {event.seq}: {kind} step_plan is blank")
+    logged, wanted = len(state.scores), state.samples_per_round
     derived = None
-    if kind == "SampleScored":
-        score = payload["score"]
-        # NaN fails the comparison, and an int is finite only within float range.
-        if not abs(score) <= _FLOAT_MAX:
-            raise LogError(f"event {event.seq}: SampleScored score {score!r} is not a finite number")
-        state.scores.append(score)
+    if kind in ("SampleGenerated", "SampleScored"):
+        derived = sample_ids(state)
+        if kind == "SampleGenerated" and logged == wanted:
+            raise LogError(f"event {event.seq}: SampleGenerated past RunStarted's {wanted} samples")
+        if kind == "SampleScored":
+            score = payload["score"]
+            # NaN fails the comparison, and an int is finite only within float range.
+            if not abs(score) <= _FLOAT_MAX:
+                raise LogError(f"event {event.seq}: SampleScored score {score!r} is not a finite number")
+            state.scores.append(score)
+    elif kind == "FeedbackIssued":
+        _all_logged(event, logged, wanted, "samples")
+        if state.feedbacks == wanted:
+            raise LogError(f"event {event.seq}: FeedbackIssued past RunStarted's {wanted} feedbacks")
+        derived = feedback_issued(state)
+        state.feedbacks += 1
+        state.diagnostic += derived["route"] == "diagnostic"
+    elif kind == "RoundSummarized":
+        _all_logged(event, state.feedbacks, wanted, "feedbacks")
+        derived = round_ids(state)
     elif kind == "BackendFailure":
         if state.phase == "mutation" and state.scores:
             raise LogError(f"event {event.seq}: BackendFailure after its step's logged samples")
         derived = backend_failure(state)
         state.failed = True
-    elif kind == "RunStarted":
-        if not payload["task_prompt"]:
-            raise LogError(f"event {event.seq}: RunStarted task_prompt is empty")
-        state.task_prompt = payload["task_prompt"]
-    elif kind in ("RoundStarted", "ArchivesUpdated") and state.current is None:
-        raise LogError(f"event {event.seq}: {kind} before the run's first plan")
     elif kind == "RoundStarted":
+        if phase_transition(state) is not None:
+            raise LogError(f"event {event.seq}: RoundStarted when a PhaseTransition is due")
         derived = round_started(state)
     elif kind == "ThresholdUpdated":
-        derived = threshold_update(state, _mean(event, state.scores))
+        _all_logged(event, logged, wanted, "samples")
+        derived = threshold_update(state)
         if derived is None:
             raise LogError(f"event {event.seq}: round {state.round + 1}'s mean does not raise the threshold")
         state.threshold = derived["value"]
     elif kind == "ArchivesUpdated":
-        mean = _mean(event, state.scores)
-        if threshold_update(state, mean) is not None:
+        _all_logged(event, logged, wanted, "samples")
+        if threshold_update(state) is not None:
             raise LogError(f"event {event.seq}: the round's threshold update is missing")
-        derived = {**round_ids(state), "score": mean}
-        entry = state.arrive(state.current.id, state.current.step_plan, mean)
+        derived = archives_updated(state)
+        entry = state.arrive(state.current.id, state.current.step_plan, derived["score"])
         state.best.offer(entry)
         state.worst.offer(entry)
     elif kind == "PromptRegenerated":
         derived = prompt_regenerated(state)
+        _take_calls(state, event, derived)
         state.current = PromptCandidate(derived["candidate_id"], payload["step_plan"], derived["origin"])
         state.round = derived["round"]
     elif kind == "PhaseTransition":
-        if payload["to"] not in _SUCCESSORS.get(state.phase, ()):
-            raise LogError(f"event {event.seq}: no transition from {state.phase!r} to {payload['to']!r}")
-        state.phase = payload["to"]
+        derived = phase_transition(state)
+        if derived is None:
+            raise LogError(f"event {event.seq}: no PhaseTransition is due in phase {state.phase!r}")
+        state.phase = derived["to"]
     elif kind in MUTATION_KINDS:
+        if not step_due(state):
+            raise LogError(f"event {event.seq}: {kind} closes a step past the budget or the score target")
+        if logged:
+            _all_logged(event, logged, wanted, "samples")
         rewritten = payload["rewritten_sentence"] if kind == "MutationApplied" else ""
         closing, derived = step_closing(state, picks, rewritten)
-        if (kind, "score" in payload) != (closing, bool(state.scores)):
-            scored = "a scored" if state.scores else "an unscored"
+        _take_calls(state, event, derived)
+        if (kind, "score" in payload) != (closing, bool(logged)):
+            scored = "a scored" if logged else "an unscored"
             raise LogError(f"event {event.seq}: the step's logged samples make it {scored} {closing}, not this {kind}")
         state.rng.state = picks.rng_after
         state.mutation_step = picks.step
@@ -478,15 +614,11 @@ def apply(state: EngineState, event, picks: Picks | None = None) -> None:
             state.mutations_rejected += 1
     elif kind == "RunFinished":
         derived = state.totals()
-        state.phase = "finished"
-    if derived is not None and not derived.items() <= payload.items():
-        wrong = ", ".join(key for key, value in derived.items() if payload.get(key) != value)
-        raise LogError(f"event {event.seq}: {kind} does not record the derived {wrong}")
+    if derived is not None:
+        for key, value in derived.items():
+            if key not in payload or type(payload[key]) is not type(value) or payload[key] != value:
+                raise LogError(f"event {event.seq}: {kind} logs {payload.get(key)!r}, not the derived {key} {value!r}")
     if kind in COMMIT_KINDS:
         state.scores = []
+        state.feedbacks = state.diagnostic = 0
         state.failed = False
-        if "chat_calls" in PAYLOAD_FIELDS[kind]:
-            calls = payload["chat_calls"]
-            if calls.keys() != _ROLES or any(type(n) is not int or n < 0 for n in calls.values()):
-                raise LogError(f"event {event.seq}: {kind} chat_calls {calls!r} is not a count >= 0 per role")
-            state.chat_calls = dict(calls)

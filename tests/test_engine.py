@@ -18,7 +18,7 @@ from conftest import (
     scripted_plans,
 )
 from oracle import bottom_k_ref, embed_ref, top_k_ref
-from promptloop.engine import Engine, EngineConfig, check_transition, route_feedback
+from promptloop.engine import Engine
 from promptloop.errors import RunAbortedError
 from promptloop.gateway import FAILURE_MARKER, BackendDescriptor, HttpBackend
 from promptloop.roles import DEFAULT_SYSTEM_PROMPTS, ModelRole
@@ -29,7 +29,9 @@ from promptloop.state import (
     EngineState,
     PromptArchive,
     SplitMix64,
+    check_transition,
     round_mean,
+    route_feedback,
 )
 
 
@@ -157,7 +159,7 @@ class TestArchives:
 
 
 class TestCheckTransition:
-    def make_state(self, round, best_scores, best_cap=3):
+    def make_state(self, round, best_scores, best_cap=3, max_rounds=10, score_target=None):
         best = PromptArchive(best_cap, keep="best")
         for arrival, score in enumerate(best_scores, start=1):
             best.offer(ArchiveEntry(f"c{arrival}", "p", score, arrival))
@@ -165,25 +167,29 @@ class TestCheckTransition:
             best=best,
             worst=PromptArchive(best_cap, keep="worst"),
             rng=SplitMix64(0),
+            task_prompt="Aufgabe",
+            samples_per_round=4,
+            max_rounds=max_rounds,
+            mutation_budget=10,
+            score_target=score_target,
             round=round,
         )
 
     def test_full_best_archive_triggers_mutation(self):
-        state = self.make_state(4, [0.5, 0.6, 0.7])
-        assert check_transition(state, EngineConfig(max_rounds=10, best_capacity=3)) == "mutation"
+        state = self.make_state(4, [0.5, 0.6, 0.7], max_rounds=10)
+        assert check_transition(state) == "mutation"
 
     def test_round_budget_exhausted_finishes(self):
-        state = self.make_state(6, [0.5, 0.6])
-        assert check_transition(state, EngineConfig(max_rounds=6, best_capacity=3)) == "finished"
+        state = self.make_state(6, [0.5, 0.6], max_rounds=6)
+        assert check_transition(state) == "finished"
 
     def test_score_target_finishes(self):
-        state = self.make_state(2, [0.95])
-        config = EngineConfig(max_rounds=10, best_capacity=3, score_target=0.9)
-        assert check_transition(state, config) == "finished"
+        state = self.make_state(2, [0.95], max_rounds=10, score_target=0.9)
+        assert check_transition(state) == "finished"
 
     def test_otherwise_stays_in_feedback_loop(self):
-        state = self.make_state(1, [0.5])
-        assert check_transition(state, EngineConfig(max_rounds=10, best_capacity=3)) == "feedback_loop"
+        state = self.make_state(1, [0.5], max_rounds=10)
+        assert check_transition(state) == "feedback_loop"
 
 
 #: The prompting request of ``test_full_archives_request_is_the_formula``,

@@ -1,10 +1,13 @@
 """Single-value tamper fuzzer over finished event logs.
 
 Each example replaces one JSON value of one log line (the manifest or an
-event, at any depth, the line itself included) with a value that compares
-unequal to it, of the same type or of another one. Reading, replaying and
-reporting the edited log may fail only with :class:`LogError`, and replay
-must reject every edit to a value it cross-checks against one it derives.
+event, at any depth, the line itself included) with another JSON value: one
+that compares unequal to it, or an equal one of another type (``1``,
+``1.0`` and ``true``). Reading, replaying and reporting the edited log may
+fail only with :class:`LogError`, and replay must reject every edit of an
+event but those of the free paths :data:`FREE` lists, of a RunStarted
+setting to another value of its type, of a score that leaves every mean the
+log records as it is, and of a last line into one that is no event.
 
 The logs are the committed demo log of format 0.1.0, the demo log this
 version writes, a small log shaped like the ``resume-long`` benchmark
@@ -38,29 +41,20 @@ from promptloop.state import COMMIT_KINDS, PAYLOAD_FIELDS
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
-#: Payload fields replay compares with a value it derives, by event kind.
-#: Every event's ``seq`` and ``ts`` are checked too, and a sample's score
-#: through the round or step mean it enters.
-CHECKED = {
-    "RoundStarted": {"round", "candidate_id", "step_plan", "origin"},
-    "ThresholdUpdated": {"round", "previous", "value"},
-    "ArchivesUpdated": {"round", "candidate_id", "score"},
-    "PromptRegenerated": {"round", "candidate_id", "for_round", "origin", "chat_calls"},
-    "PhaseTransition": {"from", "to"},
-    "MutationApplied": {
-        "step", "source_candidate_id", "archive_index", "sentence_index",
-        "original_sentence", "rewritten_sentence", "candidate_id", "step_plan",
-        "score", "evicted_candidate_id", "chat_calls",
-    },
-    "MutationRejected": {
-        "step", "source_candidate_id", "archive_index", "sentence_index", "candidate_id", "score", "reason",
-        "chat_calls",
-    },
-    "RunFinished": {
-        "best_candidate_id", "best_score", "best_step_plan",
-        "rounds", "mutations_applied", "mutations_rejected",
-    },
-    "BackendFailure": {"phase", "round", "step"},
+#: Payload fields no event derives, with every value below them: free text,
+#: the plans the prompting role writes, the rewritten sentence, failure
+#: messages, the task prompt and run id, and format 0.1.0's archive
+#: listings, which nothing reads. Replay must reject an edit of any other
+#: value of an event line.
+FREE = {
+    "RunStarted": {"task_prompt", "run_id"},
+    "SampleGenerated": {"text"},
+    "FeedbackIssued": {"text"},
+    "RoundSummarized": {"text"},
+    "PromptRegenerated": {"step_plan"},
+    "ArchivesUpdated": {"best", "worst"},
+    "MutationApplied": {"rewritten_sentence", "best", "worst"},
+    "BackendFailure": {"message"},
 }
 
 #: Where each kind of event records the mean of the scores logged since the
@@ -200,10 +194,26 @@ ANY_VALUE = st.one_of(
 )
 
 
+def same_json(a, b) -> bool:
+    """Whether two JSON values are equal and of one type at every depth, so
+    that ``1``, ``1.0`` and ``true`` differ."""
+    if type(a) is not type(b):
+        return False
+    if type(a) is dict:
+        return a.keys() == b.keys() and all(same_json(a[key], b[key]) for key in a)
+    if type(a) is list:
+        return len(a) == len(b) and all(map(same_json, a, b))
+    return a == b
+
+
 def replacements(old, log_scalars):
-    """Values unequal to ``old``: any JSON value, a value the same log holds
-    elsewhere, one of the same type, or a neighbour of a number."""
+    """Values other than ``old``: any JSON value, a value the same log holds
+    elsewhere, one of the same type, a neighbour of a number, or an equal
+    number of another type."""
     options = [ANY_VALUE, st.sampled_from(log_scalars)]
+    twins = [value for value in (0, False, 0.0, 1, True, 1.0) if value == old]
+    if twins:
+        options.append(st.sampled_from(twins))
     if type(old) is bool:
         options.append(st.just(not old))
     elif type(old) is int:
@@ -214,7 +224,7 @@ def replacements(old, log_scalars):
         options.append(st.floats())
     elif type(old) is str:
         options.append(st.text())
-    return st.one_of(options).filter(lambda new: new != old)
+    return st.one_of(options).filter(lambda new: not same_json(new, old))
 
 
 def exact_mean(scores):
@@ -248,17 +258,22 @@ def changes_a_checked_mean(events, position, new):
 
 def cross_checked(events, index, path, new):
     """Whether replay must reject the edit of line ``index`` (0 is the
-    manifest) at ``path``."""
-    if index == 0 or not path:
+    manifest, which a resume checks against its config and corpus) at
+    ``path``. A last line made into one that is no event is dropped as a
+    torn write. A RunStarted setting is an input of the run: another value
+    of its type shows only where a later event depends on it."""
+    if index == 0 or (not path and index == len(events)):
         return False
-    event = events[index - 1]
-    if path in (("seq",), ("ts",)):
+    if len(path) < 2 or path[0] != "payload":
         return True
-    if len(path) != 2 or path[0] != "payload":
+    kind, key = events[index - 1]["kind"], path[1]
+    if key in FREE.get(kind, ()):
         return False
-    if (event["kind"], path[1]) == ("SampleScored", "score"):
+    if kind == "RunStarted":
+        return type(new) not in PAYLOAD_FIELDS[kind].get(key, (type(new),))
+    if (kind, key) == ("SampleScored", "score"):
         return changes_a_checked_mean(events, index - 1, new)
-    return path[1] in CHECKED.get(event["kind"], ())
+    return True
 
 
 READERS = (

@@ -126,7 +126,8 @@ def chat_with_script(rewrites):
 def mutate(plan, seed, rewrites):
     """One mutation step on a one-entry archive holding ``plan``: the picks,
     rewrite and splice of run_mutation_phase, with a scripted mutator."""
-    state = EngineState.initial(seed, best_capacity=1, worst_capacity=5)
+    state = EngineState.started({"task_prompt": "Aufgabe", "seed": seed, "best_capacity": 1, "worst_capacity": 5,
+                                 "samples_per_round": 1, "max_rounds": 1, "mutation_budget": 1, "score_target": None})
     state.best.offer(ArchiveEntry("cand-0003", plan, 0.5, 1))
     picks = draw_picks(state)
     rewritten = rewrite_sentence(chat_with_script(rewrites), picks)

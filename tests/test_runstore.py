@@ -476,6 +476,29 @@ def _step_one_failing(*payloads):
     return edit
 
 
+def _regenerated(round_no):
+    return lambda event: event["kind"] == "PromptRegenerated" and event["payload"]["round"] == round_no
+
+
+def _forged_transition(events):
+    """The log cut after round 1's commit, with a PhaseTransition to the
+    mutation phase appended: the best archive holds 1 of 3 prompts and 4 of
+    5 rounds are left, so no transition is due."""
+    at = next(i for i, e in enumerate(events) if _regenerated(1)(e))
+    transition = {"kind": "PhaseTransition", "payload": {"from": "feedback_loop", "round": 1, "to": "mutation"}}
+    return events[: at + 1] + [transition]
+
+
+def _duplicated_sample_pair(events):
+    """Round 1 logs a third sample, a copy of its second (same score, so the
+    same mean), numbered as the next one."""
+    at = next(i for i, e in enumerate(events) if e["kind"] == "ThresholdUpdated")
+    pair = json.loads(json.dumps(events[at - 2 : at]))
+    for event in pair:
+        event["payload"]["sample_index"] = 2
+    return events[:at] + pair + events[at:]
+
+
 #: Edits that keep the BackendFailure events of a log where the engine could
 #: have written them; the log replays.
 FAILURES_IN_PLACE = {
@@ -587,6 +610,28 @@ TAMPERS = {
     "failure-phase-missing": _step_one_failing({"step": 1}),
     "failure-then-the-round-goes-on": _failure_before(_round_two_sample, {"phase": "feedback_loop", "round": 2}),
     "failure-twice-in-a-step": _step_one_failing({"phase": "mutation", "step": 1}, {"phase": "mutation", "step": 1}),
+    # Ids, indices and routes of the events between commits, a chat count
+    # other than the one the round's events call for, and a round with a
+    # sample too many.
+    "chat-calls-actor-plus-one": _edit_first(
+        _regenerated(2), lambda p: p["chat_calls"].update(actor=p["chat_calls"]["actor"] + 1)
+    ),
+    "sample-generated-index": _edit_first(_kind("SampleGenerated"), _bump("sample_index", 1)),
+    "sample-scored-candidate-id": _edit_first(_kind("SampleScored"), lambda p: p.update(candidate_id="cand-0002")),
+    "summarized-round": _edit_first(_kind("RoundSummarized"), _bump("round", 1)),
+    "feedback-route-flipped": _edit_first(_kind("FeedbackIssued"), lambda p: p.update(route="diagnostic")),
+    "duplicated-sample-pair": _duplicated_sample_pair,
+    # Phase transitions that are not the due one; and RunStarted's limits
+    # lowered, so that round 3's RoundStarted comes past max_rounds and step
+    # 2 past the mutation budget.
+    "phase-transition-round": _edit_first(_kind("PhaseTransition"), lambda p: p.update(round=99)),
+    "forged-early-transition": _forged_transition,
+    "round-started-past-max-rounds": _edit_first(_kind("RunStarted"), lambda p: p.update(max_rounds=2)),
+    "step-past-budget": _edit_first(_kind("RunStarted"), lambda p: p.update(mutation_budget=1)),
+    # The derived value, as a JSON value of another type that compares equal.
+    "rejected-archive-index-false": _edit_first(_kind("MutationRejected"), lambda p: p.update(archive_index=False)),
+    "rejected-sentence-index-float": _edit_first(_kind("MutationRejected"), lambda p: p.update(sentence_index=0.0)),
+    "failure-round-true": _failure_before(_kind("SampleGenerated"), {"phase": "feedback_loop", "round": True}, cut=True),
 }
 
 
