@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import LogError, UnfinishedLogError
 from .mutation import draw_picks
-from .state import COMMIT_KINDS, MUTATION_KINDS, PAYLOAD_FIELDS, EngineState, apply, check_payload
+from .state import KINDS, MUTATION_KINDS, EngineState, apply, check_payload
 
 ARTIFACT_VERSION = "0.2.0"
 
@@ -56,7 +56,7 @@ class RunEvent:
         envelope's keys are written in their sorted order around the
         encoded payload, which alone goes through the encoder. ``seq`` and
         ``ts`` are ints, and ``kind`` is a key of
-        :data:`promptloop.state.PAYLOAD_FIELDS`, as :func:`check_next`
+        :data:`promptloop.state.KINDS`, as :func:`check_next`
         requires of every event written or read; those keys are ASCII
         identifiers, whose canonical JSON is the name in double quotes, so
         the kind is written as it is."""
@@ -83,7 +83,7 @@ def check_next(last: RunEvent | None, event: RunEvent) -> None:
     ``last`` (None at the start) only if its seq is the next one and equals
     its ts (both ints, so not bools), RunStarted is first and only first,
     nothing follows RunFinished, its kind is a key of
-    :data:`promptloop.state.PAYLOAD_FIELDS` and its payload an object."""
+    :data:`promptloop.state.KINDS` and its payload an object."""
     if last is not None and last.kind == "RunFinished":
         raise LogError(f"event {event.seq}: nothing may follow RunFinished")
     expected = last.seq + 1 if last is not None else 1
@@ -91,7 +91,7 @@ def check_next(last: RunEvent | None, event: RunEvent) -> None:
         raise LogError(f"sequence gap: expected {expected}, got {event.seq!r}")
     if type(event.ts) is not int or event.ts != event.seq:
         raise LogError(f"event {event.seq}: ts {event.ts!r} must equal its sequence number")
-    if type(event.kind) is not str or event.kind not in PAYLOAD_FIELDS:
+    if type(event.kind) is not str or event.kind not in KINDS:
         raise LogError(f"event {event.seq}: unknown event kind {event.kind!r}")
     if last is None and event.kind != "RunStarted":
         raise LogError("first event must be RunStarted")
@@ -236,9 +236,11 @@ class EventLog:
 
 def _started(path) -> bool:
     """Whether the log holds a line after its manifest, which RunStarted
-    must be. A second line that is missing, or torn (unterminated and not an
-    event, so :func:`read_log` drops it), means the run crashed before its
-    first event, with no backend output. Only the first two lines are read."""
+    must be. A second line that is missing, or torn (the last line,
+    unterminated and not an event, which :func:`read_log` drops), means the
+    run crashed before its first event, with no backend output; a
+    terminated second line is kept, and read_log refuses it if it is no
+    event. Only the first two lines are read."""
     with open(path, "rb") as handle:
         handle.readline()
         line = handle.readline()
@@ -297,16 +299,20 @@ def read_log(path) -> tuple[dict, list[RunEvent], list[int]]:
     excluded.
 
     The file is read once, as bytes. Lines end at ``\\n`` only, and each is
-    decoded as UTF-8 on its own. A half-written final line (the classic crash
-    artifact, which may stop inside a character) is dropped; corrupt lines
-    anywhere else raise, and so does an event that breaks :func:`check_next`.
+    decoded as UTF-8 on its own. :meth:`EventLog.emit` writes an event's
+    newline last, in the one write of its line, so only a last line without
+    its newline can be half-written (the classic crash artifact, which may
+    stop inside a character): such a line is dropped unless it is an event.
+    Any other corrupt line raises, the last one too once it is terminated,
+    and so does an event that breaks :func:`check_next`.
     """
     try:
         with open(path, "rb") as handle:
             lines = handle.read().split(b"\n")
     except OSError as exc:
         raise LogError(f"cannot read log {path}: {exc}") from exc
-    if lines[-1] == b"":
+    terminated = lines[-1] == b""
+    if terminated:
         lines.pop()
     if not lines:
         raise LogError(f"log {path} is empty")
@@ -325,7 +331,7 @@ def read_log(path) -> tuple[dict, list[RunEvent], list[int]]:
         try:
             event = _parse_event(line)
         except LogError:
-            if i == len(lines):
+            if i == len(lines) and not terminated:
                 break  # trailing partial write
             raise
         check_next(last, event)
@@ -368,7 +374,7 @@ def replay_log(path) -> ReplayResult:
         raise LogError(f"log {path} has a manifest but no events")
     centroid = decode_centroid(manifest["corpus_centroid"]) if "corpus_centroid" in manifest else None
     state = EngineState.started(events[0].payload)
-    committed = next(e for e in reversed(events) if e.kind in COMMIT_KINDS)
+    committed = next(e for e in reversed(events) if KINDS[e.kind].commit)
     for event in events:
         picks = None
         if event.kind in MUTATION_KINDS:

@@ -11,6 +11,12 @@ event field but free text (sample, feedback and summary texts, plans, the
 rewritten sentence, failure messages) with its derivation here, and
 ``apply`` derives it again and raises :class:`LogError` when the event
 disagrees in value or JSON type.
+
+:data:`KINDS` has one row per event kind: the phases it may occur in,
+whether it is a commit point, the kinds that may come directly after it
+where the engine's order fixes them, and its typed payload fields. The
+fold, replay, the report and the log's order rule read their rules about a
+kind from that row alone.
 """
 
 from __future__ import annotations
@@ -25,23 +31,6 @@ from .roles import ModelRole
 
 _MASK64 = (1 << 64) - 1
 _FLOAT_MAX = sys.float_info.max
-
-#: Event kinds at which the state is durably consistent: replay restores the
-#: state as of the latest one, and an aborted round rolls back to it.
-COMMIT_KINDS = frozenset(
-    {
-        "RunStarted",
-        "PromptRegenerated",
-        "PhaseTransition",
-        "MutationApplied",
-        "MutationRejected",
-        "RunFinished",
-    }
-)
-
-#: Events that close a mutation step; each one carries the step's RNG picks.
-MUTATION_KINDS = frozenset({"MutationApplied", "MutationRejected"})
-
 
 class SplitMix64:
     """Portable deterministic generator with a single 64-bit word of state.
@@ -248,8 +237,8 @@ class EngineState:
     #: many of them took the diagnostic route.
     feedbacks: int = 0
     diagnostic: int = 0
-    #: Whether a BackendFailure was logged since the latest commit event.
-    failed: bool = False
+    #: The kind of the last event applied.
+    last: str | None = None
 
     @classmethod
     def started(cls, payload: dict) -> "EngineState":
@@ -403,7 +392,8 @@ def step_closing(state: EngineState, picks: Picks, rewritten: str | None) -> tup
     the best archive would take its mean."""
     fields = {**picks.payload(), "chat_calls": dict(state.chat_calls)}
     if not state.scores:
-        return "MutationRejected", {**fields, "reason": "backend-failure" if state.failed else "empty-rewrite"}
+        reason = "backend-failure" if state.last == "BackendFailure" else "empty-rewrite"
+        return "MutationRejected", {**fields, "reason": reason}
     fields["score"] = round_mean(state.scores)
     inserted, evicted = state.best.admits(fields["score"])
     if not inserted:
@@ -413,58 +403,72 @@ def step_closing(state: EngineState, picks: Picks, rewritten: str | None) -> tup
 
 
 _LOOP, _OPEN = ("feedback_loop",), ("feedback_loop", "mutation")
-
-#: The phases an event of each kind may occur in.
-_PHASES = {
-    "RunStarted": _LOOP, "RoundStarted": _LOOP, "FeedbackIssued": _LOOP, "RoundSummarized": _LOOP,
-    "ThresholdUpdated": _LOOP, "ArchivesUpdated": _LOOP, "PromptRegenerated": _LOOP,
-    "SampleGenerated": _OPEN, "SampleScored": _OPEN, "BackendFailure": _OPEN, "PhaseTransition": _OPEN,
-    "MutationApplied": ("mutation",), "MutationRejected": ("mutation",), "RunFinished": ("finished",),
-}
-#: The kinds the feedback loop may log before the run's first plan.
-_BEFORE_PLAN = ("RunStarted", "PromptRegenerated", "BackendFailure")
-
-
 _INT, _NUMBER, _TEXT, _NONE, _OBJECT = (int,), (int, float), (str,), (type(None),), (dict,)
 
-#: Every event kind, with the payload fields the fold or the report reads and
-#: the exact types each may hold (so a bool is not a number). The fields
-#: :func:`apply` only compares with a derivation are typed by that check.
-PAYLOAD_FIELDS = {
-    "RunStarted": {
+
+@dataclass(frozen=True)
+class KindRow:
+    """What the log's rules say about one event kind."""
+
+    #: The phases an event of the kind may occur in.
+    phases: tuple[str, ...]
+    #: The payload fields the fold or the report reads, with the exact types
+    #: each may hold (so a bool is not a number). The fields :func:`apply`
+    #: only compares with a derivation are typed by that check.
+    fields: dict[str, tuple[type, ...]]
+    #: Whether the state is durably consistent at it: replay restores the
+    #: state as of the latest commit, and an aborted round rolls back to it.
+    commit: bool = False
+    #: The kinds that may come directly after it, where the engine's order
+    #: fixes them; None where it does not, and then any kind of
+    #: :data:`_UNFIXED` may.
+    next: tuple[str, ...] | None = None
+
+
+#: Every event kind, with its row.
+KINDS = {
+    "RunStarted": KindRow(_LOOP, {
         "task_prompt": _TEXT, "seed": _INT, "best_capacity": _INT, "worst_capacity": _INT,
         "samples_per_round": _INT, "max_rounds": _INT, "mutation_budget": _INT, "score_target": _NUMBER + _NONE,
-    },
-    "RoundStarted": {"round": _INT, "candidate_id": _TEXT, "step_plan": _TEXT, "origin": _TEXT},
-    "SampleGenerated": {},
-    "SampleScored": {"score": _NUMBER},
-    "FeedbackIssued": {},
-    "RoundSummarized": {},
-    "ThresholdUpdated": {"round": _INT, "previous": _NUMBER + _NONE, "value": _NUMBER},
-    "ArchivesUpdated": {"round": _INT, "candidate_id": _TEXT, "score": _NUMBER},
-    "PromptRegenerated": {
+    }, commit=True, next=("PromptRegenerated", "BackendFailure")),
+    "RoundStarted": KindRow(_LOOP, {"round": _INT, "candidate_id": _TEXT, "step_plan": _TEXT, "origin": _TEXT}),
+    "SampleGenerated": KindRow(_OPEN, {}, next=("SampleScored",)),
+    "SampleScored": KindRow(_OPEN, {"score": _NUMBER}),
+    "FeedbackIssued": KindRow(_LOOP, {}),
+    "RoundSummarized": KindRow(_LOOP, {}),
+    "ThresholdUpdated": KindRow(_LOOP, {"round": _INT, "previous": _NUMBER + _NONE, "value": _NUMBER}),
+    "ArchivesUpdated": KindRow(_LOOP, {"round": _INT, "candidate_id": _TEXT, "score": _NUMBER}),
+    "PromptRegenerated": KindRow(_LOOP, {
         "round": _INT, "candidate_id": _TEXT, "step_plan": _TEXT, "origin": _TEXT, "for_round": _INT,
         "chat_calls": _OBJECT,
-    },
-    "PhaseTransition": {},
-    "MutationApplied": {
+    }, commit=True),
+    "PhaseTransition": KindRow(_OPEN, {}, commit=True),
+    "MutationApplied": KindRow(("mutation",), {
         "step": _INT, "original_sentence": _TEXT, "rewritten_sentence": _TEXT,
         "candidate_id": _TEXT, "step_plan": _TEXT, "score": _NUMBER, "evicted_candidate_id": _TEXT + _NONE,
         "chat_calls": _OBJECT,
-    },
-    "MutationRejected": {"step": _INT, "chat_calls": _OBJECT},
-    "BackendFailure": {"phase": _TEXT},
-    "RunFinished": {
+    }, commit=True),
+    "MutationRejected": KindRow(("mutation",), {"step": _INT, "chat_calls": _OBJECT}, commit=True),
+    "BackendFailure": KindRow(_OPEN, {"phase": _TEXT}, next=("MutationApplied", "MutationRejected")),
+    "RunFinished": KindRow(("finished",), {
         "best_candidate_id": _TEXT + _NONE, "best_score": _NUMBER + _NONE, "best_step_plan": _TEXT + _NONE,
         "rounds": _INT, "mutations_applied": _INT, "mutations_rejected": _INT,
-    },
+    }, commit=True),
 }
+
+#: Events that close a mutation step, the ones a BackendFailure is followed
+#: by; each one carries the step's RNG picks.
+MUTATION_KINDS = frozenset(KINDS["BackendFailure"].next)
+
+#: The kinds that may follow one whose row fixes no successors: all but
+#: SampleScored, which comes only directly after its SampleGenerated.
+_UNFIXED = frozenset(KINDS) - {"SampleScored"}
 
 
 def check_payload(kind: str, payload: dict, seq: int = 1) -> dict:
-    """Return event ``seq``'s payload once each field :data:`PAYLOAD_FIELDS`
-    lists for its kind is present with one of its types."""
-    for key, types in PAYLOAD_FIELDS[kind].items():
+    """Return event ``seq``'s payload once each field its :data:`KINDS` row
+    lists is present with one of its types."""
+    for key, types in KINDS[kind].fields.items():
         if key not in payload:
             raise LogError(f"event {seq}: {kind} payload has no {key!r}")
         value = payload[key]
@@ -490,7 +494,8 @@ def _take_calls(state: EngineState, event, derived: dict) -> None:
         calls["mutator"] += 1
     if state.scores:
         calls["actor"] += state.samples_per_round
-    allowed = [calls, {**calls, "actor": calls["actor"] + state.samples_per_round}] if state.failed else [calls]
+    with_batch = {**calls, "actor": calls["actor"] + state.samples_per_round}
+    allowed = [calls, with_batch] if state.last == "BackendFailure" else [calls]
     logged = event.payload["chat_calls"]
     if logged not in allowed or any(type(n) is not int for n in logged.values()):
         options = " or ".join(map(repr, allowed))
@@ -520,22 +525,25 @@ def apply(state: EngineState, event, picks: Picks | None = None) -> None:
     logged a BackendFailure may have sent its actor batch or not, so both
     counts pass.
 
-    Refused as well: an event outside its phase, or in the feedback loop
-    before the first plan; a PhaseTransition that is not due, and a
-    RoundStarted when one is; a step's closing event when no step is due;
-    a round or scored step with other than ``samples_per_round`` samples,
-    and a round with other than that many feedbacks. A BackendFailure ends
-    its round or step: it comes before any sample of a mutation step is
-    logged, at most once per step, and only the step's closing event may
-    follow it, so nothing follows one in the feedback loop.
+    Refused as well: an event outside its :data:`KINDS` row's phases, or
+    directly after an event whose row does not let it follow (see
+    :attr:`KindRow.next`): only the first plan or its BackendFailure
+    follows RunStarted, each SampleGenerated is directly followed by its
+    SampleScored and nothing else is, and only the step's closing event
+    follows a BackendFailure. Refused too: a PhaseTransition that is not
+    due, and a RoundStarted when one is; a step's closing event when no
+    step is due; a round or scored step with other than
+    ``samples_per_round`` samples, and a round with other than that many
+    feedbacks. A BackendFailure ends its round or step: it comes before any
+    sample of a mutation step is logged, at most once per step, and nothing
+    follows one in the feedback loop, where no step closes.
     """
     kind, payload = event.kind, check_payload(event.kind, event.payload, event.seq)
-    if state.phase not in _PHASES[kind]:
+    if state.phase not in KINDS[kind].phases:
         raise LogError(f"event {event.seq}: {kind} in phase {state.phase!r}")
-    if state.failed and kind not in MUTATION_KINDS:
-        raise LogError(f"event {event.seq}: {kind} after a BackendFailure, which only a step's closing event follows")
-    if state.current is None and state.phase == "feedback_loop" and kind not in _BEFORE_PLAN:
-        raise LogError(f"event {event.seq}: {kind} before the run's first plan")
+    fixed = KINDS[state.last].next if state.last else None
+    if kind not in (fixed or _UNFIXED):
+        raise LogError(f"event {event.seq}: {kind} may not directly follow {state.last}")
     if kind in ("PromptRegenerated", "MutationApplied") and not payload["step_plan"].strip():
         # Both backends refuse a blank reply, and a mutation step could pick no sentence of it.
         raise LogError(f"event {event.seq}: {kind} step_plan is blank")
@@ -565,7 +573,6 @@ def apply(state: EngineState, event, picks: Picks | None = None) -> None:
         if state.phase == "mutation" and state.scores:
             raise LogError(f"event {event.seq}: BackendFailure after its step's logged samples")
         derived = backend_failure(state)
-        state.failed = True
     elif kind == "RoundStarted":
         if phase_transition(state) is not None:
             raise LogError(f"event {event.seq}: RoundStarted when a PhaseTransition is due")
@@ -618,7 +625,7 @@ def apply(state: EngineState, event, picks: Picks | None = None) -> None:
         for key, value in derived.items():
             if key not in payload or type(payload[key]) is not type(value) or payload[key] != value:
                 raise LogError(f"event {event.seq}: {kind} logs {payload.get(key)!r}, not the derived {key} {value!r}")
-    if kind in COMMIT_KINDS:
+    if KINDS[kind].commit:
         state.scores = []
         state.feedbacks = state.diagnostic = 0
-        state.failed = False
+    state.last = kind

@@ -49,6 +49,10 @@ REJECTED = {
     "top-k-bool": ({"engine": {"role_params": {"actor": {"top_k": True}}}}, "engine.role_params.actor.top_k"),
     "top-k-fraction": ({"engine": {"role_params": {"actor": {"top_k": 2.5}}}}, "engine.role_params.actor.top_k"),
     "role-seed-string": ({"engine": {"role_params": {"actor": {"seed": "x"}}}}, "engine.role_params.actor.seed"),
+    # Scripted replies are the mock's alone.
+    "scripts-on-http": (
+        {"backend": {"kind": "http", "base_url": "http://x:1"}, "scripts": {"actor": ["Antwort."]}}, "scripts"
+    ),
 }
 
 #: A config that sets every field.

@@ -331,6 +331,17 @@ class TestHttpChat:
             backend.chat(exchange(), PARAMS)
         assert len(session.requests) == 3
 
+    def test_retries_back_off_exponentially(self, monkeypatch):
+        """``retry_backoff`` seconds before the second attempt, twice that
+        before the third, and no sleep after the last."""
+        sleeps = []
+        monkeypatch.setattr(time, "sleep", sleeps.append)
+        session = FakeSession([FakeResponse({}, status=503)] * 3)
+        backend = HttpBackend(http_descriptor(max_retries=2, retry_backoff=0.5), session)
+        with pytest.raises(BackendUnavailableError, match="after 3 attempts"):
+            backend.chat(exchange(), PARAMS)
+        assert sleeps == [0.5, 1.0]
+
     def test_rate_limit_is_retried(self):
         session = FakeSession(
             [FakeResponse({}, status=429), FakeResponse({"message": {"content": "ok"}})]

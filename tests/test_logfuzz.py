@@ -6,8 +6,8 @@ that compares unequal to it, or an equal one of another type (``1``,
 ``1.0`` and ``true``). Reading, replaying and reporting the edited log may
 fail only with :class:`LogError`, and replay must reject every edit of an
 event but those of the free paths :data:`FREE` lists, of a RunStarted
-setting to another value of its type, of a score that leaves every mean the
-log records as it is, and of a last line into one that is no event.
+setting to another value of its type, and of a score that leaves every
+mean the log records as it is.
 
 The logs are the committed demo log of format 0.1.0, the demo log this
 version writes, a small log shaped like the ``resume-long`` benchmark
@@ -37,7 +37,7 @@ from promptloop.gateway import FAILURE_MARKER
 from promptloop.pipeline import resume_optimization
 from promptloop.roles import ModelRole
 from promptloop.runstore import RunEvent, canonical_json, check_next, emit_report, read_log, replay_log
-from promptloop.state import COMMIT_KINDS, PAYLOAD_FIELDS
+from promptloop.state import KINDS
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -238,10 +238,10 @@ def changes_a_checked_mean(events, position, new):
     if type(new) not in (int, float) or not abs(new) <= sys.float_info.max:
         return True
     start = position
-    while events[start - 1]["kind"] not in COMMIT_KINDS:
+    while not KINDS[events[start - 1]["kind"]].commit:
         start -= 1
     end = position
-    while events[end]["kind"] not in COMMIT_KINDS:
+    while not KINDS[events[end]["kind"]].commit:
         end += 1
     group = events[start : end + 1]
     means = [
@@ -259,10 +259,9 @@ def changes_a_checked_mean(events, position, new):
 def cross_checked(events, index, path, new):
     """Whether replay must reject the edit of line ``index`` (0 is the
     manifest, which a resume checks against its config and corpus) at
-    ``path``. A last line made into one that is no event is dropped as a
-    torn write. A RunStarted setting is an input of the run: another value
+    ``path``. A RunStarted setting is an input of the run: another value
     of its type shows only where a later event depends on it."""
-    if index == 0 or (not path and index == len(events)):
+    if index == 0:
         return False
     if len(path) < 2 or path[0] != "payload":
         return True
@@ -270,7 +269,7 @@ def cross_checked(events, index, path, new):
     if key in FREE.get(kind, ()):
         return False
     if kind == "RunStarted":
-        return type(new) not in PAYLOAD_FIELDS[kind].get(key, (type(new),))
+        return type(new) not in KINDS[kind].fields.get(key, (type(new),))
     if (kind, key) == ("SampleScored", "score"):
         return changes_a_checked_mean(events, index - 1, new)
     return True
@@ -412,8 +411,8 @@ def test_logged_kinds_are_the_payload_table_keys(logs):
     hold is a key, and only BackendFailure, which a run writes when its
     backend fails, is missing from them."""
     kinds = {json.loads(line)["kind"] for name in ("demo", "long") for line in logs[name][1:]}
-    assert kinds <= PAYLOAD_FIELDS.keys()
-    assert PAYLOAD_FIELDS.keys() - kinds == {"BackendFailure"}
+    assert kinds <= KINDS.keys()
+    assert KINDS.keys() - kinds == {"BackendFailure"}
 
 
 def test_check_next_rejects_a_kind_the_table_lacks(logs):

@@ -489,6 +489,31 @@ def _forged_transition(events):
     return events[: at + 1] + [transition]
 
 
+def _first(events, kind):
+    """The index of the first event of ``kind``."""
+    return next(i for i, e in enumerate(events) if e["kind"] == kind)
+
+
+def _round_started_in_mutation(events):
+    """Round 1's RoundStarted copied after the PhaseTransition to mutation."""
+    at = next(i for i, e in enumerate(events) if e["kind"] == "PhaseTransition" and e["payload"]["to"] == "mutation")
+    return events[: at + 1] + [dict(events[_first(events, "RoundStarted")])] + events[at + 1 :]
+
+
+def _duplicated_last_feedback(events):
+    """Round 1's last FeedbackIssued logged twice."""
+    at = _first(events, "RoundSummarized")
+    return events[:at] + [dict(events[at - 1])] + events[at:]
+
+
+def _repeated_sample_text(events):
+    """Round 1's SampleGenerated 0 logged twice in a row and its
+    SampleGenerated 1 dropped, so each sample index is scored once."""
+    first = _first(events, "SampleGenerated")
+    second = first + 1 + _first(events[first + 1 :], "SampleGenerated")
+    return events[: first + 1] + [dict(events[first])] + events[first + 1 : second] + events[second + 1 :]
+
+
 def _duplicated_sample_pair(events):
     """Round 1 logs a third sample, a copy of its second (same score, so the
     same mean), numbered as the next one."""
@@ -632,6 +657,15 @@ TAMPERS = {
     "rejected-archive-index-false": _edit_first(_kind("MutationRejected"), lambda p: p.update(archive_index=False)),
     "rejected-sentence-index-float": _edit_first(_kind("MutationRejected"), lambda p: p.update(sentence_index=0.0)),
     "failure-round-true": _failure_before(_kind("SampleGenerated"), {"phase": "feedback_loop", "round": True}, cut=True),
+    # An archive that holds nothing, events out of their phase or order, a
+    # feedback past the round's samples, and samples whose texts are not
+    # logged one to a score.
+    "run-started-capacity-zero": _edit_first(_kind("RunStarted"), lambda p: p.update(best_capacity=0)),
+    "round-started-in-mutation": _round_started_in_mutation,
+    "round-started-before-plan": lambda events: events[:1] + [dict(events[_first(events, "RoundStarted")])],
+    "feedback-issued-past-samples": _duplicated_last_feedback,
+    "sample-texts-dropped": lambda events: [e for e in events if e["kind"] != "SampleGenerated"],
+    "sample-generated-repeated": _repeated_sample_text,
 }
 
 
@@ -1086,6 +1120,23 @@ class TestLineBytes:
             for read in (read_log, replay_log, summarize_log):
                 with pytest.raises(LogError, match=what):
                     read(path)
+
+    def test_terminated_last_line_that_is_no_event_is_a_log_error(self, tmp_path):
+        """The RunFinished line replaced with ``null``: its newline shows the
+        line was written whole, so it is a corrupt event, not a torn write
+        to drop, and a resume must not write RunFinished in its place."""
+        lines = self.fixture.read_bytes().split(b"\n")
+        assert lines[-1] == b"" and b'"kind":"RunFinished"' in lines[-2]
+        lines[-2] = b"null"
+        path = tmp_path / "null.jsonl"
+        path.write_bytes(b"\n".join(lines))
+        before = path.read_bytes()
+        for read in (read_log, replay_log, lambda p: emit_report(p, "json"), lambda p: emit_report(p, "markdown")):
+            with pytest.raises(LogError, match="event line missing fields"):
+                read(path)
+        with pytest.raises(LogError, match="event line missing fields"):
+            resume_optimization(demo_config(tmp_path), path, corpus_texts=DEMO_CORPUS)
+        assert path.read_bytes() == before
 
     def test_lone_carriage_return_between_events_is_rejected(self, tmp_path):
         """The manifest and events 1 to 3, with a \\r in place of the

@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import FakeResponse, make_corpus, write_corpus_file
 from oracle import corpus_score_ref, embed_ref
+from promptloop.config import corpus_digest
 from promptloop.errors import CorpusError, DegenerateInputError, DimensionMismatchError
 from promptloop.gateway import EMBED_BATCH, BackendDescriptor, HttpBackend, MockBackend
 from promptloop.scoring import (
@@ -18,6 +19,7 @@ from promptloop.scoring import (
     corpus_score,
     cosine,
     load_corpus,
+    read_corpus,
 )
 
 # Two strings whose bigram-count vectors give exact cosines 0.8 and 0.6
@@ -252,6 +254,15 @@ class TestLoadCorpus:
         path.write_text('{"text": "Hallo.", "id": 7, "source": "x"}\n', encoding="utf-8")
         corpus = load_corpus(path, cache)
         assert corpus.documents == ["Hallo."]
+
+    def test_blank_lines_are_skipped(self, tmp_path, cache):
+        """Empty and whitespace-only lines hold no document: the corpus, and
+        the digest a resume checks it by, are the file's without them."""
+        plain = write_corpus_file(tmp_path, ["Eins.", "Zwei."], name="plain.jsonl")
+        spaced = tmp_path / "spaced.jsonl"
+        spaced.write_text('\n{"text": "Eins."}\n \t\n\n{"text": "Zwei."}\n\n', encoding="utf-8")
+        assert load_corpus(spaced, cache).documents == ["Eins.", "Zwei."]
+        assert corpus_digest(read_corpus(spaced)) == corpus_digest(read_corpus(plain))
 
     def test_malformed_json_line_rejected(self, tmp_path, cache):
         path = tmp_path / "corpus.jsonl"
