@@ -10,6 +10,7 @@ Once the best archive is full the run switches to the guided mutation phase.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from . import mutation, runstore, templates
 from .errors import (BACKEND_ERRORS, BackendUnavailableError, ConfigError, DigestMismatchError, LogError,
@@ -22,7 +23,7 @@ from .roles import (
     ModelRole,
     SamplingParams,
 )
-from .state import (EngineState, apply, archives_updated, backend_failure, check_transition, feedback_issued,
+from .state import (EngineState, Picks, apply, archives_updated, backend_failure, check_transition, feedback_issued,
                     phase_transition, prompt_regenerated, round_ids, round_started, route_feedback, sample_ids,
                     step_due, threshold_update)
 
@@ -51,6 +52,16 @@ _SETTINGS = ("seed", "samples_per_round", "max_rounds", "best_capacity", "worst_
              "mutation_budget", "score_target", "mutation_trigger")
 
 
+class _SentAhead(NamedTuple):
+    """A rewrite request sent before its step's turn: the step's picks, the
+    generator state and best-archive length they were drawn from, and the
+    request's reply or backend error."""
+
+    picks: Picks
+    drawn_from: tuple[int, int]
+    outcome: str | Exception
+
+
 def _reply(outcome: str | Exception) -> str:
     """A batch outcome's reply; a backend error is raised."""
     if isinstance(outcome, Exception):
@@ -61,11 +72,12 @@ def _reply(outcome: str | Exception) -> str:
 class Engine:
     """State machine driving one optimization run.
 
-    The engine talks to the backend only through :meth:`_chat` and
-    :meth:`_chat_many`, which number each call by its role's call count in the
-    run state (so a resumed run issues the calls the uninterrupted run would
-    have), and to the scorer only through ``evaluator.score_batch`` (its
-    ``centroid`` is read once, for the manifest).
+    The engine talks to the backend only through :meth:`_chat`,
+    :meth:`_chat_many` and :meth:`_send`, which number each call by its
+    role's call count in the run state (so a resumed run issues the calls
+    the uninterrupted run would have), and to the scorer only through
+    ``evaluator.score_batch`` (its ``centroid`` is read once, for the
+    manifest).
     Independent calls (a prompt's actor samples, a round's per-sample
     feedback) go out as one ``chat_many`` batch, which the HTTP backend runs
     concurrently; a batch's samples are scored together, and routing and
@@ -82,12 +94,19 @@ class Engine:
     run from one place, :meth:`_atomically`, which the initial plan and
     every round run through; in the mutation phase it only closes its step.
 
-    The last feedback round's plan request goes out in one batch with
-    mutation step 1's rewrite request, whose picks are fixed once the round
-    has archived its prompt; step 1 takes them from the ahead slot. The
-    rewrite is counted, and its reply or error handed out, only when step 1
-    asks :meth:`_chat` for that very call; any other call goes to the
-    backend as usual.
+    Every rewrite request goes out through the ahead map (see :meth:`_send`),
+    most of them before their step's turn: the last feedback round's plan
+    request goes out in one batch with mutation step 1's rewrite request,
+    whose picks are fixed once the round has archived its prompt, and a step
+    whose rewrite is not in the map sends it itself. Either batch fills its
+    free slots, up to the backend's ``in_flight``, with speculative rewrite
+    requests of the following steps, their picks drawn as if the steps in
+    between leave the best archive alone. A step takes picks from the map
+    only where it would draw the same ones (see :meth:`step_picks`), and a
+    rewrite is counted, and its reply or error handed out, only when the
+    step asks :meth:`rewrite` for that very call. So the events and every
+    request of the sequential run stay as they are; a speculation that
+    misses only costs its request.
     """
 
     def __init__(self, gateway, evaluator, config: EngineConfig, log: runstore.EventLog, task_prompt: str) -> None:
@@ -110,10 +129,9 @@ class Engine:
             )
             for role in ModelRole
         }
-        #: Mutation step 1's picks and its rewrite call, sent ahead of its
-        #: turn, with the call's reply or backend error; the next
-        #: :meth:`_chat` takes it, and uses it only if it makes that very call.
-        self._ahead: tuple[mutation.Picks, ChatCall, str | Exception] | None = None
+        #: The ahead map: each rewrite call sent before its step's turn,
+        #: with its picks, what they were drawn from and the call's outcome.
+        self._ahead: dict[ChatCall, _SentAhead] = {}
 
     def record(self, kind: str, payload: dict, picks=None) -> None:
         """Log one event, then apply it to the run state."""
@@ -121,12 +139,13 @@ class Engine:
 
     # ------------------------------------------------------------------ chat
 
-    def _request(self, role: ModelRole, user_message: str) -> ChatCall:
-        """Build one chat request at its role's current call index."""
+    def _request(self, role: ModelRole, user_message: str, ahead: int = 0) -> ChatCall:
+        """Build one chat request at its role's current call index, or
+        ``ahead`` calls of the role after it."""
         name, system_prompt, examples, params = self._roles[role]
         exchange = ChatExchange(
             role=role,
-            index=self.state.chat_calls[name],
+            index=self.state.chat_calls[name] + ahead,
             system_prompt=system_prompt,
             messages=examples + (("user", user_message),),
         )
@@ -139,13 +158,8 @@ class Engine:
         return call
 
     def _chat(self, role: ModelRole, user_message: str) -> str:
-        """One chat call. If it is the call sent ahead, its outcome is the
-        one that call got, and no request goes out."""
-        call = self._call(role, user_message)
-        ahead, self._ahead = self._ahead, None
-        if ahead is not None and ahead[1] == call:
-            return _reply(ahead[2])
-        return self.gateway.chat(*call)
+        """One chat call."""
+        return self.gateway.chat(*self._call(role, user_message))
 
     def _chat_many(self, requests: list[tuple[ModelRole, str]]) -> list[str]:
         """Send independent requests as one batch; the replies, or the first
@@ -233,19 +247,72 @@ class Engine:
         """The plan the round after ``round_no`` would run. When the run
         turns to mutation after this round and the phase runs a step, step
         1's rewrite request goes out in one batch with the plan request: its
-        picks are fixed once the round has archived its prompt. The
-        picks and the rewrite's outcome wait for step 1 (see :meth:`_chat`);
-        a failed plan request is raised as the lone call's would be."""
+        picks are fixed once the round has archived its prompt. The batch's
+        free slots carry the next steps' speculative rewrites (see
+        :meth:`_send`); the picks and outcomes wait in the ahead map for
+        their steps, and a failed plan request is raised as the lone call's
+        would be."""
         # The state as this round's commit leaves it, in all the checks read.
         committed = replace(self.state, round=round_no)
         if check_transition(committed) != "mutation" or not step_due(committed):
             return self.generate_step_plan(summary)
-        picks = mutation.draw_picks(self.state)
-        rewrite = self._request(*mutation.rewrite_request(picks))
         plan_call = self._call(ModelRole.PROMPTING, self._plan_request(summary))
-        plan, outcome = self.gateway.chat_many([plan_call, rewrite])
-        self._ahead = (picks, rewrite, outcome)
+        [plan] = self._send([plan_call], mutation.draw_picks(self.state))
         return _reply(plan)
+
+    # -------------------------------------------------------- rewrites ahead
+
+    def _send(self, batch: list[ChatCall], picks: Picks) -> list[str | Exception]:
+        """Send ``batch`` in one ``chat_many`` with the rewrite request of
+        ``picks``' step and, in the slots left up to the backend's
+        ``in_flight``, those of the due steps after it, their picks chained
+        from ``picks`` by :func:`promptloop.mutation.picks_ahead`. A call
+        already in the ahead map is not sent again. Each rewrite sent goes
+        into the map with its picks, what they were drawn from and its
+        outcome; returns the outcomes of ``batch``."""
+        rewrites = []
+        for drawn_from, step_picks in mutation.picks_ahead(self.state, picks):
+            call = self._rewrite_call(step_picks)
+            if call not in self._ahead:
+                rewrites.append((call, drawn_from, step_picks))
+                if len(batch) + len(rewrites) >= self.gateway.in_flight:
+                    break
+        outcomes = self.gateway.chat_many(batch + [call for call, _, _ in rewrites])
+        for (call, drawn_from, step_picks), outcome in zip(rewrites, outcomes[len(batch):]):
+            self._ahead[call] = _SentAhead(step_picks, drawn_from, outcome)
+        return outcomes[: len(batch)]
+
+    def step_picks(self) -> Picks:
+        """The open mutation step's picks, its rewrite request sent. Picks
+        sent ahead are taken where :func:`promptloop.mutation.draw_picks`
+        would draw the same: drawn for this step from this generator state,
+        over an archive of this length with this entry at the picked index.
+        Otherwise they are drawn now, and the rewrite request goes out,
+        with the speculative ones of the steps after it (see :meth:`_send`),
+        unless that very call went out ahead. The map keeps only the steps
+        from this one on."""
+        state, step = self.state, self.state.mutation_step + 1
+        entries = state.best.entries
+        self._ahead = {call: sent for call, sent in self._ahead.items() if sent.picks.step >= step}
+        for sent in self._ahead.values():
+            picks = sent.picks
+            if (picks.step == step and sent.drawn_from == (state.rng.state, len(entries))
+                    and entries[picks.archive_index] == picks.source):
+                return picks
+        picks = mutation.draw_picks(state)
+        self._send([], picks)
+        return picks
+
+    def rewrite(self, role: ModelRole, user_message: str) -> str:
+        """The open step's rewrite call, counted at its turn: the outcome
+        that very call got when it went out (see :meth:`step_picks`)."""
+        return _reply(self._ahead[self._call(role, user_message)].outcome)
+
+    def _rewrite_call(self, picks: Picks) -> ChatCall:
+        """The rewrite request of ``picks``' step, at the mutator call index
+        its turn gives it: one more for each step before it from the open
+        one on."""
+        return self._request(*mutation.rewrite_request(picks), picks.step - self.state.mutation_step - 1)
 
     def _publish_plan(self, plan: str) -> None:
         """Log the prompt the next round runs; this commits the round."""

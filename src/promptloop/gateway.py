@@ -21,6 +21,11 @@ concurrently, at most :data:`MAX_IN_FLIGHT` at a time, and a batch of one
 request is sent on the calling thread. The mock runs chat calls in index
 order.
 
+Each backend class says in ``in_flight`` how many chat calls of one batch
+it runs at once: :data:`MAX_IN_FLIGHT` over HTTP, 1 for the mock. The
+engine fills a batch that carries a mutation rewrite with speculative
+rewrites only up to that number, so the mock never speculates.
+
 The HTTP client, ``requests``, is imported only when an :class:`HttpBackend`
 is built, so mock runs, reports and config checks never load it.
 """
@@ -153,11 +158,15 @@ class MockBackend:
     user message, so unscripted runs stay fully deterministic. A
     :data:`FAILURE_MARKER` item raises a backend failure, an empty or
     whitespace-only item raises an empty-response error. Seeds are ignored.
+    A batch's calls run one after another, so ``in_flight`` is 1.
 
     Embeddings count the UTF-8 byte bigrams of the text, bucket each bigram
     at ``fnv1a64(bigram) % dim``, and L2-normalize the counts unless the raw
     vector is zero (texts shorter than two bytes).
     """
+
+    #: Chat calls of one batch run at once.
+    in_flight = 1
 
     def __init__(
         self,
@@ -221,6 +230,9 @@ class HttpBackend:
     session is used as it is.
     """
 
+    #: Chat calls of one batch run at once.
+    in_flight = MAX_IN_FLIGHT
+
     def __init__(self, descriptor: BackendDescriptor, session: requests.Session | None = None):
         import requests
 
@@ -262,7 +274,7 @@ class HttpBackend:
         """Run every call concurrently through :meth:`chat`, all sharing this
         backend's session; each call's reply or backend error, in input
         order."""
-        return self._in_flight(functools.partial(_outcome, self.chat), calls)
+        return self._pooled(functools.partial(_outcome, self.chat), calls)
 
     def embed(self, texts: Sequence[str]) -> list[np.ndarray]:
         """Vectors of ``texts`` in input order, embedded :data:`EMBED_BATCH`
@@ -270,13 +282,13 @@ class HttpBackend:
         if not texts:
             raise ValueError("embed needs at least one text")
         chunks = [texts[start : start + EMBED_BATCH] for start in range(0, len(texts), EMBED_BATCH)]
-        matrices = self._in_flight(self._embed_chunk, chunks)
+        matrices = self._pooled(self._embed_chunk, chunks)
         dims = sorted({matrix.shape[1] for matrix in matrices})
         if len(dims) != 1:
             raise ProtocolError(f"embedding requests disagree on dimension: {dims}")
         return [row for matrix in matrices for row in matrix]
 
-    def _in_flight(self, send, items: Sequence) -> list:
+    def _pooled(self, send, items: Sequence) -> list:
         """``send`` of every item on a pool of at most :data:`MAX_IN_FLIGHT`
         threads; the results in input order. Every item is sent, and the
         first exception ``send`` raised, in input order, is raised once all

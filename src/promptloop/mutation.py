@@ -9,7 +9,8 @@ split — a documented limitation accepted for reproducibility.
 from __future__ import annotations
 
 import re
-from typing import Callable
+from dataclasses import replace
+from typing import Callable, Iterator
 
 from . import templates
 from .errors import BACKEND_ERRORS, DegenerateInputError, EmptyResponseError
@@ -61,38 +62,60 @@ def rewrite_sentence(chat: Callable[[ModelRole, str], str], picks: Picks) -> str
     return rewritten if rewritten.strip() else None
 
 
-def draw_picks(state) -> Picks:
-    """Draw the next mutation step's archive pick, then its sentence pick.
-
-    The draws run on a copy of the run's generator: the state moves on only
-    when the step's outcome event is applied.
-    """
-    rng = SplitMix64(state.rng.state)
-    entries = state.best.entries
+def draw(entries, rng_state: int, step: int) -> Picks:
+    """Draw step ``step``'s archive pick from the best archive's ``entries``,
+    then its sentence pick, on a generator at ``rng_state``: the state the
+    step's outcome event leaves is the picks' ``rng_after``."""
+    rng = SplitMix64(rng_state)
     archive_index = rng.below(len(entries))
     source = entries[archive_index]
     sentences = segment_sentences(source.step_plan)
     sentence_index = rng.below(len(sentences))
-    return Picks(state.mutation_step + 1, source, archive_index, sentence_index, rng.state, sentences)
+    return Picks(step, source, archive_index, sentence_index, rng.state, sentences)
+
+
+def draw_picks(state) -> Picks:
+    """Draw the next mutation step's picks from the run's generator state;
+    the state moves on only when the step's outcome event is applied."""
+    return draw(state.best.entries, state.rng.state, state.mutation_step + 1)
+
+
+def picks_ahead(state, picks: Picks) -> Iterator[tuple[tuple[int, int], Picks]]:
+    """``picks``, drawn from the state as it is, then the picks of each later
+    step while :func:`promptloop.state.step_due` would hold, each drawn from
+    the generator state the one before leaves, over the best archive as it
+    is: the steps' picks if the steps in between leave the archive alone.
+    Each comes with what it was drawn from: the generator state and the
+    archive's length. Lazy, so only the picks taken are drawn."""
+    entries = state.best.entries
+    drawn_from = (state.rng.state, len(entries))
+    while True:
+        yield drawn_from, picks
+        if not step_due(replace(state, mutation_step=picks.step)):
+            return
+        drawn_from = (picks.rng_after, len(entries))
+        picks = draw(entries, picks.rng_after, picks.step + 1)
 
 
 def run_mutation_phase(engine) -> None:
     """Drive the whole mutation phase on the engine.
 
-    Each step: pick an archive prompt and a sentence (two RNG draws, in that
-    order; step 1's come with its rewrite sent ahead), rewrite, evaluate the
-    mutant, and log the event :func:`promptloop.state.step_closing` derives.
-    A step's rewrite is a text, None (no usable rewrite, so nothing to
-    evaluate) or a backend error, which is logged and ends the step; the run
-    goes on. The phase ends with the PhaseTransition
-    :func:`promptloop.state.phase_transition` derives once no step is due.
+    Each step: take the step's picks (two RNG draws, archive then sentence)
+    and its rewrite request from the engine, which sends the request unless
+    it went out ahead (see :meth:`promptloop.engine.Engine.step_picks`),
+    rewrite, evaluate the mutant, and log the event
+    :func:`promptloop.state.step_closing` derives. A step's rewrite is a
+    text, None (no usable rewrite, so nothing to evaluate) or a backend
+    error, which is logged and ends the step; the run goes on. The phase
+    ends with the PhaseTransition :func:`promptloop.state.phase_transition`
+    derives once no step is due.
     """
     state = engine.state
     while step_due(state):
-        picks = engine._ahead[0] if engine._ahead else draw_picks(state)
+        picks = engine.step_picks()
         rewritten = None
         try:
-            rewritten = rewrite_sentence(engine._chat, picks)
+            rewritten = rewrite_sentence(engine.rewrite, picks)
             if rewritten is not None:
                 engine.draw_samples(picks.applied(rewritten)["step_plan"])
         except BACKEND_ERRORS as exc:

@@ -1,21 +1,25 @@
 import json
 import os
+import tempfile
 import threading
 from pathlib import Path
 
 import pytest
 import requests
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from conftest import FakeResponse, write_config_file, write_corpus_file
-from promptloop import pipeline
+from conftest import FakeResponse, scripted_plans, write_config_file, write_corpus_file
+from promptloop import mutation, pipeline
 from promptloop.config import corpus_digest, load_config
 from promptloop.demo import run_demo
 from promptloop.engine import Engine
-from promptloop.errors import ConfigError, ProtocolError, RunAbortedError
-from promptloop.gateway import call_seed
+from promptloop.errors import BACKEND_ERRORS, ConfigError, ProtocolError, RunAbortedError
+from promptloop.gateway import FAILURE_MARKER, HttpBackend, MockBackend, call_seed
 from promptloop.pipeline import build_runtime, resume_optimization, run_optimization
 from promptloop.roles import DEFAULT_ROLE_PARAMS, DEFAULT_SYSTEM_PROMPTS, ModelRole, SamplingParams
 from promptloop.runstore import canonical_json, read_log
+from promptloop.state import SplitMix64
 
 CORPUS = [
     "Der Patient ist kardial stabil. Die Entlassung erfolgt morgen.",
@@ -230,9 +234,13 @@ class StageCounter:
 
 class TestCriticalPath:
     """Sequential chat stages per run: an initial plan, 4 per feedback round
-    (actors, feedback, summary, plan) and 2 per mutation step (rewrite,
-    actors), less one: step 1's rewrite goes out with the last round's
-    plan."""
+    (actors, feedback, summary, plan) and per mutation step its actors, and
+    its rewrite when that did not go out ahead. Step 1's rewrite goes out
+    with the last round's plan. On the mock, which runs one call at a time,
+    nothing else goes ahead, so each later step sends its own rewrite. Over
+    HTTP the batches that carry a rewrite fill their free slots, up to
+    ``MAX_IN_FLIGHT``, with the next steps' rewrites; a speculative rewrite
+    a step cannot use costs one more call, and the step sends its own."""
 
     @pytest.fixture
     def counters(self, monkeypatch):
@@ -258,6 +266,19 @@ class TestCriticalPath:
         assert (counter.stages, counter.chats) == (1 + 4 * 4 + 4 * 2 - 1, 61)
         assert read_log(log)[1][-1].payload["rounds"] == 4
 
+    @pytest.mark.parametrize("seed, rewrites, chats", [(3, 1, 61), (1, 1, 62)], ids=["all-hold", "one-misses"])
+    def test_latency_http_shape_over_http(self, tmp_path, counters, ollama, seed, rewrites, chats):
+        # The last round's plan carries the rewrites of steps 1 to 3. With
+        # seed 3 each of them holds, and step 4 sends its own. With seed 1 one
+        # of them misses: its step sends its own with step 4's behind it.
+        engine = {"samples_per_round": 4, "best_capacity": 4, "worst_capacity": 4,
+                  "max_rounds": 5, "mutation_budget": 4, "seed": seed}
+        config = library_config(tmp_path, backend=HTTP_BACKEND, engine=engine)
+        log = run_optimization(config, "Schreibe einen Arztbrief.")
+        [counter] = counters
+        assert (counter.stages, counter.chats) == (1 + 4 * 4 + 4 + rewrites, chats)
+        assert read_log(log)[1][-1].payload["rounds"] == 4
+
 
 ROLE_OF = {prompt: role for role, prompt in DEFAULT_SYSTEM_PROMPTS.items()}
 
@@ -269,17 +290,23 @@ def role_of(body):
     return ROLE_OF.get(messages[0]["content"]) if messages else None
 
 
-def answer(stub, role, nth, reply):
-    """Make ``stub`` answer the ``nth`` distinct request of ``role`` (from 1),
-    and every retry of it, with ``reply``."""
-    post, seen = stub.post, []
+def call_index(body, role):
+    """The call index of a ``role`` request body, read from its seed."""
+    base = DEFAULT_ROLE_PARAMS[role].seed
+    return next(index for index in range(1000) if call_seed(base, role, index) == body["options"]["seed"])
+
+
+def answer(stub, role, index, reply):
+    """Make ``stub`` answer every request of ``role``'s call ``index`` (from
+    0), every retry included, with ``reply``. The call is known by its seed,
+    so the fault does not depend on the order in which a batch's requests
+    arrive, and it hits a speculative request and a later one of the same
+    call alike."""
+    post, seed = stub.post, call_seed(DEFAULT_ROLE_PARAMS[role].seed, role, index)
 
     def post_with_fault(url, json=None, timeout=None):
-        if role_of(json) is role:
-            if json not in seen:
-                seen.append(json)
-            if seen.index(json) + 1 == nth:
-                return reply
+        if role_of(json) is role and json["options"]["seed"] == seed:
+            return reply
         return post(url, json=json, timeout=timeout)
 
     stub.post = post_with_fault
@@ -290,36 +317,43 @@ def sequential_next_plan(engine, round_no, summary):
     return engine.generate_step_plan(summary)
 
 
+def send_alone(patch):
+    """Make ``patch`` send every chat request on its own: the last round's
+    plan request alone, and no rewrite speculated ahead."""
+    patch.setattr(Engine, "_next_plan", sequential_next_plan)
+    patch.setattr(HttpBackend, "in_flight", 1)
+
+
 def event_lines(path):
     return Path(path).read_text(encoding="utf-8").splitlines()[1:]
 
 
 class TestFirstRewriteAhead:
     """The last feedback round's plan request and mutation step 1's rewrite
-    request go out together over HTTP; each outcome lands where the lone
-    call's would. The reference is the same run with the plan request sent
-    alone."""
+    request go out together over HTTP, with the next steps' speculative
+    rewrites; each outcome lands where the lone call's would. The reference
+    is the same run with every request sent alone."""
 
     ENGINE = {"samples_per_round": 2, "best_capacity": 2, "worst_capacity": 2,
               "max_rounds": 3, "mutation_budget": 2, "seed": 42}
     TASK = "Schreibe einen Arztbrief."
     FAILING = FakeResponse({"error": "overloaded"}, 500)
 
-    def config(self, tmp_path, name):
-        return library_config(tmp_path, backend=HTTP_BACKEND, engine=self.ENGINE,
+    def config(self, tmp_path, name, **engine):
+        return library_config(tmp_path, backend=HTTP_BACKEND, engine={**self.ENGINE, **engine},
                               output_dir=os.path.join(tmp_path, name))
 
-    def both_runs(self, tmp_path, monkeypatch, stub, role, nth, reply):
-        """Event lines of the run with the pair, then with the plan alone,
-        both under the same fault; the first run's log path."""
+    def both_runs(self, tmp_path, monkeypatch, stub, role, index, reply, **engine):
+        """Event lines of the run with the pair, then with every request
+        alone, both under the same fault; the first run's log path."""
         logs = []
         for name in ("paired", "sequential"):
-            answer(stub, role, nth, reply)
+            answer(stub, role, index, reply)
             with monkeypatch.context() as patch:
                 if name == "sequential":
-                    patch.setattr(Engine, "_next_plan", sequential_next_plan)
+                    send_alone(patch)
                 try:
-                    run_optimization(self.config(tmp_path, name), self.TASK)
+                    run_optimization(self.config(tmp_path, name, **engine), self.TASK)
                 except RunAbortedError:
                     pass
             del stub.post
@@ -328,7 +362,9 @@ class TestFirstRewriteAhead:
         assert event_lines(logs[0]) == event_lines(logs[1])
         return logs[0]
 
-    @pytest.mark.parametrize(
+    #: A bad rewrite reply, the kinds of the events that close its step, and
+    #: the BackendFailure's message, if any.
+    REWRITE_FAULTS = pytest.mark.parametrize(
         "reply, kinds, message",
         [
             (FakeResponse({"message": {}}), ["BackendFailure", "MutationRejected"],
@@ -339,8 +375,10 @@ class TestFirstRewriteAhead:
         ],
         ids=["malformed", "empty", "failing"],
     )
+
+    @REWRITE_FAULTS
     def test_failed_rewrite_costs_step_one_only(self, tmp_path, monkeypatch, ollama, reply, kinds, message):
-        log = self.both_runs(tmp_path, monkeypatch, ollama, ModelRole.MUTATOR, 1, reply)
+        log = self.both_runs(tmp_path, monkeypatch, ollama, ModelRole.MUTATOR, 0, reply)
         events = read_log(log)[1]
         turn = next(i for i, e in enumerate(events) if e.kind == "PhaseTransition" and e.payload["to"] == "mutation")
         assert [e.kind for e in events[turn - 1 : turn + 1 + len(kinds)]] == ["PromptRegenerated", "PhaseTransition", *kinds]
@@ -352,10 +390,57 @@ class TestFirstRewriteAhead:
             assert events[turn + 1].payload == {"phase": "mutation", "step": 1, "message": message}
         assert events[-1].kind == "RunFinished"
 
+    @REWRITE_FAULTS
+    @pytest.mark.parametrize("step", [2, 3])
+    def test_failed_speculative_rewrite_costs_its_step_only(self, tmp_path, monkeypatch, ollama, step, reply, kinds,
+                                                            message):
+        # With a budget of 4 the last round's plan carries the rewrites of
+        # steps 1 to 3, so the fault reaches steps 2 and 3 speculatively.
+        log = self.both_runs(tmp_path, monkeypatch, ollama, ModelRole.MUTATOR, step - 1, reply, mutation_budget=4)
+        events = read_log(log)[1]
+        closing = next(i for i, e in enumerate(events) if e.kind.startswith("Mutation") and e.payload["step"] == step)
+        assert [e.kind for e in events[closing + 1 - len(kinds) : closing + 1]] == kinds
+        assert events[closing].payload["reason"] == ("backend-failure" if message else "empty-rewrite")
+        failures = [e.payload for e in events if e.kind == "BackendFailure"]
+        assert failures == ([{"phase": "mutation", "step": step, "message": message}] if message else [])
+        assert [e.payload["step"] for e in events if e.kind.startswith("Mutation")] == [1, 2, 3, 4]
+        assert events[-1].kind == "RunFinished"
+
+    def test_rewrites_sent_for_steps_that_never_run_leave_no_trace(self, tmp_path, monkeypatch, ollama):
+        # At seed 33 step 4's mutant beats every archived score, and step 4
+        # sends its own rewrite with those of steps 5 and 6 behind it.
+        engine = {"mutation_budget": 6, "seed": 33}
+        full = read_log(run_optimization(self.config(tmp_path, "full", **engine), self.TASK))[1]
+        scores = [e.payload["score"] for e in full if e.kind in ("ArchivesUpdated", "MutationApplied")]
+        step_four = next(e.payload["score"] for e in full if e.kind == "MutationApplied" and e.payload["step"] == 4)
+        assert step_four == max(scores) > max(scores[: scores.index(step_four)])
+        logs = []
+        for name in ("ahead", "alone"):
+            ollama.requests.clear()
+            with monkeypatch.context() as patch:
+                if name == "alone":
+                    send_alone(patch)
+                logs.append(run_optimization(self.config(tmp_path, name, score_target=step_four, **engine), self.TASK))
+            sent = [call_index(body, ModelRole.MUTATOR) for body in ollama.bodies("/api/chat")
+                    if role_of(body) is ModelRole.MUTATOR]
+            assert max(sent) == (5 if name == "ahead" else 3)
+        assert event_lines(logs[0]) == event_lines(logs[1])
+        events = read_log(logs[0])[1]
+        assert [e.payload["step"] for e in events if e.kind.startswith("Mutation")] == [1, 2, 3, 4]
+        assert [e.payload["chat_calls"]["mutator"] for e in events if "chat_calls" in e.payload][-1] == 4
+
+    def test_no_rewrite_goes_out_past_the_budget(self, tmp_path, ollama):
+        # The last round's plan batch has room for a third rewrite, but the
+        # budget is 2 steps.
+        run_optimization(self.config(tmp_path, "paired"), self.TASK)
+        sent = [call_index(body, ModelRole.MUTATOR) for body in ollama.bodies("/api/chat")
+                if role_of(body) is ModelRole.MUTATOR]
+        assert sorted(set(sent)) == [0, 1]
+
     def test_failed_plan_aborts_the_round_and_resumes_to_the_full_run(self, tmp_path, monkeypatch, ollama):
         full = run_optimization(self.config(tmp_path, "full"), self.TASK)
-        # prompting requests: the initial plan, round 1's, then round 2's
-        log = self.both_runs(tmp_path, monkeypatch, ollama, ModelRole.PROMPTING, 3, self.FAILING)
+        # prompting calls: the initial plan, round 1's, then round 2's
+        log = self.both_runs(tmp_path, monkeypatch, ollama, ModelRole.PROMPTING, 2, self.FAILING)
         last = read_log(log)[1][-1]
         assert (last.kind, last.payload["phase"], last.payload["round"]) == ("BackendFailure", "feedback_loop", 2)
         resume_optimization(self.config(tmp_path, "paired"), log)
@@ -380,6 +465,139 @@ class TestFirstRewriteAhead:
         assert overlapped == [True]
 
 
+#: A run's shape: samples, archive capacities, mutation budget and seed.
+SHAPES = {"samples": st.integers(1, 4), "capacity": st.integers(1, 3), "budget": st.integers(1, 6),
+          "seed": st.integers(0, 2**31 - 1)}
+
+
+def shape_config(root, name, samples, capacity, budget, seed, **overrides):
+    """A config of the drawn shape, one round past the one that fills the
+    best archive, logging into ``root/name``."""
+    engine = {"samples_per_round": samples, "best_capacity": capacity, "worst_capacity": capacity,
+              "max_rounds": capacity + 1, "mutation_budget": budget, "seed": seed}
+    return library_config(root, engine=engine, output_dir=os.path.join(root, name), **overrides)
+
+
+def assert_resumes_from_each_step(config, log, root):
+    """A resume of ``log`` cut after each mutation step's closing event
+    gives its event lines."""
+    lines = Path(log).read_text(encoding="utf-8").splitlines()
+    cut = Path(root) / "cut.jsonl"
+    steps = [at for at, line in enumerate(lines) if '"kind":"Mutation' in line]
+    assert steps
+    for at in steps:
+        cut.write_text("\n".join(lines[: at + 1]) + "\n", encoding="utf-8")
+        resume_optimization(config, cut)
+        assert event_lines(cut) == lines[1:]
+
+
+def uneven_below(rng, n, below=SplitMix64.below):
+    """``SplitMix64.below`` that takes ``n - 1`` draws more for a bound of
+    ``n``. The real one rejects a draw only with odds ``n / 2**64``, so a
+    step's two picks leave the same generator state whatever they picked;
+    with this one the state a step leaves depends on its source's sentence
+    count, so picks chained from a speculation that missed start from a
+    stale state."""
+    for _ in range(n - 1):
+        rng.next_u64()
+    return below(rng, n)
+
+
+class Requested(str):
+    """A mutator reply that knows the user message of its request."""
+
+    request: str
+
+
+def tagging(chat):
+    """``MockBackend.chat`` that tags each mutator reply, or the backend
+    error it raises, with the user message of its request."""
+
+    def tagged_chat(backend, exchange, params):
+        message = exchange.messages[-1][1]
+        try:
+            reply = chat(backend, exchange, params)
+        except BACKEND_ERRORS as exc:
+            exc.request = message
+            raise
+        if exchange.role is ModelRole.MUTATOR:
+            reply = Requested(reply)
+            reply.request = message
+        return reply
+
+    return tagged_chat
+
+
+def recording(rewrite, used):
+    """``mutation.rewrite_sentence`` that appends to ``used``, for each
+    step, its rewrite request's user message and that of the request whose
+    outcome the step took."""
+
+    def recorded(chat, picks):
+        def traced(role, message):
+            try:
+                reply = chat(role, message)
+            except BACKEND_ERRORS as exc:
+                used.append((message, exc.request))
+                raise
+            used.append((message, reply.request))
+            return str(reply)  # the log takes exact strs only
+
+        return rewrite(traced, picks)
+
+    return recorded
+
+
+class TestSpeculationLeavesNoTrace:
+    """A run that sends rewrites ahead logs what the same run logs with the
+    backend's ``in_flight`` at 1, and a resume from each mutation step's
+    commit, which starts with an empty ahead map, gives the uninterrupted
+    run's lines."""
+
+    TASK = "Schreibe einen Arztbrief."
+    SETTINGS = settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+    @pytest.mark.parametrize("below", [SplitMix64.below, uneven_below], ids=["two-draws", "draws-by-bound"])
+    @SETTINGS
+    @given(**SHAPES)
+    def test_over_http(self, tmp_path, monkeypatch, ollama, below, samples, capacity, budget, seed):
+        monkeypatch.setattr(SplitMix64, "below", below)
+        root = tempfile.mkdtemp(dir=tmp_path)
+        shape = (samples, capacity, budget, seed)
+        config = shape_config(root, "ahead", *shape, backend=HTTP_BACKEND)
+        log = run_optimization(config, self.TASK)
+        with monkeypatch.context() as patch:
+            patch.setattr(HttpBackend, "in_flight", 1)
+            alone = run_optimization(shape_config(root, "alone", *shape, backend=HTTP_BACKEND), self.TASK)
+        assert event_lines(log) == event_lines(alone)
+        assert_resumes_from_each_step(config, log, root)
+
+    @SETTINGS
+    @given(**SHAPES, rewrites=st.lists(st.sampled_from(["Neu formuliert.", "Kurz und klar!", FAILURE_MARKER, "  "]),
+                                       min_size=6, max_size=6))
+    def test_on_the_mock(self, tmp_path, monkeypatch, samples, capacity, budget, seed, rewrites):
+        # The mock's reply depends on the call's role and index only, so an
+        # outcome taken for the wrong request shows in the requests alone.
+        root = tempfile.mkdtemp(dir=tmp_path)
+        shape = (samples, capacity, budget, seed)
+        scripts = {"prompting": scripted_plans(capacity + 1), "mutator": rewrites}
+        logs, used = [], []
+        for in_flight in (4, 1):
+            used.append([])
+            with monkeypatch.context() as patch:
+                patch.setattr(MockBackend, "in_flight", in_flight)
+                patch.setattr(MockBackend, "chat", tagging(MockBackend.chat))
+                patch.setattr(mutation, "rewrite_sentence", recording(mutation.rewrite_sentence, used[-1]))
+                config = shape_config(root, f"in-flight-{in_flight}", *shape, scripts=scripts)
+                logs.append(run_optimization(config, self.TASK))
+                if in_flight > 1:
+                    assert_resumes_from_each_step(config, logs[-1], root)
+        assert event_lines(logs[0]) == event_lines(logs[1])
+        # Each step of the run and of its resumes took its own request's outcome.
+        assert used[0][: budget] == used[1] and len(used[1]) == budget
+        assert all(message == request for message, request in used[0])
+
+
 class TestRoleConfigReachesRequests:
     """Each role's system prompt, example turns and sampling params, as the
     config sets them, reach every ``/api/chat`` body of that role, around
@@ -399,9 +617,9 @@ class TestRoleConfigReachesRequests:
         )
         built, request = set(), Engine._request
 
-        def recording_request(engine, role, user_message):
+        def recording_request(engine, role, user_message, *ahead):
             built.add((role, user_message))
-            return request(engine, role, user_message)
+            return request(engine, role, user_message, *ahead)
 
         monkeypatch.setattr(Engine, "_request", recording_request)
         run_optimization(config, "Schreibe einen Arztbrief.")
