@@ -94,19 +94,22 @@ class Engine:
     run from one place, :meth:`_atomically`, which the initial plan and
     every round run through; in the mutation phase it only closes its step.
 
-    Every rewrite request goes out through the ahead map (see :meth:`_send`),
-    most of them before their step's turn: the last feedback round's plan
-    request goes out in one batch with mutation step 1's rewrite request,
-    whose picks are fixed once the round has archived its prompt, and a step
-    whose rewrite is not in the map sends it itself. Either batch fills its
-    free slots, up to the backend's ``in_flight``, with speculative rewrite
-    requests of the following steps, their picks drawn as if the steps in
-    between leave the best archive alone. A step takes picks from the map
-    only where it would draw the same ones (see :meth:`step_picks`), and a
-    rewrite is counted, and its reply or error handed out, only when the
-    step asks :meth:`rewrite` for that very call. So the events and every
-    request of the sequential run stay as they are; a speculation that
-    misses only costs its request.
+    The last feedback round's plan request goes out in one batch with
+    mutation step 1's rewrite request, whose picks are fixed once the round
+    has archived its prompt; the rewrite's outcome waits in the ahead map
+    (see :meth:`_send`). On a backend with a free slot beside a step's own
+    call (``in_flight`` above 1), a step whose rewrite is not in the map
+    sends it itself through the map too, and either batch fills its free
+    slots, up to ``in_flight``, with speculative rewrite requests of the
+    following steps, their picks drawn as if the steps in between leave the
+    best archive alone. On one without (the mock's 1), nothing goes ahead
+    but step 1's rewrite: a step draws its picks once and sends its rewrite
+    as one call at its turn. A step takes picks from the map only where it
+    would draw the same ones (see :meth:`step_picks`), and a rewrite is
+    counted, and its reply or error handed out, only when the step asks
+    :meth:`rewrite` for that very call. So the events and every request of
+    the sequential run stay as they are; a speculation that misses only
+    costs its request.
     """
 
     def __init__(self, gateway, evaluator, config: EngineConfig, log: runstore.EventLog, task_prompt: str) -> None:
@@ -287,10 +290,11 @@ class Engine:
         sent ahead are taken where :func:`promptloop.mutation.draw_picks`
         would draw the same: drawn for this step from this generator state,
         over an archive of this length with this entry at the picked index.
-        Otherwise they are drawn now, and the rewrite request goes out,
-        with the speculative ones of the steps after it (see :meth:`_send`),
-        unless that very call went out ahead. The map keeps only the steps
-        from this one on."""
+        Otherwise they are drawn now, and on a backend with a free slot
+        beside the step's own call the rewrite request goes out, with the
+        speculative ones of the steps after it (see :meth:`_send`), unless
+        that very call went out ahead; on one without, :meth:`rewrite` sends
+        it. The map keeps only the steps from this one on."""
         state, step = self.state, self.state.mutation_step + 1
         entries = state.best.entries
         self._ahead = {call: sent for call, sent in self._ahead.items() if sent.picks.step >= step}
@@ -300,13 +304,17 @@ class Engine:
                     and entries[picks.archive_index] == picks.source):
                 return picks
         picks = mutation.draw_picks(state)
-        self._send([], picks)
+        if self.gateway.in_flight > 1:
+            self._send([], picks)
         return picks
 
     def rewrite(self, role: ModelRole, user_message: str) -> str:
         """The open step's rewrite call, counted at its turn: the outcome
-        that very call got when it went out (see :meth:`step_picks`)."""
-        return _reply(self._ahead[self._call(role, user_message)].outcome)
+        that very call got if it went out ahead (see :meth:`step_picks`),
+        else the reply of the call sent now."""
+        call = self._call(role, user_message)
+        sent = self._ahead.get(call) if self._ahead else None
+        return self.gateway.chat(*call) if sent is None else _reply(sent.outcome)
 
     def _rewrite_call(self, picks: Picks) -> ChatCall:
         """The rewrite request of ``picks``' step, at the mutator call index

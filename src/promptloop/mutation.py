@@ -101,9 +101,10 @@ def run_mutation_phase(engine) -> None:
     """Drive the whole mutation phase on the engine.
 
     Each step: take the step's picks (two RNG draws, archive then sentence)
-    and its rewrite request from the engine, which sends the request unless
-    it went out ahead (see :meth:`promptloop.engine.Engine.step_picks`),
-    rewrite, evaluate the mutant, and log the event
+    from the engine (see :meth:`promptloop.engine.Engine.step_picks`),
+    rewrite through :meth:`promptloop.engine.Engine.rewrite`, which hands
+    out the outcome of a request sent ahead or sends it at the step's turn,
+    evaluate the mutant, and log the event
     :func:`promptloop.state.step_closing` derives. A step's rewrite is a
     text, None (no usable rewrite, so nothing to evaluate) or a backend
     error, which is logged and ends the step; the run goes on. The phase

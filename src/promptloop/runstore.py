@@ -151,17 +151,25 @@ class EventLog:
     lock holds until :meth:`close`. ``start`` creates the file with the
     manifest line, replacing an earlier log only if that run finished or
     never started (no complete RunStarted line, so no backend output).
-    ``emit`` encodes the next event once and appends its UTF-8 bytes with
-    one unbuffered write (repeated only for the rest of a partial write)
-    before returning, so the engine never advances past an event the OS has
-    not been given. Each event must pass :func:`check_next` after the last
-    event written.
+
+    The unit of writing is the commit. ``emit`` checks and encodes each
+    event at once but keeps its line pending until a commit event (a kind
+    whose :data:`promptloop.state.KINDS` row has ``commit``): that event's
+    emit hands the OS every pending line, its own last, in one unbuffered
+    write (repeated only for the rest of a partial write) before returning,
+    so the engine never advances past a commit the OS has not been given.
+    A crash loses only lines after the last commit, which a resume cuts
+    anyway; :meth:`close` writes what is still pending, such as an aborted
+    round's BackendFailure. Each event must pass :func:`check_next` after
+    the last event emitted.
     """
 
     def __init__(self, path) -> None:
         self.path = os.fspath(path)
         self._handle = None
         self._last: RunEvent | None = None
+        #: Lines emitted since the last write, without their newlines.
+        self._pending: list[str] = []
 
     def lock(self, create: bool = False) -> None:
         """Open the file for appending and take its lock; a missing file is
@@ -207,31 +215,50 @@ class EventLog:
         self._last = last
 
     def emit(self, kind: str, payload: dict) -> RunEvent:
-        """Append the next event of ``kind`` and return it."""
+        """Append the next event of ``kind`` and return it: written, with
+        every line pending before it, if it is a commit event, else pending."""
         if self._handle is None:
             raise LogError("log is not open")
         seq = self._last.seq + 1 if self._last is not None else 1
         event = RunEvent(seq=seq, ts=seq, kind=kind, payload=payload)
         check_next(self._last, event)
-        try:
-            self._append(event.to_line() + "\n")
-        except OSError as exc:
-            raise LogError(f"cannot append to {self.path}: {exc}") from exc
+        self._pending.append(event.to_line())
+        if KINDS[kind].commit:
+            self._write_pending()
         self._last = event
         return event
 
+    def _write_pending(self) -> None:
+        """Write the pending lines, each with its newline, in one
+        :meth:`_append`. They stop being pending first, so a failed write
+        is never repeated: it leaves at most a torn batch, as a crash would."""
+        text = "\n".join(self._pending) + "\n"
+        self._pending.clear()
+        try:
+            self._append(text)
+        except OSError as exc:
+            raise LogError(f"cannot append to {self.path}: {exc}") from exc
+
     def _append(self, text: str) -> None:
         """Hand ``text``'s UTF-8 bytes to the OS in one write, writing the
-        rest again after a partial write until all of them are written."""
+        rest again after a partial write until all of them are written. It
+        is the log's one write path: the manifest, each commit's batch of
+        lines and a resume's missing newline."""
         data = text.encode("utf-8")
         rest = len(data) - self._handle.write(data)
         while rest:
             rest -= self._handle.write(memoryview(data)[-rest:])
 
     def close(self) -> None:
+        """Write the pending lines, if any, and release the file; it is
+        released even if that write fails."""
         if self._handle is not None:
-            self._handle.close()
-            self._handle = None
+            try:
+                if self._pending:
+                    self._write_pending()
+            finally:
+                self._handle.close()
+                self._handle = None
 
 
 def _started(path) -> bool:
@@ -299,10 +326,12 @@ def read_log(path) -> tuple[dict, list[RunEvent], list[int]]:
     excluded.
 
     The file is read once, as bytes. Lines end at ``\\n`` only, and each is
-    decoded as UTF-8 on its own. :meth:`EventLog.emit` writes an event's
-    newline last, in the one write of its line, so only a last line without
-    its newline can be half-written (the classic crash artifact, which may
-    stop inside a character): such a line is dropped unless it is an event.
+    decoded as UTF-8 on its own. :class:`EventLog` writes once per commit,
+    a batch of lines that ends with the commit event's newline, so a crash
+    inside a write leaves complete uncommitted lines, which a resume cuts,
+    and at most one last line without its newline, half-written (the
+    classic crash artifact, which may stop inside a character): such a
+    line is dropped unless it is an event.
     Any other corrupt line raises, the last one too once it is terminated,
     and so does an event that breaks :func:`check_next`.
     """

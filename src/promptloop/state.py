@@ -417,7 +417,9 @@ class KindRow:
     #: only compares with a derivation are typed by that check.
     fields: dict[str, tuple[type, ...]]
     #: Whether the state is durably consistent at it: replay restores the
-    #: state as of the latest commit, and an aborted round rolls back to it.
+    #: state as of the latest commit, an aborted round rolls back to it, and
+    #: :class:`promptloop.runstore.EventLog` writes the lines since the one
+    #: before with it, in one write.
     commit: bool = False
     #: The kinds that may come directly after it, where the engine's order
     #: fixes them; None where it does not, and then any kind of

@@ -211,12 +211,14 @@ class TestResumeRequests:
 class StageCounter:
     """Backend proxy counting each top-level ``chat`` or ``chat_many`` call
     as one sequential stage of the run's critical path, and the chat calls
-    of all of them."""
+    of all of them. ``sent`` holds each stage's method and the roles of its
+    calls."""
 
     def __init__(self, backend):
         self.backend = backend
         self.stages = 0
         self.chats = 0
+        self.sent = []
 
     def __getattr__(self, name):
         return getattr(self.backend, name)
@@ -224,11 +226,13 @@ class StageCounter:
     def chat(self, exchange, params):
         self.stages += 1
         self.chats += 1
+        self.sent.append(("chat", (exchange.role,)))
         return self.backend.chat(exchange, params)
 
     def chat_many(self, calls):
         self.stages += 1
         self.chats += len(calls)
+        self.sent.append(("chat_many", tuple(exchange.role for exchange, _ in calls)))
         return self.backend.chat_many(calls)
 
 
@@ -257,6 +261,16 @@ class TestCriticalPath:
         run_demo(tmp_path)
         [counter] = counters
         assert (counter.stages, counter.chats) == (1 + 3 * 4 + 2 * 2 - 1, 25)
+
+    def test_the_mock_sends_a_later_step_its_rewrite_as_a_lone_call(self, tmp_path, counters):
+        """The mock's ``in_flight`` of 1 leaves no slot beside a step's own
+        call: only step 1's rewrite rides a batch, the last round's plan
+        batch, and no batch holds a single call."""
+        run_demo(tmp_path)
+        [counter] = counters
+        rewrites = [sent for sent in counter.sent if ModelRole.MUTATOR in sent[1]]
+        assert rewrites == [("chat_many", (ModelRole.PROMPTING, ModelRole.MUTATOR)), ("chat", (ModelRole.MUTATOR,))]
+        assert all(len(roles) > 1 for method, roles in counter.sent if method == "chat_many")
 
     def test_latency_http_shape(self, tmp_path, counters):
         engine = {"samples_per_round": 4, "best_capacity": 4, "worst_capacity": 4,

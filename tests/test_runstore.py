@@ -1,8 +1,10 @@
 import base64
 import builtins
+import itertools
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 import threading
@@ -52,6 +54,7 @@ from promptloop.runstore import (
     summarize_log,
 )
 from promptloop.scoring import CorpusEvaluator, EmbeddingCache, embed_corpus
+from promptloop.state import KINDS
 
 
 def manifest():
@@ -62,6 +65,18 @@ def started_log(tmp_path, name="log.jsonl"):
     log = EventLog(os.path.join(tmp_path, name))
     log.start(manifest())
     return log
+
+
+def record_appends(monkeypatch) -> list[str]:
+    """The text of each log write from now on, in order."""
+    appended, append = [], EventLog._append
+
+    def recorded(log, text):
+        appended.append(text)
+        append(log, text)
+
+    monkeypatch.setattr(EventLog, "_append", recorded)
+    return appended
 
 
 class TestAppendRules:
@@ -124,9 +139,11 @@ class TestAppendRules:
         log.close()
         assert read_log(log.path)[1][0].payload == {"task_prompt": "Zustand ü" * 5}
 
-    def test_one_write_per_event(self, tmp_path):
-        """When the OS takes the whole line, each emit is one write call
-        with that line, and nothing else is called on the handle."""
+    def test_one_write_per_commit(self, tmp_path):
+        """When the OS takes the whole batch, each commit event's emit is
+        one write call with every line since the previous write, its own
+        last; no other emit writes, close writes the pending tail in one
+        call, and nothing else is called on the handle."""
         log = started_log(tmp_path)
         handle = log._handle
         calls = []
@@ -136,13 +153,61 @@ class TestAppendRules:
                 calls.append(("write", bytes(data)))
                 return handle.write(data)
 
+            def close(self):
+                calls.append(("close",))
+                handle.close()
+
         log._handle = Recorder()
-        log.emit("RunStarted", {"task_prompt": "Zustand ü"})
-        log.emit("SampleGenerated", {"text": "Der Patient ist stabil."})
-        log._handle = handle
+        kinds = ["RunStarted", "SampleGenerated", "SampleScored", "FeedbackIssued", "RoundSummarized",
+                 "PromptRegenerated", "RoundStarted", "BackendFailure"]
+        written = []
+        for kind in kinds:
+            log.emit(kind, {"text": "Zustand ü"})
+            written.append(len(calls))
         log.close()
-        lines = Path(log.path).read_bytes().split(b"\n")[1:-1]
-        assert calls == [("write", line + b"\n") for line in lines]
+        assert written == [1, 1, 1, 1, 1, 2, 2, 2]
+        lines = [line + b"\n" for line in Path(log.path).read_bytes().split(b"\n")[1:-1]]
+        assert len(lines) == len(kinds)
+        assert calls == [("write", b"".join(lines[:1])), ("write", b"".join(lines[1:6])),
+                         ("write", b"".join(lines[6:])), ("close",)]
+
+    def test_close_releases_the_file_when_the_tail_write_fails(self, tmp_path):
+        log = started_log(tmp_path)
+        log.emit("RunStarted", {})
+        log.emit("RoundStarted", {})
+        handle = log._handle
+
+        class Full:
+            def write(self, data):
+                raise OSError(28, "No space left on device")
+
+            def close(self):
+                handle.close()
+
+        log._handle = Full()
+        with pytest.raises(LogError, match="cannot append"):
+            log.close()
+        assert handle.closed and log._handle is None
+        assert [e.kind for e in read_log(log.path)[1]] == ["RunStarted"]
+
+    @pytest.mark.parametrize("rounds, steps, writes", [(60, 60, 125), (4, 4, 13)],
+                             ids=["resume-long", "latency-http"])
+    def test_event_writes_of_a_benchmark_shaped_run(self, tmp_path, monkeypatch, rounds, steps, writes):
+        """A seed-1 run of a benchmark workload's shape (4 samples a round,
+        archives that fill after ``rounds`` rounds, ``steps`` mutation steps)
+        writes its events once per commit: RunStarted, the initial plan,
+        each round's plan, each step's closing event, the two transitions
+        and RunFinished."""
+        appended = record_appends(monkeypatch)
+        h = make_harness(tmp_path, engine={"samples_per_round": 4, "best_capacity": rounds,
+                                           "worst_capacity": rounds, "max_rounds": rounds + 1,
+                                           "mutation_budget": steps, "seed": 1},
+                         scripts={ModelRole.PROMPTING: scripted_plans(rounds + 1)})
+        h.run()
+        events = h.events()
+        assert len(appended) - 1 == writes == 1 + 1 + rounds + 1 + steps + 1 + 1
+        assert "".join(appended[1:]).count("\n") == len(events)
+        assert len(events_by_kind(events, "PromptRegenerated")) == rounds + 1
 
 
 class TestStart:
@@ -1367,6 +1432,59 @@ class TestBackendFaultSweep:
                 assert not aborted, at
                 assert len(events_by_kind(events, "BackendFailure")) == 1, at
                 assert events[-1].kind == "RunFinished", at
+
+
+#: The demo's log writes: its manifest, then one per commit event.
+DEMO_WRITES = 11
+
+
+def kill_at_write(k, torn):
+    """Make this process SIGKILL itself at its ``k``-th log write (from 0):
+    just before it, or, if ``torn``, after handing the OS the first half of
+    its bytes."""
+    seen, append = itertools.count(), EventLog._append
+
+    def killing(log, text):
+        if next(seen) == k:
+            if torn:
+                data = text.encode("utf-8")
+                log._handle.write(data[: len(data) // 2])
+            os.kill(os.getpid(), signal.SIGKILL)
+        append(log, text)
+
+    EventLog._append = killing
+
+
+class TestKilledDemo:
+    """A demo process killed at any of its log writes leaves a log that the
+    next demo run, as README says, continues (or replaces, if no RunStarted
+    was written) to the golden event lines. Each child is forked from the
+    test process and kills itself with SIGKILL, so nothing of it runs after
+    the write: no close, no lock release but the kernel's."""
+
+    def test_the_demo_writes_its_manifest_then_once_per_commit(self, tmp_path, monkeypatch):
+        appended = record_appends(monkeypatch)
+        path = run_demo(tmp_path)
+        assert len(appended) == DEMO_WRITES
+        assert "".join(appended) == Path(path).read_text(encoding="utf-8")
+        commits = [e.kind for e in read_log(path)[1] if KINDS[e.kind].commit]
+        assert [RunEvent.from_line(text.splitlines()[-1]).kind for text in appended[1:]] == commits
+
+    @pytest.mark.parametrize("torn", [False, True], ids=["before", "torn"])
+    @pytest.mark.parametrize("k", range(DEMO_WRITES))
+    def test_the_next_demo_run_gives_the_golden_events(self, tmp_path, k, torn):
+        pid = os.fork()
+        if pid == 0:
+            try:
+                signal.alarm(60)  # a child stuck on a lock dies by SIGALRM, which fails the test
+                kill_at_write(k, torn)
+                run_demo(tmp_path)
+            finally:
+                os._exit(1)
+        _, status = os.waitpid(pid, 0)
+        assert os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL
+        path = run_demo(tmp_path)
+        assert event_lines(path) == event_lines(FIXTURES / "demo-0.2.0.jsonl")
 
 
 class TestBackendFailureEvents:
