@@ -40,7 +40,7 @@ _FLOAT_MAX = sys.float_info.max
 _MAX_WAIT = 3600
 
 #: Top-level fields a CliConfig holds as the document gives them.
-_PLAIN = ("corpus_path", "max_documents", "output_dir", "log_level")
+_PLAIN = ("corpus_path", "max_documents", "output_dir")
 
 
 @dataclass
@@ -51,7 +51,6 @@ class CliConfig:
     scripts: dict[ModelRole, list[str]] = field(default_factory=dict)
     max_documents: int | None = None
     output_dir: str = "runs"
-    log_level: str = "info"
 
 
 class Field(NamedTuple):
@@ -100,10 +99,6 @@ _FIELDS: dict[str, dict[str, Field]] = {
         "corpus_path": _PATH,
         "max_documents": Field(_INT + _NULL, lambda v: v is None or v >= 1, "an integer >= 1 or null"),
         "output_dir": _PATH,
-        "log_level": Field(
-            _TEXT, lambda v: v in ("debug", "info", "warning", "error"),
-            "one of 'debug', 'info', 'warning', 'error'",
-        ),
     },
     "backend": {
         "kind": Field(_TEXT, lambda v: v in ("http", "mock"), "'http' or 'mock'"),
@@ -254,7 +249,7 @@ def _sha256(text: str) -> str:
 
 
 def config_digest(config: CliConfig) -> str:
-    """Digest of every run-semantics field (paths and log level excluded)."""
+    """Digest of every run-semantics field (paths excluded)."""
     normalized = normalize_config(config)
     semantic = {key: normalized[key] for key in ("backend", "engine", "prompts", "scripts")}
     return _sha256(canonical_json(semantic))

@@ -10,7 +10,6 @@ Once the best archive is full the run switches to the guided mutation phase.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple
 
 from . import mutation, runstore, templates
 from .errors import (BACKEND_ERRORS, BackendUnavailableError, ConfigError, DigestMismatchError, LogError,
@@ -52,16 +51,6 @@ _SETTINGS = ("seed", "samples_per_round", "max_rounds", "best_capacity", "worst_
              "mutation_budget", "score_target", "mutation_trigger")
 
 
-class _SentAhead(NamedTuple):
-    """A rewrite request sent before its step's turn: the step's picks, the
-    generator state and best-archive length they were drawn from, and the
-    request's reply or backend error."""
-
-    picks: Picks
-    drawn_from: tuple[int, int]
-    outcome: str | Exception
-
-
 def _reply(outcome: str | Exception) -> str:
     """A batch outcome's reply; a backend error is raised."""
     if isinstance(outcome, Exception):
@@ -73,7 +62,7 @@ class Engine:
     """State machine driving one optimization run.
 
     The engine talks to the backend only through :meth:`_chat`,
-    :meth:`_chat_many` and :meth:`_send`, which number each call by its
+    :meth:`_send` and :meth:`rewrite`, which number each call by its
     role's call count in the run state (so a resumed run issues the calls
     the uninterrupted run would have), and to the scorer only through
     ``evaluator.score_batch`` (its ``centroid`` is read once, for the
@@ -133,8 +122,8 @@ class Engine:
             for role in ModelRole
         }
         #: The ahead map: each rewrite call sent before its step's turn,
-        #: with its picks, what they were drawn from and the call's outcome.
-        self._ahead: dict[ChatCall, _SentAhead] = {}
+        #: with its picks and the call's reply or backend error.
+        self._ahead: dict[ChatCall, tuple[Picks, str | Exception]] = {}
 
     def record(self, kind: str, payload: dict, picks=None) -> None:
         """Log one event, then apply it to the run state."""
@@ -164,12 +153,32 @@ class Engine:
         """One chat call."""
         return self.gateway.chat(*self._call(role, user_message))
 
-    def _chat_many(self, requests: list[tuple[ModelRole, str]]) -> list[str]:
-        """Send independent requests as one batch; the replies, or the first
-        failure in input order raised. Every request is counted when the
-        batch is built, so the indices stay aligned after a failure."""
-        outcomes = self.gateway.chat_many([self._call(role, message) for role, message in requests])
-        return [_reply(outcome) for outcome in outcomes]
+    def _send(self, requests: list[tuple[ModelRole, str]], picks: Picks | None = None) -> list[str]:
+        """Send independent requests as one ``chat_many`` batch; the replies,
+        or the first failure in input order raised. Every request is counted
+        when the batch is built, so the indices stay aligned after a failure.
+        Given ``picks``, the batch also carries the rewrite request of their
+        step and, in the slots left up to the backend's ``in_flight``, those
+        of the due steps after it, their picks chained from ``picks`` by
+        :func:`promptloop.mutation.picks_ahead`. A call already in the ahead
+        map is not sent again; each rewrite sent goes into the map with its
+        picks and its outcome."""
+        batch = [self._call(role, message) for role, message in requests]
+        if picks is None:
+            return [_reply(outcome) for outcome in self.gateway.chat_many(batch)]
+        rewrites = []
+        for step_picks in mutation.picks_ahead(self.state, picks):
+            # At the mutator call index its step's turn gives it: one more
+            # for each step before it from the open one on.
+            call = self._request(*mutation.rewrite_request(step_picks), step_picks.step - self.state.mutation_step - 1)
+            if call not in self._ahead:
+                rewrites.append((call, step_picks))
+                if len(batch) + len(rewrites) >= self.gateway.in_flight:
+                    break
+        outcomes = self.gateway.chat_many(batch + [call for call, _ in rewrites])
+        for (call, step_picks), outcome in zip(rewrites, outcomes[len(batch):]):
+            self._ahead[call] = step_picks, outcome
+        return [_reply(outcome) for outcome in outcomes[: len(batch)]]
 
     # ------------------------------------------------------------- round ops
 
@@ -185,7 +194,7 @@ class Engine:
         """Send the actor calls for one prompt as a batch and score the
         samples as a batch, then log them in index order; returns
         (text, score) per sample. A failed scoring logs none of them."""
-        outputs = self._chat_many([(ModelRole.ACTOR, step_plan)] * self.state.samples_per_round)
+        outputs = self._send([(ModelRole.ACTOR, step_plan)] * self.state.samples_per_round)
         samples = list(zip(outputs, self.evaluator.score_batch(outputs)))
         for output, score in samples:
             ids = sample_ids(self.state)
@@ -199,7 +208,7 @@ class Engine:
         for (text, score), route in zip(samples, routes):
             role = ModelRole.DIAGNOSTIC_FEEDBACK if route == "diagnostic" else ModelRole.GENERAL_FEEDBACK
             requests.append((role, templates.compose_feedback_request(step_plan, text, score)))
-        return self._chat_many(requests)
+        return self._send(requests)
 
     def _atomically(self, body) -> None:
         """Run ``body``, a round or the initial plan (round 1's), atomically.
@@ -259,49 +268,28 @@ class Engine:
         committed = replace(self.state, round=round_no)
         if check_transition(committed) != "mutation" or not step_due(committed):
             return self.generate_step_plan(summary)
-        plan_call = self._call(ModelRole.PROMPTING, self._plan_request(summary))
-        [plan] = self._send([plan_call], mutation.draw_picks(self.state))
-        return _reply(plan)
+        [plan] = self._send([(ModelRole.PROMPTING, self._plan_request(summary))], mutation.draw_picks(self.state))
+        return plan
 
     # -------------------------------------------------------- rewrites ahead
-
-    def _send(self, batch: list[ChatCall], picks: Picks) -> list[str | Exception]:
-        """Send ``batch`` in one ``chat_many`` with the rewrite request of
-        ``picks``' step and, in the slots left up to the backend's
-        ``in_flight``, those of the due steps after it, their picks chained
-        from ``picks`` by :func:`promptloop.mutation.picks_ahead`. A call
-        already in the ahead map is not sent again. Each rewrite sent goes
-        into the map with its picks, what they were drawn from and its
-        outcome; returns the outcomes of ``batch``."""
-        rewrites = []
-        for drawn_from, step_picks in mutation.picks_ahead(self.state, picks):
-            call = self._rewrite_call(step_picks)
-            if call not in self._ahead:
-                rewrites.append((call, drawn_from, step_picks))
-                if len(batch) + len(rewrites) >= self.gateway.in_flight:
-                    break
-        outcomes = self.gateway.chat_many(batch + [call for call, _, _ in rewrites])
-        for (call, drawn_from, step_picks), outcome in zip(rewrites, outcomes[len(batch):]):
-            self._ahead[call] = _SentAhead(step_picks, drawn_from, outcome)
-        return outcomes[: len(batch)]
 
     def step_picks(self) -> Picks:
         """The open mutation step's picks, its rewrite request sent. Picks
         sent ahead are taken where :func:`promptloop.mutation.draw_picks`
         would draw the same: drawn for this step from this generator state,
-        over an archive of this length with this entry at the picked index.
+        with this entry at the picked index. The archive's length needs no
+        check: picks are drawn only over a full best archive, as the phase
+        starts on one and a MutationApplied into it evicts an entry.
         Otherwise they are drawn now, and on a backend with a free slot
         beside the step's own call the rewrite request goes out, with the
         speculative ones of the steps after it (see :meth:`_send`), unless
         that very call went out ahead; on one without, :meth:`rewrite` sends
         it. The map keeps only the steps from this one on."""
         state, step = self.state, self.state.mutation_step + 1
-        entries = state.best.entries
-        self._ahead = {call: sent for call, sent in self._ahead.items() if sent.picks.step >= step}
-        for sent in self._ahead.values():
-            picks = sent.picks
-            if (picks.step == step and sent.drawn_from == (state.rng.state, len(entries))
-                    and entries[picks.archive_index] == picks.source):
+        self._ahead = {call: sent for call, sent in self._ahead.items() if sent[0].step >= step}
+        for picks, _ in self._ahead.values():
+            if (picks.step == step and picks.rng_before == state.rng.state
+                    and state.best.entries[picks.archive_index] == picks.source):
                 return picks
         picks = mutation.draw_picks(state)
         if self.gateway.in_flight > 1:
@@ -314,13 +302,7 @@ class Engine:
         else the reply of the call sent now."""
         call = self._call(role, user_message)
         sent = self._ahead.get(call) if self._ahead else None
-        return self.gateway.chat(*call) if sent is None else _reply(sent.outcome)
-
-    def _rewrite_call(self, picks: Picks) -> ChatCall:
-        """The rewrite request of ``picks``' step, at the mutator call index
-        its turn gives it: one more for each step before it from the open
-        one on."""
-        return self._request(*mutation.rewrite_request(picks), picks.step - self.state.mutation_step - 1)
+        return self.gateway.chat(*call) if sent is None else _reply(sent[1])
 
     def _publish_plan(self, plan: str) -> None:
         """Log the prompt the next round runs; this commits the round."""

@@ -64,14 +64,15 @@ def rewrite_sentence(chat: Callable[[ModelRole, str], str], picks: Picks) -> str
 
 def draw(entries, rng_state: int, step: int) -> Picks:
     """Draw step ``step``'s archive pick from the best archive's ``entries``,
-    then its sentence pick, on a generator at ``rng_state``: the state the
-    step's outcome event leaves is the picks' ``rng_after``."""
+    then its sentence pick, on a generator at ``rng_state``, the picks'
+    ``rng_before``: the state the step's outcome event leaves is their
+    ``rng_after``."""
     rng = SplitMix64(rng_state)
     archive_index = rng.below(len(entries))
     source = entries[archive_index]
     sentences = segment_sentences(source.step_plan)
     sentence_index = rng.below(len(sentences))
-    return Picks(step, source, archive_index, sentence_index, rng.state, sentences)
+    return Picks(step, rng_state, source, archive_index, sentence_index, rng.state, sentences)
 
 
 def draw_picks(state) -> Picks:
@@ -80,20 +81,18 @@ def draw_picks(state) -> Picks:
     return draw(state.best.entries, state.rng.state, state.mutation_step + 1)
 
 
-def picks_ahead(state, picks: Picks) -> Iterator[tuple[tuple[int, int], Picks]]:
+def picks_ahead(state, picks: Picks) -> Iterator[Picks]:
     """``picks``, drawn from the state as it is, then the picks of each later
     step while :func:`promptloop.state.step_due` would hold, each drawn from
-    the generator state the one before leaves, over the best archive as it
-    is: the steps' picks if the steps in between leave the archive alone.
-    Each comes with what it was drawn from: the generator state and the
-    archive's length. Lazy, so only the picks taken are drawn."""
+    the generator state the one before leaves (its ``rng_before`` is the
+    ``rng_after`` of the one before), over the best archive as it is: the
+    steps' picks if the steps in between leave the archive alone. Lazy, so
+    only the picks taken are drawn."""
     entries = state.best.entries
-    drawn_from = (state.rng.state, len(entries))
     while True:
-        yield drawn_from, picks
+        yield picks
         if not step_due(replace(state, mutation_step=picks.step)):
             return
-        drawn_from = (picks.rng_after, len(entries))
         picks = draw(entries, picks.rng_after, picks.step + 1)
 
 

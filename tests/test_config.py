@@ -31,7 +31,6 @@ REJECTED = {
     "role-params-not-object": ({"engine": {"role_params": []}}, "engine.role_params"),
     "system-prompts-not-object": ({"prompts": {"system": []}}, "prompts.system"),
     "scripts-not-object": ({"scripts": "x"}, "scripts"),
-    "log-level-list": ({"log_level": []}, "log_level"),
     "examples-not-object": ({"prompts": {"examples": []}}, "prompts.examples"),
     "examples-not-list": ({"prompts": {"examples": {"actor": 5}}}, "prompts.examples.actor"),
     "examples-unknown-speaker": ({"prompts": {"examples": {"actor": [["system", "a"]]}}}, "prompts.examples.actor"),
@@ -78,7 +77,6 @@ EVERY_FIELD = {
     "corpus_path": "corpus.jsonl",
     "max_documents": 12,
     "output_dir": "out",
-    "log_level": "debug",
 }
 
 #: Pinned digests: a resume checks the config digest, so a valid config
@@ -101,6 +99,17 @@ def test_validate_config_exits_2_naming_the_field(tmp_path, name):
     result = CliRunner().invoke(main, ["validate-config", path])
     assert result.exit_code == 2, result.output + repr(result.exception)
     assert field in result.stderr
+
+
+def test_log_level_is_an_unknown_field(tmp_path):
+    """Nothing read ``log_level``, so it is no field: a config that sets it
+    is refused like any other unknown field, and validate-config exits 2."""
+    doc = {"corpus_path": "c", "log_level": "info"}
+    with pytest.raises(ConfigError, match=r"^config: unknown field\(s\) \['log_level'\] "):
+        resolve_config(doc, env={})
+    result = CliRunner().invoke(main, ["validate-config", write_config_file(tmp_path, doc)])
+    assert result.exit_code == 2, result.output + repr(result.exception)
+    assert "unknown field(s) ['log_level']" in result.stderr
 
 
 def test_digests_of_valid_configs_are_pinned():
@@ -146,7 +155,7 @@ def test_section_rows_are_the_record_fields():
     assert list(_FIELDS["sampling"]) == names(SamplingParams)
 
 
-#: Values that meet the narrow rows ("version", "kind", "log_level", ...),
+#: Values that meet the narrow rows ("version", "kind", "mutation_trigger", ...),
 #: which values drawn at large would almost never hit.
 KNOWN = [
     1, 0, 2, 0.5, 1.0, 0.25, 30, None, "mock", "http", "debug", "info", "warning", "error",

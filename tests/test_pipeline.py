@@ -18,7 +18,7 @@ from promptloop.errors import BACKEND_ERRORS, ConfigError, ProtocolError, RunAbo
 from promptloop.gateway import FAILURE_MARKER, HttpBackend, MockBackend, call_seed
 from promptloop.pipeline import build_runtime, resume_optimization, run_optimization
 from promptloop.roles import DEFAULT_ROLE_PARAMS, DEFAULT_SYSTEM_PROMPTS, ModelRole, SamplingParams
-from promptloop.runstore import canonical_json, read_log
+from promptloop.runstore import canonical_json, read_log, replay_log
 from promptloop.state import SplitMix64
 
 CORPUS = [
@@ -610,6 +610,76 @@ class TestSpeculationLeavesNoTrace:
         # Each step of the run and of its resumes took its own request's outcome.
         assert used[0][: budget] == used[1] and len(used[1]) == budget
         assert all(message == request for message, request in used[0])
+
+
+#: The mutator's replies by call index: a rewrite, a backend failure or a
+#: blank reply, six of them for the largest budget.
+REWRITES = st.lists(st.sampled_from(["Neu formuliert.", FAILURE_MARKER, "  "]), min_size=6, max_size=6)
+
+
+class TestPicksDrawnOverAFullArchive:
+    """Every draw of a mutation step's picks is over a best archive of
+    ``best_capacity`` entries: a step's own draw, a chain of speculative
+    picks, the last round's plan batch and replay alike. The mutation phase
+    starts on a full archive and a MutationApplied into it evicts an entry,
+    so picks sent ahead are drawn over an archive of the length the step
+    would draw over, and ``Engine.step_picks`` does not compare lengths."""
+
+    TASK = "Schreibe einen Arztbrief."
+    SETTINGS = settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+    @SETTINGS
+    @given(**SHAPES, rewrites=REWRITES)
+    def test_on_the_mock(self, tmp_path, monkeypatch, samples, capacity, budget, seed, rewrites):
+        root = tempfile.mkdtemp(dir=tmp_path)
+        scripts = {"prompting": scripted_plans(capacity + 1), "mutator": rewrites}
+        draw, drawn = mutation.draw, []
+
+        def checked(entries, rng_state, step):
+            assert len(entries) == capacity
+            drawn.append(step)
+            return draw(entries, rng_state, step)
+
+        for in_flight in (1, 4):
+            with monkeypatch.context() as patch:
+                patch.setattr(MockBackend, "in_flight", in_flight)
+                patch.setattr(mutation, "draw", checked)
+                log = run_optimization(shape_config(root, f"in-flight-{in_flight}", samples, capacity, budget, seed,
+                                                    scripts=scripts), self.TASK)
+                assert set(drawn) == set(range(1, budget + 1))
+                drawn.clear()
+                replay_log(log)
+                assert drawn == list(range(1, budget + 1))
+                drawn.clear()
+
+
+class TestEveryCutResumes:
+    """A log cut at any byte from the end of its RunStarted line to its
+    RunFinished, a torn last line included, resumes to the uninterrupted
+    run's event lines. A resume starts with an empty ahead map, so at an
+    ``in_flight`` of 4 this also checks that no step depends on a rewrite
+    sent ahead before the cut."""
+
+    TASK = "Schreibe einen Arztbrief."
+    SETTINGS = settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+    @SETTINGS
+    @given(**SHAPES, rewrites=REWRITES, in_flight=st.sampled_from([1, 4]), data=st.data())
+    def test_on_the_mock(self, tmp_path, monkeypatch, samples, capacity, budget, seed, rewrites, in_flight, data):
+        root = tempfile.mkdtemp(dir=tmp_path)
+        scripts = {"prompting": scripted_plans(capacity + 1), "mutator": rewrites}
+        with monkeypatch.context() as patch:
+            patch.setattr(MockBackend, "in_flight", in_flight)
+            config = shape_config(root, "full", samples, capacity, budget, seed, scripts=scripts)
+            log = Path(run_optimization(config, self.TASK))
+            full = log.read_bytes()
+            started = full.index(b"\n", full.index(b"\n") + 1) + 1  # the manifest's and RunStarted's lines
+            # A cut that keeps RunFinished's whole JSON, newline or not, leaves a finished run.
+            at = data.draw(st.integers(started, len(full) - 2), label="cut")
+            cut = Path(root) / "cut.jsonl"
+            cut.write_bytes(full[:at])
+            resume_optimization(config, cut)
+        assert event_lines(cut) == event_lines(log)
 
 
 class TestRoleConfigReachesRequests:
