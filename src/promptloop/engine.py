@@ -61,10 +61,10 @@ def _reply(outcome: str | Exception) -> str:
 class Engine:
     """State machine driving one optimization run.
 
-    The engine talks to the backend only through :meth:`_chat`,
-    :meth:`_send` and :meth:`rewrite`, which number each call by its
-    role's call count in the run state (so a resumed run issues the calls
-    the uninterrupted run would have), and to the scorer only through
+    The engine talks to the backend only through :meth:`chat`, one call,
+    and :meth:`_send`, a batch, which number each call by its role's call
+    count in the run state (so a resumed run issues the calls the
+    uninterrupted run would have), and to the scorer only through
     ``evaluator.score_batch`` (its ``centroid`` is read once, for the
     manifest).
     Independent calls (a prompt's actor samples, a round's per-sample
@@ -85,20 +85,17 @@ class Engine:
 
     The last feedback round's plan request goes out in one batch with
     mutation step 1's rewrite request, whose picks are fixed once the round
-    has archived its prompt; the rewrite's outcome waits in the ahead map
-    (see :meth:`_send`). On a backend with a free slot beside a step's own
-    call (``in_flight`` above 1), a step whose rewrite is not in the map
-    sends it itself through the map too, and either batch fills its free
-    slots, up to ``in_flight``, with speculative rewrite requests of the
-    following steps, their picks drawn as if the steps in between leave the
+    has archived its prompt; the rewrite's outcome waits in the ahead map.
+    On a backend with a free slot beside a step's own call (``in_flight``
+    above 1), a step whose rewrite request is not in the map sends it with
+    the speculative rewrite requests of the following steps, up to
+    ``in_flight``, their picks drawn as if the steps in between leave the
     best archive alone. On one without (the mock's 1), nothing goes ahead
-    but step 1's rewrite: a step draws its picks once and sends its rewrite
-    as one call at its turn. A step takes picks from the map only where it
-    would draw the same ones (see :meth:`step_picks`), and a rewrite is
-    counted, and its reply or error handed out, only when the step asks
-    :meth:`rewrite` for that very call. So the events and every request of
-    the sequential run stay as they are; a speculation that misses only
-    costs its request.
+    but step 1's rewrite: a step sends its rewrite as one call at its turn.
+    A step takes an outcome from the map only for the very request it would
+    send, counted at its turn (see :meth:`chat`). So the events and every
+    request of the sequential run stay as they are; a speculation that
+    misses only costs its request.
     """
 
     def __init__(self, gateway, evaluator, config: EngineConfig, log: runstore.EventLog, task_prompt: str) -> None:
@@ -122,8 +119,10 @@ class Engine:
             for role in ModelRole
         }
         #: The ahead map: each rewrite call sent before its step's turn,
-        #: with its picks and the call's reply or backend error.
-        self._ahead: dict[ChatCall, tuple[Picks, str | Exception]] = {}
+        #: with its reply or backend error.
+        self._ahead: dict[ChatCall, str | Exception] = {}
+        #: Step 1's picks, as the last round's plan request drew them.
+        self._first_picks: Picks | None = None
 
     def record(self, kind: str, payload: dict, picks=None) -> None:
         """Log one event, then apply it to the run state."""
@@ -149,46 +148,55 @@ class Engine:
         self.state.chat_calls[self._roles[role][0]] += 1
         return call
 
-    def _chat(self, role: ModelRole, user_message: str) -> str:
-        """One chat call."""
-        return self.gateway.chat(*self._call(role, user_message))
+    def chat(self, role: ModelRole, user_message: str, picks: Picks | None = None) -> str:
+        """One call, counted against its role at its turn: the outcome that
+        very call got if it went out ahead, else its reply now, sent alone.
+        Given ``picks``, a call not in the ahead map goes out in one
+        ``chat_many`` with their step's rewrite request, unless it is this
+        call, and, in the slots left up to the backend's ``in_flight``,
+        those of the due steps after it, their picks chained from ``picks``
+        by :func:`promptloop.mutation.picks_ahead`; with none beside it, it
+        goes out alone. Each rewrite sent waits in the map with its
+        outcome, at the mutator call index its step's turn gives it (one
+        more for each step before it from the open one on), until its
+        role's count passes that index."""
+        call = self._request(role, user_message)
+        outcome = self._ahead.pop(call, None) if self._ahead else None
+        batch = [call]
+        if picks is not None and outcome is None:
+            for step_picks in mutation.picks_ahead(self.state, picks):
+                ahead = step_picks.step - self.state.mutation_step - 1
+                rewrite = self._request(*mutation.rewrite_request(step_picks), ahead)
+                if rewrite != call and rewrite not in self._ahead:
+                    batch.append(rewrite)
+                if len(batch) >= self.gateway.in_flight:
+                    break
+        counts = self.state.chat_calls
+        counts[self._roles[role][0]] += 1
+        self._ahead = {sent: got for sent, got in self._ahead.items() if sent[0].index >= counts[sent[0].role.value]}
+        if len(batch) > 1:
+            outcomes = self.gateway.chat_many(batch)
+            self._ahead.update(zip(batch[1:], outcomes[1:]))
+            outcome = outcomes[0]
+        return self.gateway.chat(*call) if outcome is None else _reply(outcome)
 
-    def _send(self, requests: list[tuple[ModelRole, str]], picks: Picks | None = None) -> list[str]:
+    def _send(self, requests: list[tuple[ModelRole, str]]) -> list[str]:
         """Send independent requests as one ``chat_many`` batch; the replies,
         or the first failure in input order raised. Every request is counted
-        when the batch is built, so the indices stay aligned after a failure.
-        Given ``picks``, the batch also carries the rewrite request of their
-        step and, in the slots left up to the backend's ``in_flight``, those
-        of the due steps after it, their picks chained from ``picks`` by
-        :func:`promptloop.mutation.picks_ahead`. A call already in the ahead
-        map is not sent again; each rewrite sent goes into the map with its
-        picks and its outcome."""
+        when the batch is built, so the indices stay aligned after a
+        failure."""
         batch = [self._call(role, message) for role, message in requests]
-        if picks is None:
-            return [_reply(outcome) for outcome in self.gateway.chat_many(batch)]
-        rewrites = []
-        for step_picks in mutation.picks_ahead(self.state, picks):
-            # At the mutator call index its step's turn gives it: one more
-            # for each step before it from the open one on.
-            call = self._request(*mutation.rewrite_request(step_picks), step_picks.step - self.state.mutation_step - 1)
-            if call not in self._ahead:
-                rewrites.append((call, step_picks))
-                if len(batch) + len(rewrites) >= self.gateway.in_flight:
-                    break
-        outcomes = self.gateway.chat_many(batch + [call for call, _ in rewrites])
-        for (call, step_picks), outcome in zip(rewrites, outcomes[len(batch):]):
-            self._ahead[call] = step_picks, outcome
-        return [_reply(outcome) for outcome in outcomes[: len(batch)]]
+        return [_reply(outcome) for outcome in self.gateway.chat_many(batch)]
 
     # ------------------------------------------------------------- round ops
 
-    def _plan_request(self, feedback_summary: str | None) -> str:
-        return templates.compose_step_plan_request(
+    def generate_step_plan(self, feedback_summary: str | None, picks: Picks | None = None) -> str:
+        """The prompting call for the next plan (see :meth:`chat` for
+        ``picks``)."""
+        request = templates.compose_step_plan_request(
             self.state.task_prompt, feedback_summary, self.state.best.entries, self.state.worst.entries
         )
-
-    def generate_step_plan(self, feedback_summary: str | None) -> str:
-        return self._chat(ModelRole.PROMPTING, self._plan_request(feedback_summary))
+        return self.chat(ModelRole.PROMPTING, request, picks)
 
     def draw_samples(self, step_plan: str) -> list[tuple[str, float]]:
         """Send the actor calls for one prompt as a batch and score the
@@ -244,7 +252,7 @@ class Engine:
         for feedback in feedbacks:
             self.record("FeedbackIssued", {**feedback_issued(state), "text": feedback})
 
-        summary = self._chat(ModelRole.SUMMARIZER, templates.compose_summary_request(feedbacks))
+        summary = self.chat(ModelRole.SUMMARIZER, templates.compose_summary_request(feedbacks))
         self.record("RoundSummarized", {**round_ids(state), "text": summary})
 
         # Later rounds raise the threshold only if the new mean beats it.
@@ -259,50 +267,22 @@ class Engine:
         """The plan the round after ``round_no`` would run. When the run
         turns to mutation after this round and the phase runs a step, step
         1's rewrite request goes out in one batch with the plan request: its
-        picks are fixed once the round has archived its prompt. The batch's
-        free slots carry the next steps' speculative rewrites (see
-        :meth:`_send`); the picks and outcomes wait in the ahead map for
-        their steps, and a failed plan request is raised as the lone call's
-        would be."""
+        picks are fixed once the round has archived its prompt, and step 1
+        takes them (see :meth:`step_picks`). The batch's free slots carry
+        the next steps' speculative rewrites (see :meth:`chat`), and a
+        failed plan request is raised as the lone call's would be."""
         # The state as this round's commit leaves it, in all the checks read.
         committed = replace(self.state, round=round_no)
-        if check_transition(committed) != "mutation" or not step_due(committed):
-            return self.generate_step_plan(summary)
-        [plan] = self._send([(ModelRole.PROMPTING, self._plan_request(summary))], mutation.draw_picks(self.state))
-        return plan
-
-    # -------------------------------------------------------- rewrites ahead
+        if check_transition(committed) == "mutation" and step_due(committed):
+            self._first_picks = mutation.draw_picks(self.state)
+        return self.generate_step_plan(summary, self._first_picks)
 
     def step_picks(self) -> Picks:
-        """The open mutation step's picks, its rewrite request sent. Picks
-        sent ahead are taken where :func:`promptloop.mutation.draw_picks`
-        would draw the same: drawn for this step from this generator state,
-        with this entry at the picked index. The archive's length needs no
-        check: picks are drawn only over a full best archive, as the phase
-        starts on one and a MutationApplied into it evicts an entry.
-        Otherwise they are drawn now, and on a backend with a free slot
-        beside the step's own call the rewrite request goes out, with the
-        speculative ones of the steps after it (see :meth:`_send`), unless
-        that very call went out ahead; on one without, :meth:`rewrite` sends
-        it. The map keeps only the steps from this one on."""
-        state, step = self.state, self.state.mutation_step + 1
-        self._ahead = {call: sent for call, sent in self._ahead.items() if sent[0].step >= step}
-        for picks, _ in self._ahead.values():
-            if (picks.step == step and picks.rng_before == state.rng.state
-                    and state.best.entries[picks.archive_index] == picks.source):
-                return picks
-        picks = mutation.draw_picks(state)
-        if self.gateway.in_flight > 1:
-            self._send([], picks)
-        return picks
-
-    def rewrite(self, role: ModelRole, user_message: str) -> str:
-        """The open step's rewrite call, counted at its turn: the outcome
-        that very call got if it went out ahead (see :meth:`step_picks`),
-        else the reply of the call sent now."""
-        call = self._call(role, user_message)
-        sent = self._ahead.get(call) if self._ahead else None
-        return self.gateway.chat(*call) if sent is None else _reply(sent[1])
+        """The open mutation step's picks: step 1's as the last round's plan
+        request drew them, if it went out in this process (see
+        :meth:`_next_plan`), else drawn now."""
+        picks, self._first_picks = self._first_picks, None
+        return picks or mutation.draw_picks(self.state)
 
     def _publish_plan(self, plan: str) -> None:
         """Log the prompt the next round runs; this commits the round."""

@@ -64,15 +64,14 @@ def rewrite_sentence(chat: Callable[[ModelRole, str], str], picks: Picks) -> str
 
 def draw(entries, rng_state: int, step: int) -> Picks:
     """Draw step ``step``'s archive pick from the best archive's ``entries``,
-    then its sentence pick, on a generator at ``rng_state``, the picks'
-    ``rng_before``: the state the step's outcome event leaves is their
-    ``rng_after``."""
+    then its sentence pick, on a generator at ``rng_state``: the state the
+    step's outcome event leaves is the picks' ``rng_after``."""
     rng = SplitMix64(rng_state)
     archive_index = rng.below(len(entries))
     source = entries[archive_index]
     sentences = segment_sentences(source.step_plan)
     sentence_index = rng.below(len(sentences))
-    return Picks(step, rng_state, source, archive_index, sentence_index, rng.state, sentences)
+    return Picks(step, source, archive_index, sentence_index, rng.state, sentences)
 
 
 def draw_picks(state) -> Picks:
@@ -84,10 +83,11 @@ def draw_picks(state) -> Picks:
 def picks_ahead(state, picks: Picks) -> Iterator[Picks]:
     """``picks``, drawn from the state as it is, then the picks of each later
     step while :func:`promptloop.state.step_due` would hold, each drawn from
-    the generator state the one before leaves (its ``rng_before`` is the
-    ``rng_after`` of the one before), over the best archive as it is: the
-    steps' picks if the steps in between leave the archive alone. Lazy, so
-    only the picks taken are drawn."""
+    the ``rng_after`` of the one before, over the best archive as it is: the
+    steps' picks if the steps in between leave the archive alone. Only the
+    requests built from them are compared with a step's own, so a chain that
+    misses costs requests, never events. Lazy, so only the picks taken are
+    drawn."""
     entries = state.best.entries
     while True:
         yield picks
@@ -101,9 +101,9 @@ def run_mutation_phase(engine) -> None:
 
     Each step: take the step's picks (two RNG draws, archive then sentence)
     from the engine (see :meth:`promptloop.engine.Engine.step_picks`),
-    rewrite through :meth:`promptloop.engine.Engine.rewrite`, which hands
-    out the outcome of a request sent ahead or sends it at the step's turn,
-    evaluate the mutant, and log the event
+    rewrite through :meth:`promptloop.engine.Engine.chat` with the picks,
+    which hands out the outcome of that very request if it went out ahead
+    or sends it at the step's turn, evaluate the mutant, and log the event
     :func:`promptloop.state.step_closing` derives. A step's rewrite is a
     text, None (no usable rewrite, so nothing to evaluate) or a backend
     error, which is logged and ends the step; the run goes on. The phase
@@ -115,7 +115,7 @@ def run_mutation_phase(engine) -> None:
         picks = engine.step_picks()
         rewritten = None
         try:
-            rewritten = rewrite_sentence(engine.rewrite, picks)
+            rewritten = rewrite_sentence(lambda role, message: engine.chat(role, message, picks), picks)
             if rewritten is not None:
                 engine.draw_samples(picks.applied(rewritten)["step_plan"])
         except BACKEND_ERRORS as exc:

@@ -167,11 +167,10 @@ def _mutant_id(step: int) -> str:
 
 @dataclass(frozen=True)
 class Picks:
-    """The two RNG draws of one mutation step, with the generator states they
-    start from and leave behind and the sentences of the picked prompt."""
+    """The two RNG draws of one mutation step, with the generator state they
+    leave behind and the sentences of the picked prompt."""
 
     step: int
-    rng_before: int
     source: ArchiveEntry
     archive_index: int
     sentence_index: int

@@ -9,7 +9,7 @@ import requests
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import FakeResponse, scripted_plans, write_config_file, write_corpus_file
+from conftest import FakeResponse, OneShotFault, scripted_plans, write_config_file, write_corpus_file
 from promptloop import mutation, pipeline
 from promptloop.config import corpus_digest, load_config
 from promptloop.demo import run_demo
@@ -271,6 +271,39 @@ class TestCriticalPath:
         rewrites = [sent for sent in counter.sent if ModelRole.MUTATOR in sent[1]]
         assert rewrites == [("chat_many", (ModelRole.PROMPTING, ModelRole.MUTATOR)), ("chat", (ModelRole.MUTATOR,))]
         assert all(len(roles) > 1 for method, roles in counter.sent if method == "chat_many")
+
+    def test_no_batch_without_a_call_due_at_its_turn(self, tmp_path, counters, monkeypatch):
+        """Every archived prompt here is the same text and every mutant
+        equals its source, so a step's rewrite request is the same whatever
+        its picks. Step 2's picks differ from the ones its rewrite went
+        ahead with, as step 1's mutant replaced the picked entry, yet the
+        request is the one sent ahead: step 2 takes its outcome and sends
+        nothing, and step 4, past the plan batch's slots, sends its rewrite
+        alone."""
+        low = "Heute scheint die Sonne über dem weiten Park."
+        high = "Der Patient ist kardial stabil. Die Entlassung erfolgt morgen."
+        engine = {"samples_per_round": 1, "best_capacity": 2, "worst_capacity": 2, "max_rounds": 3,
+                  "mutation_budget": 4, "seed": 7}
+        scripts = {"prompting": ["Eins. Eins."] * 3, "actor": [low, low] + [high] * 10, "mutator": ["Eins."] * 6}
+        logs = []
+        for in_flight in (4, 1):
+            monkeypatch.setattr(MockBackend, "in_flight", in_flight)
+            config = library_config(tmp_path, engine=engine, scripts=scripts,
+                                    output_dir=os.path.join(tmp_path, f"in-flight-{in_flight}"))
+            logs.append(run_optimization(config, "Schreibe einen Arztbrief."))
+        assert event_lines(logs[0]) == event_lines(logs[1])
+        counter = counters[0]
+        actor, plan, mutator = ModelRole.ACTOR, ModelRole.PROMPTING, ModelRole.MUTATOR
+        feedback, summary = ModelRole.GENERAL_FEEDBACK, ModelRole.SUMMARIZER
+        round_stages = [("chat_many", (actor,)), ("chat_many", (feedback,)), ("chat", (summary,))]
+        assert counter.sent == [
+            ("chat", (plan,)), *round_stages, ("chat", (plan,)), *round_stages,
+            ("chat_many", (plan, mutator, mutator, mutator)),
+            ("chat_many", (actor,)), ("chat_many", (actor,)), ("chat_many", (actor,)),
+            ("chat", (mutator,)), ("chat_many", (actor,)),
+        ]
+        assert (counter.stages, counter.chats) == (14, 17)
+        assert all(roles for _, roles in counter.sent)
 
     def test_latency_http_shape(self, tmp_path, counters):
         engine = {"samples_per_round": 4, "best_capacity": 4, "worst_capacity": 4,
@@ -623,7 +656,8 @@ class TestPicksDrawnOverAFullArchive:
     picks, the last round's plan batch and replay alike. The mutation phase
     starts on a full archive and a MutationApplied into it evicts an entry,
     so picks sent ahead are drawn over an archive of the length the step
-    would draw over, and ``Engine.step_picks`` does not compare lengths."""
+    would draw over, and a chain of them draws the archive picks the steps
+    would draw if the archive stays as it is."""
 
     TASK = "Schreibe einen Arztbrief."
     SETTINGS = settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -680,6 +714,35 @@ class TestEveryCutResumes:
             cut.write_bytes(full[:at])
             resume_optimization(config, cut)
         assert event_lines(cut) == event_lines(log)
+
+    @SETTINGS
+    @given(**SHAPES, rewrites=REWRITES, in_flight=st.sampled_from([1, 4]), data=st.data())
+    def test_of_an_aborted_run_on_the_mock(self, tmp_path, monkeypatch, samples, capacity, budget, seed, rewrites,
+                                           in_flight, data):
+        """A fault at a drawn chat call of the feedback loop, the calls up to
+        the last plan's, aborts the run. The aborted log, cut at a drawn byte
+        from the end of its RunStarted line to its end, resumes without the
+        fault to the fault-free run's event lines."""
+        root = tempfile.mkdtemp(dir=tmp_path)
+        shape = (samples, capacity, budget, seed)
+        scripts = {"prompting": scripted_plans(capacity + 1), "mutator": rewrites}
+        backend = pipeline._backend
+        with monkeypatch.context() as patch:
+            patch.setattr(MockBackend, "in_flight", in_flight)
+            full = run_optimization(shape_config(root, "full", *shape, scripts=scripts), self.TASK)
+            plans = [e.payload for e in read_log(full)[1] if e.kind == "PromptRegenerated"]
+            fault = data.draw(st.integers(1, sum(plans[-1]["chat_calls"].values())), label="fault")
+            patch.setattr(pipeline, "_backend", lambda config: OneShotFault(backend(config), "chat", fault))
+            config = shape_config(root, "aborted", *shape, scripts=scripts)
+            with pytest.raises(RunAbortedError):
+                run_optimization(config, self.TASK)
+            patch.setattr(pipeline, "_backend", backend)
+            [log] = Path(root, "aborted").glob("*.jsonl")
+            aborted = log.read_bytes()
+            started = aborted.index(b"\n", aborted.index(b"\n") + 1) + 1  # the manifest's and RunStarted's lines
+            log.write_bytes(aborted[: data.draw(st.integers(started, len(aborted)), label="cut")])
+            resume_optimization(config, log)
+        assert event_lines(log) == event_lines(full)
 
 
 class TestRoleConfigReachesRequests:
