@@ -26,26 +26,32 @@ it runs at once: :data:`MAX_IN_FLIGHT` over HTTP, 1 for the mock. The
 engine fills a batch that carries a mutation rewrite with speculative
 rewrites only up to that number, so the mock never speculates.
 
-The HTTP client, ``requests``, is imported only when an :class:`HttpBackend`
-is built, so mock runs, reports and config checks never load it.
+Over HTTP a :class:`Transport` of the standard library's ``http.client``
+keeps idle connections alive between requests. It and the modules it needs
+(``http.client``, ``ssl``, ``netrc``, ``urllib.request``) are imported only
+when an :class:`HttpBackend` is built, so mock runs, reports and config
+checks never load them.
 """
 
 from __future__ import annotations
 
+import base64
 import functools
+import json
+import os
+import select
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
+from urllib.parse import unquote, urlsplit
 
 import numpy as np
 
-from .errors import BACKEND_ERRORS, BackendUnavailableError, EmptyResponseError, ProtocolError
+from .errors import BACKEND_ERRORS, BackendUnavailableError, ConfigError, EmptyResponseError, ProtocolError
 from .roles import ModelRole, SamplingParams
 from .state import SplitMix64
-
-if TYPE_CHECKING:
-    import requests
 
 #: Scripted reply that makes the mock raise a backend failure.
 FAILURE_MARKER = "<<BACKEND-FAILURE>>"
@@ -56,9 +62,15 @@ _RETRYABLE_4XX = (408, 429)
 #: Most requests an HTTP batch keeps in flight, chat or embed. Ollama serves
 #: at most ``OLLAMA_NUM_PARALLEL`` requests per model at once, by default 4 or
 #: 1 depending on available memory (Ollama FAQ); more would only queue on the
-#: server, where the wait counts against each request's ``timeout``. It also
-#: stays below the 10 connections of the default ``requests`` adapter pool.
+#: server, where the wait counts against each request's ``timeout``. A
+#: :class:`Transport` keeps as many idle connections, so every thread of a
+#: batch finds one open from the batches before.
 MAX_IN_FLIGHT = 4
+
+#: A request body's JSON text, ``json.dumps(payload, allow_nan=False)`` from
+#: one encoder for every request. A server whose reply depends on the body
+#: bytes (a seeded model, a cache) sees the same bytes from run to run.
+_encode_json = json.JSONEncoder(allow_nan=False).encode
 
 #: Most texts one embed request carries. At Ollama's documented 13.1 ms per
 #: text a full request is about 0.84 s of server time, far inside the default
@@ -223,28 +235,18 @@ class HttpBackend:
     with exponential backoff, so each request makes at most
     ``max_retries + 1`` attempts; any other 4xx is final after one attempt.
 
-    Without a ``session`` the backend makes one that reads the environment
-    once: its proxies, ``verify`` and netrc auth are resolved for
-    ``base_url`` here, as ``requests`` would on every request, and
-    ``trust_env`` is then off. All requests go to that one host. A given
-    session is used as it is.
+    Without a ``session`` the backend builds a :class:`Transport` for
+    ``base_url``, which reads the environment once; all requests go to that
+    one host. A given session, anything with the transport's ``post`` and
+    ``get``, is used as it is.
     """
 
     #: Chat calls of one batch run at once.
     in_flight = MAX_IN_FLIGHT
 
-    def __init__(self, descriptor: BackendDescriptor, session: requests.Session | None = None):
-        import requests
-
+    def __init__(self, descriptor: BackendDescriptor, session: Transport | None = None):
         self.descriptor = descriptor
-        if session is None:
-            session = requests.Session()
-            settings = session.merge_environment_settings(descriptor.base_url, {}, None, None, None)
-            session.proxies = settings["proxies"]
-            session.verify = settings["verify"]
-            session.auth = requests.utils.get_netrc_auth(descriptor.base_url)
-            session.trust_env = False
-        self.session = session
+        self.session = Transport(descriptor.base_url) if session is None else session
 
     def chat(self, exchange: ChatExchange, params: SamplingParams) -> str:
         messages = []
@@ -333,7 +335,7 @@ class HttpBackend:
         return matrix
 
     def _post(self, path: str, payload: dict) -> dict:
-        import requests
+        import http.client
 
         url = self.descriptor.base_url.rstrip("/") + path
         attempts = self.descriptor.max_retries + 1
@@ -345,7 +347,7 @@ class HttpBackend:
                 if 400 <= status < 500 and status not in _RETRYABLE_4XX:
                     raise BackendUnavailableError(f"{url} answered HTTP {status}; not retried{_reason(response)}")
                 response.raise_for_status()
-            except requests.RequestException as exc:
+            except (OSError, http.client.HTTPException) as exc:
                 last_error = exc
                 if attempt + 1 < attempts and self.descriptor.retry_backoff > 0:
                     time.sleep(self.descriptor.retry_backoff * (2**attempt))
@@ -364,14 +366,14 @@ class HttpBackend:
     def health_check(self) -> str | None:
         """Why the backend is unusable, or None once ``/api/tags`` answers and
         lists both configured models."""
-        import requests
+        import http.client
 
         url = self.descriptor.base_url.rstrip("/") + "/api/tags"
         try:
             response = self.session.get(url, timeout=self.descriptor.timeout)
             response.raise_for_status()
             served = {_tagged(model["name"]) for model in response.json()["models"]}
-        except requests.RequestException as exc:
+        except (OSError, http.client.HTTPException) as exc:
             return str(exc)
         except (ValueError, KeyError, TypeError) as exc:
             return f"malformed reply from {url}: {exc!r}"
@@ -380,6 +382,164 @@ class HttpBackend:
         if missing:
             return f"{url} does not list model {', '.join(missing)}"
         return None
+
+
+class HttpStatusError(OSError):
+    """A reply whose HTTP status is 400 or more, raised by
+    :meth:`Reply.raise_for_status`."""
+
+
+class Reply(NamedTuple):
+    """A whole HTTP reply, read off its connection."""
+
+    status_code: int
+    url: str
+    content: bytes
+
+    def json(self):
+        return json.loads(self.content)
+
+    def raise_for_status(self) -> None:
+        if self.status_code >= 400:
+            raise HttpStatusError(f"HTTP {self.status_code} for url: {self.url}")
+
+
+class Transport:
+    """Keep-alive HTTP/1.1 client on ``http.client`` for the one host of
+    ``base_url``: ``post(url, json=, timeout=)`` sends ``json`` as a UTF-8
+    JSON body and ``get(url, timeout=)`` sends none; both return a
+    :class:`Reply`. Every ``url`` starts with ``base_url``. ``timeout``
+    bounds the connect and every read.
+
+    The environment is read once, here, for ``base_url``: its proxy
+    (``HTTP_PROXY``, ``HTTPS_PROXY`` or ``ALL_PROXY``, unless ``NO_PROXY``
+    names the host), reached in absolute form for an http target and
+    through a CONNECT tunnel for an https one; the CA bundle of an https
+    target (``REQUESTS_CA_BUNDLE`` or ``CURL_CA_BUNDLE``, a file or a
+    directory, else the system store); and netrc Basic auth for its host
+    (``NETRC``, else ``~/.netrc``; a missing or unparsable file is ignored),
+    else the URL's own user and password.
+
+    A request takes the last idle connection off a lock-guarded stack, or
+    opens one. It pushes the connection back once the reply is read, unless
+    the reply says ``Connection: close`` or :data:`MAX_IN_FLIGHT` are idle
+    already. An idle connection whose socket reads as ready was closed by
+    the server and is dropped before anything is sent on it. A request that
+    fails closes its connection and raises; retries are the caller's.
+    """
+
+    def __init__(self, base_url: str) -> None:
+        import http.client
+        import urllib.request
+
+        target = urlsplit(base_url)
+        if target.scheme not in ("http", "https") or not target.hostname:
+            raise ConfigError(f"backend.base_url {base_url!r} is not an http:// or https:// URL")
+        host = target.netloc.rpartition("@")[2]
+        self._https = target.scheme == "https"
+        self._class = http.client.HTTPSConnection if self._https else http.client.HTTPConnection
+        self._ca = (os.environ.get("REQUESTS_CA_BUNDLE") or os.environ.get("CURL_CA_BUNDLE")) if self._https else None
+        # A request's target is ``_origin`` (the scheme and host in absolute
+        # form, through an http proxy) plus its url past the first ``_cut``
+        # characters, the scheme and host of ``base_url``.
+        self._address, self._tunnel, self._origin = host, None, ""
+        self._headers = _basic("Authorization", _netrc_login(target.hostname) or _userinfo(target))
+        proxies = urllib.request.getproxies_environment()
+        proxy = proxies.get(target.scheme) or proxies.get("all")
+        if proxy and not urllib.request.proxy_bypass_environment(host, proxies):
+            via = urlsplit(proxy if "://" in proxy else "http://" + proxy)
+            self._address = via.netloc.rpartition("@")[2]
+            proxy_headers = _basic("Proxy-Authorization", _userinfo(via))
+            if self._https:
+                self._tunnel = (host, None, proxy_headers)
+            else:
+                self._origin = f"http://{host}"
+                self._headers.update(proxy_headers)
+        self._json_headers = {**self._headers, "Content-Type": "application/json"}
+        self._cut = len(f"{target.scheme}://{target.netloc}")
+        self._lock = threading.Lock()
+        self._idle: list = []
+
+    def post(self, url: str, json=None, timeout: float | None = None) -> Reply:
+        return self._send("POST", url, _encode_json(json).encode("utf-8"), self._json_headers, timeout)
+
+    def get(self, url: str, timeout: float | None = None) -> Reply:
+        return self._send("GET", url, None, self._headers, timeout)
+
+    def _send(self, method: str, url: str, body: bytes | None, headers: dict, timeout: float | None) -> Reply:
+        connection = self._checkout(timeout)
+        try:
+            connection.request(method, self._origin + (url[self._cut :] or "/"), body, headers)
+            response = connection.getresponse()
+            content = response.read()
+        except BaseException:
+            connection.close()
+            raise
+        with self._lock:
+            kept = not response.will_close and len(self._idle) < MAX_IN_FLIGHT
+            if kept:
+                self._idle.append(connection)
+        if not kept:
+            connection.close()
+        return Reply(response.status, url, content)
+
+    def _checkout(self, timeout: float | None):
+        """An idle connection the server has not closed, or a new one."""
+        while True:
+            with self._lock:
+                if not self._idle:
+                    break
+                connection = self._idle.pop()
+            if not _readable(connection.sock):
+                connection.sock.settimeout(timeout)
+                return connection
+            connection.close()
+        connection = self._class(self._address, timeout=timeout, **({"context": self._tls} if self._https else {}))
+        if self._tunnel:
+            connection.set_tunnel(*self._tunnel)
+        return connection
+
+    @functools.cached_property
+    def _tls(self):
+        """The SSL context of an https target, built at its first connect,
+        so a CA bundle that cannot be loaded fails a request, as an
+        unreachable host does."""
+        import ssl
+
+        folder = self._ca is not None and os.path.isdir(self._ca)
+        return ssl.create_default_context(cafile=None if folder else self._ca, capath=self._ca if folder else None)
+
+
+def _readable(sock) -> bool:
+    """Whether ``sock`` reads as ready at zero timeout. For an idle
+    connection that means the server closed it (or sent what no request
+    asked for), as urllib3 checks."""
+    poller = select.poll()
+    poller.register(sock, select.POLLIN)
+    return bool(poller.poll(0))
+
+
+def _netrc_login(host: str) -> tuple[str, str] | None:
+    """Login and password that the netrc file (``NETRC``, else ``~/.netrc``)
+    holds for ``host``, or None; a missing or unparsable file holds none."""
+    import netrc
+
+    try:
+        entry = netrc.netrc(os.environ.get("NETRC") or os.path.expanduser("~/.netrc")).authenticators(host)
+    except (OSError, UnicodeDecodeError, netrc.NetrcParseError):
+        return None
+    return (entry[0], entry[2]) if entry else None
+
+
+def _userinfo(url) -> tuple[str, str] | None:
+    """User and password of a split URL, unquoted, or None without a user."""
+    return None if url.username is None else (unquote(url.username), unquote(url.password or ""))
+
+
+def _basic(header: str, login: tuple[str, str] | None) -> dict[str, str]:
+    """``header`` carrying Basic auth for a (user, password) pair; no header
+    without one."""
+    return {header: "Basic " + base64.b64encode(":".join(login).encode("utf-8")).decode()} if login else {}
 
 
 def _reason(response) -> str:

@@ -1,14 +1,15 @@
 import hashlib
 import json
 import os
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from unittest import mock
 from urllib.parse import urlsplit
 
 import numpy as np
 import pytest
-import requests
 from hypothesis import settings
 
 from promptloop.config import (
@@ -20,7 +21,7 @@ from promptloop.config import (
 )
 from promptloop.engine import Engine
 from promptloop.errors import BACKEND_ERRORS, BackendUnavailableError
-from promptloop.gateway import BackendDescriptor, MockBackend
+from promptloop.gateway import BackendDescriptor, HttpStatusError, MockBackend, Transport
 from promptloop.mutation import draw_picks
 from promptloop.roles import ModelRole, SamplingParams
 from promptloop.runstore import EventLog, build_manifest, canonical_json, read_log
@@ -259,7 +260,7 @@ class OneShotFault:
 
 
 class FakeResponse:
-    """Stand-in for a ``requests`` response with a JSON payload and a status."""
+    """Stand-in for a transport reply with a JSON payload and a status."""
 
     def __init__(self, payload, status=200):
         self._payload = payload
@@ -267,7 +268,7 @@ class FakeResponse:
 
     def raise_for_status(self):
         if self.status_code >= 400:
-            raise requests.HTTPError(f"status {self.status_code}")
+            raise HttpStatusError(f"status {self.status_code}")
 
     def json(self):
         if isinstance(self._payload, Exception):
@@ -276,7 +277,7 @@ class FakeResponse:
 
 
 class OllamaStub:
-    """An Ollama server behind ``requests.Session``, installed by the
+    """An Ollama server behind the HTTP :class:`Transport`, installed by the
     ``ollama`` fixture. A chat reply is a digest of the request body, seed
     included, so a resumed run gets the replies the uninterrupted run got;
     an embedding is the default mock backend's vector of the text; ``/api/tags``
@@ -308,10 +309,85 @@ class OllamaStub:
 @pytest.fixture
 def ollama(monkeypatch):
     stub = OllamaStub()
-    monkeypatch.setattr(requests.Session, "get", lambda session, url, **kwargs: stub.get(url, **kwargs))
-    monkeypatch.setattr(requests.Session, "post", lambda session, url, **kwargs: stub.post(url, **kwargs))
+    monkeypatch.setattr(Transport, "get", lambda session, url, **kwargs: stub.get(url, **kwargs))
+    monkeypatch.setattr(Transport, "post", lambda session, url, **kwargs: stub.post(url, **kwargs))
     return stub
 
+
+class LoopbackServer(ThreadingHTTPServer):
+    """An Ollama-shaped HTTP/1.1 server on loopback, for the real transport.
+
+    It answers ``/api/chat`` with "Befund", ``/api/embed`` with one 2-vector
+    per text and any other path with the default models' ``/api/tags``; the
+    request target may be absolute, as a proxy receives it. ``connections``
+    counts the connections it accepted and ``seen`` records each request's
+    line, headers and body, in arrival order. With ``closing`` set a reply
+    says ``Connection: close`` but the server keeps the connection open; with
+    ``hangup`` set the server closes the connection after the reply without
+    saying so, and releases ``hung_up`` once it has."""
+
+    daemon_threads = True
+
+    def __init__(self):
+        super().__init__(("127.0.0.1", 0), _LoopbackHandler)
+        self.url = f"http://127.0.0.1:{self.server_address[1]}"
+        self.lock = threading.Lock()
+        self.connections = 0
+        self.seen = []
+        self.closing = self.hangup = False
+        self.hung_up = threading.Semaphore(0)
+
+    def shutdown_request(self, request):
+        super().shutdown_request(request)
+        self.hung_up.release()
+
+
+class _LoopbackHandler(BaseHTTPRequestHandler):
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
+
+    def setup(self):
+        super().setup()
+        with self.server.lock:
+            self.server.connections += 1
+
+    def _serve(self):
+        body = self.rfile.read(int(self.headers.get("Content-Length", 0)))
+        with self.server.lock:
+            self.server.seen.append((self.requestline, dict(self.headers), body))
+        path = urlsplit(self.path).path
+        if path == "/api/chat":
+            reply = {"message": {"role": "assistant", "content": "Befund"}}
+        elif path == "/api/embed":
+            reply = {"embeddings": [[1.0, 0.0] for _ in json.loads(body)["input"]]}
+        else:
+            reply = {"models": [{"name": "llama3.1"}, {"name": "jina-embeddings-v2-base-de"}]}
+        data = json.dumps(reply).encode("utf-8")
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        if self.server.closing:
+            self.send_header("Connection", "close")
+        self.end_headers()
+        self.wfile.write(data)
+        self.close_connection = self.server.hangup
+
+    do_GET = do_POST = _serve
+
+    def log_message(self, format, *args):
+        pass
+
+
+@pytest.fixture
+def loopback():
+    server = LoopbackServer()
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield server
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=10)
+    assert not thread.is_alive()
 
 def events_by_kind(events, kind):
     return [e for e in events if e.kind == kind]

@@ -9,6 +9,7 @@ from conftest import FakeResponse, write_config_file, write_corpus_file
 from promptloop import cli
 from promptloop.cli import main
 from promptloop.errors import LogError
+from promptloop.gateway import Transport
 from promptloop.runstore import EventLog, emit_report, replay_log
 
 CORPUS = [
@@ -277,8 +278,6 @@ class TestOptimize:
             assert expected in result.stderr
 
     def test_malformed_embed_reply_during_setup_exits_three(self, runner, tmp_path, monkeypatch):
-        import requests
-
         replies = [
             ('{"embeddings": [[1.0, 0.0]]}', "expected 2 embeddings, got 1"),
             ("[]", "not an object"),
@@ -303,7 +302,7 @@ class TestOptimize:
 
         config = small_config(tmp_path, backend={"kind": "http", "base_url": "http://localhost:1"})
         for text, expected in replies:
-            monkeypatch.setattr(requests.Session, "post", lambda self, url, **kwargs: Reply(text))
+            monkeypatch.setattr(Transport, "post", lambda self, url, **kwargs: Reply(text))
             for command in (["optimize", config, "--prompt", "Aufgabe"], ["score", config, "--text", "x"]):
                 result = runner.invoke(main, command)
                 assert result.exit_code == 3, text + result.output + repr(result.exception)
@@ -312,14 +311,12 @@ class TestOptimize:
     def test_embed_requests_of_different_dimensions_during_setup_exit_three(
         self, runner, tmp_path, monkeypatch
     ):
-        import requests
-
         def embed(session, url, json=None, timeout=None):
             # the corpus goes out as one request of 64 texts and one of 1
             dim = 64 if len(json["input"]) > 1 else 32
             return FakeResponse({"embeddings": [[0.5] * dim for _ in json["input"]]})
 
-        monkeypatch.setattr(requests.Session, "post", embed)
+        monkeypatch.setattr(Transport, "post", embed)
         corpus = write_corpus_file(tmp_path, [f"Dokument {i} ist stabil." for i in range(65)], "big.jsonl")
         config = small_config(
             tmp_path, backend={"kind": "http", "base_url": "http://localhost:1"}, corpus_path=corpus
@@ -330,17 +327,15 @@ class TestOptimize:
             assert "disagree on dimension: [32, 64]" in result.stderr
 
     def test_sample_vector_of_another_dimension_exits_four(self, runner, tmp_path, monkeypatch):
-        import requests
-
         def post(session, url, json=None, timeout=None):
             if url.endswith("/api/chat"):
                 return FakeResponse({"message": {"content": "Der Befund folgt."}})
             dim = 64 if json["input"] == CORPUS else 32
             return FakeResponse({"embeddings": [[0.5] * dim for _ in json["input"]]})
 
-        monkeypatch.setattr(requests.Session, "post", post)
+        monkeypatch.setattr(Transport, "post", post)
         monkeypatch.setattr(
-            requests.Session, "get",
+            Transport, "get",
             lambda session, url, timeout=None: FakeResponse(
                 {"models": [{"name": "llama3.1"}, {"name": "jina-embeddings-v2-base-de"}]}
             ),
@@ -422,14 +417,12 @@ class TestOptimize:
 
     @pytest.mark.parametrize("name", [None, 5, ["a"]])
     def test_model_name_that_is_not_a_string_exits_three(self, runner, tmp_path, monkeypatch, name):
-        import requests
-
         def embed(session, url, json=None, timeout=None):
             return FakeResponse({"embeddings": [[0.5, 0.5] for _ in json["input"]]})
 
-        monkeypatch.setattr(requests.Session, "post", embed)
+        monkeypatch.setattr(Transport, "post", embed)
         monkeypatch.setattr(
-            requests.Session, "get",
+            Transport, "get",
             lambda session, url, timeout=None: FakeResponse({"models": [{"name": "llama3.1"}, {"name": name}]}),
         )
         config = small_config(tmp_path, backend={"kind": "http", "base_url": "http://localhost:1"})
@@ -440,8 +433,6 @@ class TestOptimize:
     def test_refused_setup_request_names_the_server_reason(self, runner, tmp_path, monkeypatch):
         """An embedding model the server lacks: Ollama answers 404 with an
         ``error`` text, which the exit-3 message carries; a 4xx is not retried."""
-        import requests
-
         reason = 'model "jina-embeddings-v2-base-de" not found, try pulling it first'
         posts = []
 
@@ -449,7 +440,7 @@ class TestOptimize:
             posts.append(url)
             return FakeResponse({"error": reason}, status=404)
 
-        monkeypatch.setattr(requests.Session, "post", embed)
+        monkeypatch.setattr(Transport, "post", embed)
         config = small_config(tmp_path, backend={"kind": "http", "base_url": "http://localhost:1"})
         for command in (["optimize", config, "--prompt", "Aufgabe"], ["score", config, "--text", "x"]):
             posts.clear()
@@ -459,15 +450,11 @@ class TestOptimize:
             assert posts == ["http://localhost:1/api/embed"]
 
     def test_mock_backend_never_touches_the_network(self, runner, tmp_path, monkeypatch):
-        import requests
-
         def explode(*args, **kwargs):
             raise AssertionError("network touched with mock backend")
 
-        monkeypatch.setattr(requests.Session, "post", explode)
-        monkeypatch.setattr(requests.Session, "get", explode)
-        monkeypatch.setattr(requests, "post", explode)
-        monkeypatch.setattr(requests, "get", explode)
+        monkeypatch.setattr(Transport, "post", explode)
+        monkeypatch.setattr(Transport, "get", explode)
         config = small_config(tmp_path)
         result = runner.invoke(main, ["optimize", config, "--prompt", "Aufgabe"])
         assert result.exit_code == 0, result.output

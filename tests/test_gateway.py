@@ -1,15 +1,15 @@
 import base64
 import json
 import os
+import ssl
 import subprocess
 import sys
 import threading
 import time
-from urllib.parse import urlsplit
+import urllib.request
 
 import numpy as np
 import pytest
-import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -281,7 +281,7 @@ class TestHttpChat:
         assert len(session.requests) == 1
 
     def test_retry_bound_is_max_retries_plus_one(self):
-        failures = [requests.ConnectionError("down")] * 10
+        failures = [ConnectionError("down")] * 10
         session = FakeSession(failures)
         backend = HttpBackend(http_descriptor(max_retries=2), session)
         with pytest.raises(BackendUnavailableError):
@@ -290,7 +290,7 @@ class TestHttpChat:
 
     def test_transient_failure_then_success(self):
         session = FakeSession(
-            [requests.ConnectionError("down"), FakeResponse({"message": {"content": "ok"}})]
+            [ConnectionError("down"), FakeResponse({"message": {"content": "ok"}})]
         )
         backend = HttpBackend(http_descriptor(max_retries=1), session)
         assert backend.chat(exchange(), PARAMS) == "ok"
@@ -585,7 +585,7 @@ class TestHealthCheck:
         assert mock_backend.health_check() is None
 
     def test_http_unreachable_reports_cause(self):
-        session = FakeSession([requests.ConnectionError("refused")])
+        session = FakeSession([ConnectionError("refused")])
         backend = HttpBackend(http_descriptor(), session)
         cause = backend.health_check()
         assert "refused" in cause
@@ -630,109 +630,107 @@ class TestHealthCheck:
         assert "malformed reply" in backend.health_check()
 
 
-#: Imports a CLI process makes, then a mock demo run, then an HTTP backend:
-#: prints the HTTP-stack modules loaded after each step.
+#: Imports a CLI process makes, then a mock demo run, then an HTTP backend
+#: serving each of its calls against the server at ``sys.argv[2]``: prints the
+#: HTTP modules loaded after each step, of those not loaded at startup (a
+#: site ``.pth`` file may import one, such as certifi).
 CLIENT_LOADING = """
 import sys
-HTTP_STACK = ("requests", "urllib3", "idna", "charset_normalizer")
-loaded = lambda: [name for name in HTTP_STACK if name in sys.modules]
+THIRD_PARTY = ("requests", "urllib3", "idna", "charset_normalizer", "certifi")
+startup = set(sys.modules)
+loaded = lambda names: [name for name in names if name in sys.modules and name not in startup]
 import promptloop.cli, promptloop.pipeline
 from promptloop.demo import run_demo
-from promptloop.gateway import BackendDescriptor, HttpBackend
-print(loaded())
+from promptloop.gateway import EMBED_BATCH, BackendDescriptor, ChatExchange, HttpBackend
+from promptloop.roles import DEFAULT_ROLE_PARAMS, ModelRole
+print(loaded(THIRD_PARTY + ("http.client",)))
 run_demo(sys.argv[1])
-print(loaded())
-HttpBackend(BackendDescriptor(kind="http", base_url="http://localhost:1"))
-print("requests" in sys.modules)
+print(loaded(THIRD_PARTY + ("http.client",)))
+backend = HttpBackend(BackendDescriptor(kind="http", base_url=sys.argv[2]))
+print("http.client" in sys.modules)
+call = (ChatExchange(ModelRole.ACTOR, 0, "sys", (("user", "Brief"),)), DEFAULT_ROLE_PARAMS[ModelRole.ACTOR])
+assert backend.health_check() is None
+assert backend.chat(*call) == "Befund"
+assert backend.chat_many([call] * 4) == ["Befund"] * 4
+assert len(backend.embed(["Text"] * (EMBED_BATCH + 1))) == EMBED_BATCH + 1
+print(loaded(THIRD_PARTY))
 """
 
 
-class EchoAdapter:
-    """Transport adapter answering every ``/api`` request of an
-    :class:`HttpBackend` well-formed, recording the URL, ``proxies``,
-    ``verify`` and ``Authorization`` header each request reached it with."""
-
-    def __init__(self):
-        self.lock = threading.Lock()
-        self.sent = []
-
-    def send(self, request, stream=False, timeout=None, verify=True, cert=None, proxies=None):
-        with self.lock:
-            self.sent.append((request.url, proxies, verify, request.headers.get("Authorization")))
-        path = urlsplit(request.url).path
-        if path == "/api/chat":
-            body = {"message": {"content": "Befund"}}
-        elif path == "/api/embed":
-            body = {"embeddings": [[1.0, 0.0] for _ in json.loads(request.body)["input"]]}
-        else:
-            body = tags("llama3.1", "jina-embeddings-v2-base-de")
-        response = requests.Response()
-        response.status_code = 200
-        response._content = json.dumps(body).encode("utf-8")
-        response.url = request.url
-        response.request = request
-        return response
-
-    def close(self):
-        pass
-
-
 class TestHttpSession:
-    def test_http_client_loads_only_when_an_http_backend_is_built(self, tmp_path):
+    def test_http_client_loads_only_when_an_http_backend_is_built(self, tmp_path, loopback):
         result = subprocess.run(
-            [sys.executable, "-c", CLIENT_LOADING, os.fspath(tmp_path)],
+            [sys.executable, "-c", CLIENT_LOADING, os.fspath(tmp_path), loopback.url],
             capture_output=True, text=True, timeout=120,
             env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
         )
         assert result.returncode == 0, result.stderr
-        assert result.stdout.splitlines() == ["[]", "[]", "True"]
+        assert result.stdout.splitlines() == ["[]", "[]", "True", "[]"]
 
-    def test_environment_is_read_once_per_backend(self, tmp_path, monkeypatch):
+    def test_environment_is_read_once_per_backend(self, tmp_path, monkeypatch, loopback):
         netrc = tmp_path / "netrc"
         netrc.write_text("machine model.example login arzt password geheim\n")
         netrc.chmod(0o600)
-        monkeypatch.setenv("HTTP_PROXY", "http://proxy.example:3128")
+        for name in ("http_proxy", "https_proxy", "all_proxy", "no_proxy", "HTTPS_PROXY", "ALL_PROXY",
+                     "CURL_CA_BUNDLE"):
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setenv("HTTP_PROXY", loopback.url)
         monkeypatch.setenv("NO_PROXY", "localhost")
         monkeypatch.setenv("REQUESTS_CA_BUNDLE", os.fspath(tmp_path / "bundle.pem"))
         monkeypatch.setenv("NETRC", os.fspath(netrc))
         reads = []
-        real = requests.utils.get_environ_proxies
+        real = urllib.request.getproxies_environment
 
-        def counted(*args, **kwargs):
-            reads.append(args)
-            return real(*args, **kwargs)
+        def counted():
+            reads.append(True)
+            return real()
 
-        monkeypatch.setattr(requests.utils, "get_environ_proxies", counted)
-        monkeypatch.setattr(requests.sessions, "get_environ_proxies", counted)
-        for base_url, proxied in (("http://model.example:11434", True), ("http://localhost:11434", False)):
+        monkeypatch.setattr(urllib.request, "getproxies_environment", counted)
+        port = loopback.server_address[1]
+        basic = "Basic " + base64.b64encode(b"arzt:geheim").decode("ascii")
+        for base_url, proxied in (("http://model.example:11434", True), (f"http://localhost:{port}", False)):
             reads.clear()
+            loopback.seen.clear()
             backend = HttpBackend(http_descriptor(base_url=base_url))
-            adapter = EchoAdapter()
-            backend.session.mount("http://", adapter)
             calls = [(exchange(text=f"call {i}", index=i), PARAMS) for i in range(4)]
             assert backend.chat_many(calls) == ["Befund"] * 4
             assert len(backend.embed(["a", "b"])) == 2
             assert backend.health_check() is None
-            assert len(adapter.sent) == 6
+            assert len(loopback.seen) == 6
             assert len(reads) <= 1
-            fresh = requests.Session()
-            for url, proxies, verify, authorization in adapter.sent:
-                expected = fresh.merge_environment_settings(url, {}, None, None, None)
-                assert (proxies, verify) == (expected["proxies"], expected["verify"]), url
-                assert verify == os.fspath(tmp_path / "bundle.pem")
-                assert bool(proxies) is proxied
-                assert (authorization is not None) is proxied  # netrc names model.example only
-            if proxied:
-                assert proxies["http"] == "http://proxy.example:3128"
-                assert authorization == "Basic " + base64.b64encode(b"arzt:geheim").decode("ascii")
+            for line, headers, _ in loopback.seen:
+                target = line.split()[1]
+                # the loopback server is the proxy: it sees absolute-form targets
+                assert target.startswith(base_url + "/api/") is proxied, line
+                assert target.startswith("/api/") is not proxied, line
+                assert ("Authorization" in headers) is proxied  # netrc names model.example only
+                if proxied:
+                    assert headers["Authorization"] == basic
+
+        # https: the CA bundle is the SSL context's CA source, file or directory
+        contexts = []
+
+        def recorded(**kwargs):
+            contexts.append(kwargs)
+            raise ssl.SSLError("context recorded")
+
+        monkeypatch.setattr(ssl, "create_default_context", recorded)
+        for bundle, source in ((tmp_path / "bundle.pem", "cafile"), (tmp_path, "capath")):
+            monkeypatch.setenv("REQUESTS_CA_BUNDLE", os.fspath(bundle))
+            reads.clear()
+            contexts.clear()
+            backend = HttpBackend(http_descriptor(base_url=f"https://localhost:{port}"))
+            assert "context recorded" in backend.health_check()
+            assert contexts == [{"cafile": None, "capath": None, source: os.fspath(bundle)}]
+            assert len(reads) <= 1
 
     def test_given_session_is_used_as_it_is(self, monkeypatch):
         monkeypatch.setenv("HTTP_PROXY", "http://proxy.example:3128")
-        session = requests.Session()
+        session = FakeSession([])
+        before = dict(vars(session))
         backend = HttpBackend(http_descriptor(), session)
         assert backend.session is session
-        assert session.trust_env is True
-        assert session.proxies == {} and session.verify is True and session.auth is None
+        assert vars(session) == before
 
     def test_one_item_batch_runs_on_the_calling_thread(self, monkeypatch):
         def no_pool(*args, **kwargs):
@@ -755,6 +753,69 @@ class TestHttpSession:
         assert len(backend.embed(["a", "b"])) == 2
         assert threads == [threading.current_thread()] * 2
 
+
+class TestTransport:
+    """The keep-alive transport an :class:`HttpBackend` builds, against a
+    loopback server."""
+
+    def test_latency_http_call_pattern_opens_at_most_the_in_flight_bound(self, loopback):
+        backend = HttpBackend(http_descriptor(base_url=loopback.url))
+        assert backend.health_check() is None
+        for size in (4, 1, 4, 3, 1, 4):
+            calls = [(exchange(text=f"call {i}", index=i), PARAMS) for i in range(size)]
+            assert backend.chat_many(calls) == ["Befund"] * size
+        for chunks in (1, 4, 2, 3):
+            texts = [f"Text {i}" for i in range(chunks * EMBED_BATCH)]
+            assert len(backend.embed(texts)) == len(texts)
+        assert len(loopback.seen) == 1 + 17 + 10
+        assert loopback.connections <= MAX_IN_FLIGHT
+
+    def test_connection_the_server_closed_is_replaced_before_sending(self, loopback, monkeypatch):
+        backend = HttpBackend(http_descriptor(base_url=loopback.url, retry_backoff=0.5))
+        loopback.hangup = True
+        assert backend.health_check() is None
+        assert loopback.hung_up.acquire(timeout=10)
+        loopback.hangup = False
+        time.sleep(0.05)  # let the server's FIN land before the next request
+        sleeps = []
+        monkeypatch.setattr(time, "sleep", sleeps.append)
+        assert backend.chat(exchange(), PARAMS) == "Befund"
+        assert sleeps == []
+        assert [line.split()[1] for line, _, _ in loopback.seen] == ["/api/tags", "/api/chat"]
+        assert loopback.connections == 2
+
+    def test_connection_close_reply_is_not_reused(self, loopback):
+        backend = HttpBackend(http_descriptor(base_url=loopback.url))
+        loopback.closing = True  # says close, keeps the connection open
+        assert backend.health_check() is None
+        loopback.closing = False
+        assert backend.health_check() is None
+        assert backend.health_check() is None
+        assert loopback.connections == 2
+
+    @pytest.mark.parametrize("base_url", ["ftp://model.example", "model.example:11434", "http://"])
+    def test_base_url_that_is_not_http_is_a_config_error(self, base_url):
+        with pytest.raises(ConfigError, match="is not an http:// or https:// URL"):
+            HttpBackend(http_descriptor(base_url=base_url))
+
+    def test_bodies_are_the_json_of_the_payloads(self, loopback, monkeypatch):
+        payloads = []
+        real = HttpBackend._post
+
+        def recorded(backend, path, payload):
+            payloads.append(payload)
+            return real(backend, path, payload)
+
+        monkeypatch.setattr(HttpBackend, "_post", recorded)
+        backend = HttpBackend(http_descriptor(base_url=loopback.url))
+        assert backend.chat(exchange(text="Grüße aus der Kardiologie – 心臓 😀"), PARAMS) == "Befund"
+        assert len(backend.embed(["Befund ist stabil.", "Grüße"])) == 2
+        bodies = [body for _, _, body in loopback.seen]
+        assert bodies == [json.dumps(payload, allow_nan=False).encode("utf-8") for payload in payloads]
+        assert [headers["Content-Type"] for _, headers, _ in loopback.seen] == ["application/json"] * 2
+        with pytest.raises(ValueError):  # NaN is refused before anything is sent
+            backend.session.post(loopback.url + "/api/embed", json={"input": [float("nan")]}, timeout=1.0)
+        assert len(loopback.seen) == 2
 
 def resolved(backend=None, role_params=None):
     """The config of a document with the given backend and role_params

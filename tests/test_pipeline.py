@@ -5,7 +5,6 @@ import threading
 from pathlib import Path
 
 import pytest
-import requests
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -15,7 +14,7 @@ from promptloop.config import corpus_digest, load_config
 from promptloop.demo import run_demo
 from promptloop.engine import Engine
 from promptloop.errors import BACKEND_ERRORS, ConfigError, ProtocolError, RunAbortedError
-from promptloop.gateway import FAILURE_MARKER, HttpBackend, MockBackend, call_seed
+from promptloop.gateway import FAILURE_MARKER, HttpBackend, MockBackend, Transport, call_seed
 from promptloop.pipeline import build_runtime, resume_optimization, run_optimization
 from promptloop.roles import DEFAULT_ROLE_PARAMS, DEFAULT_SYSTEM_PROMPTS, ModelRole, SamplingParams
 from promptloop.runstore import canonical_json, read_log, replay_log
@@ -137,7 +136,7 @@ class TestBuildRuntime:
         def one_row(session, url, json=None, timeout=None):
             return FakeResponse({"embeddings": [[1.0, 0.0]]})
 
-        monkeypatch.setattr(requests.Session, "post", one_row)
+        monkeypatch.setattr(Transport, "post", one_row)
         with pytest.raises(ProtocolError, match="expected 2 embeddings, got 1"):
             build_runtime(library_config(tmp_path, backend=HTTP_BACKEND))
 
@@ -148,7 +147,7 @@ class TestBuildRuntime:
             sizes.append(len(json["input"]))
             return FakeResponse({"embeddings": [[1.0, float(len(t))] for t in json["input"]]})
 
-        monkeypatch.setattr(requests.Session, "post", embed)
+        monkeypatch.setattr(Transport, "post", embed)
         texts = [f"Text {i}." for i in range(70)]
         runtime = build_runtime(library_config(tmp_path, backend=HTTP_BACKEND), corpus_texts=texts)
         assert sorted(sizes, reverse=True) == [64, 6]  # the two requests run concurrently
